@@ -27,7 +27,6 @@ from .harmonics import (
     segment_integral_harmonic,
     thd,
 )
-from .kernels import backend
 from .optimizer import OptimizerResult, PsoConfig, derive_seed, minimize
 from .pattern import (
     DEFAULT_SIGNS_K6,
@@ -56,7 +55,6 @@ __all__ = [
     "WaveformSamples",
     "analytic_harmonic",
     "analytic_spectrum",
-    "backend",
     "build_lookup",
     "compare_methods",
     "cost",

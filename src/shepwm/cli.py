@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .dclink import (
@@ -182,32 +183,8 @@ def _pso(args) -> PsoConfig:
     )
 
 
-def _solver_config(args, problem: SheProblem, pso: PsoConfig, **extra) -> dict:
-    cfg = {
-        "problem": {
-            "target_m": problem.target_m,
-            "eliminate_orders": list(problem.eliminate_orders),
-            "cells": problem.cells,
-            "angles_per_cell": problem.angles_per_cell,
-            "sign_pattern": list(problem.sign_pattern),
-            "weight_fundamental": problem.weight_fundamental,
-            "weight_harmonics": problem.weight_harmonics,
-            "vdc_per_cell": problem.vdc_per_cell,
-        },
-        "pso": {
-            "seed": pso.seed,
-            "swarm_size": pso.swarm_size,
-            "iterations": pso.iterations,
-            "restarts": pso.restarts,
-            "inertia_start": pso.inertia_start,
-            "inertia_end": pso.inertia_end,
-            "cognitive": pso.cognitive,
-            "social": pso.social,
-            "velocity_clamp_fraction": pso.velocity_clamp_fraction,
-        },
-    }
-    cfg.update(extra)
-    return cfg
+def _solver_config(problem: SheProblem, pso: PsoConfig, **extra) -> dict:
+    return {"problem": asdict(problem), "pso": asdict(pso), **extra}
 
 
 def _thd_pct_or_none(sol: Solution, max_order: int):
@@ -254,7 +231,7 @@ def _cmd_solve(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        cfg = _solver_config(args, problem, pso, max_order=args.max_order,
+        cfg = _solver_config(problem, pso, max_order=args.max_order,
                              degrees=args.degrees, out=args.out)
         write_manifest(make_manifest("solve", cfg, pso.seed), args.out)
     return 0
@@ -287,7 +264,7 @@ def _cmd_sweep(args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-        cfg = _solver_config(args, problem, pso, pu_grid=args.pu_grid,
+        cfg = _solver_config(problem, pso, pu_grid=args.pu_grid,
                              max_order=args.max_order, jobs=args.jobs, out=args.out)
         write_manifest(make_manifest("sweep", cfg, pso.seed), args.out)
     else:
@@ -304,7 +281,7 @@ def _cmd_table(args) -> int:
         require_feasible_base=args.require_feasible_base,
     )
     write_lookup_csv(table, args.out)
-    cfg = _solver_config(args, problem, pso, pu_grid=args.pu_grid,
+    cfg = _solver_config(problem, pso, pu_grid=args.pu_grid,
                          max_order=args.max_order, out=args.out,
                          json_out=args.json_out,
                          require_feasible_base=args.require_feasible_base)
@@ -322,7 +299,7 @@ def _cmd_compare(args) -> int:
         args.pu_grid, pso, problem, thd_max_order=args.max_order, jobs=args.jobs
     )
     write_comparison_csv(table, args.out)
-    cfg = _solver_config(args, problem, pso, pu_grid=args.pu_grid,
+    cfg = _solver_config(problem, pso, pu_grid=args.pu_grid,
                          max_order=args.max_order, jobs=args.jobs, out=args.out)
     write_manifest(make_manifest("compare", cfg, pso.seed), args.out)
     return 0 if table.base_solution.feasible else 1

@@ -13,14 +13,13 @@ entire output range.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import InfeasibleBasePoint, OutOfRange, ShePwmError
 from .harmonics import DEFAULT_MAX_ORDER, analytic_harmonic, pattern_thd
-from .optimizer import PsoConfig, derive_seed
+from .optimizer import PsoConfig
 from .pattern import SwitchingPattern
-from .she import SheProblem, Solution, solve
+from .she import SheProblem, Solution, solve, sweep
 
 CONVENTIONAL = "conventional"
 PROPOSED = "proposed"
@@ -190,13 +189,6 @@ def build_lookup(
     )
 
 
-def _conventional_indexed(args) -> Solution:
-    problem, v, pso, index = args
-    return solve(
-        replace(problem, target_m=v), replace(pso, seed=derive_seed(pso.seed, index))
-    )
-
-
 def compare_methods(
     v_pu_grid,
     pso: PsoConfig,
@@ -206,27 +198,20 @@ def compare_methods(
 ) -> ComparisonTable:
     """Conventional re-solve at every grid point vs the duty-scaled base solve.
 
-    Conventional solve i uses seed derive_seed(pso.seed, i) over the sorted
-    grid, so results are independent of scheduling; at v_pu = 1.0 both
-    methods share the base operating point and the improvement is undefined.
+    The conventional solves are one sweep over the sorted grid without 1.0,
+    so solve i uses seed derive_seed(pso.seed, i) whatever the scheduling;
+    1.0 sorts last, so dropping it leaves every other index unchanged. At
+    v_pu = 1.0 both methods share the base operating point and the
+    improvement is undefined.
     """
     grid = _check_grid(v_pu_grid)
     base = solve_base(problem, pso)
     lookup = build_lookup(
         grid, pso, problem, thd_max_order=thd_max_order, base_solution=base
     )
-    work = [
-        (problem, v, pso, i) for i, v in enumerate(grid) if v != 1.0
-    ]
-    if jobs > 1 and work:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(_conventional_indexed, work))
-    else:
-        solved = [_conventional_indexed(w) for w in work]
-    conventional: list[Solution] = []
-    it = iter(solved)
-    for v in grid:
-        conventional.append(base if v == 1.0 else next(it))
+    below_full = [v for v in grid if v != 1.0]
+    solved = sweep(problem, below_full, pso, jobs) if below_full else []
+    conventional = solved + [base] * (len(grid) - len(below_full))
 
     rows = []
     for conv, prop_row in zip(conventional, lookup.rows):

@@ -2,10 +2,9 @@
 an output file.
 
 The manifest materializes every resolved parameter (defaults included), the
-seed, the tool version, the active kernel backend and a timestamp. Re-running
-the recorded command with the recorded parameters on the same platform and
-backend reproduces the output byte-for-byte; the timestamp is metadata about
-the original run, not an input.
+seed, the tool version and a timestamp. Re-running the recorded command with
+the recorded parameters on the same platform reproduces the output
+byte-for-byte; the timestamp is metadata about the original run, not an input.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from . import __version__, kernels
+from . import __version__
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,6 @@ class RunManifest:
     config: dict
     seed: int | None
     version: str
-    kernel_backend: str
     timestamp: str
 
 
@@ -33,7 +31,6 @@ def make_manifest(command: str, config: dict, seed: int | None) -> RunManifest:
         config=config,
         seed=seed,
         version=__version__,
-        kernel_backend=kernels.backend(),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
 

@@ -4,12 +4,13 @@ Deterministic by construction: restart r of a run with seed S draws all of
 its randomness from ``numpy.random.Generator(PCG64(SeedSequence((S, r))))``,
 and derived seeds for batched work (sweeps, comparison grids) come from
 ``derive_seed``. Identical inputs therefore give bit-identical results on a
-fixed platform and backend.
+fixed platform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,6 +44,10 @@ class PsoConfig:
     restarts: int = 5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ShePwmError(f"{f.name} must be finite, got {value}")
         if not (0 <= int(self.seed) <= _U64_MAX):
             raise ShePwmError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.swarm_size < 1 or self.iterations < 1 or self.restarts < 1:
@@ -91,7 +96,8 @@ def minimize(
     """Minimize a total objective over a box with global-best PSO.
 
     objective: maps an in-bounds point (shape (D,)) to a finite float; with
-        vectorized=True it maps a (P, D) batch to a (P,) array instead.
+        vectorized=True it maps a (P, D) batch to a (P,) array instead. A
+        non-finite value raises ShePwmError.
     bounds: one (low, high) pair per dimension.
 
     Per iteration each particle's velocity is updated with inertia (linear
@@ -110,11 +116,17 @@ def minimize(
     vmax = config.velocity_clamp_fraction * span
 
     if vectorized:
-        evaluate = lambda pts: np.asarray(objective(pts), dtype=np.float64)
+        batch = lambda pts: np.asarray(objective(pts), dtype=np.float64)
     else:
-        evaluate = lambda pts: np.asarray(
+        batch = lambda pts: np.asarray(
             [float(objective(p)) for p in pts], dtype=np.float64
         )
+
+    def evaluate(pts):
+        fx = batch(pts)
+        if not np.isfinite(fx).all():
+            raise ShePwmError("objective returned a non-finite value")
+        return fx
 
     best_val = np.inf
     best_pos = None

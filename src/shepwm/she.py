@@ -4,19 +4,20 @@ The solver searches the box [0, pi/2]^K for switching angles that hit a
 target per-unit fundamental while nulling a chosen set of odd harmonics.
 Raw optimizer coordinates are sort-repaired into nondecreasing order before
 evaluation, which makes the objective total on the box and permutation
-invariant. The hot batched cost goes through the kernel backend; the scalar
-path below is the reference implementation used for reporting and tests.
+invariant. ``cost_batch`` is the vectorised numpy kernel the swarm calls;
+the scalar ``cost`` is the reference it is tested against and the value
+reported with a solution.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     EmptySweep,
     OutOfRange,
@@ -52,6 +53,10 @@ class SheProblem:
     def __post_init__(self):
         if not (0.0 <= self.target_m <= 1.0):
             raise OutOfRange(f"target_m must be in [0, 1], got {self.target_m}")
+        for name in ("weight_fundamental", "weight_harmonics"):
+            w = getattr(self, name)
+            if not (math.isfinite(w) and w >= 0.0):
+                raise ShePwmError(f"{name} must be finite and >= 0, got {w}")
         if self.cells < 1 or self.angles_per_cell < 1:
             raise ShePwmError("cells and angles_per_cell must be >= 1")
         object.__setattr__(
@@ -138,16 +143,36 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
 
 
 def cost_batch(positions: np.ndarray, problem: SheProblem) -> np.ndarray:
-    """Kernel-backed batched cost over a (P, K) matrix of raw angle vectors."""
-    return kernels.she_cost_batch(
-        positions,
-        np.asarray(problem.sign_pattern, dtype=np.float64),
-        np.asarray(problem.eliminate_orders, dtype=np.int64),
-        problem.target_m,
-        problem.weight_fundamental,
-        problem.weight_harmonics,
-        problem.cells,
+    """Elimination cost for a (P, K) batch of raw angle vectors.
+
+    Each row is sort-repaired (ascending) before evaluation. Harmonics are
+    per-unit of the DC base s*V_dc, so the cost does not depend on V_dc:
+
+        cost = weight_fundamental * |target_m - |V1_pu||
+             + sum_n weight_harmonics/n * |Vn_pu|     over eliminate_orders
+
+    with Vn_pu = 4/(n*pi*cells) * sum_i signs[i]*cos(n*theta_i). The sum
+    over angles runs sequentially in sorted-angle order and the cost terms
+    accumulate order by order, so each row's bits do not depend on the batch
+    it is evaluated in.
+    """
+    srt = np.sort(np.atleast_2d(np.asarray(positions, dtype=np.float64)), axis=1)
+    orders = problem.eliminate_orders
+    n = np.array((1, *orders), dtype=np.float64)[:, None]
+    acc = np.zeros((n.shape[0], srt.shape[0]))
+    term = np.empty_like(acc)
+    for s_i, theta_i in zip(problem.sign_pattern, srt.T):
+        np.multiply(n, theta_i, out=term)
+        np.cos(term, out=term)
+        term *= s_i
+        acc += term
+    scale = 4.0 / (np.pi * problem.cells)
+    total = problem.weight_fundamental * np.abs(
+        problem.target_m - np.abs(scale * acc[0])
     )
+    for q, order in enumerate(orders, start=1):
+        total += (problem.weight_harmonics / order) * np.abs(scale / order * acc[q])
+    return total
 
 
 def solve(problem: SheProblem, pso: PsoConfig) -> Solution:

@@ -2,8 +2,7 @@
 PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 
 Criteria with stochastic solves pin their seeds; determinism of the solver
-makes every run of this suite identical on a fixed platform and kernel
-backend.
+makes every run of this suite identical on a fixed platform.
 """
 
 import json

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from shepwm import (
     analytic_harmonic,
     build_lookup,
     compare_methods,
+    derive_seed,
     duty_for_target,
     scale_pattern,
+    solve,
 )
 from shepwm.dclink import (
     read_lookup_csv,
@@ -195,6 +198,29 @@ class TestCompare:
             jobs=2,
         )
         assert a.rows == b.rows
+
+    def test_conventional_seeds_follow_sorted_grid(self):
+        # conventional solve i runs under derive_seed(S, i) over the sorted
+        # grid; the shared 1.0 point sorts last and takes no index
+        pso = PsoConfig(seed=8, **FAST)
+        problem = SheProblem(target_m=1.0)
+        table = compare_methods([0.7, 1.0, 0.3], pso, problem)
+        for i, v in enumerate([0.3, 0.7]):
+            expected = solve(
+                replace(problem, target_m=v), replace(pso, seed=derive_seed(8, i))
+            )
+            assert table.conventional[i] == expected
+        assert table.conventional[2] is table.base_solution
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_full_modulation_only_grid(self, jobs):
+        # no conventional re-solve is left to run at all
+        table = compare_methods(
+            [1.0], PsoConfig(seed=8, **FAST), SheProblem(target_m=1.0), jobs=jobs
+        )
+        assert table.conventional == (table.base_solution,)
+        assert len(table.rows) == 1
+        assert table.rows[0].improvement is None
 
 
 class TestIo:

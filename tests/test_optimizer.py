@@ -38,6 +38,11 @@ class TestConfig:
             dict(seed=1, cognitive=-1.0),
             dict(seed=1, velocity_clamp_fraction=0.0),
             dict(seed=1, velocity_clamp_fraction=1.5),
+            dict(seed=1, cognitive=float("inf")),
+            dict(seed=1, social=float("nan")),
+            dict(seed=1, inertia_start=float("inf")),
+            dict(seed=1, inertia_end=float("nan")),
+            dict(seed=1, velocity_clamp_fraction=float("nan")),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -106,6 +111,20 @@ class TestMinimize:
     def test_invalid_bounds(self, bounds):
         with pytest.raises(InvalidBounds):
             minimize(sphere, bounds, PsoConfig(seed=1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_non_finite_objective_raises(self, bad, vectorized):
+        # non-finite on a slice of the box only
+        def objective(pts):
+            values = np.where(pts[..., 0] > 0.9, bad, np.sum(pts**2, axis=-1))
+            return values if vectorized else float(values)
+
+        with pytest.raises(ShePwmError, match="non-finite"):
+            minimize(
+                objective, [(0.0, 1.0)] * 2, PsoConfig(seed=4, iterations=50),
+                vectorized=vectorized,
+            )
 
 
 class TestDeriveSeed:

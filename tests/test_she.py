@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,12 @@ class TestProblemValidation:
         with pytest.raises(SignPatternInvalid):
             SheProblem(target_m=0.5, sign_pattern=(1, 1, 1, -1, -1, -1))
 
+    @pytest.mark.parametrize("field", ["weight_fundamental", "weight_harmonics"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_weights_must_be_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ShePwmError, match=field):
+            SheProblem(target_m=0.5, **{field: value})
+
 
 class TestCost:
     def test_two_angle_staircase_frozen_value(self):
@@ -111,12 +118,24 @@ class TestCost:
         with pytest.raises(OutOfRange):
             cost([0.1, 0.2, 0.3, 0.4, 0.5, 1.7], SheProblem(target_m=0.5))
 
-    def test_batch_matches_scalar(self, rng):
-        problem = SheProblem(target_m=0.45)
-        pts = rng.random((40, 6)) * HALF_PI
+    @pytest.mark.parametrize("make_problem", [SheProblem, k8_problem], ids=["k6", "k8"])
+    def test_batch_matches_scalar(self, rng, make_problem):
+        problem = make_problem(0.45)
+        pts = rng.random((40, problem.n_angles)) * HALF_PI
         batch = cost_batch(pts, problem)
         for x, b in zip(pts, batch):
             assert b == pytest.approx(cost(x, problem), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("make_problem", [SheProblem, k8_problem], ids=["k6", "k8"])
+    def test_batch_row_bits_independent_of_batching(self, rng, make_problem):
+        # the determinism contract needs each row's cost to be the same bits
+        # whatever batch it is evaluated in, and whatever its column order
+        problem = make_problem(0.7)
+        pts = rng.random((25, problem.n_angles)) * HALF_PI
+        batch = cost_batch(pts, problem)
+        for i in range(len(pts)):
+            assert cost_batch(pts[i : i + 1], problem)[0] == batch[i]
+        assert np.array_equal(cost_batch(pts[:, ::-1], problem), batch)
 
 
 class TestSolve:
