@@ -106,6 +106,8 @@ def parse_grid(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise argparse.ArgumentTypeError(f"grid {text!r} has non-numeric parts")
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise argparse.ArgumentTypeError(f"grid {text!r} has non-finite parts")
         if step <= 0:
             raise argparse.ArgumentTypeError("grid step must be > 0")
         if stop < start:
@@ -218,6 +220,8 @@ def _solution_doc(sol: Solution, degrees: bool, max_order: int) -> dict:
             "evaluations": sol.diagnostics.evaluations,
             "converged_iteration": sol.diagnostics.converged_iteration,
             "winning_restart": sol.diagnostics.winning_restart,
+            "restart_values": list(sol.diagnostics.restart_values),
+            "restart_converged": list(sol.diagnostics.restart_converged),
         },
     }
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 from .errors import InfeasibleBasePoint, OutOfRange, ShePwmError
 from .harmonics import DEFAULT_MAX_ORDER, analytic_harmonic, pattern_thd
-from .optimizer import PsoConfig
+from .optimizer import PsoConfig, derive_seed
 from .pattern import SwitchingPattern
-from .she import SheProblem, Solution, solve, sweep
+from .she import SheProblem, Solution, solve, solve_pairs
 
 CONVENTIONAL = "conventional"
 PROPOSED = "proposed"
@@ -198,19 +198,21 @@ def compare_methods(
 ) -> ComparisonTable:
     """Conventional re-solve at every grid point vs the duty-scaled base solve.
 
-    The conventional solves are one sweep over the sorted grid without 1.0,
-    so solve i uses seed derive_seed(pso.seed, i) whatever the scheduling;
-    1.0 sorts last, so dropping it leaves every other index unchanged. At
-    v_pu = 1.0 both methods share the base operating point and the
-    improvement is undefined.
+    The base solve (target 1.0, seed pso.seed) and the conventional solves
+    run as one stacked batch (see solve_pairs). Conventional solve i, over
+    the sorted grid without 1.0, uses seed derive_seed(pso.seed, i), as a
+    sweep over those points would; jobs > 1 splits the batch over
+    processes without changing any result. At v_pu = 1.0 both methods share
+    the base operating point and the improvement is undefined.
     """
     grid = _check_grid(v_pu_grid)
-    base = solve_base(problem, pso)
+    below_full = [v for v in grid if v != 1.0]
+    pairs = [(1.0, pso.seed)]
+    pairs += [(v, derive_seed(pso.seed, i)) for i, v in enumerate(below_full)]
+    base, *solved = solve_pairs(problem, pairs, pso, jobs)
     lookup = build_lookup(
         grid, pso, problem, thd_max_order=thd_max_order, base_solution=base
     )
-    below_full = [v for v in grid if v != 1.0]
-    solved = sweep(problem, below_full, pso, jobs) if below_full else []
     conventional = solved + [base] * (len(grid) - len(below_full))
 
     rows = []

@@ -4,7 +4,9 @@ Deterministic by construction: restart r of a run with seed S draws all of
 its randomness from ``numpy.random.Generator(PCG64(SeedSequence((S, r))))``,
 and derived seeds for batched work (sweeps, comparison grids) come from
 ``derive_seed``. Identical inputs therefore give bit-identical results on a
-fixed platform.
+fixed platform. ``minimize_stacked`` runs the swarms of many seeds and all
+their restarts as one batch; every update is elementwise or per swarm, so
+each result has the same bits as a one-seed ``minimize``.
 """
 
 from __future__ import annotations
@@ -64,7 +66,10 @@ class PsoConfig:
 class OptimizerResult:
     """Best point found across all restarts, with run diagnostics.
 
-    Holds arrays, so instances compare by identity; tests compare fields.
+    gbest_history and converged_iteration belong to the winning restart;
+    restart_values and restart_converged hold every restart's best value and
+    convergence iteration, in restart order. Holds arrays, so instances
+    compare by identity; tests compare fields.
     """
 
     best_position: np.ndarray
@@ -73,6 +78,8 @@ class OptimizerResult:
     converged_iteration: int
     gbest_history: np.ndarray = field(repr=False, default=None)
     winning_restart: int = 0
+    restart_values: tuple[float, ...] = ()
+    restart_converged: tuple[int, ...] = ()
 
 
 def _check_bounds(bounds: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
@@ -108,12 +115,35 @@ def minimize(
     dimension. The global best is reduced over particles in index order, so
     ties resolve deterministically. There is no early stopping: every restart
     runs the full iteration count and the best restart wins (ties go to the
-    lowest restart index).
+    lowest restart index). The restarts run together as one stacked swarm;
+    see minimize_stacked.
+    """
+    return minimize_stacked(objective, bounds, config, [config.seed], vectorized)[0]
+
+
+def minimize_stacked(
+    objective: Callable,
+    bounds: Sequence[tuple[float, float]],
+    config: PsoConfig,
+    seeds: Sequence[int],
+    vectorized: bool = False,
+) -> list[OptimizerResult]:
+    """``minimize`` under each of `seeds` (unsigned 64-bit), as one stacked swarm.
+
+    Result b is bit-identical to ``minimize`` with ``config.seed = seeds[b]``.
+    The len(seeds) * restarts swarms advance together, and each iteration
+    makes one objective call on all their particles, ordered by seed, then
+    restart, then particle. Swarm (b, r) draws from its own
+    ``PCG64(SeedSequence((seeds[b], r)))`` stream, and every update is
+    elementwise or per swarm, so no swarm sees another. A vectorised
+    objective must likewise give each row the bits it would give alone.
     """
     lo, hi = _check_bounds(bounds)
     dim = lo.size
     span = hi - lo
     vmax = config.velocity_clamp_fraction * span
+    restarts, size, iters = config.restarts, config.swarm_size, config.iterations
+    blocks = len(seeds) * restarts
 
     if vectorized:
         batch = lambda pts: np.asarray(objective(pts), dtype=np.float64)
@@ -123,72 +153,93 @@ def minimize(
         )
 
     def evaluate(pts):
-        fx = batch(pts)
+        fx = batch(pts.reshape(-1, dim))
         if not np.isfinite(fx).all():
             raise ShePwmError("objective returned a non-finite value")
-        return fx
+        return fx.reshape(blocks, size)
 
-    best_val = np.inf
-    best_pos = None
-    best_hist = None
-    best_conv = 0
-    best_restart = 0
-    evals = 0
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence((int(seed), r)))
+        for seed in seeds
+        for r in range(restarts)
+    ]
+    x = np.empty((blocks, size, dim))
+    for rng, xb in zip(rngs, x):
+        rng.random(out=xb)
+    x *= span
+    x += lo
+    v = np.zeros_like(x)
+    fx = evaluate(x)
+    pbest = x.copy()
+    fp = fx.copy()
+    swarm = np.arange(blocks)
+    g = np.argmin(fp, axis=1)
+    gpos, gval = pbest[swarm, g], fp[swarm, g]
+    hist = np.empty((blocks, iters + 1))
+    hist[:, 0] = gval
+    conv = np.zeros(blocks, dtype=np.int64)
 
-    for r in range(config.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((int(config.seed), r)))
-        x = lo + rng.random((config.swarm_size, dim)) * span
-        v = np.zeros_like(x)
+    # pulls holds (cognitive * r1, social * r2) and gaps (pbest - x, gbest - x)
+    # per swarm. The in-place steps below evaluate
+    # v = w*v + cognitive*r1*(pbest - x) + social*r2*(gbest - x) in the
+    # one-swarm order, so every element gets the same bits.
+    coef = np.array([config.cognitive, config.social], dtype=np.float64)[:, None, None]
+    pulls = np.empty((blocks, 2, size, dim))
+    gaps = np.empty_like(pulls)
+    clamped = np.empty(x.shape, dtype=bool)
+    above = np.empty_like(clamped)
+
+    for t in range(iters):
+        if iters > 1:
+            w = config.inertia_start + (
+                config.inertia_end - config.inertia_start
+            ) * (t / (iters - 1))
+        else:
+            w = config.inertia_start
+        for rng, pb in zip(rngs, pulls):
+            rng.random(out=pb)
+        pulls *= coef
+        np.subtract(pbest, x, out=gaps[:, 0])
+        np.subtract(gpos[:, None, :], x, out=gaps[:, 1])
+        pulls *= gaps
+        v *= w
+        v += pulls[:, 0]
+        v += pulls[:, 1]
+        np.clip(v, -vmax, vmax, out=v)
+        x += v
+        np.less(x, lo, out=clamped)
+        np.greater(x, hi, out=above)
+        clamped |= above
+        np.clip(x, lo, hi, out=x)
+        np.copyto(v, 0.0, where=clamped)
         fx = evaluate(x)
-        evals += config.swarm_size
-        pbest = x.copy()
-        fp = fx.copy()
-        g = int(np.argmin(fp))
-        gpos, gval = pbest[g].copy(), float(fp[g])
-        hist = np.empty(config.iterations + 1)
-        hist[0] = gval
-        conv = 0
+        improved = fx < fp
+        np.copyto(pbest, x, where=improved[..., None])
+        np.copyto(fp, fx, where=improved)
+        g = np.argmin(fp, axis=1)
+        best = fp[swarm, g]
+        better = best < gval
+        if better.any():
+            gpos[better] = pbest[swarm[better], g[better]]
+            gval[better] = best[better]
+            conv[better] = t + 1
+        hist[:, t + 1] = gval
 
-        for t in range(config.iterations):
-            if config.iterations > 1:
-                w = config.inertia_start + (
-                    config.inertia_end - config.inertia_start
-                ) * (t / (config.iterations - 1))
-            else:
-                w = config.inertia_start
-            r1 = rng.random((config.swarm_size, dim))
-            r2 = rng.random((config.swarm_size, dim))
-            v = w * v + config.cognitive * r1 * (pbest - x) + config.social * r2 * (
-                gpos - x
+    results = []
+    for b in range(len(seeds)):
+        own = slice(b * restarts, (b + 1) * restarts)
+        win = int(np.argmin(gval[own]))
+        k = b * restarts + win
+        results.append(
+            OptimizerResult(
+                best_position=gpos[k].copy(),
+                best_value=float(gval[k]),
+                evaluations=restarts * size * (iters + 1),
+                converged_iteration=int(conv[k]),
+                gbest_history=hist[k].copy(),
+                winning_restart=win,
+                restart_values=tuple(gval[own].tolist()),
+                restart_converged=tuple(conv[own].tolist()),
             )
-            np.clip(v, -vmax, vmax, out=v)
-            x = x + v
-            clamped = (x < lo) | (x > hi)
-            np.clip(x, lo, hi, out=x)
-            v[clamped] = 0.0
-            fx = evaluate(x)
-            evals += config.swarm_size
-            improved = fx < fp
-            pbest[improved] = x[improved]
-            fp[improved] = fx[improved]
-            g = int(np.argmin(fp))
-            if fp[g] < gval:
-                gpos, gval = pbest[g].copy(), float(fp[g])
-                conv = t + 1
-            hist[t + 1] = gval
-
-        if gval < best_val:
-            best_val = gval
-            best_pos = gpos
-            best_hist = hist
-            best_conv = conv
-            best_restart = r
-
-    return OptimizerResult(
-        best_position=best_pos,
-        best_value=best_val,
-        evaluations=evals,
-        converged_iteration=best_conv,
-        gbest_history=best_hist,
-        winning_restart=best_restart,
-    )
+        )
+    return results

@@ -6,7 +6,9 @@ Raw optimizer coordinates are sort-repaired into nondecreasing order before
 evaluation, which makes the objective total on the box and permutation
 invariant. ``cost_batch`` is the vectorised numpy kernel the swarm calls;
 the scalar ``cost`` is the reference it is tested against and the value
-reported with a solution.
+reported with a solution. ``solve``, ``sweep`` and the variable-DC-link
+comparison all go through ``solve_pairs``, which runs every (target, seed)
+pair's swarms as one stacked batch.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +29,7 @@ from .errors import (
     SignPatternInvalid,
 )
 from .harmonics import analytic_harmonic
-from .optimizer import OptimizerResult, PsoConfig, derive_seed, minimize
+from .optimizer import OptimizerResult, PsoConfig, derive_seed, minimize_stacked
 from .pattern import HALF_PI, SwitchingPattern, default_sign_pattern
 
 # A solution is feasible when every eliminated-order residual and the
@@ -142,7 +145,9 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
     return total
 
 
-def cost_batch(positions: np.ndarray, problem: SheProblem) -> np.ndarray:
+def cost_batch(
+    positions: np.ndarray, problem: SheProblem, target_m: np.ndarray | None = None
+) -> np.ndarray:
     """Elimination cost for a (P, K) batch of raw angle vectors.
 
     Each row is sort-repaired (ascending) before evaluation. Harmonics are
@@ -155,8 +160,19 @@ def cost_batch(positions: np.ndarray, problem: SheProblem) -> np.ndarray:
     over angles runs sequentially in sorted-angle order and the cost terms
     accumulate order by order, so each row's bits do not depend on the batch
     it is evaluated in.
+
+    target_m, when given, is a (P,) vector of per-row targets that replaces
+    problem.target_m; row i then costs what it would cost alone under
+    replace(problem, target_m=target_m[i]).
     """
     srt = np.sort(np.atleast_2d(np.asarray(positions, dtype=np.float64)), axis=1)
+    if target_m is None:
+        target_m = problem.target_m
+    elif np.shape(target_m) != srt.shape[:1]:
+        raise ShePwmError(
+            f"target_m must hold one value per row ({srt.shape[0]}), "
+            f"got shape {np.shape(target_m)}"
+        )
     orders = problem.eliminate_orders
     n = np.array((1, *orders), dtype=np.float64)[:, None]
     acc = np.zeros((n.shape[0], srt.shape[0]))
@@ -167,9 +183,7 @@ def cost_batch(positions: np.ndarray, problem: SheProblem) -> np.ndarray:
         term *= s_i
         acc += term
     scale = 4.0 / (np.pi * problem.cells)
-    total = problem.weight_fundamental * np.abs(
-        problem.target_m - np.abs(scale * acc[0])
-    )
+    total = problem.weight_fundamental * np.abs(target_m - np.abs(scale * acc[0]))
     for q, order in enumerate(orders, start=1):
         total += (problem.weight_harmonics / order) * np.abs(scale / order * acc[q])
     return total
@@ -177,13 +191,11 @@ def cost_batch(positions: np.ndarray, problem: SheProblem) -> np.ndarray:
 
 def solve(problem: SheProblem, pso: PsoConfig) -> Solution:
     """Minimize the elimination cost and package the repaired best point."""
-    k = problem.n_angles
-    result = minimize(
-        lambda pts: cost_batch(pts, problem),
-        bounds=[(0.0, HALF_PI)] * k,
-        config=pso,
-        vectorized=True,
-    )
+    return solve_pairs(problem, [(problem.target_m, pso.seed)], pso)[0]
+
+
+def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
+    """Solution for the optimizer's best point on one target's problem."""
     repaired = np.sort(result.best_position)
     pat = problem.make_pattern(repaired)
     base = problem.base_volts
@@ -206,11 +218,44 @@ def solve(problem: SheProblem, pso: PsoConfig) -> Solution:
     )
 
 
-def _solve_indexed(args) -> Solution:
-    problem, m, pso, index = args
-    return solve(
-        replace(problem, target_m=m), replace(pso, seed=derive_seed(pso.seed, index))
+def _solve_stacked(problem: SheProblem, pairs, pso: PsoConfig) -> list[Solution]:
+    """Every (target_m, seed) pair's swarms as one stacked swarm."""
+    targets = np.array([m for m, _ in pairs], dtype=np.float64)
+    row_targets = np.repeat(targets, pso.restarts * pso.swarm_size)
+    results = minimize_stacked(
+        lambda pts: cost_batch(pts, problem, target_m=row_targets),
+        bounds=[(0.0, HALF_PI)] * problem.n_angles,
+        config=pso,
+        seeds=[seed for _, seed in pairs],
+        vectorized=True,
     )
+    return [
+        _package(replace(problem, target_m=m), result)
+        for (m, _), result in zip(pairs, results)
+    ]
+
+
+def solve_pairs(
+    problem: SheProblem,
+    pairs: Sequence[tuple[float, int]],
+    pso: PsoConfig,
+    jobs: int = 1,
+) -> list[Solution]:
+    """One solve per (target_m, seed) pair, in input order.
+
+    Pair i solves replace(problem, target_m=m_i) under replace(pso,
+    seed=seed_i), bit for bit. All pairs run as one stacked swarm; jobs > 1
+    splits the pairs into at most `jobs` contiguous chunks, each stacked in
+    its own process. The chunking does not change any result.
+    """
+    chunks = min(max(jobs, 1), len(pairs))
+    if chunks <= 1:
+        return _solve_stacked(problem, pairs, pso)
+    cuts = [len(pairs) * c // chunks for c in range(chunks + 1)]
+    work = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=chunks) as pool:
+        parts = pool.map(_solve_stacked, repeat(problem), work, repeat(pso))
+        return [sol for part in parts for sol in part]
 
 
 def sweep(
@@ -222,15 +267,13 @@ def sweep(
     """Independent solves over a list of targets, in input order.
 
     Solve i runs with seed derive_seed(pso.seed, i), so results do not depend
-    on how the work is scheduled; jobs > 1 fans the solves out to processes.
+    on how the work is scheduled; jobs > 1 splits the targets over up to
+    `jobs` processes (see solve_pairs).
     """
     if len(m_values) == 0:
         raise EmptySweep("no target values given")
     for m in m_values:
         if not (0.0 <= m <= 1.0):
             raise OutOfRange(f"per-unit target {m} outside [0, 1]")
-    work = [(problem, float(m), pso, i) for i, m in enumerate(m_values)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_solve_indexed, work))
-    return [_solve_indexed(w) for w in work]
+    pairs = [(float(m), derive_seed(pso.seed, i)) for i, m in enumerate(m_values)]
+    return solve_pairs(problem, pairs, pso, jobs)

@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shepwm
-from shepwm import PsoConfig, SheProblem, build_lookup
+from shepwm import PsoConfig, SheProblem, build_lookup, cli
 from shepwm.dclink import read_lookup_csv
 
 from conftest import run_cli
@@ -32,6 +34,19 @@ class TestSolve:
         assert doc["target_pu"] == 1.0
         assert set(doc["residuals_pu"]) == {"3", "5", "7", "9", "11"}
         assert len(doc["angles_rad"]) == 6
+
+    def test_diagnostics_report_every_restart(self):
+        out = run_cli(["solve", "--pu", "0.6", "--seed", "4", "--swarm", "8",
+                       "--iterations", "20", "--restarts", "3"])
+        assert out.returncode == 0, out.stderr.decode()
+        diag = json.loads(out.stdout)["diagnostics"]
+        values = diag["restart_values"]
+        assert len(values) == len(diag["restart_converged"]) == 3
+        assert diag["winning_restart"] == values.index(min(values))
+        assert diag["best_value"] == values[diag["winning_restart"]]
+        assert diag["converged_iteration"] == (
+            diag["restart_converged"][diag["winning_restart"]]
+        )
 
     def test_degrees_flag(self):
         out = run_cli(["solve", "--pu", "0.5", "--seed", "1", *FAST, "--degrees"])
@@ -86,6 +101,9 @@ class TestUsageErrors:
             ["solve", "--pu", "0.5", "--seed", "1", "--weights=-1,10"],
             ["solve", "--pu", "0.5", "--seed", "1", "--cognitive", "inf"],
             ["solve", "--pu", "0.5", "--seed", "1", "--social", "nan"],
+            ["sweep", "--pu-grid", "nan:1.0:0.1", "--seed", "1"],
+            ["sweep", "--pu-grid", "0.1:inf:0.1", "--seed", "1"],
+            ["sweep", "--pu-grid", "0.1:1.0:nan", "--seed", "1"],
         ],
     )
     def test_exit_code_2(self, args, tmp_path):
@@ -103,6 +121,51 @@ class TestUsageErrors:
         )
         assert out.returncode == 2
         assert b"error" in out.stderr
+
+
+# Fragments for the in-process argv property: valid values next to broken
+# ones (non-finite grid parts, NaN or negative weights, non-finite swarm
+# coefficients, empty or inverted grids, out-of-range targets and seeds).
+GRIDS = ["0.5", "0.2,1.0", "0.1:1.0:0.3", "1.0", "", ",", "0,0.5",
+         "nan:1.0:0.1", "0.1:inf:0.1", "0.1:1.0:nan", "-inf:1:0.5", "0.1:1.0:-0.1",
+         "0.5:0.1:0.1", "0.1:0.5:0", "nan,0.5", "inf", "-0.1,0.5", "a:b:c", "1:2"]
+TARGETS = ["0.5", "1.0", "0", "nan", "inf", "1.5", "-0.1", "x"]
+SEEDS = ["1", "0", "18446744073709551615", "18446744073709551616", "-3", "x"]
+WEIGHTS = ["100,10", "0,0", "nan,10", "10,nan", "-1,10", "10,-0.5", "inf,1", "1",
+           "a,b", ""]
+COEFFICIENTS = ["2.0", "0", "0.5", "1e300", "nan", "inf", "-inf", "-1"]
+SWARM_FLAGS = ["--cognitive", "--social", "--inertia-start", "--inertia-end",
+               "--velocity-clamp"]
+TINY_SOLVE = ["--iterations", "2", "--restarts", "1", "--swarm", "3"]
+
+
+@st.composite
+def solver_argv(draw):
+    command = draw(st.sampled_from(["solve", "sweep", "table", "compare"]))
+    if command == "solve":
+        argv = [command, f"--pu={draw(st.sampled_from(TARGETS))}"]
+    else:
+        argv = [command, f"--pu-grid={draw(st.sampled_from(GRIDS))}"]
+    argv += [f"--seed={draw(st.sampled_from(SEEDS))}", *TINY_SOLVE]
+    if draw(st.booleans()):
+        argv.append(f"--weights={draw(st.sampled_from(WEIGHTS))}")
+    for flag in draw(st.lists(st.sampled_from(SWARM_FLAGS), unique=True, max_size=3)):
+        argv.append(f"{flag}={draw(st.sampled_from(COEFFICIENTS))}")
+    return argv
+
+
+@given(argv=solver_argv())
+@settings(max_examples=150, deadline=None)
+def test_any_solver_argv_exits_0_1_or_2(argv, tmp_path_factory):
+    # in-process, so a traceback surfaces as the exception that caused it
+    if argv[0] != "solve":
+        out = tmp_path_factory.mktemp("argv") / "out.csv"
+        argv = [*argv, "--out", str(out)]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv
 
 
 class TestAnalyze:

@@ -211,6 +211,8 @@ class TestCompare:
             )
             assert table.conventional[i] == expected
         assert table.conventional[2] is table.base_solution
+        # the base solve rides in the same stacked batch under the base seed
+        assert table.base_solution == solve(replace(problem, target_m=1.0), pso)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_full_modulation_only_grid(self, jobs):

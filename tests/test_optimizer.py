@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shepwm import OptimizerResult, PsoConfig, derive_seed, minimize
 from shepwm.errors import InvalidBounds, ShePwmError
+from shepwm.optimizer import _check_bounds, minimize_stacked
 
 
 def sphere(x):
@@ -11,6 +16,109 @@ def sphere(x):
 
 def sphere_batch(pts):
     return np.sum((pts - 0.5) ** 2, axis=1)
+
+
+def _reference_minimize(objective, bounds, config, vectorized=False):
+    """One swarm per restart, run one after another: the loop the stacked
+    optimizer replaced, kept as its bit-for-bit oracle."""
+    lo, hi = _check_bounds(bounds)
+    dim = lo.size
+    span = hi - lo
+    vmax = config.velocity_clamp_fraction * span
+
+    if vectorized:
+        batch = lambda pts: np.asarray(objective(pts), dtype=np.float64)
+    else:
+        batch = lambda pts: np.asarray(
+            [float(objective(p)) for p in pts], dtype=np.float64
+        )
+
+    best_val = np.inf
+    best_pos = None
+    best_hist = None
+    best_conv = 0
+    best_restart = 0
+    evals = 0
+    values, convs = [], []
+
+    for r in range(config.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((int(config.seed), r)))
+        x = lo + rng.random((config.swarm_size, dim)) * span
+        v = np.zeros_like(x)
+        fx = batch(x)
+        evals += config.swarm_size
+        pbest = x.copy()
+        fp = fx.copy()
+        g = int(np.argmin(fp))
+        gpos, gval = pbest[g].copy(), float(fp[g])
+        hist = np.empty(config.iterations + 1)
+        hist[0] = gval
+        conv = 0
+
+        for t in range(config.iterations):
+            if config.iterations > 1:
+                w = config.inertia_start + (
+                    config.inertia_end - config.inertia_start
+                ) * (t / (config.iterations - 1))
+            else:
+                w = config.inertia_start
+            r1 = rng.random((config.swarm_size, dim))
+            r2 = rng.random((config.swarm_size, dim))
+            v = w * v + config.cognitive * r1 * (pbest - x) + config.social * r2 * (
+                gpos - x
+            )
+            np.clip(v, -vmax, vmax, out=v)
+            x = x + v
+            clamped = (x < lo) | (x > hi)
+            np.clip(x, lo, hi, out=x)
+            v[clamped] = 0.0
+            fx = batch(x)
+            evals += config.swarm_size
+            improved = fx < fp
+            pbest[improved] = x[improved]
+            fp[improved] = fx[improved]
+            g = int(np.argmin(fp))
+            if fp[g] < gval:
+                gpos, gval = pbest[g].copy(), float(fp[g])
+                conv = t + 1
+            hist[t + 1] = gval
+
+        values.append(gval)
+        convs.append(conv)
+        if gval < best_val:
+            best_val = gval
+            best_pos = gpos
+            best_hist = hist
+            best_conv = conv
+            best_restart = r
+
+    return OptimizerResult(
+        best_position=best_pos,
+        best_value=best_val,
+        evaluations=evals,
+        converged_iteration=best_conv,
+        gbest_history=best_hist,
+        winning_restart=best_restart,
+        restart_values=tuple(values),
+        restart_converged=tuple(convs),
+    )
+
+
+def assert_bit_equal(a: OptimizerResult, b: OptimizerResult):
+    assert a.best_position.tobytes() == b.best_position.tobytes()
+    assert a.gbest_history.tobytes() == b.gbest_history.tobytes()
+    for name in ("best_value", "evaluations", "converged_iteration",
+                 "winning_restart", "restart_values", "restart_converged"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert np.array(a.restart_values).tobytes() == np.array(b.restart_values).tobytes()
+
+
+def wavy(x):
+    return float(np.sum((x - 0.3) ** 2 * (1.5 + np.cos(7.0 * x))))
+
+
+def wavy_batch(pts):
+    return np.sum((pts - 0.3) ** 2 * (1.5 + np.cos(7.0 * pts)), axis=1)
 
 
 class TestConfig:
@@ -125,6 +233,74 @@ class TestMinimize:
                 objective, [(0.0, 1.0)] * 2, PsoConfig(seed=4, iterations=50),
                 vectorized=vectorized,
             )
+
+
+class TestStackedOracle:
+    """The stacked swarm against the per-restart loop, bit for bit."""
+
+    @given(
+        restarts=st.integers(1, 4),
+        swarm=st.integers(1, 7),
+        iterations=st.integers(1, 30),
+        dim=st.integers(1, 8),
+        seed=st.integers(0, 2**64 - 1),
+        vectorized=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_minimize_matches_reference(
+        self, restarts, swarm, iterations, dim, seed, vectorized
+    ):
+        cfg = PsoConfig(seed=seed, swarm_size=swarm, iterations=iterations,
+                        restarts=restarts, cognitive=1.7, social=2.3)
+        bounds = [(-0.5 * i, 1.0 + 0.25 * i) for i in range(dim)]
+        objective = wavy_batch if vectorized else wavy
+        assert_bit_equal(
+            minimize(objective, bounds, cfg, vectorized=vectorized),
+            _reference_minimize(objective, bounds, cfg, vectorized=vectorized),
+        )
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_stacked_seeds_match_reference(self, vectorized):
+        cfg = PsoConfig(seed=0, swarm_size=6, iterations=25, restarts=3)
+        seeds = [5, derive_seed(5, 0), derive_seed(5, 1), 2**64 - 1]
+        objective = wavy_batch if vectorized else wavy
+        stacked = minimize_stacked(objective, [(0.0, 1.0)] * 4, cfg, seeds,
+                                   vectorized=vectorized)
+        assert len(stacked) == len(seeds)
+        for seed, res in zip(seeds, stacked):
+            ref = _reference_minimize(objective, [(0.0, 1.0)] * 4,
+                                      replace(cfg, seed=seed), vectorized=vectorized)
+            assert_bit_equal(res, ref)
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_constant_objective_ties_every_restart(self, vectorized):
+        cfg = PsoConfig(seed=3, swarm_size=5, iterations=10, restarts=4)
+        objective = (lambda pts: np.ones(len(pts))) if vectorized else (lambda p: 1.0)
+        res = minimize(objective, [(0.0, 1.0)] * 3, cfg, vectorized=vectorized)
+        assert_bit_equal(
+            res, _reference_minimize(objective, [(0.0, 1.0)] * 3, cfg, vectorized)
+        )
+        assert res.winning_restart == 0
+        assert res.restart_values == (1.0,) * 4
+        assert res.restart_converged == (0,) * 4
+
+
+class TestRestartTelemetry:
+    def test_one_entry_per_restart(self):
+        res = minimize(wavy, [(0.0, 1.0)] * 3, PsoConfig(seed=8, iterations=40,
+                                                         restarts=4))
+        assert len(res.restart_values) == len(res.restart_converged) == 4
+        assert all(0 <= c <= 40 for c in res.restart_converged)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_winner_is_first_argmin(self, seed):
+        res = minimize(wavy_batch, [(0.0, 1.0)] * 2,
+                       PsoConfig(seed=seed, swarm_size=4, iterations=5, restarts=5),
+                       vectorized=True)
+        values = res.restart_values
+        assert res.best_value == values[res.winning_restart]
+        assert res.winning_restart == values.index(min(values))
+        assert res.converged_iteration == res.restart_converged[res.winning_restart]
 
 
 class TestDeriveSeed:

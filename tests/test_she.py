@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from shepwm import (
     solve,
     sweep,
 )
+from shepwm import she
 from shepwm.errors import EmptySweep, OutOfRange, ShePwmError, SignPatternInvalid
 from shepwm.optimizer import derive_seed
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
@@ -137,6 +139,23 @@ class TestCost:
             assert cost_batch(pts[i : i + 1], problem)[0] == batch[i]
         assert np.array_equal(cost_batch(pts[:, ::-1], problem), batch)
 
+    @pytest.mark.parametrize("make_problem", [SheProblem, k8_problem], ids=["k6", "k8"])
+    def test_per_row_targets_match_one_problem_per_row(self, rng, make_problem):
+        problem = make_problem(0.7)
+        pts = rng.random((30, problem.n_angles)) * HALF_PI
+        targets = rng.random(30)
+        targets[:3] = (0.0, 1.0, 0.7)
+        batch = cost_batch(pts, problem, target_m=targets)
+        for i in range(len(pts)):
+            alone = replace(problem, target_m=float(targets[i]))
+            assert cost_batch(pts[i : i + 1], alone)[0] == batch[i]
+
+    @pytest.mark.parametrize("shape", [(29,), (31,), (30, 1), ()])
+    def test_per_row_targets_need_one_per_row(self, rng, shape):
+        pts = rng.random((30, 6)) * HALF_PI
+        with pytest.raises(ShePwmError, match="one value per row"):
+            cost_batch(pts, SheProblem(target_m=0.5), target_m=np.full(shape, 0.5))
+
 
 class TestSolve:
     def test_determinism(self):
@@ -181,6 +200,40 @@ class TestSolve:
         assert (not sol.feasible) or pattern_thd(sol.pattern, 49) >= 0.80
 
 
+def assert_same_solution(a, b):
+    """Solution equality plus the optimizer diagnostics it leaves out."""
+    assert a == b
+    assert a.pattern.angles == b.pattern.angles
+    da, db = a.diagnostics, b.diagnostics
+    assert da.best_position.tobytes() == db.best_position.tobytes()
+    assert da.gbest_history.tobytes() == db.gbest_history.tobytes()
+    for name in ("best_value", "evaluations", "converged_iteration",
+                 "winning_restart", "restart_values", "restart_converged"):
+        assert getattr(da, name) == getattr(db, name), name
+
+
+class InlinePool:
+    """Stand-in for the process pool: records its size and the targets of
+    each chunk, and runs the chunks in this process."""
+
+    sizes: list = []
+    chunks: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        for args in zip(*iterables):
+            self.chunks.append([m for m, _ in args[1]])
+            yield fn(*args)
+
+
 class TestSweep:
     def test_order_and_length(self):
         problem = SheProblem(target_m=1.0)
@@ -199,6 +252,41 @@ class TestSweep:
             dataclasses.replace(cfg, seed=derive_seed(17, 0)),
         )
         assert single == direct
+
+    def test_stacked_targets_match_separate_solves(self):
+        problem = k8_problem()
+        cfg = PsoConfig(seed=29, iterations=40, restarts=3, swarm_size=10)
+        targets = [0.35, 1.0, 0.8]
+        sols = sweep(problem, targets, cfg)
+        for i, (m, sol) in enumerate(zip(targets, sols)):
+            direct = solve(replace(problem, target_m=m),
+                           replace(cfg, seed=derive_seed(29, i)))
+            assert_same_solution(sol, direct)
+
+    def test_pool_is_capped_at_the_work(self, monkeypatch):
+        # a fork pool starts every worker up front; never ask for more
+        # workers than there are chunks of targets to hand out
+        targets = [0.3, 0.8]
+        monkeypatch.setattr(she, "ProcessPoolExecutor", InlinePool)
+        problem = SheProblem(target_m=1.0)
+        cfg = PsoConfig(seed=11, iterations=10, restarts=2, swarm_size=6)
+        serial = sweep(problem, targets, cfg)
+        InlinePool.sizes.clear()
+        for jobs in (2, 3, 500):
+            chunked = sweep(problem, targets, cfg, jobs=jobs)
+            for a, b in zip(serial, chunked):
+                assert_same_solution(a, b)
+        assert InlinePool.sizes == [2, 2, 2]
+
+    def test_chunks_are_contiguous_and_in_order(self, monkeypatch):
+        monkeypatch.setattr(she, "ProcessPoolExecutor", InlinePool)
+        InlinePool.chunks.clear()
+        targets = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        cfg = PsoConfig(seed=2, iterations=3, restarts=1, swarm_size=3)
+        sols = sweep(SheProblem(target_m=1.0), targets, cfg, jobs=3)
+        assert [s.target_m for s in sols] == targets
+        chunks = InlinePool.chunks
+        assert len(chunks) == 3 and sum(chunks, []) == targets
 
     def test_empty(self):
         with pytest.raises(EmptySweep):
