@@ -26,33 +26,22 @@ from .dclink import (
     write_lookup_json,
 )
 from .errors import InfeasibleBasePoint, ShePwmError, ZeroFundamental
-from .harmonics import analytic_spectrum, pattern_thd, thd, write_spectrum_csv
+from .harmonics import (
+    DEFAULT_MAX_ORDER,
+    analytic_spectrum,
+    pattern_thd,
+    thd,
+    write_spectrum_csv,
+)
 from .manifest import make_manifest, write_manifest
 from .optimizer import PsoConfig
 from .pattern import SwitchingPattern, synthesize, write_waveform_csv
 from .she import SheProblem, Solution, solve, sweep
 
 GRID_STOP_SLACK = 1e-9
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed {text!r} is not an integer")
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
-
-
-def _pu(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"per-unit value {text!r} is not a number")
-    if not (0.0 <= value <= 1.0):
-        raise argparse.ArgumentTypeError(f"per-unit value {value} outside [0, 1]")
-    return value
+# Cap on (stop - start) / step of a start:stop:step grid, checked before the
+# grid is built.
+MAX_GRID_POINTS = 1_000_000
 
 
 def _positive_int(text: str) -> int:
@@ -77,14 +66,6 @@ def _int_list(text: str) -> list[int]:
         return [int(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated int list")
-
-
-def _signs(text: str) -> tuple[int, ...]:
-    values = _int_list(text)
-    for v in values:
-        if v not in (1, -1):
-            raise argparse.ArgumentTypeError(f"sign {v} must be +1 or -1")
-    return tuple(values)
 
 
 def _weights(text: str) -> tuple[float, float]:
@@ -112,6 +93,10 @@ def parse_grid(text: str) -> list[float]:
             raise argparse.ArgumentTypeError("grid step must be > 0")
         if stop < start:
             raise argparse.ArgumentTypeError("grid stop must be >= start")
+        if (stop - start) / step > MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(
+                f"grid {text!r} has more than {MAX_GRID_POINTS} points"
+            )
         values = []
         i = 0
         while True:
@@ -130,63 +115,42 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
-def _add_problem_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cells", type=_positive_int, default=2,
-                   help="series H-bridge cells s (default 2)")
-    p.add_argument("--angles-per-cell", type=_positive_int, default=3,
-                   help="switching angles per cell k; K = k*s (default 3)")
-    p.add_argument("--vdc", type=float, default=200.0,
-                   help="nominal per-cell DC voltage in volts (default 200)")
-    p.add_argument("--eliminate", type=_int_list, default=[3, 5, 7, 9, 11],
-                   metavar="N,N,...", help="odd harmonic orders to eliminate")
-    p.add_argument("--signs", type=_signs, default=None, metavar="S,S,...",
-                   help="transition signs (+1/-1 per angle); default per K")
-    p.add_argument("--weights", type=_weights, default=(100.0, 10.0), metavar="A,B",
-                   help="fundamental,harmonic cost weights (default 100,10)")
+# Solver flags as (flag, config field, type, help). A flag's default is its
+# field's default, and the dataclass alone decides whether a value is valid.
+PROBLEM_FLAGS = (
+    ("--cells", "cells", int, "series H-bridge cells s"),
+    ("--angles-per-cell", "angles_per_cell", int, "switching angles per cell k; K = k*s"),
+    ("--vdc", "vdc_per_cell", float, "nominal per-cell DC voltage in volts"),
+    ("--eliminate", "eliminate_orders", _int_list, "odd harmonic orders to eliminate"),
+    ("--signs", "sign_pattern", _int_list, "transition signs, +1/-1; None: per K"),
+)
+PSO_FLAGS = (
+    ("--swarm", "swarm_size", int, "particles per swarm"),
+    ("--iterations", "iterations", int, "iterations per restart"),
+    ("--restarts", "restarts", int, "independent restarts"),
+    ("--inertia-start", "inertia_start", float, "inertia at the first iteration"),
+    ("--inertia-end", "inertia_end", float, "inertia at the last iteration"),
+    ("--cognitive", "cognitive", float, "personal-best acceleration"),
+    ("--social", "social", float, "global-best acceleration"),
+    ("--velocity-clamp", "velocity_clamp_fraction", float, "speed cap, box fraction"),
+)
+_NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
+    "pu", "seed", "weights", "command", "func"}
 
 
-def _add_pso_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, required=True,
-                   help="base seed (unsigned 64-bit, required)")
-    p.add_argument("--swarm", type=_positive_int, default=50)
-    p.add_argument("--iterations", type=_positive_int, default=500)
-    p.add_argument("--restarts", type=_positive_int, default=5)
-    p.add_argument("--inertia-start", type=float, default=0.9)
-    p.add_argument("--inertia-end", type=float, default=0.4)
-    p.add_argument("--cognitive", type=float, default=2.0)
-    p.add_argument("--social", type=float, default=2.0)
-    p.add_argument("--velocity-clamp", type=float, default=0.2)
-
-
-def _problem(args, target_m: float = 1.0) -> SheProblem:
-    return SheProblem(
-        target_m=target_m,
-        eliminate_orders=tuple(args.eliminate),
-        cells=args.cells,
-        angles_per_cell=args.angles_per_cell,
-        sign_pattern=args.signs,
+def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
+    """Problem, swarm and manifest config: both dataclasses in full, plus every
+    parsed argument that is not one of their fields."""
+    given = vars(args)
+    problem = SheProblem(
+        target_m,
         weight_fundamental=args.weights[0],
         weight_harmonics=args.weights[1],
-        vdc_per_cell=args.vdc,
+        **{field: given[field] for _, field, _, _ in PROBLEM_FLAGS},
     )
-
-
-def _pso(args) -> PsoConfig:
-    return PsoConfig(
-        seed=args.seed,
-        swarm_size=args.swarm,
-        iterations=args.iterations,
-        restarts=args.restarts,
-        inertia_start=args.inertia_start,
-        inertia_end=args.inertia_end,
-        cognitive=args.cognitive,
-        social=args.social,
-        velocity_clamp_fraction=args.velocity_clamp,
-    )
-
-
-def _solver_config(problem: SheProblem, pso: PsoConfig, **extra) -> dict:
-    return {"problem": asdict(problem), "pso": asdict(pso), **extra}
+    pso = PsoConfig(args.seed, **{field: given[field] for _, field, _, _ in PSO_FLAGS})
+    extra = {k: v for k, v in given.items() if k not in _NOT_EXTRA}
+    return problem, pso, {"problem": asdict(problem), "pso": asdict(pso), **extra}
 
 
 def _thd_pct_or_none(sol: Solution, max_order: int):
@@ -227,16 +191,13 @@ def _solution_doc(sol: Solution, degrees: bool, max_order: int) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    problem = _problem(args, target_m=args.pu)
-    pso = _pso(args)
+    problem, pso, cfg = _configs(args, args.pu)
     sol = solve(problem, pso)
     text = json.dumps(_solution_doc(sol, args.degrees, args.max_order), indent=2) + "\n"
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        cfg = _solver_config(problem, pso, max_order=args.max_order,
-                             degrees=args.degrees, out=args.out)
         write_manifest(make_manifest("solve", cfg, pso.seed), args.out)
     return 0
 
@@ -261,15 +222,12 @@ def _sweep_csv_text(solutions: list[Solution], max_order: int) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    problem = _problem(args)
-    pso = _pso(args)
+    problem, pso, cfg = _configs(args, 1.0)
     solutions = sweep(problem, args.pu_grid, pso, jobs=args.jobs)
     text = _sweep_csv_text(solutions, args.max_order)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-        cfg = _solver_config(problem, pso, pu_grid=args.pu_grid,
-                             max_order=args.max_order, jobs=args.jobs, out=args.out)
         write_manifest(make_manifest("sweep", cfg, pso.seed), args.out)
     else:
         sys.stdout.write(text)
@@ -277,18 +235,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    problem = _problem(args)
-    pso = _pso(args)
+    problem, pso, cfg = _configs(args, 1.0)
     table = build_lookup(
         args.pu_grid, pso, problem,
         thd_max_order=args.max_order,
         require_feasible_base=args.require_feasible_base,
     )
     write_lookup_csv(table, args.out)
-    cfg = _solver_config(problem, pso, pu_grid=args.pu_grid,
-                         max_order=args.max_order, out=args.out,
-                         json_out=args.json_out,
-                         require_feasible_base=args.require_feasible_base)
     write_manifest(make_manifest("table", cfg, pso.seed), args.out)
     if args.json_out:
         write_lookup_json(table, args.json_out)
@@ -297,14 +250,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    problem = _problem(args)
-    pso = _pso(args)
+    problem, pso, cfg = _configs(args, 1.0)
     table = compare_methods(
         args.pu_grid, pso, problem, thd_max_order=args.max_order, jobs=args.jobs
     )
     write_comparison_csv(table, args.out)
-    cfg = _solver_config(problem, pso, pu_grid=args.pu_grid,
-                         max_order=args.max_order, jobs=args.jobs, out=args.out)
     write_manifest(make_manifest("compare", cfg, pso.seed), args.out)
     return 0 if table.base_solution.feasible else 1
 
@@ -372,36 +322,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # solve, sweep, table and compare share these; the grid commands add --pu-grid
+    solver = argparse.ArgumentParser(add_help=False)
+    for table, cls in ((PROBLEM_FLAGS, SheProblem), (PSO_FLAGS, PsoConfig)):
+        for flag, field, type_, help_ in table:
+            solver.add_argument(flag, dest=field, type=type_, default=getattr(cls, field),
+                                help=f"{help_} (default %(default)s)")
+    solver.add_argument("--weights", type=_weights, metavar="A,B",
+                        default=(SheProblem.weight_fundamental,
+                                 SheProblem.weight_harmonics),
+                        help="fundamental,harmonic cost weights (default %(default)s)")
+    solver.add_argument("--seed", type=int, required=True,
+                        help="base seed (unsigned 64-bit, required)")
+    solver.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--pu-grid", type=parse_grid, required=True,
+                      metavar="START:STOP:STEP")
 
-    p_solve = sub.add_parser("solve", help="solve one target and print JSON")
-    p_solve.add_argument("--pu", type=_pu, required=True,
+    p_solve = sub.add_parser("solve", parents=[solver],
+                             help="solve one target and print JSON")
+    p_solve.add_argument("--pu", type=float, required=True,
                          help="target per-unit fundamental in [0, 1]")
-    _add_problem_args(p_solve)
-    _add_pso_args(p_solve)
-    p_solve.add_argument("--max-order", type=_positive_int, default=49)
     p_solve.add_argument("--degrees", action="store_true",
                          help="emit angles in degrees")
     p_solve.add_argument("--out", default=None, help="also write the JSON here")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_sweep = sub.add_parser("sweep", help="independent solves over a grid (CSV)")
-    p_sweep.add_argument("--pu-grid", type=parse_grid, required=True,
-                         metavar="START:STOP:STEP")
-    _add_problem_args(p_sweep)
-    _add_pso_args(p_sweep)
-    p_sweep.add_argument("--max-order", type=_positive_int, default=49)
+    p_sweep = sub.add_parser("sweep", parents=[grid, solver],
+                             help="independent solves over a grid (CSV)")
     p_sweep.add_argument("--jobs", type=_positive_int, default=1)
     p_sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_table = sub.add_parser(
-        "table", help="variable-DC-link lookup table from one base solve"
+        "table", parents=[grid, solver],
+        help="variable-DC-link lookup table from one base solve",
     )
-    p_table.add_argument("--pu-grid", type=parse_grid, required=True,
-                         metavar="START:STOP:STEP")
-    _add_problem_args(p_table)
-    _add_pso_args(p_table)
-    p_table.add_argument("--max-order", type=_positive_int, default=49)
     p_table.add_argument("--out", required=True, help="lookup CSV path")
     p_table.add_argument("--json-out", default=None, help="optional JSON mirror")
     p_table.add_argument("--require-feasible-base", action="store_true",
@@ -409,13 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table)
 
     p_cmp = sub.add_parser(
-        "compare", help="conventional vs variable-DC-link THD over a grid"
+        "compare", parents=[grid, solver],
+        help="conventional vs variable-DC-link THD over a grid",
     )
-    p_cmp.add_argument("--pu-grid", type=parse_grid, required=True,
-                       metavar="START:STOP:STEP")
-    _add_problem_args(p_cmp)
-    _add_pso_args(p_cmp)
-    p_cmp.add_argument("--max-order", type=_positive_int, default=49)
     p_cmp.add_argument("--jobs", type=_positive_int, default=1)
     p_cmp.add_argument("--out", required=True, help="comparison CSV path")
     p_cmp.set_defaults(func=_cmd_compare)
@@ -423,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="THD and spectrum of a given pattern")
     p_an.add_argument("--angles", type=_float_list, required=True,
                       metavar="A1,A2,...")
-    p_an.add_argument("--signs", type=_signs, required=True, metavar="S1,S2,...")
-    p_an.add_argument("--vdc", type=float, default=200.0)
-    p_an.add_argument("--cells", type=_positive_int, default=None,
+    p_an.add_argument("--signs", type=_int_list, required=True, metavar="S1,S2,...")
+    p_an.add_argument("--vdc", type=float, default=SheProblem.vdc_per_cell)
+    p_an.add_argument("--cells", type=int, default=None,
                       help="cell count (default: peak level of the signs)")
-    p_an.add_argument("--max-order", type=_positive_int, default=49)
+    p_an.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER)
     p_an.add_argument("--samples", type=_positive_int, default=65536,
                       help="samples per period for --emit-waveform")
     p_an.add_argument("--degrees", action="store_true",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderExceedsNyquist, ShePwmError, ZeroFundamental
-from .pattern import SwitchingPattern, WaveformSamples, validate
+from .pattern import SwitchingPattern, WaveformSamples
 
 DEFAULT_MAX_ORDER = 49
 
@@ -54,7 +54,6 @@ def analytic_harmonic(pattern: SwitchingPattern, n: int) -> float:
     Even orders return exactly 0.0 (forced by quarter-wave symmetry; the
     odd-order sum below does not apply to them).
     """
-    validate(pattern)
     if n < 1:
         raise ShePwmError(f"harmonic order must be >= 1, got {n}")
     if n % 2 == 0:
@@ -101,7 +100,6 @@ def segment_integral_coefficients(
     Both integrals are sums of closed forms over the constant segments of the
     full-period waveform; zero-width segments contribute nothing.
     """
-    validate(pattern)
     if n < 1:
         raise ShePwmError(f"harmonic order must be >= 1, got {n}")
     bp = segment_breakpoints(pattern)

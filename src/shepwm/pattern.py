@@ -73,7 +73,6 @@ class WaveformSamples:
     """
 
     samples: np.ndarray
-    fundamental_hz: float = 50.0
 
     def __post_init__(self):
         object.__setattr__(
@@ -122,13 +121,13 @@ def validate(pattern: SwitchingPattern) -> SwitchingPattern:
             f"need matching non-empty angles/signs, got {k} angles "
             f"and {len(pattern.signs)} signs"
         )
+    for sg in pattern.signs:
+        if sg not in (1, -1):
+            raise SignInvalid(f"transition sign must be +1 or -1, got {sg!r}")
     if k % pattern.cells != 0:
         raise PatternError(
             f"angle count {k} is not a multiple of the cell count {pattern.cells}"
         )
-    for sg in pattern.signs:
-        if sg not in (1, -1):
-            raise SignInvalid(f"transition sign must be +1 or -1, got {sg!r}")
     prev = 0.0
     for a in pattern.angles:
         if not (math.isfinite(a) and 0.0 <= a <= HALF_PI):

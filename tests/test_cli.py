@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import shepwm
 from shepwm import PsoConfig, SheProblem, build_lookup, cli
 from shepwm.dclink import read_lookup_csv
+from shepwm.harmonics import DEFAULT_MAX_ORDER
 
 from conftest import run_cli
 
@@ -104,6 +106,14 @@ class TestUsageErrors:
             ["sweep", "--pu-grid", "nan:1.0:0.1", "--seed", "1"],
             ["sweep", "--pu-grid", "0.1:inf:0.1", "--seed", "1"],
             ["sweep", "--pu-grid", "0.1:1.0:nan", "--seed", "1"],
+            ["sweep", "--pu-grid", "0:1:1e-9", "--seed", "1"],
+            ["solve", "--pu", "0.5", "--seed", "1", "--swarm", "0"],
+            ["solve", "--pu", "0.5", "--seed", "1", "--cells", "0"],
+            ["solve", "--pu", "0.5", "--seed", "1", "--angles-per-cell", "0"],
+            ["solve", "--pu", "0.5", "--seed", "18446744073709551616"],
+            ["solve", "--pu", "0.5", "--seed", "1", "--signs", "1,2,1,1,-1,-1"],
+            ["analyze", "--angles", "0.1,0.2,0.3,0.4,0.5,0.6",
+             "--signs", "1,2,1,1,-1,-1"],
         ],
     )
     def test_exit_code_2(self, args, tmp_path):
@@ -123,12 +133,42 @@ class TestUsageErrors:
         assert b"error" in out.stderr
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "argv, target_m, extra",
+        [
+            (["solve", "--pu", "0.7"], 0.7, {"max_order", "degrees", "out"}),
+            (["sweep", "--pu-grid", "0.5"], 1.0, {"pu_grid", "max_order", "jobs", "out"}),
+            (["table", "--pu-grid", "0.5", "--out", "t.csv"], 1.0,
+             {"pu_grid", "max_order", "out", "json_out", "require_feasible_base"}),
+            (["compare", "--pu-grid", "0.5", "--out", "c.csv"], 1.0,
+             {"pu_grid", "max_order", "jobs", "out"}),
+        ],
+    )
+    def test_defaults_are_the_dataclass_defaults(self, argv, target_m, extra):
+        args = cli.build_parser().parse_args([*argv, "--seed", "5"])
+        problem, pso, config = cli._configs(args, target_m)
+        assert problem == SheProblem(target_m=target_m)
+        assert pso == PsoConfig(seed=5)
+        assert set(config) == {"problem", "pso", *extra}
+        assert config["problem"] == asdict(problem)
+        assert config["pso"] == asdict(pso)
+        assert config["max_order"] == DEFAULT_MAX_ORDER
+
+    def test_analyze_vdc_default_is_the_problem_default(self):
+        args = cli.build_parser().parse_args(["analyze", "--angles", "0", "--signs", "1"])
+        assert args.vdc == SheProblem(target_m=1.0).vdc_per_cell
+        assert args.max_order == DEFAULT_MAX_ORDER
+
+
 # Fragments for the in-process argv property: valid values next to broken
 # ones (non-finite grid parts, NaN or negative weights, non-finite swarm
-# coefficients, empty or inverted grids, out-of-range targets and seeds).
+# coefficients, empty, inverted or oversized grids, out-of-range targets and
+# seeds).
 GRIDS = ["0.5", "0.2,1.0", "0.1:1.0:0.3", "1.0", "", ",", "0,0.5",
          "nan:1.0:0.1", "0.1:inf:0.1", "0.1:1.0:nan", "-inf:1:0.5", "0.1:1.0:-0.1",
-         "0.5:0.1:0.1", "0.1:0.5:0", "nan,0.5", "inf", "-0.1,0.5", "a:b:c", "1:2"]
+         "0.5:0.1:0.1", "0.1:0.5:0", "nan,0.5", "inf", "-0.1,0.5", "a:b:c", "1:2",
+         "0:1:1e-9"]
 TARGETS = ["0.5", "1.0", "0", "nan", "inf", "1.5", "-0.1", "x"]
 SEEDS = ["1", "0", "18446744073709551615", "18446744073709551616", "-3", "x"]
 WEIGHTS = ["100,10", "0,0", "nan,10", "10,nan", "-1,10", "10,-0.5", "inf,1", "1",
