@@ -15,7 +15,6 @@ from .dclink import (
     LookupTable,
     build_lookup,
     compare_methods,
-    duty_for_target,
     scale_pattern,
 )
 from .harmonics import (
@@ -62,7 +61,6 @@ __all__ = [
     "default_sign_pattern",
     "derive_seed",
     "dft_spectrum",
-    "duty_for_target",
     "level_trajectory",
     "minimize",
     "pattern_thd",

@@ -6,7 +6,7 @@ the input/output boundary only. Every file output gets a
 
 Exit status: 0 on success, 1 when the full-modulation base point of a
 table/compare run misses the feasibility thresholds (outputs are still
-written), 2 on usage errors.
+written), 2 on usage errors and on output paths that cannot be written.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .harmonics import (
 )
 from .manifest import make_manifest, write_manifest
 from .optimizer import PsoConfig
-from .pattern import SwitchingPattern, synthesize, write_waveform_csv
+from .pattern import SwitchingPattern, levels, synthesize, write_waveform_csv
 from .she import SheProblem, Solution, solve, sweep
 
 GRID_STOP_SLACK = 1e-9
@@ -259,19 +259,11 @@ def _cmd_compare(args) -> int:
     return 0 if table.base_solution.feasible else 1
 
 
-def _infer_cells(signs: tuple[int, ...]) -> int:
-    level = peak = 0
-    for sg in signs:
-        level += sg
-        peak = max(peak, level)
-    return max(peak, 1)
-
-
 def _cmd_analyze(args) -> int:
     angles = args.angles
     if args.degrees:
         angles = [math.radians(a) for a in angles]
-    cells = args.cells if args.cells is not None else _infer_cells(args.signs)
+    cells = args.cells if args.cells is not None else max([1, *levels(args.signs)])
     pattern = SwitchingPattern(
         angles=tuple(angles), signs=args.signs, cells=cells, vdc_per_cell=args.vdc
     )
@@ -399,7 +391,7 @@ def main(argv=None) -> int:
     except InfeasibleBasePoint as exc:
         print(f"shepwm: infeasible base point: {exc}", file=sys.stderr)
         return 1
-    except ShePwmError as exc:
+    except (ShePwmError, OSError) as exc:
         print(f"shepwm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Variable-DC-link operation: duty mapping, lookup tables, method comparison.
+"""Variable-DC-link operation: lookup tables and method comparison.
 
 The conventional approach re-solves the elimination problem at every
 commanded per-unit voltage and feeds the cells from the nominal DC link.
@@ -97,17 +97,6 @@ class ComparisonTable:
     conventional: tuple[Solution, ...]
 
 
-def duty_for_target(v_pu: float) -> float:
-    """Converter duty cycle that reaches a commanded per-unit voltage.
-
-    With the base solve pinned at full modulation, the old modulation index
-    equals the duty cycle, so the mapping is the identity on [0, 1].
-    """
-    if not (0.0 <= v_pu <= 1.0):
-        raise OutOfRange(f"per-unit voltage {v_pu} outside [0, 1]")
-    return float(v_pu)
-
-
 def scale_pattern(pattern: SwitchingPattern, duty: float) -> SwitchingPattern:
     """Same angles and signs with every cell's DC voltage scaled by the duty.
 
@@ -136,11 +125,6 @@ def _check_grid(v_pu_grid) -> list[float]:
     return sorted(grid)
 
 
-def solve_base(problem: SheProblem, pso: PsoConfig) -> Solution:
-    """Full-modulation solve that anchors the variable-DC-link method."""
-    return solve(replace(problem, target_m=1.0), pso)
-
-
 def build_lookup(
     v_pu_grid,
     pso: PsoConfig,
@@ -159,7 +143,9 @@ def build_lookup(
     terms exactly.
     """
     grid = _check_grid(v_pu_grid)
-    base = base_solution if base_solution is not None else solve_base(problem, pso)
+    base = base_solution
+    if base is None:
+        base = solve(replace(problem, target_m=1.0), pso)
     if require_feasible_base and not base.feasible:
         worst = max(base.residuals_pu.values())
         raise InfeasibleBasePoint(
@@ -168,13 +154,14 @@ def build_lookup(
         )
     rows = []
     for v in grid:
-        duty = duty_for_target(v)
-        scaled = scale_pattern(base.pattern, duty)
+        # the base solve is pinned at full modulation, so the duty that
+        # reaches v is v itself
+        scaled = scale_pattern(base.pattern, v)
         rows.append(
             LookupRow(
                 v_pu=v,
                 method=PROPOSED,
-                duty=duty,
+                duty=v,
                 thd=pattern_thd(scaled, thd_max_order),
                 feasible=base.feasible,
                 fundamental_v=abs(analytic_harmonic(scaled, 1)),
@@ -264,8 +251,8 @@ def write_lookup_csv(table: LookupTable, path) -> None:
 
 def read_lookup_csv(
     path,
-    base_vdc_per_cell: float = 200.0,
-    cells: int = 2,
+    base_vdc_per_cell: float = SheProblem.vdc_per_cell,
+    cells: int = SheProblem.cells,
     thd_max_order: int = DEFAULT_MAX_ORDER,
 ) -> LookupTable:
     """Parse a lookup CSV back; structural metadata comes from the caller

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderExceedsNyquist, ShePwmError, ZeroFundamental
-from .pattern import SwitchingPattern, WaveformSamples
+from .pattern import SwitchingPattern, WaveformSamples, levels
 
 DEFAULT_MAX_ORDER = 49
 
@@ -83,7 +83,7 @@ def segment_breakpoints(pattern: SwitchingPattern) -> np.ndarray:
 
 def _segment_levels(pattern: SwitchingPattern) -> np.ndarray:
     """Constant level (in volts) on each interval between breakpoints."""
-    prefix = np.concatenate(([0], np.cumsum(pattern.signs))).astype(np.float64)
+    prefix = np.array([0, *levels(pattern.signs)], dtype=np.float64)
     # levels on [0,th1),...,[thK, pi-thK) then the mirror back down to [pi-th1, pi)
     half = np.concatenate((prefix, prefix[:-1][::-1]))
     return np.concatenate((half, -half)) * pattern.vdc_per_cell
@@ -163,22 +163,15 @@ def dft_spectrum(
     )
 
 
-def thd(spectrum: HarmonicSpectrum, max_order: int | None = None) -> float:
+def thd(spectrum: HarmonicSpectrum) -> float:
     """Total harmonic distortion sqrt(sum_{n=2..max} V_n^2) / |V_1| as a ratio."""
-    if max_order is None:
-        max_order = spectrum.max_order
-    if max_order > spectrum.max_order:
-        raise ShePwmError(
-            f"spectrum only holds orders up to {spectrum.max_order}, "
-            f"asked for {max_order}"
-        )
     v1 = spectrum.fundamental
     if v1 <= 1e-12 * spectrum.base_volts:
         raise ZeroFundamental(
             f"fundamental {v1:g} V is below 1e-12 of base {spectrum.base_volts:g} V"
         )
     acc = 0.0
-    for n in range(2, max_order + 1):
+    for n in range(2, spectrum.max_order + 1):
         acc += spectrum.magnitudes[n] ** 2
     return math.sqrt(acc) / v1
 

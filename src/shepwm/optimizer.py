@@ -98,13 +98,12 @@ def minimize(
     objective: Callable,
     bounds: Sequence[tuple[float, float]],
     config: PsoConfig,
-    vectorized: bool = False,
 ) -> OptimizerResult:
     """Minimize a total objective over a box with global-best PSO.
 
-    objective: maps an in-bounds point (shape (D,)) to a finite float; with
-        vectorized=True it maps a (P, D) batch to a (P,) array instead. A
-        non-finite value raises ShePwmError.
+    objective: maps a (P, D) batch of in-bounds points to a (P,) array of
+        finite values. Any other shape, or a non-finite value, raises
+        ShePwmError.
     bounds: one (low, high) pair per dimension.
 
     Per iteration each particle's velocity is updated with inertia (linear
@@ -118,7 +117,7 @@ def minimize(
     lowest restart index). The restarts run together as one stacked swarm;
     see minimize_stacked.
     """
-    return minimize_stacked(objective, bounds, config, [config.seed], vectorized)[0]
+    return minimize_stacked(objective, bounds, config, [config.seed])[0]
 
 
 def minimize_stacked(
@@ -126,7 +125,6 @@ def minimize_stacked(
     bounds: Sequence[tuple[float, float]],
     config: PsoConfig,
     seeds: Sequence[int],
-    vectorized: bool = False,
 ) -> list[OptimizerResult]:
     """``minimize`` under each of `seeds` (unsigned 64-bit), as one stacked swarm.
 
@@ -135,8 +133,8 @@ def minimize_stacked(
     makes one objective call on all their particles, ordered by seed, then
     restart, then particle. Swarm (b, r) draws from its own
     ``PCG64(SeedSequence((seeds[b], r)))`` stream, and every update is
-    elementwise or per swarm, so no swarm sees another. A vectorised
-    objective must likewise give each row the bits it would give alone.
+    elementwise or per swarm, so no swarm sees another. The objective must
+    likewise give each row the bits it would give alone.
     """
     lo, hi = _check_bounds(bounds)
     dim = lo.size
@@ -144,16 +142,15 @@ def minimize_stacked(
     vmax = config.velocity_clamp_fraction * span
     restarts, size, iters = config.restarts, config.swarm_size, config.iterations
     blocks = len(seeds) * restarts
-
-    if vectorized:
-        batch = lambda pts: np.asarray(objective(pts), dtype=np.float64)
-    else:
-        batch = lambda pts: np.asarray(
-            [float(objective(p)) for p in pts], dtype=np.float64
-        )
+    rows = blocks * size
 
     def evaluate(pts):
-        fx = batch(pts.reshape(-1, dim))
+        fx = np.asarray(objective(pts.reshape(rows, dim)), dtype=np.float64)
+        if fx.shape != (rows,):
+            raise ShePwmError(
+                f"objective must return one value per row, got shape {fx.shape} "
+                f"for {rows} rows"
+            )
         if not np.isfinite(fx).all():
             raise ShePwmError("objective returned a non-finite value")
         return fx.reshape(blocks, size)

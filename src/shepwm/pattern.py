@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -135,9 +136,7 @@ def validate(pattern: SwitchingPattern) -> SwitchingPattern:
         if a < prev:
             raise AnglesUnordered(f"angles not nondecreasing at {a!r} after {prev!r}")
         prev = a
-    level = 0
-    for j, sg in enumerate(pattern.signs):
-        level += sg
+    for j, level in enumerate(levels(pattern.signs)):
         if level < 0 or level > pattern.cells:
             raise LevelOutOfBounds(
                 f"level {level} after transition {j + 1} outside [0, {pattern.cells}]"
@@ -145,14 +144,14 @@ def validate(pattern: SwitchingPattern) -> SwitchingPattern:
     return pattern
 
 
+def levels(signs) -> list[int]:
+    """Waveform level (in units of V_dc) after each transition, in order."""
+    return list(accumulate(signs))
+
+
 def level_trajectory(pattern: SwitchingPattern) -> list[tuple[float, int]]:
     """(angle, level) after each first-quadrant transition, in order."""
-    out = []
-    level = 0
-    for a, sg in zip(pattern.angles, pattern.signs):
-        level += sg
-        out.append((a, level))
-    return out
+    return list(zip(pattern.angles, levels(pattern.signs)))
 
 
 def default_sign_pattern(cells: int, per_cell: int) -> tuple[int, ...]:
@@ -179,7 +178,7 @@ def _quarter_levels(pattern: SwitchingPattern, phases: np.ndarray) -> np.ndarray
     (left-closed intervals).
     """
     angles = np.asarray(pattern.angles, dtype=np.float64)
-    prefix = np.concatenate(([0], np.cumsum(pattern.signs)))
+    prefix = np.array([0, *levels(pattern.signs)])
     idx = np.searchsorted(angles, phases, side="right")
     return prefix[idx]
 

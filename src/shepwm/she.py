@@ -227,7 +227,6 @@ def _solve_stacked(problem: SheProblem, pairs, pso: PsoConfig) -> list[Solution]
         bounds=[(0.0, HALF_PI)] * problem.n_angles,
         config=pso,
         seeds=[seed for _, seed in pairs],
-        vectorized=True,
     )
     return [
         _package(replace(problem, target_m=m), result)

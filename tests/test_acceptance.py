@@ -256,7 +256,7 @@ def test_criterion_7_cli_determinism(tmp_path):
 
 def test_criterion_8_pso_sanity():
     res = minimize(
-        lambda x: float(np.sum((x - 0.5) ** 2)),
+        lambda pts: np.sum((pts - 0.5) ** 2, axis=1),
         [(0.0, 1.0)] * 6,
         PsoConfig(seed=2024),
     )

@@ -114,6 +114,11 @@ class TestUsageErrors:
             ["solve", "--pu", "0.5", "--seed", "1", "--signs", "1,2,1,1,-1,-1"],
             ["analyze", "--angles", "0.1,0.2,0.3,0.4,0.5,0.6",
              "--signs", "1,2,1,1,-1,-1"],
+            ["solve", "--pu", "0.5", "--seed", "1", "--iterations", "5",
+             "--restarts", "1", "--out", "missing/x.json"],
+            ["analyze", "--angles", "0.1,0.2", "--signs", "1,-1",
+             "--emit-spectrum", "missing/sp.csv"],
+            ["analyze", "--angles", "", "--signs", ""],
         ],
     )
     def test_exit_code_2(self, args, tmp_path):

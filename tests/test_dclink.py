@@ -3,8 +3,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from shepwm import (
     LookupRow,
@@ -16,13 +14,11 @@ from shepwm import (
     build_lookup,
     compare_methods,
     derive_seed,
-    duty_for_target,
     scale_pattern,
     solve,
 )
 from shepwm.dclink import (
     read_lookup_csv,
-    solve_base,
     write_comparison_csv,
     write_lookup_csv,
     write_lookup_json,
@@ -39,22 +35,6 @@ def small_compare():
     return compare_methods(
         GRID10, PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0)
     )
-
-
-class TestDuty:
-    @pytest.mark.parametrize("v", [0.0, 0.3, 1.0, 0.725])
-    def test_identity(self, v):
-        assert duty_for_target(v) == v
-
-    @pytest.mark.parametrize("v", [-0.1, 1.0000001, 2.0])
-    def test_out_of_range(self, v):
-        with pytest.raises(OutOfRange):
-            duty_for_target(v)
-
-    @given(v=st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_identity(self, v):
-        assert duty_for_target(v) == v
 
 
 class TestScalePattern:
@@ -110,7 +90,7 @@ class TestBuildLookup:
         pso = PsoConfig(seed=4, **FAST)
         problem = SheProblem(target_m=1.0)
         table = build_lookup([1.0], pso, problem)
-        base = solve_base(problem, pso)
+        base = solve(problem, pso)
         assert len(table.rows) == 1
         assert table.rows[0].duty == 1.0
         from shepwm import pattern_thd
@@ -126,6 +106,11 @@ class TestBuildLookup:
     def test_zero_grid_value_rejected(self):
         with pytest.raises(OutOfRange):
             build_lookup([0.0, 0.5], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0))
+
+    @pytest.mark.parametrize("v", [-0.1, 1.0000001, 2.0])
+    def test_out_of_range_grid_rejected(self, v):
+        with pytest.raises(OutOfRange):
+            build_lookup([v], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ShePwmError):

@@ -159,11 +159,6 @@ class TestThd:
         )
         assert abs(pattern_thd(scaled, 49) - pattern_thd(DEFAULT_PATTERN, 49)) <= 1e-12
 
-    def test_max_order_above_spectrum(self):
-        spec = analytic_spectrum(SQUARE, 10)
-        with pytest.raises(ShePwmError):
-            thd(spec, 11)
-
 
 class TestSpectrumType:
     def test_orders_must_be_complete(self):

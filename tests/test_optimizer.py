@@ -10,6 +10,11 @@ from shepwm.errors import InvalidBounds, ShePwmError
 from shepwm.optimizer import _check_bounds, minimize_stacked
 
 
+def pointwise(f):
+    """Batch objective that evaluates a scalar objective row by row."""
+    return lambda pts: np.asarray([float(f(p)) for p in pts], dtype=np.float64)
+
+
 def sphere(x):
     return float(np.sum((x - 0.5) ** 2))
 
@@ -18,20 +23,14 @@ def sphere_batch(pts):
     return np.sum((pts - 0.5) ** 2, axis=1)
 
 
-def _reference_minimize(objective, bounds, config, vectorized=False):
+def _reference_minimize(objective, bounds, config):
     """One swarm per restart, run one after another: the loop the stacked
     optimizer replaced, kept as its bit-for-bit oracle."""
     lo, hi = _check_bounds(bounds)
     dim = lo.size
     span = hi - lo
     vmax = config.velocity_clamp_fraction * span
-
-    if vectorized:
-        batch = lambda pts: np.asarray(objective(pts), dtype=np.float64)
-    else:
-        batch = lambda pts: np.asarray(
-            [float(objective(p)) for p in pts], dtype=np.float64
-        )
+    batch = lambda pts: np.asarray(objective(pts), dtype=np.float64)
 
     best_val = np.inf
     best_pos = None
@@ -160,13 +159,13 @@ class TestConfig:
 
 class TestMinimize:
     def test_sphere_reaches_tolerance(self):
-        res = minimize(sphere, [(0.0, 1.0)] * 6, PsoConfig(seed=7))
+        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 6, PsoConfig(seed=7))
         assert res.best_value <= 1e-6
 
     def test_determinism(self):
         cfg = PsoConfig(seed=123, iterations=80, restarts=2)
-        a = minimize(sphere, [(0.0, 1.0)] * 4, cfg)
-        b = minimize(sphere, [(0.0, 1.0)] * 4, cfg)
+        a = minimize(pointwise(sphere), [(0.0, 1.0)] * 4, cfg)
+        b = minimize(pointwise(sphere), [(0.0, 1.0)] * 4, cfg)
         assert a.best_value == b.best_value
         assert np.array_equal(a.best_position, b.best_position)
         assert a.evaluations == b.evaluations
@@ -175,41 +174,46 @@ class TestMinimize:
 
     def test_corner_optimum(self):
         res = minimize(
-            lambda x: float(np.sum(x**2)), [(0.0, 1.0)] * 4, PsoConfig(seed=3)
+            pointwise(lambda x: float(np.sum(x**2))), [(0.0, 1.0)] * 4,
+            PsoConfig(seed=3),
         )
         assert np.all(np.abs(res.best_position) <= 1e-3)
 
     def test_positions_respect_bounds(self):
         bounds = [(-2.0, -1.0), (3.0, 4.0), (0.0, 0.0)]
         res = minimize(
-            lambda x: float(np.sum(np.abs(x))), bounds, PsoConfig(seed=5, iterations=40)
+            pointwise(lambda x: float(np.sum(np.abs(x)))), bounds,
+            PsoConfig(seed=5, iterations=40),
         )
         for (lo, hi), v in zip(bounds, res.best_position):
             assert lo <= v <= hi
 
     def test_gbest_history_nonincreasing(self):
-        res = minimize(sphere, [(0.0, 1.0)] * 6, PsoConfig(seed=11, iterations=120))
+        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 6,
+                       PsoConfig(seed=11, iterations=120))
         assert res.gbest_history.size == 121
         assert np.all(np.diff(res.gbest_history) <= 0.0)
 
     def test_best_value_matches_reevaluation(self):
-        res = minimize(sphere, [(0.0, 1.0)] * 5, PsoConfig(seed=9, iterations=60))
+        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 5,
+                       PsoConfig(seed=9, iterations=60))
         assert sphere(res.best_position) == res.best_value
 
     def test_vectorized_path_identical_to_scalar(self):
         cfg = PsoConfig(seed=42, iterations=50, restarts=2)
-        a = minimize(sphere, [(0.0, 1.0)] * 3, cfg)
-        b = minimize(sphere_batch, [(0.0, 1.0)] * 3, cfg, vectorized=True)
+        a = minimize(pointwise(sphere), [(0.0, 1.0)] * 3, cfg)
+        b = minimize(sphere_batch, [(0.0, 1.0)] * 3, cfg)
         assert a.best_value == b.best_value
         assert np.array_equal(a.best_position, b.best_position)
 
     def test_evaluation_count(self):
         cfg = PsoConfig(seed=2, swarm_size=10, iterations=20, restarts=3)
-        res = minimize(sphere, [(0.0, 1.0)] * 2, cfg)
+        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 2, cfg)
         assert res.evaluations == 3 * 10 * (20 + 1)
 
     def test_single_iteration(self):
-        res = minimize(sphere, [(0.0, 1.0)] * 2, PsoConfig(seed=1, iterations=1))
+        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 2,
+                       PsoConfig(seed=1, iterations=1))
         assert isinstance(res, OptimizerResult)
         assert res.gbest_history.size == 2
 
@@ -218,7 +222,12 @@ class TestMinimize:
     )
     def test_invalid_bounds(self, bounds):
         with pytest.raises(InvalidBounds):
-            minimize(sphere, bounds, PsoConfig(seed=1))
+            minimize(pointwise(sphere), bounds, PsoConfig(seed=1))
+
+    def test_scalar_objective_raises(self):
+        # a scalar objective returns one value for the whole batch
+        with pytest.raises(ShePwmError, match="one value per row"):
+            minimize(sphere, [(0.0, 1.0)] * 2, PsoConfig(seed=1, iterations=2))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("vectorized", [False, True])
@@ -230,8 +239,8 @@ class TestMinimize:
 
         with pytest.raises(ShePwmError, match="non-finite"):
             minimize(
-                objective, [(0.0, 1.0)] * 2, PsoConfig(seed=4, iterations=50),
-                vectorized=vectorized,
+                objective if vectorized else pointwise(objective),
+                [(0.0, 1.0)] * 2, PsoConfig(seed=4, iterations=50),
             )
 
 
@@ -253,33 +262,31 @@ class TestStackedOracle:
         cfg = PsoConfig(seed=seed, swarm_size=swarm, iterations=iterations,
                         restarts=restarts, cognitive=1.7, social=2.3)
         bounds = [(-0.5 * i, 1.0 + 0.25 * i) for i in range(dim)]
-        objective = wavy_batch if vectorized else wavy
+        objective = wavy_batch if vectorized else pointwise(wavy)
         assert_bit_equal(
-            minimize(objective, bounds, cfg, vectorized=vectorized),
-            _reference_minimize(objective, bounds, cfg, vectorized=vectorized),
+            minimize(objective, bounds, cfg),
+            _reference_minimize(objective, bounds, cfg),
         )
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_stacked_seeds_match_reference(self, vectorized):
         cfg = PsoConfig(seed=0, swarm_size=6, iterations=25, restarts=3)
         seeds = [5, derive_seed(5, 0), derive_seed(5, 1), 2**64 - 1]
-        objective = wavy_batch if vectorized else wavy
-        stacked = minimize_stacked(objective, [(0.0, 1.0)] * 4, cfg, seeds,
-                                   vectorized=vectorized)
+        objective = wavy_batch if vectorized else pointwise(wavy)
+        stacked = minimize_stacked(objective, [(0.0, 1.0)] * 4, cfg, seeds)
         assert len(stacked) == len(seeds)
         for seed, res in zip(seeds, stacked):
             ref = _reference_minimize(objective, [(0.0, 1.0)] * 4,
-                                      replace(cfg, seed=seed), vectorized=vectorized)
+                                      replace(cfg, seed=seed))
             assert_bit_equal(res, ref)
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_constant_objective_ties_every_restart(self, vectorized):
         cfg = PsoConfig(seed=3, swarm_size=5, iterations=10, restarts=4)
-        objective = (lambda pts: np.ones(len(pts))) if vectorized else (lambda p: 1.0)
-        res = minimize(objective, [(0.0, 1.0)] * 3, cfg, vectorized=vectorized)
-        assert_bit_equal(
-            res, _reference_minimize(objective, [(0.0, 1.0)] * 3, cfg, vectorized)
-        )
+        objective = ((lambda pts: np.ones(len(pts))) if vectorized
+                     else pointwise(lambda p: 1.0))
+        res = minimize(objective, [(0.0, 1.0)] * 3, cfg)
+        assert_bit_equal(res, _reference_minimize(objective, [(0.0, 1.0)] * 3, cfg))
         assert res.winning_restart == 0
         assert res.restart_values == (1.0,) * 4
         assert res.restart_converged == (0,) * 4
@@ -287,16 +294,15 @@ class TestStackedOracle:
 
 class TestRestartTelemetry:
     def test_one_entry_per_restart(self):
-        res = minimize(wavy, [(0.0, 1.0)] * 3, PsoConfig(seed=8, iterations=40,
-                                                         restarts=4))
+        res = minimize(pointwise(wavy), [(0.0, 1.0)] * 3,
+                       PsoConfig(seed=8, iterations=40, restarts=4))
         assert len(res.restart_values) == len(res.restart_converged) == 4
         assert all(0 <= c <= 40 for c in res.restart_converged)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_winner_is_first_argmin(self, seed):
         res = minimize(wavy_batch, [(0.0, 1.0)] * 2,
-                       PsoConfig(seed=seed, swarm_size=4, iterations=5, restarts=5),
-                       vectorized=True)
+                       PsoConfig(seed=seed, swarm_size=4, iterations=5, restarts=5))
         values = res.restart_values
         assert res.best_value == values[res.winning_restart]
         assert res.winning_restart == values.index(min(values))
