@@ -1,12 +1,17 @@
 """Command-line surface: solve, sweep, table, compare, analyze.
 
 Angles are radians everywhere unless --degrees is given, which converts at
-the input/output boundary only. Every file output gets a
-`<output>.manifest.json` sidecar with the fully resolved configuration.
+the input/output boundary only. `_write_outputs` writes every output: each
+file, then its `<output>.manifest.json` sidecar, then stdout. The manifest
+records every resolved parameter (defaults included), the seed, the tool
+version and a timestamp. Re-running the recorded command with the recorded
+parameters on the same platform reproduces the output byte-for-byte; the
+timestamp is metadata about the original run, not an input.
 
 Exit status: 0 on success, 1 when the full-modulation base point of a
 table/compare run misses the feasibility thresholds (outputs are still
-written), 2 on usage errors and on output paths that cannot be written.
+written), 2 on usage errors and on output paths that cannot be written. A
+run that exits 2 leaves no output file and no stdout behind.
 """
 
 from __future__ import annotations
@@ -14,28 +19,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
+from datetime import datetime, timezone
 
 from . import __version__
-from .dclink import (
-    build_lookup,
-    compare_methods,
-    write_comparison_csv,
-    write_lookup_csv,
-    write_lookup_json,
-)
+from .dclink import build_lookup, compare_methods, comparison_csv, lookup_csv, lookup_json
 from .errors import InfeasibleBasePoint, ShePwmError, ZeroFundamental
 from .harmonics import (
     DEFAULT_MAX_ORDER,
     analytic_spectrum,
     pattern_thd,
+    spectrum_csv,
     thd,
-    write_spectrum_csv,
 )
-from .manifest import make_manifest, write_manifest
 from .optimizer import PsoConfig
-from .pattern import SwitchingPattern, levels, synthesize, write_waveform_csv
+from .pattern import SwitchingPattern, levels, synthesize, waveform_csv
 from .she import SheProblem, Solution, solve, sweep
 
 GRID_STOP_SLACK = 1e-9
@@ -153,6 +153,31 @@ def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
     return problem, pso, {"problem": asdict(problem), "pso": asdict(pso), **extra}
 
 
+def _write_outputs(command: str, cfg: dict, seed: int | None, files: dict,
+                   stdout: str | None = None) -> None:
+    """Write each file in `files` (path -> text pieces), then its manifest
+    sidecar, then `stdout`. If anything raises, every regular file this run
+    opened is removed before the error propagates, so a failed run leaves
+    no output behind."""
+    manifest = {"command": command, "config": cfg, "seed": seed, "version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds")}
+    manifest = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    opened = []
+    try:
+        for path, pieces in files.items():
+            for target, text in ((path, pieces), (f"{path}.manifest.json", [manifest])):
+                with open(target, "w", newline="") as fh:
+                    opened.append(target)
+                    fh.writelines(text)
+        if stdout is not None:
+            sys.stdout.write(stdout)
+    except BaseException:
+        for target in opened:
+            if os.path.isfile(target) and not os.path.islink(target):
+                os.remove(target)
+        raise
+
+
 def _thd_pct_or_none(sol: Solution, max_order: int):
     """THD in percent; None when the fundamental vanished (zero target)."""
     try:
@@ -194,11 +219,7 @@ def _cmd_solve(args) -> int:
     problem, pso, cfg = _configs(args, args.pu)
     sol = solve(problem, pso)
     text = json.dumps(_solution_doc(sol, args.degrees, args.max_order), indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        write_manifest(make_manifest("solve", cfg, pso.seed), args.out)
+    _write_outputs("solve", cfg, pso.seed, {args.out: [text]} if args.out else {}, text)
     return 0
 
 
@@ -225,12 +246,8 @@ def _cmd_sweep(args) -> int:
     problem, pso, cfg = _configs(args, 1.0)
     solutions = sweep(problem, args.pu_grid, pso, jobs=args.jobs)
     text = _sweep_csv_text(solutions, args.max_order)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-        write_manifest(make_manifest("sweep", cfg, pso.seed), args.out)
-    else:
-        sys.stdout.write(text)
+    files = {args.out: [text]} if args.out else {}
+    _write_outputs("sweep", cfg, pso.seed, files, None if files else text)
     return 0
 
 
@@ -241,11 +258,10 @@ def _cmd_table(args) -> int:
         thd_max_order=args.max_order,
         require_feasible_base=args.require_feasible_base,
     )
-    write_lookup_csv(table, args.out)
-    write_manifest(make_manifest("table", cfg, pso.seed), args.out)
+    files = {args.out: lookup_csv(table)}
     if args.json_out:
-        write_lookup_json(table, args.json_out)
-        write_manifest(make_manifest("table", cfg, pso.seed), args.json_out)
+        files[args.json_out] = lookup_json(table)
+    _write_outputs("table", cfg, pso.seed, files)
     return 0 if all(r.feasible for r in table.rows) else 1
 
 
@@ -254,8 +270,7 @@ def _cmd_compare(args) -> int:
     table = compare_methods(
         args.pu_grid, pso, problem, thd_max_order=args.max_order, jobs=args.jobs
     )
-    write_comparison_csv(table, args.out)
-    write_manifest(make_manifest("compare", cfg, pso.seed), args.out)
+    _write_outputs("compare", cfg, pso.seed, {args.out: comparison_csv(table)})
     return 0 if table.base_solution.feasible else 1
 
 
@@ -285,7 +300,6 @@ def _cmd_analyze(args) -> int:
             for n in range(1, args.max_order + 1)
         ],
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     cfg = {
         "angles_rad": list(angles),
         "signs": list(args.signs),
@@ -297,12 +311,12 @@ def _cmd_analyze(args) -> int:
         "emit_waveform": args.emit_waveform,
         "emit_spectrum": args.emit_spectrum,
     }
+    files = {}
     if args.emit_waveform:
-        write_waveform_csv(synthesize(pattern, args.samples), args.emit_waveform)
-        write_manifest(make_manifest("analyze", cfg, None), args.emit_waveform)
+        files[args.emit_waveform] = waveform_csv(synthesize(pattern, args.samples))
     if args.emit_spectrum:
-        write_spectrum_csv(spectrum, args.emit_spectrum)
-        write_manifest(make_manifest("analyze", cfg, None), args.emit_spectrum)
+        files[args.emit_spectrum] = spectrum_csv(spectrum)
+    _write_outputs("analyze", cfg, None, files, json.dumps(doc, indent=2) + "\n")
     return 0
 
 

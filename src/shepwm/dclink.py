@@ -229,24 +229,23 @@ def _angle_headers(k: int) -> list[str]:
     return [f"theta_{i + 1}" for i in range(k)]
 
 
-def write_lookup_csv(table: LookupTable, path) -> None:
-    """CSV with angles at 17 significant digits; parses back bit-exactly."""
+def lookup_csv(table: LookupTable):
+    """Lookup CSV text, line by line; 17-digit angles parse back bit-exactly."""
     k = len(table.rows[0].angles) if table.rows else 0
     header = ["v_pu", "method", "duty", "thd_pct", "feasible", "fundamental_v"]
     header += _angle_headers(k)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in table.rows:
-            cells = [
-                repr(r.v_pu),
-                r.method,
-                repr(r.duty),
-                repr(100.0 * r.thd),
-                "true" if r.feasible else "false",
-                repr(r.fundamental_v),
-            ]
-            cells += [format(a, ".17g") for a in r.angles]
-            fh.write(",".join(cells) + "\n")
+    yield ",".join(header) + "\n"
+    for r in table.rows:
+        cells = [
+            repr(r.v_pu),
+            r.method,
+            repr(r.duty),
+            repr(100.0 * r.thd),
+            "true" if r.feasible else "false",
+            repr(r.fundamental_v),
+        ]
+        cells += [format(a, ".17g") for a in r.angles]
+        yield ",".join(cells) + "\n"
 
 
 def read_lookup_csv(
@@ -284,7 +283,8 @@ def read_lookup_csv(
     )
 
 
-def write_lookup_json(table: LookupTable, path) -> None:
+def lookup_json(table: LookupTable):
+    """Lookup JSON text (indent 2), streamed in encoder chunks."""
     doc = {
         "base_vdc_per_cell": table.base_vdc_per_cell,
         "cells": table.cells,
@@ -302,14 +302,13 @@ def write_lookup_json(table: LookupTable, path) -> None:
             for r in table.rows
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    yield from json.JSONEncoder(indent=2).iterencode(doc)
+    yield "\n"
 
 
-def write_comparison_csv(table: ComparisonTable, path) -> None:
-    """Comparison rows with the improvement column; '-' marks the undefined
-    improvement at a shared operating point."""
+def comparison_csv(table: ComparisonTable):
+    """Comparison CSV text, line by line, with the improvement column; '-'
+    marks the undefined improvement at a shared operating point."""
     header = [
         "v_pu",
         "thd_conventional_pct",
@@ -318,20 +317,16 @@ def write_comparison_csv(table: ComparisonTable, path) -> None:
         "feasible_conventional",
         "feasible_proposed",
     ]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in table.rows:
-            imp = "-" if r.improvement is None else repr(100.0 * r.improvement)
-            fh.write(
-                ",".join(
-                    [
-                        repr(r.v_pu),
-                        repr(100.0 * r.thd_conventional),
-                        repr(100.0 * r.thd_proposed),
-                        imp,
-                        "true" if r.feasible_conventional else "false",
-                        "true" if r.feasible_proposed else "false",
-                    ]
-                )
-                + "\n"
-            )
+    yield ",".join(header) + "\n"
+    for r in table.rows:
+        imp = "-" if r.improvement is None else repr(100.0 * r.improvement)
+        yield ",".join(
+            [
+                repr(r.v_pu),
+                repr(100.0 * r.thd_conventional),
+                repr(100.0 * r.thd_proposed),
+                imp,
+                "true" if r.feasible_conventional else "false",
+                "true" if r.feasible_proposed else "false",
+            ]
+        ) + "\n"

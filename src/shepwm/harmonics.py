@@ -183,12 +183,11 @@ def pattern_thd(
     return thd(analytic_spectrum(pattern, max_order))
 
 
-def write_spectrum_csv(spectrum: HarmonicSpectrum, path) -> None:
-    """Write `order,magnitude_v,magnitude_pct_of_fundamental` rows."""
+def spectrum_csv(spectrum: HarmonicSpectrum):
+    """CSV text `order,magnitude_v,magnitude_pct_of_fundamental`, line by line."""
     v1 = spectrum.fundamental
-    with open(path, "w", newline="") as fh:
-        fh.write("order,magnitude_v,magnitude_pct_of_fundamental\n")
-        for n in range(1, spectrum.max_order + 1):
-            m = spectrum.magnitudes[n]
-            pct = 100.0 * m / v1 if v1 > 0 else float("inf")
-            fh.write(f"{n},{m!r},{pct!r}\n")
+    yield "order,magnitude_v,magnitude_pct_of_fundamental\n"
+    for n in range(1, spectrum.max_order + 1):
+        m = spectrum.magnitudes[n]
+        pct = 100.0 * m / v1 if v1 > 0 else float("inf")
+        yield f"{n},{m!r},{pct!r}\n"

@@ -203,9 +203,8 @@ def synthesize(pattern: SwitchingPattern, n_samples: int) -> WaveformSamples:
     return WaveformSamples(samples=samples)
 
 
-def write_waveform_csv(samples: WaveformSamples, path) -> None:
-    """Write `phase_rad,voltage_v` rows, one per sample."""
-    with open(path, "w", newline="") as fh:
-        fh.write("phase_rad,voltage_v\n")
-        for phi, v in zip(samples.phases, samples.samples):
-            fh.write(f"{float(phi)!r},{float(v)!r}\n")
+def waveform_csv(samples: WaveformSamples):
+    """CSV text `phase_rad,voltage_v`, one line per sample."""
+    yield "phase_rad,voltage_v\n"
+    for phi, v in zip(samples.phases, samples.samples):
+        yield f"{float(phi)!r},{float(v)!r}\n"

@@ -60,6 +60,10 @@ class SheProblem:
             w = getattr(self, name)
             if not (math.isfinite(w) and w >= 0.0):
                 raise ShePwmError(f"{name} must be finite and >= 0, got {w}")
+        if not (math.isfinite(self.vdc_per_cell) and self.vdc_per_cell > 0):
+            raise ShePwmError(
+                f"vdc_per_cell must be finite and > 0, got {self.vdc_per_cell!r}"
+            )
         if self.cells < 1 or self.angles_per_cell < 1:
             raise ShePwmError("cells and angles_per_cell must be >= 1")
         object.__setattr__(

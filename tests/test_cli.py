@@ -128,6 +128,27 @@ class TestUsageErrors:
         assert "Traceback" not in stderr
         assert sum("error:" in line for line in stderr.splitlines()) == 1, stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--pu", "0.5", "--seed", "1", *FAST, "--out", "missing/x.json"],
+            ["analyze", "--angles", "0.1,0.2", "--signs", "1,-1",
+             "--emit-waveform", "ok.csv", "--emit-spectrum", "missing/sp.csv"],
+            ["table", "--pu-grid", "0.5,1.0", "--seed", "1", *FAST,
+             "--out", "t.csv", "--json-out", "missing/t.json"],
+            # the waveform cannot be rendered: 6 samples is not a multiple of 4
+            ["analyze", "--angles", "0.1,0.2", "--signs", "1,-1",
+             "--samples", "6", "--emit-waveform", "wf.csv"],
+        ],
+    )
+    def test_failed_output_leaves_nothing(self, args, tmp_path):
+        out = run_cli(args, cwd=tmp_path)
+        assert out.returncode == 2
+        assert out.stdout == b""
+        stderr = out.stderr.decode()
+        assert sum("error:" in line for line in stderr.splitlines()) == 1, stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_runtime_domain_error_is_exit_2(self, tmp_path):
         # grid value 0 parses but has no defined THD row
         out = run_cli(

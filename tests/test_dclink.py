@@ -17,12 +17,7 @@ from shepwm import (
     scale_pattern,
     solve,
 )
-from shepwm.dclink import (
-    read_lookup_csv,
-    write_comparison_csv,
-    write_lookup_csv,
-    write_lookup_json,
-)
+from shepwm.dclink import comparison_csv, lookup_csv, lookup_json, read_lookup_csv
 from shepwm.errors import InfeasibleBasePoint, OutOfRange, ShePwmError
 
 GRID10 = [round(0.1 * i, 12) for i in range(1, 11)]
@@ -216,29 +211,25 @@ class TestIo:
             [0.25, 0.5, 1.0], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0)
         )
         path = tmp_path / "table.csv"
-        write_lookup_csv(table, path)
+        path.write_text("".join(lookup_csv(table)))
         back = read_lookup_csv(path)
         assert back == table
 
-    def test_lookup_csv_header(self, tmp_path):
+    def test_lookup_csv_header(self):
         table = build_lookup(
             [0.5], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0)
         )
-        path = tmp_path / "table.csv"
-        write_lookup_csv(table, path)
-        header = path.read_text().splitlines()[0]
+        header = "".join(lookup_csv(table)).splitlines()[0]
         assert header == (
             "v_pu,method,duty,thd_pct,feasible,fundamental_v,"
             "theta_1,theta_2,theta_3,theta_4,theta_5,theta_6"
         )
 
-    def test_lookup_json_mirrors_csv(self, tmp_path):
+    def test_lookup_json_mirrors_csv(self):
         table = build_lookup(
             [0.5, 1.0], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0)
         )
-        path = tmp_path / "table.json"
-        write_lookup_json(table, path)
-        doc = json.loads(path.read_text())
+        doc = json.loads("".join(lookup_json(table)))
         assert doc["cells"] == 2
         assert doc["base_vdc_per_cell"] == 200.0
         assert len(doc["rows"]) == 2
@@ -246,10 +237,8 @@ class TestIo:
         assert doc["rows"][0]["angles_rad"] == list(table.rows[0].angles)
         assert doc["rows"][0]["thd_pct"] == 100.0 * table.rows[0].thd
 
-    def test_comparison_csv(self, tmp_path, small_compare):
-        path = tmp_path / "cmp.csv"
-        write_comparison_csv(small_compare, path)
-        lines = path.read_text().splitlines()
+    def test_comparison_csv(self, small_compare):
+        lines = "".join(comparison_csv(small_compare)).splitlines()
         assert lines[0] == (
             "v_pu,thd_conventional_pct,thd_proposed_pct,improvement_pct,"
             "feasible_conventional,feasible_proposed"

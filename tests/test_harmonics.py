@@ -19,7 +19,7 @@ from shepwm import (
     thd,
 )
 from shepwm.errors import OrderExceedsNyquist, ShePwmError, ZeroFundamental
-from shepwm.harmonics import segment_integral_coefficients, write_spectrum_csv
+from shepwm.harmonics import segment_integral_coefficients, spectrum_csv
 
 from conftest import random_valid_pattern
 
@@ -179,11 +179,9 @@ class TestSpectrumType:
         assert all(m >= 0 for m in spec.magnitudes.values())
 
 
-def test_spectrum_csv(tmp_path):
+def test_spectrum_csv():
     spec = analytic_spectrum(SQUARE, 5)
-    path = tmp_path / "spec.csv"
-    write_spectrum_csv(spec, path)
-    lines = path.read_text().splitlines()
+    lines = "".join(spectrum_csv(spec)).splitlines()
     assert lines[0] == "order,magnitude_v,magnitude_pct_of_fundamental"
     assert len(lines) == 6
     order, mag, pct = lines[1].split(",")

@@ -22,7 +22,7 @@ from shepwm.errors import (
     PatternError,
     SignInvalid,
 )
-from shepwm.pattern import write_waveform_csv
+from shepwm.pattern import waveform_csv
 
 from conftest import random_valid_pattern
 
@@ -195,12 +195,10 @@ class TestWaveformSamples:
         assert np.allclose(w.phases, 2 * np.pi * np.arange(8) / 8)
 
 
-def test_waveform_csv(tmp_path):
+def test_waveform_csv():
     p = SwitchingPattern((0.0,), (1,), 1, 200.0)
     w = synthesize(p, 8)
-    path = tmp_path / "wf.csv"
-    write_waveform_csv(w, path)
-    lines = path.read_text().splitlines()
+    lines = "".join(waveform_csv(w)).splitlines()
     assert lines[0] == "phase_rad,voltage_v"
     assert len(lines) == 9
     phi, v = lines[1].split(",")

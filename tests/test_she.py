@@ -73,6 +73,12 @@ class TestProblemValidation:
         with pytest.raises(ShePwmError, match=field):
             SheProblem(target_m=0.5, **{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -5.0, 0.0])
+    def test_vdc_per_cell_is_a_problem_error_not_a_sign_error(self, value):
+        with pytest.raises(ShePwmError, match="vdc_per_cell") as info:
+            SheProblem(target_m=0.5, vdc_per_cell=value)
+        assert type(info.value) is ShePwmError
+
 
 class TestCost:
     def test_two_angle_staircase_frozen_value(self):
