@@ -15,7 +15,6 @@ from .dclink import (
     LookupTable,
     build_lookup,
     compare_methods,
-    scale_pattern,
 )
 from .harmonics import (
     HarmonicSpectrum,
@@ -64,7 +63,6 @@ __all__ = [
     "level_trajectory",
     "minimize",
     "pattern_thd",
-    "scale_pattern",
     "segment_integral_harmonic",
     "solve",
     "sweep",

@@ -10,8 +10,9 @@ timestamp is metadata about the original run, not an input.
 
 Exit status: 0 on success, 1 when the full-modulation base point of a
 table/compare run misses the feasibility thresholds (outputs are still
-written), 2 on usage errors and on output paths that cannot be written. A
-run that exits 2 leaves no output file and no stdout behind.
+written), 2 on usage errors, on output paths that cannot be written and on
+two outputs (manifests included) that name the same file. A run that exits 2
+leaves no output file and no stdout behind.
 """
 
 from __future__ import annotations
@@ -153,22 +154,28 @@ def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
     return problem, pso, {"problem": asdict(problem), "pso": asdict(pso), **extra}
 
 
-def _write_outputs(command: str, cfg: dict, seed: int | None, files: dict,
+def _write_outputs(command: str, cfg: dict, seed: int | None, files: list,
                    stdout: str | None = None) -> None:
-    """Write each file in `files` (path -> text pieces), then its manifest
-    sidecar, then `stdout`. If anything raises, every regular file this run
-    opened is removed before the error propagates, so a failed run leaves
-    no output behind."""
+    """Write each file in `files` ((path, text pieces) pairs), then its
+    manifest sidecar, then `stdout`. Two targets that resolve to the same
+    file are refused before anything is opened. If anything raises, every
+    regular file this run opened is removed before the error propagates, so
+    a failed run leaves no output behind."""
     manifest = {"command": command, "config": cfg, "seed": seed, "version": __version__,
                 "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds")}
     manifest = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    writes = [w for path, pieces in files
+              for w in ((path, pieces), (f"{path}.manifest.json", [manifest]))]
+    real = [os.path.realpath(target) for target, _ in writes]
+    for (target, _), path in zip(writes, real):
+        if real.count(path) > 1:
+            raise ShePwmError(f"two outputs name the same file {target!r}")
     opened = []
     try:
-        for path, pieces in files.items():
-            for target, text in ((path, pieces), (f"{path}.manifest.json", [manifest])):
-                with open(target, "w", newline="") as fh:
-                    opened.append(target)
-                    fh.writelines(text)
+        for target, text in writes:
+            with open(target, "w", newline="") as fh:
+                opened.append(target)
+                fh.writelines(text)
         if stdout is not None:
             sys.stdout.write(stdout)
     except BaseException:
@@ -219,7 +226,7 @@ def _cmd_solve(args) -> int:
     problem, pso, cfg = _configs(args, args.pu)
     sol = solve(problem, pso)
     text = json.dumps(_solution_doc(sol, args.degrees, args.max_order), indent=2) + "\n"
-    _write_outputs("solve", cfg, pso.seed, {args.out: [text]} if args.out else {}, text)
+    _write_outputs("solve", cfg, pso.seed, [(args.out, [text])] if args.out else [], text)
     return 0
 
 
@@ -246,7 +253,7 @@ def _cmd_sweep(args) -> int:
     problem, pso, cfg = _configs(args, 1.0)
     solutions = sweep(problem, args.pu_grid, pso, jobs=args.jobs)
     text = _sweep_csv_text(solutions, args.max_order)
-    files = {args.out: [text]} if args.out else {}
+    files = [(args.out, [text])] if args.out else []
     _write_outputs("sweep", cfg, pso.seed, files, None if files else text)
     return 0
 
@@ -258,9 +265,9 @@ def _cmd_table(args) -> int:
         thd_max_order=args.max_order,
         require_feasible_base=args.require_feasible_base,
     )
-    files = {args.out: lookup_csv(table)}
+    files = [(args.out, lookup_csv(table))]
     if args.json_out:
-        files[args.json_out] = lookup_json(table)
+        files.append((args.json_out, lookup_json(table)))
     _write_outputs("table", cfg, pso.seed, files)
     return 0 if all(r.feasible for r in table.rows) else 1
 
@@ -270,7 +277,7 @@ def _cmd_compare(args) -> int:
     table = compare_methods(
         args.pu_grid, pso, problem, thd_max_order=args.max_order, jobs=args.jobs
     )
-    _write_outputs("compare", cfg, pso.seed, {args.out: comparison_csv(table)})
+    _write_outputs("compare", cfg, pso.seed, [(args.out, comparison_csv(table))])
     return 0 if table.base_solution.feasible else 1
 
 
@@ -311,11 +318,12 @@ def _cmd_analyze(args) -> int:
         "emit_waveform": args.emit_waveform,
         "emit_spectrum": args.emit_spectrum,
     }
-    files = {}
+    files = []
     if args.emit_waveform:
-        files[args.emit_waveform] = waveform_csv(synthesize(pattern, args.samples))
+        waveform = waveform_csv(synthesize(pattern, args.samples))
+        files.append((args.emit_waveform, waveform))
     if args.emit_spectrum:
-        files[args.emit_spectrum] = spectrum_csv(spectrum)
+        files.append((args.emit_spectrum, spectrum_csv(spectrum)))
     _write_outputs("analyze", cfg, None, files, json.dumps(doc, indent=2) + "\n")
     return 0
 

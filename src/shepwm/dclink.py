@@ -7,7 +7,9 @@ lower outputs by scaling every cell's DC voltage through the duty cycle of
 an idealized isolated DC-DC converter (output = duty * input, all cells
 driven identically). Scaling the DC link scales every harmonic by the same
 factor, so the full-modulation solution's THD carries over unchanged to the
-entire output range.
+entire output range. ``build_lookup`` applies that law directly: it analyses
+the base solution once, and every row carries the base THD exactly and
+fundamental_v = v_pu * the base fundamental.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ from dataclasses import dataclass, replace
 from .errors import InfeasibleBasePoint, OutOfRange, ShePwmError
 from .harmonics import DEFAULT_MAX_ORDER, analytic_harmonic, pattern_thd
 from .optimizer import PsoConfig, derive_seed
-from .pattern import SwitchingPattern
 from .she import SheProblem, Solution, solve, solve_pairs
 
-CONVENTIONAL = "conventional"
 PROPOSED = "proposed"
 
 
@@ -42,8 +42,8 @@ class LookupRow:
 class LookupTable:
     """Rows sorted ascending by commanded per-unit voltage.
 
-    Proposed rows carry duty = v_pu (all derived from the one base solve);
-    conventional rows run at full DC link, duty = 1.
+    Every row is a proposed (variable-DC-link) row derived from the one base
+    solve, so its duty equals its v_pu.
     """
 
     rows: tuple[LookupRow, ...]
@@ -58,18 +58,10 @@ class LookupTable:
         for r in self.rows:
             if not (0.0 <= r.v_pu <= 1.0 and 0.0 <= r.duty <= 1.0):
                 raise ShePwmError(f"row at v_pu={r.v_pu} outside the unit ranges")
-            if r.method == PROPOSED:
-                if r.duty != r.v_pu:
-                    raise ShePwmError(
-                        f"proposed row at v_pu={r.v_pu} must have duty=v_pu"
-                    )
-            elif r.method == CONVENTIONAL:
-                if r.duty != 1.0:
-                    raise ShePwmError(
-                        f"conventional row at v_pu={r.v_pu} must have duty=1"
-                    )
-            else:
+            if r.method != PROPOSED:
                 raise ShePwmError(f"unknown method {r.method!r}")
+            if r.duty != r.v_pu:
+                raise ShePwmError(f"proposed row at v_pu={r.v_pu} must have duty=v_pu")
 
 
 @dataclass(frozen=True)
@@ -97,22 +89,6 @@ class ComparisonTable:
     conventional: tuple[Solution, ...]
 
 
-def scale_pattern(pattern: SwitchingPattern, duty: float) -> SwitchingPattern:
-    """Same angles and signs with every cell's DC voltage scaled by the duty.
-
-    duty must lie in (0, 1]: zero duty would zero the DC link, for which the
-    pattern type (and THD) is undefined.
-    """
-    if not (0.0 < duty <= 1.0):
-        raise OutOfRange(f"duty {duty} outside (0, 1]")
-    return SwitchingPattern(
-        angles=pattern.angles,
-        signs=pattern.signs,
-        cells=pattern.cells,
-        vdc_per_cell=pattern.vdc_per_cell * duty,
-    )
-
-
 def _check_grid(v_pu_grid) -> list[float]:
     grid = [float(v) for v in v_pu_grid]
     if not grid:
@@ -135,8 +111,9 @@ def build_lookup(
 ) -> LookupTable:
     """Variable-DC-link lookup rows for a grid of commanded voltages.
 
-    Solves once at full modulation (or reuses base_solution), then derives
-    each row by duty scaling; every row shares the base angles. With
+    Solves once at full modulation (or reuses base_solution) and analyses
+    that solution once; each row then follows by duty scaling: the base
+    angles and THD, and duty times the base fundamental. With
     require_feasible_base the call refuses an out-of-tolerance base solve by
     raising InfeasibleBasePoint; by default the rows simply carry the base
     feasibility flag, since duty scaling preserves the residuals in per-unit
@@ -152,24 +129,15 @@ def build_lookup(
             f"full-modulation solve misses thresholds (worst residual "
             f"{worst:.3e} pu, fundamental {base.fundamental_pu:.6f} pu)"
         )
-    rows = []
-    for v in grid:
-        # the base solve is pinned at full modulation, so the duty that
-        # reaches v is v itself
-        scaled = scale_pattern(base.pattern, v)
-        rows.append(
-            LookupRow(
-                v_pu=v,
-                method=PROPOSED,
-                duty=v,
-                thd=pattern_thd(scaled, thd_max_order),
-                feasible=base.feasible,
-                fundamental_v=abs(analytic_harmonic(scaled, 1)),
-                angles=scaled.angles,
-            )
-        )
+    # the base solve is pinned at full modulation, so the duty that reaches v
+    # is v itself
+    thd = pattern_thd(base.pattern, thd_max_order)
+    fund = abs(analytic_harmonic(base.pattern, 1))
     return LookupTable(
-        rows=tuple(rows),
+        rows=tuple(
+            LookupRow(v, PROPOSED, v, thd, base.feasible, v * fund, base.pattern.angles)
+            for v in grid
+        ),
         base_vdc_per_cell=problem.vdc_per_cell,
         cells=problem.cells,
         thd_max_order=thd_max_order,

@@ -138,15 +138,23 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
         )
     if np.any(arr < 0.0) or np.any(arr > HALF_PI):
         raise OutOfRange("angles must lie within [0, pi/2]")
-    pat = problem.make_pattern(np.sort(arr))
+    return _evaluate(problem, problem.make_pattern(np.sort(arr)))[2]
+
+
+def _evaluate(
+    problem: SheProblem, pattern: SwitchingPattern
+) -> tuple[float, dict[int, float], float]:
+    """Per-unit fundamental, per-unit eliminated-order residuals and cost of
+    a sorted pattern, from one closed-form harmonic per order."""
     base = problem.base_volts
-    v1_pu = abs(analytic_harmonic(pat, 1)) / base
-    total = problem.weight_fundamental * abs(problem.target_m - v1_pu)
-    for n in problem.eliminate_orders:
-        total += (
-            problem.weight_harmonics / n * abs(analytic_harmonic(pat, n)) / base
-        )
-    return total
+    orders = problem.eliminate_orders
+    volts = {n: abs(analytic_harmonic(pattern, n)) for n in (1, *orders)}
+    fund_pu = volts[1] / base
+    total = problem.weight_fundamental * abs(problem.target_m - fund_pu)
+    for n in orders:
+        total += problem.weight_harmonics / n * volts[n] / base
+    residuals = {n: volts[n] / base for n in orders}
+    return fund_pu, residuals, total
 
 
 def cost_batch(
@@ -200,20 +208,15 @@ def solve(problem: SheProblem, pso: PsoConfig) -> Solution:
 
 def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
     """Solution for the optimizer's best point on one target's problem."""
-    repaired = np.sort(result.best_position)
-    pat = problem.make_pattern(repaired)
-    base = problem.base_volts
-    fund_pu = abs(analytic_harmonic(pat, 1)) / base
-    residuals = {
-        n: abs(analytic_harmonic(pat, n)) / base for n in problem.eliminate_orders
-    }
+    pat = problem.make_pattern(np.sort(result.best_position))
+    fund_pu, residuals, total = _evaluate(problem, pat)
     feasible = (
         abs(fund_pu - problem.target_m) <= FUNDAMENTAL_THRESHOLD_PU
         and all(r <= RESIDUAL_THRESHOLD_PU for r in residuals.values())
     )
     return Solution(
         pattern=pat,
-        cost=cost(repaired, problem),
+        cost=total,
         fundamental_pu=fund_pu,
         residuals_pu=residuals,
         feasible=feasible,

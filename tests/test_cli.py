@@ -139,6 +139,13 @@ class TestUsageErrors:
             # the waveform cannot be rendered: 6 samples is not a multiple of 4
             ["analyze", "--angles", "0.1,0.2", "--signs", "1,-1",
              "--samples", "6", "--emit-waveform", "wf.csv"],
+            # two outputs that name the same file
+            ["table", "--pu-grid", "0.5,1.0", "--seed", "1", *FAST,
+             "--out", "t.csv", "--json-out", "t.csv"],
+            ["table", "--pu-grid", "0.5,1.0", "--seed", "1", *FAST,
+             "--out", "t.csv", "--json-out", "t.csv.manifest.json"],
+            ["analyze", "--angles", "0.1,0.2", "--signs", "1,-1",
+             "--emit-waveform", "x.csv", "--emit-spectrum", "./x.csv"],
         ],
     )
     def test_failed_output_leaves_nothing(self, args, tmp_path):

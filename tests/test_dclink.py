@@ -1,7 +1,6 @@
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from shepwm import (
@@ -14,7 +13,7 @@ from shepwm import (
     build_lookup,
     compare_methods,
     derive_seed,
-    scale_pattern,
+    pattern_thd,
     solve,
 )
 from shepwm.dclink import comparison_csv, lookup_csv, lookup_json, read_lookup_csv
@@ -32,32 +31,9 @@ def small_compare():
     )
 
 
-class TestScalePattern:
-    PAT = SwitchingPattern(
-        tuple(np.radians([5, 15, 25, 35, 45, 55])), (1, -1, 1, 1, -1, -1), 2, 200.0
-    )
-
-    def test_unit_duty_is_identity(self):
-        scaled = scale_pattern(self.PAT, 1.0)
-        assert scaled == self.PAT
-
-    def test_voltage_scaling(self):
-        scaled = scale_pattern(self.PAT, 0.3)
-        assert scaled.angles == self.PAT.angles
-        assert scaled.signs == self.PAT.signs
-        assert scaled.vdc_per_cell == pytest.approx(60.0, rel=1e-15)
-
-    def test_fundamental_scales_linearly(self):
-        for duty in (0.1, 0.5, 0.77):
-            scaled = scale_pattern(self.PAT, duty)
-            a = analytic_harmonic(scaled, 1)
-            b = duty * analytic_harmonic(self.PAT, 1)
-            assert a == pytest.approx(b, rel=4e-16)
-
-    @pytest.mark.parametrize("duty", [0.0, -0.5, 1.1])
-    def test_out_of_range(self, duty):
-        with pytest.raises(OutOfRange):
-            scale_pattern(self.PAT, duty)
+@pytest.fixture(scope="module")
+def base_solution():
+    return solve(SheProblem(target_m=1.0), PsoConfig(seed=4, **FAST))
 
 
 class TestBuildLookup:
@@ -79,7 +55,36 @@ class TestBuildLookup:
         )
         anchor = table.rows[-1].thd
         for r in table.rows:
-            assert abs(r.thd - anchor) <= 1e-12
+            assert r.thd == anchor
+
+    def test_rows_match_per_row_analysis_of_scaled_pattern(self, base_solution):
+        # oracle: each row against the analysis of the base pattern with
+        # every cell's DC link scaled by the duty
+        pat = base_solution.pattern
+        table = build_lookup(
+            GRID10,
+            PsoConfig(seed=4, **FAST),
+            SheProblem(target_m=1.0),
+            base_solution=base_solution,
+        )
+        for r in table.rows:
+            scaled = SwitchingPattern(
+                r.angles, pat.signs, pat.cells, pat.vdc_per_cell * r.v_pu
+            )
+            assert abs(r.thd - pattern_thd(scaled, 49)) <= 1e-12
+            expected = abs(analytic_harmonic(scaled, 1))
+            assert r.fundamental_v == pytest.approx(expected, rel=4e-16)
+
+    def test_thd_survives_tiny_duty(self, base_solution):
+        # per-row analysis of a pattern scaled to 1e-170 would underflow the
+        # squared harmonic magnitudes and read a THD of 0
+        table = build_lookup(
+            [1e-170, 1.0],
+            PsoConfig(seed=4, **FAST),
+            SheProblem(target_m=1.0),
+            base_solution=base_solution,
+        )
+        assert table.rows[0].thd == table.rows[1].thd > 0.0
 
     def test_single_point_grid(self):
         pso = PsoConfig(seed=4, **FAST)
@@ -88,8 +93,6 @@ class TestBuildLookup:
         base = solve(problem, pso)
         assert len(table.rows) == 1
         assert table.rows[0].duty == 1.0
-        from shepwm import pattern_thd
-
         assert table.rows[0].thd == pattern_thd(base.pattern, 49)
 
     def test_rows_sorted_regardless_of_input_order(self):
@@ -268,8 +271,10 @@ class TestIo:
         bad_conventional = LookupRow(0.5, "conventional", 0.5, 0.2, True, 200.0, (0.1,))
         with pytest.raises(ShePwmError):
             LookupTable((bad_conventional,), 200.0, 1, 49)
-        ok = LookupRow(0.5, "conventional", 1.0, 0.2, True, 200.0, (0.1,))
-        LookupTable((ok,), 200.0, 1, 49)
+        # no lookup row runs at full DC link: a conventional row is refused
+        conventional = LookupRow(0.5, "conventional", 1.0, 0.2, True, 200.0, (0.1,))
+        with pytest.raises(ShePwmError):
+            LookupTable((conventional,), 200.0, 1, 49)
         with pytest.raises(ShePwmError):
             LookupTable(
                 (LookupRow(0.5, "hybrid", 0.5, 0.2, True, 200.0, (0.1,)),),
