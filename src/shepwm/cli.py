@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .dclink import build_lookup, compare_methods, comparison_csv, lookup_csv, lookup_json
-from .errors import InfeasibleBasePoint, ShePwmError, ZeroFundamental
+from .errors import ShePwmError, ZeroFundamental
 from .harmonics import (
     DEFAULT_MAX_ORDER,
     analytic_spectrum,
@@ -77,42 +77,38 @@ def _weights(text: str) -> tuple[float, float]:
 
 
 def parse_grid(text: str) -> list[float]:
-    """`start:stop:step` (inclusive of stop within 1e-9) or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                f"grid {text!r} must look like start:stop:step"
-            )
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"grid {text!r} has non-numeric parts")
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise argparse.ArgumentTypeError(f"grid {text!r} has non-finite parts")
-        if step <= 0:
-            raise argparse.ArgumentTypeError("grid step must be > 0")
-        if stop < start:
-            raise argparse.ArgumentTypeError("grid stop must be >= start")
-        if (stop - start) / step > MAX_GRID_POINTS:
-            raise argparse.ArgumentTypeError(
-                f"grid {text!r} has more than {MAX_GRID_POINTS} points"
-            )
-        values = []
-        i = 0
-        while True:
-            v = start + i * step
-            if v > stop + GRID_STOP_SLACK:
-                break
-            values.append(round(v, 12))
-            i += 1
-    else:
-        values = _float_list(text)
-    if not values:
-        raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
-    for v in values:
-        if not (0.0 <= v <= 1.0):
-            raise argparse.ArgumentTypeError(f"grid value {v} outside [0, 1]")
+    """`start:stop:step` (inclusive of stop within 1e-9) or a comma list.
+
+    Only the syntax is checked here; the library refuses an empty grid or a
+    value outside its range before any solve.
+    """
+    if ":" not in text:
+        return _float_list(text)
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"grid {text!r} must look like start:stop:step")
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has non-numeric parts")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"grid {text!r} has non-finite parts")
+    if step <= 0:
+        raise argparse.ArgumentTypeError("grid step must be > 0")
+    if stop < start:
+        raise argparse.ArgumentTypeError("grid stop must be >= start")
+    if (stop - start) / step > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has more than {MAX_GRID_POINTS} points"
+        )
+    values = []
+    i = 0
+    while True:
+        v = start + i * step
+        if v > stop + GRID_STOP_SLACK:
+            break
+        values.append(round(v, 12))
+        i += 1
     return values
 
 
@@ -260,11 +256,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table(args) -> int:
     problem, pso, cfg = _configs(args, 1.0)
-    table = build_lookup(
-        args.pu_grid, pso, problem,
-        thd_max_order=args.max_order,
-        require_feasible_base=args.require_feasible_base,
-    )
+    table = build_lookup(args.pu_grid, pso, problem, thd_max_order=args.max_order)
     files = [(args.out, lookup_csv(table))]
     if args.json_out:
         files.append((args.json_out, lookup_json(table)))
@@ -364,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[grid, solver],
                              help="independent solves over a grid (CSV)")
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", default=None, help="CSV path (default stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -374,15 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument("--out", required=True, help="lookup CSV path")
     p_table.add_argument("--json-out", default=None, help="optional JSON mirror")
-    p_table.add_argument("--require-feasible-base", action="store_true",
-                         help="error out instead of flagging an infeasible base")
     p_table.set_defaults(func=_cmd_table)
 
     p_cmp = sub.add_parser(
         "compare", parents=[grid, solver],
         help="conventional vs variable-DC-link THD over a grid",
     )
-    p_cmp.add_argument("--jobs", type=_positive_int, default=1)
+    p_cmp.add_argument("--jobs", type=int, default=1)
     p_cmp.add_argument("--out", required=True, help="comparison CSV path")
     p_cmp.set_defaults(func=_cmd_compare)
 
@@ -410,9 +400,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleBasePoint as exc:
-        print(f"shepwm: infeasible base point: {exc}", file=sys.stderr)
-        return 1
     except (ShePwmError, OSError) as exc:
         print(f"shepwm: error: {exc}", file=sys.stderr)
         return 2

@@ -17,12 +17,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import InfeasibleBasePoint, OutOfRange, ShePwmError
+from .errors import ShePwmError
 from .harmonics import DEFAULT_MAX_ORDER, analytic_harmonic, pattern_thd
 from .optimizer import PsoConfig, derive_seed
 from .she import SheProblem, Solution, solve, solve_pairs
 
 PROPOSED = "proposed"
+# lookup CSV columns before theta_1..theta_K
+LOOKUP_COLUMNS = ["v_pu", "method", "duty", "thd_pct", "feasible", "fundamental_v"]
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,7 @@ def _check_grid(v_pu_grid) -> list[float]:
         raise ShePwmError("empty per-unit voltage grid")
     for v in grid:
         if not (0.0 < v <= 1.0):
-            raise OutOfRange(
-                f"grid value {v} outside (0, 1]; zero output has no defined THD"
-            )
+            raise ShePwmError(f"grid value {v} outside (0, 1]")
     return sorted(grid)
 
 
@@ -106,29 +106,20 @@ def build_lookup(
     pso: PsoConfig,
     problem: SheProblem,
     thd_max_order: int = DEFAULT_MAX_ORDER,
-    require_feasible_base: bool = False,
     base_solution: Solution | None = None,
 ) -> LookupTable:
     """Variable-DC-link lookup rows for a grid of commanded voltages.
 
     Solves once at full modulation (or reuses base_solution) and analyses
     that solution once; each row then follows by duty scaling: the base
-    angles and THD, and duty times the base fundamental. With
-    require_feasible_base the call refuses an out-of-tolerance base solve by
-    raising InfeasibleBasePoint; by default the rows simply carry the base
-    feasibility flag, since duty scaling preserves the residuals in per-unit
-    terms exactly.
+    angles and THD, and duty times the base fundamental. Every row carries
+    the base feasibility flag, since duty scaling preserves the residuals in
+    per-unit terms exactly.
     """
     grid = _check_grid(v_pu_grid)
     base = base_solution
     if base is None:
         base = solve(replace(problem, target_m=1.0), pso)
-    if require_feasible_base and not base.feasible:
-        worst = max(base.residuals_pu.values())
-        raise InfeasibleBasePoint(
-            f"full-modulation solve misses thresholds (worst residual "
-            f"{worst:.3e} pu, fundamental {base.fundamental_pu:.6f} pu)"
-        )
     # the base solve is pinned at full modulation, so the duty that reaches v
     # is v itself
     thd = pattern_thd(base.pattern, thd_max_order)
@@ -200,8 +191,7 @@ def _angle_headers(k: int) -> list[str]:
 def lookup_csv(table: LookupTable):
     """Lookup CSV text, line by line; 17-digit angles parse back bit-exactly."""
     k = len(table.rows[0].angles) if table.rows else 0
-    header = ["v_pu", "method", "duty", "thd_pct", "feasible", "fundamental_v"]
-    header += _angle_headers(k)
+    header = LOOKUP_COLUMNS + _angle_headers(k)
     yield ",".join(header) + "\n"
     for r in table.rows:
         cells = [
@@ -223,26 +213,31 @@ def read_lookup_csv(
     thd_max_order: int = DEFAULT_MAX_ORDER,
 ) -> LookupTable:
     """Parse a lookup CSV back; structural metadata comes from the caller
-    (it lives in the run manifest, not in the CSV schema)."""
+    (it lives in the run manifest, not in the CSV schema). A header other
+    than lookup_csv's, a row whose field count differs from the header's,
+    whose feasible flag is not true/false, or whose number does not parse
+    raises ShePwmError naming its line."""
     rows = []
     with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
-        n_theta = sum(1 for h in header if h.startswith("theta_"))
-        for line in fh:
+        if header != LOOKUP_COLUMNS + _angle_headers(len(header) - len(LOOKUP_COLUMNS)):
+            raise ShePwmError(f"{path}, line 1: not a lookup CSV header")
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
-            rows.append(
-                LookupRow(
-                    v_pu=float(parts[0]),
-                    method=parts[1],
-                    duty=float(parts[2]),
-                    thd=float(parts[3]) / 100.0,
-                    feasible=parts[4] == "true",
-                    fundamental_v=float(parts[5]),
-                    angles=tuple(float(x) for x in parts[6 : 6 + n_theta]),
-                )
-            )
+            where = f"{path}, line {lineno}"
+            if len(parts) != len(header):
+                raise ShePwmError(f"{where}: {len(parts)} fields, header {len(header)}")
+            if parts[4] not in ("true", "false"):
+                raise ShePwmError(f"{where}: feasible is {parts[4]!r}, not true/false")
+            try:
+                v_pu, duty, thd_pct, fund, *angles = (
+                    float(x) for x in parts[:1] + parts[2:4] + parts[5:])
+            except ValueError as exc:
+                raise ShePwmError(f"{where}: {exc}") from None
+            rows.append(LookupRow(v_pu, parts[1], duty, thd_pct / 100.0,
+                                  parts[4] == "true", fund, tuple(angles)))
     return LookupTable(
         rows=tuple(rows),
         base_vdc_per_cell=base_vdc_per_cell,

@@ -1,57 +1,14 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package.
+
+Every refusal raises ShePwmError; its message names the fault. The one
+subclass, ZeroFundamental, exists because callers catch it: it marks a THD
+that is undefined, not an input that is wrong.
+"""
 
 
 class ShePwmError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PatternError(ShePwmError):
-    """A switching pattern violates a structural invariant."""
-
-
-class AngleOutOfRange(PatternError):
-    """A switching angle lies outside [0, pi/2]."""
-
-
-class AnglesUnordered(PatternError):
-    """Switching angles are not in nondecreasing order."""
-
-
-class LevelOutOfBounds(PatternError):
-    """A prefix of the sign sequence drives the level below 0 or above the cell count."""
-
-
-class SignInvalid(PatternError):
-    """A transition sign is not +1 or -1."""
-
-
-class SignPatternInvalid(ShePwmError):
-    """A problem's sign pattern cannot form a valid switching pattern."""
-
-
-class InvalidSampleCount(ShePwmError):
-    """Waveform sample count is not a positive multiple of 4."""
-
-
-class OrderExceedsNyquist(ShePwmError):
-    """Requested harmonic order is at or above the sampled Nyquist limit."""
-
-
 class ZeroFundamental(ShePwmError):
     """THD is undefined because the fundamental magnitude is (numerically) zero."""
-
-
-class InvalidBounds(ShePwmError):
-    """Optimizer bounds are empty, non-finite, or inverted."""
-
-
-class EmptySweep(ShePwmError):
-    """A sweep was requested over an empty list of target values."""
-
-
-class OutOfRange(ShePwmError):
-    """A per-unit voltage or duty-cycle argument lies outside its valid range."""
-
-
-class InfeasibleBasePoint(ShePwmError):
-    """The full-modulation base solve did not meet the feasibility thresholds."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OrderExceedsNyquist, ShePwmError, ZeroFundamental
+from .errors import ShePwmError, ZeroFundamental
 from .pattern import SwitchingPattern, WaveformSamples, levels
 
 DEFAULT_MAX_ORDER = 49
@@ -148,7 +148,7 @@ def dft_spectrum(
     """
     n_samp = samples.n_samples
     if max_order >= n_samp // 2:
-        raise OrderExceedsNyquist(
+        raise ShePwmError(
             f"max_order {max_order} needs at least {2 * (max_order + 1)} samples, "
             f"got {n_samp}"
         )

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidBounds, ShePwmError
+from .errors import ShePwmError
 
 _U64_MAX = 2**64 - 1
 
@@ -84,13 +84,13 @@ class OptimizerResult:
 
 def _check_bounds(bounds: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     if len(bounds) == 0:
-        raise InvalidBounds("bounds must be a non-empty list of (low, high) pairs")
+        raise ShePwmError("bounds must be a non-empty list of (low, high) pairs")
     lo = np.asarray([b[0] for b in bounds], dtype=np.float64)
     hi = np.asarray([b[1] for b in bounds], dtype=np.float64)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise InvalidBounds("bounds must be finite")
+        raise ShePwmError("bounds must be finite")
     if np.any(lo > hi):
-        raise InvalidBounds("each lower bound must be <= its upper bound")
+        raise ShePwmError("each lower bound must be <= its upper bound")
     return lo, hi
 
 

@@ -16,14 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    AngleOutOfRange,
-    AnglesUnordered,
-    InvalidSampleCount,
-    LevelOutOfBounds,
-    PatternError,
-    SignInvalid,
-)
+from .errors import ShePwmError
 
 HALF_PI = math.pi / 2
 
@@ -81,14 +74,12 @@ class WaveformSamples:
         )
         n = self.samples.size
         if n < 4 or n % 2 != 0:
-            raise InvalidSampleCount(
-                f"need an even sample count >= 4, got {n}"
-            )
+            raise ShePwmError(f"need an even sample count >= 4, got {n}")
         half = n // 2
         peak = float(np.max(np.abs(self.samples)))
         skew = float(np.max(np.abs(self.samples[half:] + self.samples[:half])))
         if skew > 1e-9 * max(peak, 1.0):
-            raise InvalidSampleCount(
+            raise ShePwmError(
                 "samples violate odd half-wave symmetry "
                 f"(max |v[i]+v[i+N/2]| = {skew:g})"
             )
@@ -107,38 +98,38 @@ class WaveformSamples:
 def validate(pattern: SwitchingPattern) -> SwitchingPattern:
     """Check all structural invariants; return the pattern unchanged if valid.
 
-    Raises AngleOutOfRange, AnglesUnordered, LevelOutOfBounds, SignInvalid,
-    or PatternError (cell count / voltage / angle-count problems).
+    Raises ShePwmError naming the first broken invariant: cell count, DC
+    voltage, angle/sign counts, a sign, an angle's range or order, or a level.
     """
     if not isinstance(pattern.cells, int) or pattern.cells < 1:
-        raise PatternError(f"cells must be a positive integer, got {pattern.cells!r}")
+        raise ShePwmError(f"cells must be a positive integer, got {pattern.cells!r}")
     if not (math.isfinite(pattern.vdc_per_cell) and pattern.vdc_per_cell > 0):
-        raise PatternError(
+        raise ShePwmError(
             f"vdc_per_cell must be finite and > 0, got {pattern.vdc_per_cell!r}"
         )
     k = len(pattern.angles)
     if k == 0 or len(pattern.signs) != k:
-        raise PatternError(
+        raise ShePwmError(
             f"need matching non-empty angles/signs, got {k} angles "
             f"and {len(pattern.signs)} signs"
         )
     for sg in pattern.signs:
         if sg not in (1, -1):
-            raise SignInvalid(f"transition sign must be +1 or -1, got {sg!r}")
+            raise ShePwmError(f"transition sign must be +1 or -1, got {sg!r}")
     if k % pattern.cells != 0:
-        raise PatternError(
+        raise ShePwmError(
             f"angle count {k} is not a multiple of the cell count {pattern.cells}"
         )
     prev = 0.0
     for a in pattern.angles:
         if not (math.isfinite(a) and 0.0 <= a <= HALF_PI):
-            raise AngleOutOfRange(f"angle {a!r} outside [0, pi/2]")
+            raise ShePwmError(f"angle {a!r} outside [0, pi/2]")
         if a < prev:
-            raise AnglesUnordered(f"angles not nondecreasing at {a!r} after {prev!r}")
+            raise ShePwmError(f"angles not nondecreasing at {a!r} after {prev!r}")
         prev = a
     for j, level in enumerate(levels(pattern.signs)):
         if level < 0 or level > pattern.cells:
-            raise LevelOutOfBounds(
+            raise ShePwmError(
                 f"level {level} after transition {j + 1} outside [0, {pattern.cells}]"
             )
     return pattern
@@ -166,7 +157,7 @@ def default_sign_pattern(cells: int, per_cell: int) -> tuple[int, ...]:
     if per_cell % 2 == 1:
         block = (1,) + (-1, 1) * ((per_cell - 1) // 2)
         return block * cells
-    raise PatternError(
+    raise ShePwmError(
         f"no default sign pattern for even per_cell={per_cell}; supply signs"
     )
 
@@ -192,7 +183,7 @@ def synthesize(pattern: SwitchingPattern, n_samples: int) -> WaveformSamples:
     so v[i + N/2] == -v[i] bit-for-bit.
     """
     if n_samples < 4 or n_samples % 4 != 0:
-        raise InvalidSampleCount(
+        raise ShePwmError(
             f"sample count must be a positive multiple of 4, got {n_samples}"
         )
     quarter = n_samples // 4

@@ -21,13 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptySweep,
-    OutOfRange,
-    PatternError,
-    ShePwmError,
-    SignPatternInvalid,
-)
+from .errors import ShePwmError
 from .harmonics import analytic_harmonic
 from .optimizer import OptimizerResult, PsoConfig, derive_seed, minimize_stacked
 from .pattern import HALF_PI, SwitchingPattern, default_sign_pattern
@@ -55,7 +49,7 @@ class SheProblem:
 
     def __post_init__(self):
         if not (0.0 <= self.target_m <= 1.0):
-            raise OutOfRange(f"target_m must be in [0, 1], got {self.target_m}")
+            raise ShePwmError(f"target_m must be in [0, 1], got {self.target_m}")
         for name in ("weight_fundamental", "weight_harmonics"):
             w = getattr(self, name)
             if not (math.isfinite(w) and w >= 0.0):
@@ -84,13 +78,10 @@ class SheProblem:
             signs = default_sign_pattern(self.cells, self.angles_per_cell)
         object.__setattr__(self, "sign_pattern", tuple(int(s) for s in signs))
         if len(self.sign_pattern) != k:
-            raise SignPatternInvalid(
+            raise ShePwmError(
                 f"sign pattern length {len(self.sign_pattern)} != K = {k}"
             )
-        try:
-            self.make_pattern(np.zeros(k))
-        except PatternError as exc:
-            raise SignPatternInvalid(str(exc)) from exc
+        self.make_pattern(np.zeros(k))
 
     @property
     def n_angles(self) -> int:
@@ -137,7 +128,7 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
             f"expected {problem.n_angles} angles, got shape {arr.shape}"
         )
     if np.any(arr < 0.0) or np.any(arr > HALF_PI):
-        raise OutOfRange("angles must lie within [0, pi/2]")
+        raise ShePwmError("angles must lie within [0, pi/2]")
     return _evaluate(problem, problem.make_pattern(np.sort(arr)))[2]
 
 
@@ -254,7 +245,9 @@ def solve_pairs(
     splits the pairs into at most `jobs` contiguous chunks, each stacked in
     its own process. The chunking does not change any result.
     """
-    chunks = min(max(jobs, 1), len(pairs))
+    if jobs < 1:
+        raise ShePwmError(f"jobs must be >= 1, got {jobs}")
+    chunks = min(jobs, len(pairs))
     if chunks <= 1:
         return _solve_stacked(problem, pairs, pso)
     cuts = [len(pairs) * c // chunks for c in range(chunks + 1)]
@@ -277,9 +270,9 @@ def sweep(
     `jobs` processes (see solve_pairs).
     """
     if len(m_values) == 0:
-        raise EmptySweep("no target values given")
+        raise ShePwmError("no target values given")
     for m in m_values:
         if not (0.0 <= m <= 1.0):
-            raise OutOfRange(f"per-unit target {m} outside [0, 1]")
+            raise ShePwmError(f"per-unit target {m} outside [0, 1]")
     pairs = [(float(m), derive_seed(pso.seed, i)) for i, m in enumerate(m_values)]
     return solve_pairs(problem, pairs, pso, jobs)

@@ -119,6 +119,7 @@ class TestUsageErrors:
             ["analyze", "--angles", "0.1,0.2", "--signs", "1,-1",
              "--emit-spectrum", "missing/sp.csv"],
             ["analyze", "--angles", "", "--signs", ""],
+            ["sweep", "--pu-grid", "0.5", "--seed", "1", "--jobs", "0"],
         ],
     )
     def test_exit_code_2(self, args, tmp_path):
@@ -173,7 +174,7 @@ class TestSolverConfig:
             (["solve", "--pu", "0.7"], 0.7, {"max_order", "degrees", "out"}),
             (["sweep", "--pu-grid", "0.5"], 1.0, {"pu_grid", "max_order", "jobs", "out"}),
             (["table", "--pu-grid", "0.5", "--out", "t.csv"], 1.0,
-             {"pu_grid", "max_order", "out", "json_out", "require_feasible_base"}),
+             {"pu_grid", "max_order", "out", "json_out"}),
             (["compare", "--pu-grid", "0.5", "--out", "c.csv"], 1.0,
              {"pu_grid", "max_order", "jobs", "out"}),
         ],
@@ -310,23 +311,12 @@ class TestTable:
         out = run_cli(
             ["table", "--pu-grid", "0.5,1.0", "--seed", "1",
              "--angles-per-cell", "4", "--signs", K8_SIGNS,
-             "--iterations", "2000", "--out", "t.csv",
-             "--require-feasible-base"],
+             "--iterations", "2000", "--out", "t.csv"],
             cwd=tmp_path,
         )
         assert out.returncode == 0
         rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
         assert all(r.split(",")[4] == "true" for r in rows)
-
-    def test_require_feasible_base_refuses_six_angles(self, tmp_path):
-        out = run_cli(
-            ["table", "--pu-grid", "0.5,1.0", "--seed", "3", *FAST,
-             "--out", "t.csv", "--require-feasible-base"],
-            cwd=tmp_path,
-        )
-        assert out.returncode == 1
-        assert not (tmp_path / "t.csv").exists()
-        assert b"infeasible" in out.stderr.lower()
 
     def test_json_mirror(self, tmp_path):
         out = run_cli(

@@ -17,7 +17,7 @@ from shepwm import (
     solve,
 )
 from shepwm.dclink import comparison_csv, lookup_csv, lookup_json, read_lookup_csv
-from shepwm.errors import InfeasibleBasePoint, OutOfRange, ShePwmError
+from shepwm.errors import ShePwmError
 
 GRID10 = [round(0.1 * i, 12) for i in range(1, 11)]
 FAST = dict(iterations=60, restarts=2, swarm_size=20)
@@ -102,39 +102,23 @@ class TestBuildLookup:
         assert [r.v_pu for r in table.rows] == [0.2, 0.5, 0.9]
 
     def test_zero_grid_value_rejected(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ShePwmError, match=r"grid value 0.0 outside \(0, 1\]"):
             build_lookup([0.0, 0.5], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0))
 
     @pytest.mark.parametrize("v", [-0.1, 1.0000001, 2.0])
     def test_out_of_range_grid_rejected(self, v):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ShePwmError, match=r"outside \(0, 1\]"):
             build_lookup([v], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0))
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="empty per-unit voltage grid"):
             build_lookup([], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0))
-
-    def test_require_feasible_base_raises_for_six_angles(self):
-        # no six-angle sign pattern meets the thresholds at full modulation,
-        # so the strict mode must refuse
-        with pytest.raises(InfeasibleBasePoint):
-            build_lookup(
-                GRID10,
-                PsoConfig(seed=4),
-                SheProblem(target_m=1.0),
-                require_feasible_base=True,
-            )
 
     def test_feasible_base_fundamental_tracks_command(self):
         problem = SheProblem(
             target_m=1.0, cells=2, angles_per_cell=4, sign_pattern=K8_SIGNS
         )
-        table = build_lookup(
-            GRID10,
-            PsoConfig(seed=1, iterations=2000),
-            problem,
-            require_feasible_base=True,
-        )
+        table = build_lookup(GRID10, PsoConfig(seed=1, iterations=2000), problem)
         for r in table.rows:
             assert r.feasible
             assert abs(r.fundamental_v / 400.0 - r.v_pu) <= 1.1e-3
@@ -208,6 +192,9 @@ class TestCompare:
         assert table.rows[0].improvement is None
 
 
+LOOKUP_HEADER = "v_pu,method,duty,thd_pct,feasible,fundamental_v,theta_1,theta_2,theta_3"
+
+
 class TestIo:
     def test_lookup_csv_roundtrip(self, tmp_path):
         table = build_lookup(
@@ -217,6 +204,22 @@ class TestIo:
         path.write_text("".join(lookup_csv(table)))
         back = read_lookup_csv(path)
         assert back == table
+
+    @pytest.mark.parametrize(
+        "header, row, line",
+        [
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,yes,200.0,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,abc,true,200.0,0.1,0.2,0.3", 2),
+            ("v_pu,method", "0.5,proposed", 1),
+        ],
+        ids=["short-row", "bad-flag", "bad-number", "foreign-header"],
+    )
+    def test_read_lookup_csv_rejects_malformed_file(self, tmp_path, header, row, line):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ShePwmError, match=f"line {line}"):
+            read_lookup_csv(path)
 
     def test_lookup_csv_header(self):
         table = build_lookup(
@@ -259,23 +262,23 @@ class TestIo:
     def test_table_type_rejects_unsorted_rows(self):
         row = LookupRow(0.5, "proposed", 0.5, 0.2, True, 200.0, (0.1,))
         row2 = LookupRow(0.4, "proposed", 0.4, 0.2, True, 160.0, (0.1,))
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="sorted ascending"):
             LookupTable(
                 rows=(row, row2), base_vdc_per_cell=200.0, cells=1, thd_max_order=49
             )
 
     def test_table_type_enforces_duty_rules(self):
         bad_proposed = LookupRow(0.5, "proposed", 0.7, 0.2, True, 200.0, (0.1,))
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="must have duty=v_pu"):
             LookupTable((bad_proposed,), 200.0, 1, 49)
         bad_conventional = LookupRow(0.5, "conventional", 0.5, 0.2, True, 200.0, (0.1,))
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="unknown method"):
             LookupTable((bad_conventional,), 200.0, 1, 49)
         # no lookup row runs at full DC link: a conventional row is refused
         conventional = LookupRow(0.5, "conventional", 1.0, 0.2, True, 200.0, (0.1,))
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="unknown method"):
             LookupTable((conventional,), 200.0, 1, 49)
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="unknown method"):
             LookupTable(
                 (LookupRow(0.5, "hybrid", 0.5, 0.2, True, 200.0, (0.1,)),),
                 200.0, 1, 49,

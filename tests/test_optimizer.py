@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shepwm import OptimizerResult, PsoConfig, derive_seed, minimize
-from shepwm.errors import InvalidBounds, ShePwmError
+from shepwm.errors import ShePwmError
 from shepwm.optimizer import _check_bounds, minimize_stacked
 
 
@@ -221,7 +221,7 @@ class TestMinimize:
         "bounds", [[], [(1.0, 0.0)], [(0.0, float("inf"))], [(float("nan"), 1.0)]]
     )
     def test_invalid_bounds(self, bounds):
-        with pytest.raises(InvalidBounds):
+        with pytest.raises(ShePwmError, match="bound"):
             minimize(pointwise(sphere), bounds, PsoConfig(seed=1))
 
     def test_scalar_objective_raises(self):

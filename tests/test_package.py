@@ -29,3 +29,22 @@ def test_only_cli_opens_files_for_writing():
     writers = {p.name: _write_mode_opens(p) for p in sorted(package.glob("*.py"))}
     assert {name for name, lines in writers.items() if lines} == {"cli.py"}
     assert len(writers["cli.py"]) == 1
+
+
+def _raised_names(path: Path) -> set[str]:
+    """Names raised as `raise Name(...)` or `raise Name`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Raise) and node.exc is not None):
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name):
+            names.add(exc.id)
+    return names
+
+
+def test_library_refuses_only_with_package_errors():
+    package = Path(shepwm.__file__).parent
+    raised = {p.name: _raised_names(p) for p in sorted(package.glob("*.py"))
+              if p.name != "cli.py"}
+    assert set().union(*raised.values()) == {"ShePwmError", "ZeroFundamental"}

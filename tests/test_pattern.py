@@ -14,14 +14,7 @@ from shepwm import (
     synthesize,
     validate,
 )
-from shepwm.errors import (
-    AngleOutOfRange,
-    AnglesUnordered,
-    InvalidSampleCount,
-    LevelOutOfBounds,
-    PatternError,
-    SignInvalid,
-)
+from shepwm.errors import ShePwmError
 from shepwm.pattern import waveform_csv
 
 from conftest import random_valid_pattern
@@ -35,7 +28,7 @@ class TestValidate:
         assert validate(p) is p
 
     def test_first_step_down_hits_level_bound(self):
-        with pytest.raises(LevelOutOfBounds):
+        with pytest.raises(ShePwmError, match=r"level -1 after transition 1 outside"):
             SwitchingPattern((0.1, 0.3), (-1, 1), 2, 200.0)
 
     def test_default_six_angle_pattern_is_valid(self):
@@ -44,15 +37,15 @@ class TestValidate:
         assert validate(p) is p
 
     def test_angle_above_quarter_period(self):
-        with pytest.raises(AngleOutOfRange):
+        with pytest.raises(ShePwmError, match=r"outside \[0, pi/2\]"):
             SwitchingPattern((0.1, 1.6), (1, 1), 2, 200.0)
 
     def test_negative_angle(self):
-        with pytest.raises(AngleOutOfRange):
+        with pytest.raises(ShePwmError, match=r"outside \[0, pi/2\]"):
             SwitchingPattern((-0.1,), (1,), 1, 200.0)
 
     def test_unordered_angles(self):
-        with pytest.raises(AnglesUnordered):
+        with pytest.raises(ShePwmError, match="not nondecreasing"):
             SwitchingPattern((0.3, 0.1), (1, 1), 2, 200.0)
 
     def test_equal_angles_allowed(self):
@@ -60,19 +53,19 @@ class TestValidate:
         assert validate(p) is p
 
     def test_bad_sign(self):
-        with pytest.raises(SignInvalid):
+        with pytest.raises(ShePwmError, match="sign must be"):
             SwitchingPattern((0.1, 0.3), (1, 2), 2, 200.0)
 
     def test_level_exceeds_cells(self):
-        with pytest.raises(LevelOutOfBounds):
+        with pytest.raises(ShePwmError, match=r"level 2 after transition 2 outside"):
             SwitchingPattern((0.1, 0.3), (1, 1), 1, 200.0)
 
     def test_angle_count_not_multiple_of_cells(self):
-        with pytest.raises(PatternError):
+        with pytest.raises(ShePwmError, match="not a multiple of the cell count"):
             SwitchingPattern((0.1, 0.2, 0.3), (1, 1, -1), 2, 200.0)
 
     def test_nonpositive_vdc(self):
-        with pytest.raises(PatternError):
+        with pytest.raises(ShePwmError, match="vdc_per_cell must be"):
             SwitchingPattern((0.1,), (1,), 1, 0.0)
 
     def test_boundary_angles_allowed(self):
@@ -109,7 +102,7 @@ class TestDefaultSigns:
         SwitchingPattern((0.1, 0.2, 0.3, 0.4, 0.5), signs, 1, 100.0)
 
     def test_even_per_cell_has_no_default(self):
-        with pytest.raises(PatternError):
+        with pytest.raises(ShePwmError, match="no default sign pattern"):
             default_sign_pattern(2, 4)
 
 
@@ -129,7 +122,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("n", [0, 2, 6, 10, -4])
     def test_bad_sample_counts(self, n):
         p = SwitchingPattern((0.0,), (1,), 1, 200.0)
-        with pytest.raises(InvalidSampleCount):
+        with pytest.raises(ShePwmError, match="positive multiple of 4"):
             synthesize(p, n)
 
     def test_zero_mean(self, rng):
@@ -177,11 +170,11 @@ class TestSynthesize:
 
 class TestWaveformSamples:
     def test_rejects_odd_count(self):
-        with pytest.raises(InvalidSampleCount):
+        with pytest.raises(ShePwmError, match="even sample count"):
             WaveformSamples(samples=np.array([1.0, -1.0, 0.5]))
 
     def test_rejects_asymmetric_data(self):
-        with pytest.raises(InvalidSampleCount):
+        with pytest.raises(ShePwmError, match="half-wave symmetry"):
             WaveformSamples(samples=np.array([1.0, 1.0, -1.0, 0.5]))
 
     def test_accepts_numerically_symmetric_sine(self):

@@ -18,7 +18,7 @@ from shepwm import (
     sweep,
 )
 from shepwm import she
-from shepwm.errors import EmptySweep, OutOfRange, ShePwmError, SignPatternInvalid
+from shepwm.errors import ShePwmError
 from shepwm.optimizer import derive_seed
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
 
@@ -44,27 +44,27 @@ class TestProblemValidation:
         assert p.base_volts == 400.0
 
     def test_target_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ShePwmError, match=r"target_m must be in \[0, 1\]"):
             SheProblem(target_m=1.2)
 
     def test_too_many_orders(self):
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="at most 5 eliminations"):
             SheProblem(target_m=0.5, eliminate_orders=(3, 5, 7, 9, 11, 13))
 
     def test_even_order_rejected(self):
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="odd and > 1"):
             SheProblem(target_m=0.5, eliminate_orders=(2, 3))
 
     def test_duplicate_orders_rejected(self):
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="distinct"):
             SheProblem(target_m=0.5, eliminate_orders=(3, 3, 5))
 
     def test_sign_pattern_wrong_length(self):
-        with pytest.raises(SignPatternInvalid):
+        with pytest.raises(ShePwmError, match="sign pattern length 2"):
             SheProblem(target_m=0.5, sign_pattern=(1, -1))
 
     def test_sign_pattern_level_violation(self):
-        with pytest.raises(SignPatternInvalid):
+        with pytest.raises(ShePwmError, match="level 3 after transition 3 outside"):
             SheProblem(target_m=0.5, sign_pattern=(1, 1, 1, -1, -1, -1))
 
     @pytest.mark.parametrize("field", ["weight_fundamental", "weight_harmonics"])
@@ -119,11 +119,11 @@ class TestCost:
         assert cost(raw, problem) == cost(sorted(raw), problem)
 
     def test_wrong_length(self):
-        with pytest.raises(ShePwmError):
+        with pytest.raises(ShePwmError, match="expected 6 angles"):
             cost([0.1, 0.2], SheProblem(target_m=0.5))
 
     def test_out_of_box(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ShePwmError, match="angles must lie within"):
             cost([0.1, 0.2, 0.3, 0.4, 0.5, 1.7], SheProblem(target_m=0.5))
 
     @pytest.mark.parametrize("make_problem", [SheProblem, k8_problem], ids=["k6", "k8"])
@@ -295,12 +295,16 @@ class TestSweep:
         assert len(chunks) == 3 and sum(chunks, []) == targets
 
     def test_empty(self):
-        with pytest.raises(EmptySweep):
+        with pytest.raises(ShePwmError, match="no target values"):
             sweep(SheProblem(target_m=1.0), [], PsoConfig(seed=1))
 
     def test_out_of_range_target(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(ShePwmError, match="target 1.3 outside"):
             sweep(SheProblem(target_m=1.0), [0.5, 1.3], PsoConfig(seed=1))
+
+    def test_nonpositive_jobs(self):
+        with pytest.raises(ShePwmError, match="jobs"):
+            sweep(SheProblem(target_m=1.0), [0.5], PsoConfig(seed=1), jobs=0)
 
     def test_parallel_matches_serial(self):
         problem = SheProblem(target_m=1.0)
