@@ -159,37 +159,64 @@ def cost_batch(
         cost = weight_fundamental * |target_m - |V1_pu||
              + sum_n weight_harmonics/n * |Vn_pu|     over eliminate_orders
 
-    with Vn_pu = 4/(n*pi*cells) * sum_i signs[i]*cos(n*theta_i). The sum
-    over angles runs sequentially in sorted-angle order and the cost terms
-    accumulate order by order, so each row's bits do not depend on the batch
-    it is evaluated in.
+    with Vn_pu = 4/(n*pi*cells) * sum_i signs[i]*cos(n*theta_i).
+
+    The kernel makes one cosine per angle, c = cos(theta), on a (K, P)
+    block. Every odd order then follows from the Chebyshev step
+    cos((n+2)theta) = 2cos(2theta)*cos(n*theta) - cos((n-2)theta), with
+    2cos(2theta) = 4c^2 - 2 and cos(-theta) = cos(theta) to start from. The
+    signs are folded in before the first step; the step is linear and a
+    factor of +-1 is exact, so this changes no bit. Only the orders in
+    eliminate_orders are summed. Each step is elementwise, and the sum over
+    angles adds one sorted-angle row at a time, so a row's bits do not
+    depend on the batch it is evaluated in.
 
     target_m, when given, is a (P,) vector of per-row targets that replaces
     problem.target_m; row i then costs what it would cost alone under
     replace(problem, target_m=target_m[i]).
     """
-    srt = np.sort(np.atleast_2d(np.asarray(positions, dtype=np.float64)), axis=1)
+    arr = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    k = problem.n_angles
+    if arr.ndim != 2 or arr.shape[1] != k:
+        raise ShePwmError(f"expected {k} angles per row, got shape {arr.shape}")
+    rows = arr.shape[0]
     if target_m is None:
         target_m = problem.target_m
-    elif np.shape(target_m) != srt.shape[:1]:
+    elif np.shape(target_m) != (rows,):
         raise ShePwmError(
-            f"target_m must hold one value per row ({srt.shape[0]}), "
+            f"target_m must hold one value per row ({rows}), "
             f"got shape {np.shape(target_m)}"
         )
     orders = problem.eliminate_orders
-    n = np.array((1, *orders), dtype=np.float64)[:, None]
-    acc = np.zeros((n.shape[0], srt.shape[0]))
-    term = np.empty_like(acc)
-    for s_i, theta_i in zip(problem.sign_pattern, srt.T):
-        np.multiply(n, theta_i, out=term)
-        np.cos(term, out=term)
-        term *= s_i
-        acc += term
+    cur = np.cos(np.sort(arr, axis=1).T, out=np.empty((k, rows)))
+    two_cos2 = 4.0 * cur * cur - 2.0
+    cur *= np.array(problem.sign_pattern, dtype=np.float64)[:, None]
+    sums = {1: _sum_angles(cur)}
+    prev = cur.copy()
+    step = np.empty_like(cur)
+    for n in range(3, max(orders, default=1) + 1, 2):
+        np.multiply(two_cos2, cur, out=step)
+        np.subtract(step, prev, out=prev)
+        prev, cur = cur, prev
+        if n in orders:
+            sums[n] = _sum_angles(cur)
     scale = 4.0 / (np.pi * problem.cells)
-    total = problem.weight_fundamental * np.abs(target_m - np.abs(scale * acc[0]))
-    for q, order in enumerate(orders, start=1):
-        total += (problem.weight_harmonics / order) * np.abs(scale / order * acc[q])
+    total = problem.weight_fundamental * np.abs(target_m - np.abs(scale * sums[1]))
+    for n in orders:
+        total += (problem.weight_harmonics / n) * np.abs(scale / n * sums[n])
     return total
+
+
+def _sum_angles(terms: np.ndarray) -> np.ndarray:
+    """Column sums of a (K, P) block, adding one row at a time in row order.
+
+    ``terms.sum(axis=0)`` is not used: numpy sums a single column pairwise,
+    which would give a one-row batch other bits than a larger one.
+    """
+    acc = terms[0].copy()
+    for row in terms[1:]:
+        acc += row
+    return acc
 
 
 def solve(problem: SheProblem, pso: PsoConfig) -> Solution:

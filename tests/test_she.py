@@ -35,6 +35,28 @@ def k8_problem(m=1.0):
     )
 
 
+# Problems the batched kernel is checked on: the two paper layouts, a 3-cell
+# K=15 layout eliminating orders up to 35, orders that skip values, and no
+# orders at all.
+KERNEL_PROBLEMS = {
+    "k6": SheProblem,
+    "k8": k8_problem,
+    "k15-to-35": lambda m: SheProblem(
+        target_m=m, eliminate_orders=tuple(range(9, 37, 2)), cells=3, angles_per_cell=5
+    ),
+    "skipped-orders": lambda m: SheProblem(target_m=m, eliminate_orders=(5, 7, 11, 13)),
+    "no-orders": lambda m: SheProblem(target_m=m, eliminate_orders=()),
+}
+
+
+def kernel_points(rng, k, rows):
+    """Random rows in the box, then rows holding exact 0 and exact pi/2."""
+    pts = rng.random((rows, k)) * HALF_PI
+    mixed = [0.0, HALF_PI] * (k // 2) + [0.0] * (k % 2)
+    edges = np.array([[0.0] * k, [HALF_PI] * k, mixed])
+    return np.vstack([pts, edges])
+
+
 class TestProblemValidation:
     def test_defaults(self):
         p = SheProblem(target_m=0.8)
@@ -126,24 +148,55 @@ class TestCost:
         with pytest.raises(ShePwmError, match="angles must lie within"):
             cost([0.1, 0.2, 0.3, 0.4, 0.5, 1.7], SheProblem(target_m=0.5))
 
-    @pytest.mark.parametrize("make_problem", [SheProblem, k8_problem], ids=["k6", "k8"])
-    def test_batch_matches_scalar(self, rng, make_problem):
-        problem = make_problem(0.45)
-        pts = rng.random((40, problem.n_angles)) * HALF_PI
+    @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
+    def test_batch_matches_scalar(self, rng, name):
+        # the recurrence against one math.cos per (order, angle) in `cost`
+        problem = KERNEL_PROBLEMS[name](0.45)
+        pts = kernel_points(rng, problem.n_angles, 40)
         batch = cost_batch(pts, problem)
         for x, b in zip(pts, batch):
             assert b == pytest.approx(cost(x, problem), rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("make_problem", [SheProblem, k8_problem], ids=["k6", "k8"])
-    def test_batch_row_bits_independent_of_batching(self, rng, make_problem):
+    @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
+    def test_batch_row_bits_independent_of_batching(self, rng, name):
         # the determinism contract needs each row's cost to be the same bits
         # whatever batch it is evaluated in, and whatever its column order
-        problem = make_problem(0.7)
-        pts = rng.random((25, problem.n_angles)) * HALF_PI
-        batch = cost_batch(pts, problem)
+        problem = KERNEL_PROBLEMS[name](0.7)
+        pts = kernel_points(rng, problem.n_angles, 25)
+        targets = rng.random(len(pts))
+        batch = cost_batch(pts, problem, target_m=targets)
         for i in range(len(pts)):
-            assert cost_batch(pts[i : i + 1], problem)[0] == batch[i]
-        assert np.array_equal(cost_batch(pts[:, ::-1], problem), batch)
+            alone = cost_batch(pts[i : i + 1], problem, target_m=targets[i : i + 1])
+            assert alone[0] == batch[i]
+        reversed_cols = cost_batch(pts[:, ::-1], problem, target_m=targets)
+        assert np.array_equal(reversed_cols, batch)
+
+    @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
+    def test_batch_makes_one_cosine_per_angle(self, rng, monkeypatch, name):
+        problem = KERNEL_PROBLEMS[name](0.5)
+        pts = rng.random((30, problem.n_angles)) * HALF_PI
+        expected = cost_batch(pts, problem)
+        cosines = []
+
+        class CountingNumpy:
+            def __getattr__(self, attr):
+                if attr in ("sin", "tan", "arccos", "arcsin", "arctan"):
+                    raise AssertionError(f"cost_batch called np.{attr}")
+                return getattr(np, attr)
+
+            def cos(self, x, *args, **kwargs):
+                cosines.append(np.size(x))
+                return np.cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(she, "np", CountingNumpy())
+        assert np.array_equal(cost_batch(pts, problem), expected)
+        assert cosines == [pts.size]
+
+    @pytest.mark.parametrize("cols", [4, 9])
+    def test_batch_wrong_column_count(self, rng, cols):
+        pts = rng.random((2, cols)) * HALF_PI
+        with pytest.raises(ShePwmError, match="expected 6 angles per row"):
+            cost_batch(pts, SheProblem(target_m=0.5))
 
     @pytest.mark.parametrize("make_problem", [SheProblem, k8_problem], ids=["k6", "k8"])
     def test_per_row_targets_match_one_problem_per_row(self, rng, make_problem):
