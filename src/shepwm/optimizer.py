@@ -101,9 +101,14 @@ def minimize(
 ) -> OptimizerResult:
     """Minimize a total objective over a box with global-best PSO.
 
-    objective: maps a (P, D) batch of in-bounds points to a (P,) array of
-        finite values. Any other shape, or a non-finite value, raises
-        ShePwmError.
+    objective: called as objective(points, cutoff). It maps a read-only
+        (P, D) batch of in-bounds points to a (P,) array of finite values;
+        any other shape, or a non-finite value, raises ShePwmError. cutoff
+        is a read-only (P,) array holding each row's personal best so far
+        (+inf on the first call). The swarm only asks whether a value is
+        below its cutoff, so a row whose true value is >= its cutoff may
+        come back as any finite value between the cutoff and the true
+        value; an objective that cannot use this ignores the cutoff.
     bounds: one (low, high) pair per dimension.
 
     Per iteration each particle's velocity is updated with inertia (linear
@@ -134,7 +139,8 @@ def minimize_stacked(
     restart, then particle. Swarm (b, r) draws from its own
     ``PCG64(SeedSequence((seeds[b], r)))`` stream, and every update is
     elementwise or per swarm, so no swarm sees another. The objective must
-    likewise give each row the bits it would give alone.
+    likewise give each row the bits it would give alone, and each row's
+    cutoff is that particle's own personal best.
     """
     lo, hi = _check_bounds(bounds)
     dim = lo.size
@@ -143,9 +149,15 @@ def minimize_stacked(
     restarts, size, iters = config.restarts, config.swarm_size, config.iterations
     blocks = len(seeds) * restarts
     rows = blocks * size
+    x = np.empty((blocks, size, dim))
+    # Every personal best starts at +inf. The objective reads the positions,
+    # and the personal bests as each row's cutoff, through read-only views.
+    fp = np.full((blocks, size), np.inf)
+    points, cutoff = x.reshape(rows, dim), fp.reshape(rows)
+    points.flags.writeable = cutoff.flags.writeable = False
 
-    def evaluate(pts):
-        fx = np.asarray(objective(pts.reshape(rows, dim)), dtype=np.float64)
+    def evaluate():
+        fx = np.asarray(objective(points, cutoff), dtype=np.float64)
         if fx.shape != (rows,):
             raise ShePwmError(
                 f"objective must return one value per row, got shape {fx.shape} "
@@ -155,23 +167,43 @@ def minimize_stacked(
             raise ShePwmError("objective returned a non-finite value")
         return fx.reshape(blocks, size)
 
+    # The bounds tiled over one swarm, so that each clamp runs numpy's inner
+    # loop over size * dim elements rather than dim.
+    lo_t, hi_t, vmax_t, neg_vmax_t = (
+        np.tile(a, (size, 1)) for a in (lo, hi, vmax, -vmax)
+    )
+    if dim == 1:
+        # The clamps give np.clip's bits, zero signs included. With one
+        # dimension np.clip sees each bound as a single broadcast value and
+        # returns the point itself when it ties a bound as a zero of the
+        # other sign; with more it returns the bound. np.maximum and
+        # np.minimum return their second operand on such a tie, so the
+        # operand order reproduces either case.
+        def clamp(a, low, high):
+            np.maximum(low, a, out=a)
+            np.minimum(high, a, out=a)
+    else:
+        def clamp(a, low, high):
+            np.maximum(a, low, out=a)
+            np.minimum(a, high, out=a)
+
     rngs = [
         np.random.default_rng(np.random.SeedSequence((int(seed), r)))
         for seed in seeds
         for r in range(restarts)
     ]
-    x = np.empty((blocks, size, dim))
     for rng, xb in zip(rngs, x):
         rng.random(out=xb)
     x *= span
     x += lo
     v = np.zeros_like(x)
-    fx = evaluate(x)
+    np.copyto(fp, evaluate())
     pbest = x.copy()
-    fp = fx.copy()
     swarm = np.arange(blocks)
     g = np.argmin(fp, axis=1)
-    gpos, gval = pbest[swarm, g], fp[swarm, g]
+    gval = fp[swarm, g]
+    # Each swarm's best position, repeated for every one of its particles.
+    gpos = np.repeat(pbest[swarm, g][:, None, :], size, axis=1)
     hist = np.empty((blocks, iters + 1))
     hist[:, 0] = gval
     conv = np.zeros(blocks, dtype=np.int64)
@@ -197,27 +229,27 @@ def minimize_stacked(
             rng.random(out=pb)
         pulls *= coef
         np.subtract(pbest, x, out=gaps[:, 0])
-        np.subtract(gpos[:, None, :], x, out=gaps[:, 1])
+        np.subtract(gpos, x, out=gaps[:, 1])
         pulls *= gaps
         v *= w
         v += pulls[:, 0]
         v += pulls[:, 1]
-        np.clip(v, -vmax, vmax, out=v)
+        clamp(v, neg_vmax_t, vmax_t)
         x += v
-        np.less(x, lo, out=clamped)
-        np.greater(x, hi, out=above)
+        np.less(x, lo_t, out=clamped)
+        np.greater(x, hi_t, out=above)
         clamped |= above
-        np.clip(x, lo, hi, out=x)
+        clamp(x, lo_t, hi_t)
         np.copyto(v, 0.0, where=clamped)
-        fx = evaluate(x)
+        fx = evaluate()
         improved = fx < fp
-        np.copyto(pbest, x, where=improved[..., None])
+        pbest[improved] = x[improved]
         np.copyto(fp, fx, where=improved)
         g = np.argmin(fp, axis=1)
         best = fp[swarm, g]
         better = best < gval
         if better.any():
-            gpos[better] = pbest[swarm[better], g[better]]
+            gpos[better] = pbest[swarm[better], g[better]][:, None, :]
             gval[better] = best[better]
             conv[better] = t + 1
         hist[:, t + 1] = gval
@@ -229,7 +261,7 @@ def minimize_stacked(
         k = b * restarts + win
         results.append(
             OptimizerResult(
-                best_position=gpos[k].copy(),
+                best_position=gpos[k, 0].copy(),
                 best_value=float(gval[k]),
                 evaluations=restarts * size * (iters + 1),
                 converged_iteration=int(conv[k]),

@@ -14,7 +14,6 @@ pair's swarms as one stacked batch.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Sequence
@@ -149,7 +148,10 @@ def _evaluate(
 
 
 def cost_batch(
-    positions: np.ndarray, problem: SheProblem, target_m: np.ndarray | None = None
+    positions: np.ndarray,
+    problem: SheProblem,
+    target_m: np.ndarray | None = None,
+    cutoff: np.ndarray | None = None,
 ) -> np.ndarray:
     """Elimination cost for a (P, K) batch of raw angle vectors.
 
@@ -165,33 +167,64 @@ def cost_batch(
     block. Every odd order then follows from the Chebyshev step
     cos((n+2)theta) = 2cos(2theta)*cos(n*theta) - cos((n-2)theta), with
     2cos(2theta) = 4c^2 - 2 and cos(-theta) = cos(theta) to start from. The
-    signs are folded in before the first step; the step is linear and a
-    factor of +-1 is exact, so this changes no bit. Only the orders in
-    eliminate_orders are summed. Each step is elementwise, and the sum over
-    angles adds one sorted-angle row at a time, so a row's bits do not
-    depend on the batch it is evaluated in.
+    signs are folded in first; the step is linear and a factor of +-1 is
+    exact, so this changes no bit. Only the orders in eliminate_orders are
+    summed. Each step is elementwise, and the sum over angles adds one
+    sorted-angle row at a time, so a row's bits do not depend on the batch
+    it is evaluated in.
 
     target_m, when given, is a (P,) vector of per-row targets that replaces
     problem.target_m; row i then costs what it would cost alone under
     replace(problem, target_m=target_m[i]).
+
+    cutoff, when given, is a (P,) vector of bounds that lets the kernel skip
+    rows that cannot come in under them: a row whose fundamental term is
+    already >= its cutoff returns that term, and only the other rows run
+    the harmonic orders. Every harmonic term is >= +0 and rounded addition
+    of a non-negative number never decreases a sum, so a skipped row's
+    value lies between its cutoff and its full cost, and each row compares
+    with its cutoff as its full cost would. Rows that are not skipped get
+    their full cost, bit for bit.
     """
     arr = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     k = problem.n_angles
     if arr.ndim != 2 or arr.shape[1] != k:
         raise ShePwmError(f"expected {k} angles per row, got shape {arr.shape}")
     rows = arr.shape[0]
+    for name, per_row in (("target_m", target_m), ("cutoff", cutoff)):
+        if per_row is not None and np.shape(per_row) != (rows,):
+            raise ShePwmError(
+                f"{name} must hold one value per row ({rows}), "
+                f"got shape {np.shape(per_row)}"
+            )
     if target_m is None:
         target_m = problem.target_m
-    elif np.shape(target_m) != (rows,):
-        raise ShePwmError(
-            f"target_m must hold one value per row ({rows}), "
-            f"got shape {np.shape(target_m)}"
-        )
-    orders = problem.eliminate_orders
     cur = np.cos(np.sort(arr, axis=1).T, out=np.empty((k, rows)))
-    two_cos2 = 4.0 * cur * cur - 2.0
     cur *= np.array(problem.sign_pattern, dtype=np.float64)[:, None]
-    sums = {1: _sum_angles(cur)}
+    scale = 4.0 / (np.pi * problem.cells)
+    total = problem.weight_fundamental * np.abs(
+        target_m - np.abs(scale * _sum_angles(cur))
+    )
+    if cutoff is None:
+        return _add_harmonics(total, cur, problem, scale)
+    # A NaN cutoff bounds nothing, so its row is kept.
+    keep = np.flatnonzero(~(total >= cutoff))
+    total[keep] = _add_harmonics(total[keep], cur[:, keep], problem, scale)
+    return total
+
+
+def _add_harmonics(
+    total: np.ndarray, cur: np.ndarray, problem: SheProblem, scale: float
+) -> np.ndarray:
+    """Add the weighted eliminated-order terms to `total`, in place, from the
+    (K, P) block `cur` of signed cos(theta); `cur` is overwritten.
+
+    Since 2cos(2theta) = 4c^2 - 2 and (s*c)^2 = c^2 exactly for s = +-1,
+    the signed block gives the step factor's unsigned bits.
+    """
+    orders = problem.eliminate_orders
+    two_cos2 = 4.0 * cur * cur - 2.0
+    sums = {}
     prev = cur.copy()
     step = np.empty_like(cur)
     for n in range(3, max(orders, default=1) + 1, 2):
@@ -200,8 +233,6 @@ def cost_batch(
         prev, cur = cur, prev
         if n in orders:
             sums[n] = _sum_angles(cur)
-    scale = 4.0 / (np.pi * problem.cells)
-    total = problem.weight_fundamental * np.abs(target_m - np.abs(scale * sums[1]))
     for n in orders:
         total += (problem.weight_harmonics / n) * np.abs(scale / n * sums[n])
     return total
@@ -248,7 +279,9 @@ def _solve_stacked(problem: SheProblem, pairs, pso: PsoConfig) -> list[Solution]
     targets = np.array([m for m, _ in pairs], dtype=np.float64)
     row_targets = np.repeat(targets, pso.restarts * pso.swarm_size)
     results = minimize_stacked(
-        lambda pts: cost_batch(pts, problem, target_m=row_targets),
+        lambda pts, cutoff: cost_batch(
+            pts, problem, target_m=row_targets, cutoff=cutoff
+        ),
         bounds=[(0.0, HALF_PI)] * problem.n_angles,
         config=pso,
         seeds=[seed for _, seed in pairs],
@@ -277,6 +310,10 @@ def solve_pairs(
     chunks = min(jobs, len(pairs))
     if chunks <= 1:
         return _solve_stacked(problem, pairs, pso)
+    # Imported here: the pool pulls in multiprocessing, which only a
+    # parallel run needs, and every CLI start would pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+
     cuts = [len(pairs) * c // chunks for c in range(chunks + 1)]
     work = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
     with ProcessPoolExecutor(max_workers=chunks) as pool:

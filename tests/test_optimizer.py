@@ -11,26 +11,37 @@ from shepwm.optimizer import _check_bounds, minimize_stacked
 
 
 def pointwise(f):
-    """Batch objective that evaluates a scalar objective row by row."""
-    return lambda pts: np.asarray([float(f(p)) for p in pts], dtype=np.float64)
+    """Batch objective that evaluates a scalar objective row by row and
+    ignores the cutoff."""
+    return lambda pts, cutoff: np.array([float(f(p)) for p in pts])
+
+
+def pruned(batch):
+    """A batch objective that uses all the room the cutoff contract gives: a
+    row whose value reaches its cutoff comes back as the cutoff itself."""
+    return lambda pts, cutoff: np.minimum(batch(pts, cutoff), cutoff)
 
 
 def sphere(x):
     return float(np.sum((x - 0.5) ** 2))
 
 
-def sphere_batch(pts):
+def sphere_batch(pts, cutoff):
     return np.sum((pts - 0.5) ** 2, axis=1)
 
 
 def _reference_minimize(objective, bounds, config):
     """One swarm per restart, run one after another: the loop the stacked
-    optimizer replaced, kept as its bit-for-bit oracle."""
+    optimizer replaced, kept as its bit-for-bit oracle. It clamps with
+    np.clip on one bound per dimension and gives every row a cutoff of +inf,
+    so an objective always returns its full values here."""
     lo, hi = _check_bounds(bounds)
     dim = lo.size
     span = hi - lo
     vmax = config.velocity_clamp_fraction * span
-    batch = lambda pts: np.asarray(objective(pts), dtype=np.float64)
+    batch = lambda pts: np.asarray(
+        objective(pts, np.full(len(pts), np.inf)), dtype=np.float64
+    )
 
     best_val = np.inf
     best_pos = None
@@ -116,7 +127,7 @@ def wavy(x):
     return float(np.sum((x - 0.3) ** 2 * (1.5 + np.cos(7.0 * x))))
 
 
-def wavy_batch(pts):
+def wavy_batch(pts, cutoff):
     return np.sum((pts - 0.3) ** 2 * (1.5 + np.cos(7.0 * pts)), axis=1)
 
 
@@ -227,13 +238,31 @@ class TestMinimize:
     def test_scalar_objective_raises(self):
         # a scalar objective returns one value for the whole batch
         with pytest.raises(ShePwmError, match="one value per row"):
-            minimize(sphere, [(0.0, 1.0)] * 2, PsoConfig(seed=1, iterations=2))
+            minimize(lambda pts, cutoff: sphere(pts), [(0.0, 1.0)] * 2,
+                     PsoConfig(seed=1, iterations=2))
+
+    def test_objective_cannot_write_the_swarm(self):
+        # the points and cutoffs are the swarm's own positions and bests
+        def objective(pts, cutoff):
+            values = np.sum(pts**2, axis=1)
+            pts[:] = 5.0
+            return values
+
+        with pytest.raises(ValueError, match="read-only"):
+            minimize(objective, [(0.0, 1.0)] * 2, PsoConfig(seed=1, iterations=2))
+
+        def lower_cutoff(pts, cutoff):
+            cutoff[:] = -1.0
+            return np.sum(pts**2, axis=1)
+
+        with pytest.raises(ValueError, match="read-only"):
+            minimize(lower_cutoff, [(0.0, 1.0)] * 2, PsoConfig(seed=1, iterations=2))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_non_finite_objective_raises(self, bad, vectorized):
         # non-finite on a slice of the box only
-        def objective(pts):
+        def objective(pts, cutoff=None):
             values = np.where(pts[..., 0] > 0.9, bad, np.sum(pts**2, axis=-1))
             return values if vectorized else float(values)
 
@@ -244,6 +273,36 @@ class TestMinimize:
             )
 
 
+def signed_wavy_batch(pts, cutoff):
+    """wavy_batch plus a term that tells -0.0 from +0.0, so that a clamp
+    returning a zero of the other sign changes the result."""
+    return wavy_batch(pts, cutoff) + 0.1 * np.sum(np.copysign(1.0, pts), axis=1)
+
+
+# Objectives the oracle runs: row by row, batched, batched with every row
+# that reaches its cutoff cut down to the cutoff, and sign-of-zero aware.
+OBJECTIVES = {
+    "pointwise": pointwise(wavy),
+    "batch": wavy_batch,
+    "pruned": pruned(wavy_batch),
+    "signed-zero": signed_wavy_batch,
+}
+
+# Per-dimension bounds the oracle draws from. Zero-width boxes and zeros of
+# either sign are where np.clip and np.maximum/np.minimum could disagree on
+# the sign of a zero.
+ORACLE_BOUNDS = [
+    (-0.5, 1.25),
+    (-1.0, 1.5),
+    (0.0, 1.0),
+    (-0.0, 1.0),
+    (0.3, 0.3),
+    (0.0, 0.0),
+    (-0.0, 0.0),
+    (0.0, -0.0),
+]
+
+
 class TestStackedOracle:
     """The stacked swarm against the per-restart loop, bit for bit."""
 
@@ -251,21 +310,37 @@ class TestStackedOracle:
         restarts=st.integers(1, 4),
         swarm=st.integers(1, 7),
         iterations=st.integers(1, 30),
-        dim=st.integers(1, 8),
+        bounds=st.lists(st.sampled_from(ORACLE_BOUNDS), min_size=1, max_size=8),
         seed=st.integers(0, 2**64 - 1),
-        vectorized=st.booleans(),
+        inertia_end=st.sampled_from([0.4, 0.0]),
+        clamp=st.sampled_from([0.2, 1.0]),
+        kind=st.sampled_from(sorted(OBJECTIVES)),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_minimize_matches_reference(
-        self, restarts, swarm, iterations, dim, seed, vectorized
+        self, restarts, swarm, iterations, bounds, seed, inertia_end, clamp, kind
     ):
         cfg = PsoConfig(seed=seed, swarm_size=swarm, iterations=iterations,
-                        restarts=restarts, cognitive=1.7, social=2.3)
-        bounds = [(-0.5 * i, 1.0 + 0.25 * i) for i in range(dim)]
-        objective = wavy_batch if vectorized else pointwise(wavy)
+                        restarts=restarts, cognitive=1.7, social=2.3,
+                        inertia_end=inertia_end, velocity_clamp_fraction=clamp)
+        objective = OBJECTIVES[kind]
         assert_bit_equal(
             minimize(objective, bounds, cfg),
             _reference_minimize(objective, bounds, cfg),
+        )
+
+    @pytest.mark.parametrize(
+        "bounds", [[b] for b in ORACLE_BOUNDS] + [ORACLE_BOUNDS], ids=str
+    )
+    def test_zero_signs_match_reference(self, bounds):
+        # np.clip treats one bound per dimension differently from several
+        # when a point ties its bound as a zero of the other sign; cover
+        # every drawn bound alone and all of them together
+        cfg = PsoConfig(seed=6, swarm_size=4, iterations=25, restarts=2,
+                        inertia_end=0.0, velocity_clamp_fraction=1.0)
+        assert_bit_equal(
+            minimize(signed_wavy_batch, bounds, cfg),
+            _reference_minimize(signed_wavy_batch, bounds, cfg),
         )
 
     @pytest.mark.parametrize("vectorized", [False, True])
@@ -283,7 +358,7 @@ class TestStackedOracle:
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_constant_objective_ties_every_restart(self, vectorized):
         cfg = PsoConfig(seed=3, swarm_size=5, iterations=10, restarts=4)
-        objective = ((lambda pts: np.ones(len(pts))) if vectorized
+        objective = ((lambda pts, cutoff: np.ones(len(pts))) if vectorized
                      else pointwise(lambda p: 1.0))
         res = minimize(objective, [(0.0, 1.0)] * 3, cfg)
         assert_bit_equal(res, _reference_minimize(objective, [(0.0, 1.0)] * 3, cfg))

@@ -1,12 +1,28 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import shepwm
+
+from conftest import PACKAGE_ROOT
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in shepwm.__all__ if not hasattr(shepwm, name)]
     assert missing == []
+
+
+def test_import_leaves_the_process_pool_out():
+    # the pool module pulls in multiprocessing; only a --jobs run needs it
+    code = (
+        "import sys, shepwm.cli; "
+        "assert 'concurrent.futures.process' not in sys.modules, 'pool imported'"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         env={**os.environ, "PYTHONPATH": PACKAGE_ROOT})
+    assert run.returncode == 0, run.stderr.decode()
 
 
 def _write_mode_opens(path: Path) -> list[int]:

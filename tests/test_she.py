@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -172,10 +173,33 @@ class TestCost:
         assert np.array_equal(reversed_cols, batch)
 
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
+    def test_batch_cutoff_skips_only_rows_that_cannot_improve(self, rng, name):
+        problem = KERNEL_PROBLEMS[name](0.6)
+        pts = kernel_points(rng, problem.n_angles, 60)
+        targets = rng.random(len(pts))
+        full = cost_batch(pts, problem, target_m=targets)
+        levels = [-np.inf, np.inf, *np.quantile(full, [0.1, 0.5, 0.9])]
+        cutoffs = [np.full(len(pts), level) for level in levels]
+        cutoffs.append(rng.choice(levels, len(pts)))
+        skipped = np.zeros(len(pts), dtype=bool)
+        for cutoff in cutoffs:
+            out = cost_batch(pts, problem, target_m=targets, cutoff=cutoff)
+            kept = full < cutoff
+            assert np.array_equal(out < cutoff, kept)
+            assert out[kept].tobytes() == full[kept].tobytes()
+            assert np.all(cutoff[~kept] <= out[~kept])
+            assert np.all(out[~kept] <= full[~kept])
+            skipped |= out != full
+        # only a problem with orders to eliminate has terms left to skip
+        assert skipped.any() == bool(problem.eliminate_orders)
+
+    @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_makes_one_cosine_per_angle(self, rng, monkeypatch, name):
         problem = KERNEL_PROBLEMS[name](0.5)
         pts = rng.random((30, problem.n_angles)) * HALF_PI
         expected = cost_batch(pts, problem)
+        cutoff = np.full(len(pts), np.median(expected))
+        expected_cut = cost_batch(pts, problem, cutoff=cutoff)
         cosines = []
 
         class CountingNumpy:
@@ -190,7 +214,8 @@ class TestCost:
 
         monkeypatch.setattr(she, "np", CountingNumpy())
         assert np.array_equal(cost_batch(pts, problem), expected)
-        assert cosines == [pts.size]
+        assert np.array_equal(cost_batch(pts, problem, cutoff=cutoff), expected_cut)
+        assert cosines == [pts.size, pts.size]
 
     @pytest.mark.parametrize("cols", [4, 9])
     def test_batch_wrong_column_count(self, rng, cols):
@@ -211,9 +236,12 @@ class TestCost:
 
     @pytest.mark.parametrize("shape", [(29,), (31,), (30, 1), ()])
     def test_per_row_targets_need_one_per_row(self, rng, shape):
+        # the per-row cutoff is held to the same rule
         pts = rng.random((30, 6)) * HALF_PI
-        with pytest.raises(ShePwmError, match="one value per row"):
-            cost_batch(pts, SheProblem(target_m=0.5), target_m=np.full(shape, 0.5))
+        problem = SheProblem(target_m=0.5)
+        for name in ("target_m", "cutoff"):
+            with pytest.raises(ShePwmError, match=f"{name} must hold one value"):
+                cost_batch(pts, problem, **{name: np.full(shape, 0.5)})
 
 
 class TestSolve:
@@ -326,7 +354,7 @@ class TestSweep:
         # a fork pool starts every worker up front; never ask for more
         # workers than there are chunks of targets to hand out
         targets = [0.3, 0.8]
-        monkeypatch.setattr(she, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         problem = SheProblem(target_m=1.0)
         cfg = PsoConfig(seed=11, iterations=10, restarts=2, swarm_size=6)
         serial = sweep(problem, targets, cfg)
@@ -338,7 +366,7 @@ class TestSweep:
         assert InlinePool.sizes == [2, 2, 2]
 
     def test_chunks_are_contiguous_and_in_order(self, monkeypatch):
-        monkeypatch.setattr(she, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         InlinePool.chunks.clear()
         targets = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
         cfg = PsoConfig(seed=2, iterations=3, restarts=1, swarm_size=3)
