@@ -31,7 +31,6 @@ from .pattern import (
     SwitchingPattern,
     WaveformSamples,
     default_sign_pattern,
-    level_trajectory,
     synthesize,
     validate,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "default_sign_pattern",
     "derive_seed",
     "dft_spectrum",
-    "level_trajectory",
     "minimize",
     "pattern_thd",
     "segment_integral_harmonic",

@@ -6,8 +6,10 @@ Three independent routes to the same spectrum:
   waveforms: odd harmonics are (4*V_dc)/(n*pi) * sum_i sign_i*cos(n*theta_i),
   even harmonics are exactly zero. This is the path the solver iterates on.
 * ``segment_integral_harmonic`` integrates v(phi)*sin(n*phi) in closed form
-  over every constant segment of the full period. It never uses quarter-wave
-  shortcuts, which makes it a genuinely independent cross-check.
+  over every constant segment of the full period. The segments come from the
+  pattern's segment table, built once per pattern; each order then takes one
+  cosine and one sine per breakpoint. It never uses quarter-wave shortcuts or
+  the closed form's sum, which makes it a genuinely independent cross-check.
 * ``dft_spectrum`` takes the DFT of a sampled waveform; used for exporting
   spectrum data and as a third consistency route.
 """
@@ -15,12 +17,13 @@ Three independent routes to the same spectrum:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShePwmError, ZeroFundamental
-from .pattern import SwitchingPattern, WaveformSamples, levels
+from .pattern import SwitchingPattern, WaveformSamples
 
 DEFAULT_MAX_ORDER = 49
 
@@ -34,8 +37,7 @@ class HarmonicSpectrum:
     base_volts: float
 
     def __post_init__(self):
-        if self.max_order < 1:
-            raise ShePwmError(f"max_order must be >= 1, got {self.max_order}")
+        _order(self.max_order, "max_order")
         missing = [n for n in range(1, self.max_order + 1) if n not in self.magnitudes]
         if missing:
             raise ShePwmError(f"spectrum missing orders {missing[:5]}...")
@@ -48,45 +50,34 @@ class HarmonicSpectrum:
         return self.magnitudes[1]
 
 
+def _order(n, name: str) -> int:
+    """n as an int >= 1; integer types such as numpy's pass, floats do not."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ShePwmError(f"{name} must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ShePwmError(f"{name} must be >= 1, got {n}")
+    return n
+
+
 def analytic_harmonic(pattern: SwitchingPattern, n: int) -> float:
     """Signed n-th harmonic amplitude in volts from the closed form.
 
     Even orders return exactly 0.0 (forced by quarter-wave symmetry; the
-    odd-order sum below does not apply to them).
+    odd-order sum does not apply to them).
     """
-    if n < 1:
-        raise ShePwmError(f"harmonic order must be >= 1, got {n}")
+    return _closed_form(pattern, _order(n, "harmonic order"))
+
+
+def _closed_form(pattern: SwitchingPattern, n: int) -> float:
+    """analytic_harmonic for an order already checked."""
     if n % 2 == 0:
         return 0.0
     acc = 0.0
     for theta, sg in zip(pattern.angles, pattern.signs):
         acc += sg * math.cos(n * theta)
     return (4.0 * pattern.vdc_per_cell) / (n * math.pi) * acc
-
-
-def segment_breakpoints(pattern: SwitchingPattern) -> np.ndarray:
-    """Phase breakpoints of all constant segments across the full period."""
-    th = np.asarray(pattern.angles, dtype=np.float64)
-    pi = np.pi
-    return np.concatenate(
-        (
-            [0.0],
-            th,
-            (pi - th)[::-1],
-            [pi],
-            pi + th,
-            (2 * pi - th)[::-1],
-            [2 * pi],
-        )
-    )
-
-
-def _segment_levels(pattern: SwitchingPattern) -> np.ndarray:
-    """Constant level (in volts) on each interval between breakpoints."""
-    prefix = np.array([0, *levels(pattern.signs)], dtype=np.float64)
-    # levels on [0,th1),...,[thK, pi-thK) then the mirror back down to [pi-th1, pi)
-    half = np.concatenate((prefix, prefix[:-1][::-1]))
-    return np.concatenate((half, -half)) * pattern.vdc_per_cell
 
 
 def segment_integral_coefficients(
@@ -98,15 +89,19 @@ def segment_integral_coefficients(
     b_n = (1/pi) * integral of v(phi)*sin(n*phi) over [0, 2*pi)
 
     Both integrals are sums of closed forms over the constant segments of the
-    full-period waveform; zero-width segments contribute nothing.
+    full-period waveform, read from the pattern's segment table; zero-width
+    segments contribute nothing. Each order takes one cosine and one sine per
+    breakpoint: a segment [lo, hi) uses cos/sin at lo and at hi, and each
+    inner breakpoint is the hi of one segment and the lo of the next.
     """
-    if n < 1:
-        raise ShePwmError(f"harmonic order must be >= 1, got {n}")
-    bp = segment_breakpoints(pattern)
-    levels = _segment_levels(pattern)
-    lo, hi = bp[:-1], bp[1:]
-    b_n = float(np.sum(levels * (np.cos(n * lo) - np.cos(n * hi))) / (n * math.pi))
-    a_n = float(np.sum(levels * (np.sin(n * hi) - np.sin(n * lo))) / (n * math.pi))
+    n = _order(n, "harmonic order")
+    breakpoints, volts = pattern.segments
+    phase = n * breakpoints
+    c = np.cos(phase)
+    s = np.sin(phase)
+    scale = n * math.pi
+    b_n = float(np.add.reduce(volts * (c[:-1] - c[1:])) / scale)
+    a_n = float(np.add.reduce(volts * (s[1:] - s[:-1])) / scale)
     return a_n, b_n
 
 
@@ -129,7 +124,8 @@ def analytic_spectrum(
     pattern: SwitchingPattern, max_order: int = DEFAULT_MAX_ORDER
 ) -> HarmonicSpectrum:
     """Magnitude spectrum from the closed form, orders 1..max_order."""
-    mags = {n: abs(analytic_harmonic(pattern, n)) for n in range(1, max_order + 1)}
+    max_order = _order(max_order, "max_order")
+    mags = {n: abs(_closed_form(pattern, n)) for n in range(1, max_order + 1)}
     return HarmonicSpectrum(
         magnitudes=mags, max_order=max_order, base_volts=pattern.base_volts
     )
@@ -146,6 +142,7 @@ def dft_spectrum(
     is not given, the waveform's peak value is used as the per-unit base
     (exact for patterns that reach the full level).
     """
+    max_order = _order(max_order, "max_order")
     n_samp = samples.n_samples
     if max_order >= n_samp // 2:
         raise ShePwmError(

@@ -5,14 +5,19 @@ A pattern is described entirely by its first quadrant: K switching angles in
 down). The second quadrant mirrors the first about pi/2 and the second
 half-period is the negation of the first, so the full period is fixed by the
 quadrant data. With s series cells the output level always stays within
-[0, s] on the first quadrant, giving a (2s+1)-level waveform overall.
+[0, s] on the first quadrant, giving a (2s+1)-level waveform overall. The
+full period, as constant segments, is built from the quadrant data once per
+pattern (``SwitchingPattern.segments``) and shared by synthesis and the
+segment-integration route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +29,19 @@ HALF_PI = math.pi / 2
 # waveform rises, notches back to zero, climbs to the full level, then steps
 # back down to zero before pi/2.
 DEFAULT_SIGNS_K6 = (1, -1, 1, 1, -1, -1)
+
+
+class SegmentTable(NamedTuple):
+    """One period of a pattern's waveform as constant segments; arrays read-only.
+
+    breakpoints: the 4K+3 phases 0, theta_1..theta_K, pi-theta_K..pi-theta_1,
+        pi, pi+theta_1..pi+theta_K, 2*pi-theta_K..2*pi-theta_1, 2*pi.
+    volts: the level in volts on each of the 4K+2 segments between them. The
+        first K+1 are the first quadrant's levels after 0..K transitions.
+    """
+
+    breakpoints: np.ndarray
+    volts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,6 +75,32 @@ class SwitchingPattern:
     def base_volts(self) -> float:
         """Total DC base s * V_dc used for per-unit normalization."""
         return self.cells * self.vdc_per_cell
+
+    @cached_property
+    def segments(self) -> SegmentTable:
+        """The full-period segment table, built on first use and kept.
+
+        Derived from the fields alone, so it takes no part in equality,
+        hashing or pickling; ``dataclasses.replace`` builds a new one.
+        """
+        th = np.asarray(self.angles, dtype=np.float64)
+        pi = np.pi
+        breakpoints = np.concatenate(
+            ([0.0], th, (pi - th)[::-1], [pi], pi + th, (2 * pi - th)[::-1], [2 * pi])
+        )
+        prefix = np.array([0, *levels(self.signs)], dtype=np.float64)
+        # [0,th1),...,[thK, pi-thK), then the mirror back down to [pi-th1, pi)
+        half = np.concatenate((prefix, prefix[:-1][::-1]))
+        volts = np.concatenate((half, -half)) * self.vdc_per_cell
+        breakpoints.flags.writeable = False
+        volts.flags.writeable = False
+        return SegmentTable(breakpoints, volts)
+
+    def __getstate__(self):
+        # An unpickled array is writable again, so the copy builds its own table.
+        state = dict(self.__dict__)
+        state.pop("segments", None)
+        return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +184,6 @@ def levels(signs) -> list[int]:
     return list(accumulate(signs))
 
 
-def level_trajectory(pattern: SwitchingPattern) -> list[tuple[float, int]]:
-    """(angle, level) after each first-quadrant transition, in order."""
-    return list(zip(pattern.angles, levels(pattern.signs)))
-
-
 def default_sign_pattern(cells: int, per_cell: int) -> tuple[int, ...]:
     """Default transition signs for a given cell count and switches-per-level.
 
@@ -162,18 +201,6 @@ def default_sign_pattern(cells: int, per_cell: int) -> tuple[int, ...]:
     )
 
 
-def _quarter_levels(pattern: SwitchingPattern, phases: np.ndarray) -> np.ndarray:
-    """Waveform level (integer multiples of V_dc) at first-quadrant phases.
-
-    At an exact angle coincidence the post-transition level is taken
-    (left-closed intervals).
-    """
-    angles = np.asarray(pattern.angles, dtype=np.float64)
-    prefix = np.array([0, *levels(pattern.signs)])
-    idx = np.searchsorted(angles, phases, side="right")
-    return prefix[idx]
-
-
 def synthesize(pattern: SwitchingPattern, n_samples: int) -> WaveformSamples:
     """Sample one period of the pattern's ideal piecewise-constant waveform.
 
@@ -188,10 +215,13 @@ def synthesize(pattern: SwitchingPattern, n_samples: int) -> WaveformSamples:
         )
     quarter = n_samples // 4
     phases = 2.0 * np.pi * np.arange(quarter + 1) / n_samples
-    levels = _quarter_levels(pattern, phases).astype(np.float64)
-    first_half = np.concatenate((levels[:quarter], levels[1:][::-1]))
-    samples = np.concatenate((first_half, -first_half)) * pattern.vdc_per_cell
-    return WaveformSamples(samples=samples)
+    breakpoints, volts = pattern.segments
+    # Left-closed segments: at an exact angle coincidence the post-transition
+    # level is taken. Indices stay within 0..K, the first quadrant's levels.
+    idx = np.searchsorted(breakpoints[1 : pattern.n_angles + 1], phases, side="right")
+    quarter_v = volts[idx]
+    first_half = np.concatenate((quarter_v[:quarter], quarter_v[1:][::-1]))
+    return WaveformSamples(samples=np.concatenate((first_half, -first_half)))
 
 
 def waveform_csv(samples: WaveformSamples):

@@ -20,6 +20,7 @@ from shepwm import (
 )
 from shepwm.errors import ShePwmError, ZeroFundamental
 from shepwm.harmonics import segment_integral_coefficients, spectrum_csv
+from shepwm.pattern import levels
 
 from conftest import random_valid_pattern
 
@@ -28,6 +29,49 @@ SQUARE_FUNDAMENTAL = 4 * 200.0 / math.pi  # 254.64790894703253
 DEFAULT_PATTERN = SwitchingPattern(
     tuple(np.radians([5, 15, 25, 35, 45, 55])), DEFAULT_SIGNS_K6, 2, 200.0
 )
+# the README's `shepwm analyze` example
+README_PATTERN = SwitchingPattern(
+    (0.087, 0.26, 0.44, 0.61, 0.79, 0.96), DEFAULT_SIGNS_K6, 2, 200.0
+)
+
+
+@st.composite
+def valid_patterns(draw):
+    """K in 1..12, a cell count dividing K, a sign path within [0, cells], and
+    angles drawn from a small pool, so coincidences and exact 0 and pi/2 are
+    common."""
+    k = draw(st.integers(min_value=1, max_value=12))
+    cells = draw(st.sampled_from([s for s in range(1, k + 1) if k % s == 0]))
+    signs, level = [], 0
+    for _ in range(k):
+        sg = draw(st.sampled_from([s for s in (1, -1) if 0 <= level + s <= cells]))
+        signs.append(sg)
+        level += sg
+    angle = st.one_of(
+        st.just(0.0), st.just(math.pi / 2), st.floats(0.0, math.pi / 2)
+    )
+    pool = draw(st.lists(angle, min_size=1, max_size=k))
+    angles = sorted(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+    vdc = draw(st.floats(min_value=1.0, max_value=1000.0))
+    return SwitchingPattern(tuple(angles), tuple(signs), cells, vdc)
+
+
+def reference_segment_coefficients(p, n):
+    """Segment integration as it stood before the segment table: breakpoints
+    and levels rebuilt per call, cos and sin taken at both ends of every
+    segment, summed with np.sum."""
+    th = np.asarray(p.angles, dtype=np.float64)
+    pi = np.pi
+    bp = np.concatenate(
+        ([0.0], th, (pi - th)[::-1], [pi], pi + th, (2 * pi - th)[::-1], [2 * pi])
+    )
+    prefix = np.array([0, *levels(p.signs)], dtype=np.float64)
+    half = np.concatenate((prefix, prefix[:-1][::-1]))
+    volts = np.concatenate((half, -half)) * p.vdc_per_cell
+    lo, hi = bp[:-1], bp[1:]
+    b_n = float(np.sum(volts * (np.cos(n * lo) - np.cos(n * hi))) / (n * math.pi))
+    a_n = float(np.sum(volts * (np.sin(n * hi) - np.sin(n * lo))) / (n * math.pi))
+    return a_n, b_n
 
 
 class TestAnalytic:
@@ -46,6 +90,16 @@ class TestAnalytic:
         with pytest.raises(ShePwmError, match="order must be >= 1"):
             analytic_harmonic(SQUARE, 0)
 
+    def test_rejects_non_integral_order(self):
+        with pytest.raises(ShePwmError, match="order must be an integer, got 2.5"):
+            analytic_harmonic(README_PATTERN, 2.5)
+
+    def test_accepts_numpy_integer_order(self):
+        for n in range(1, 10):
+            assert analytic_harmonic(DEFAULT_PATTERN, np.int64(n)) == (
+                analytic_harmonic(DEFAULT_PATTERN, n)
+            )
+
     def test_linearity_in_vdc(self, rng):
         for _ in range(10):
             p = random_valid_pattern(rng)
@@ -60,6 +114,26 @@ class TestAnalytic:
 
 
 class TestSegmentIntegral:
+    @given(p=valid_patterns())
+    @settings(max_examples=200, deadline=None)
+    def test_bits_match_reference(self, p):
+        for n in range(1, 50):
+            got = np.array(segment_integral_coefficients(p, n))
+            want = np.array(reference_segment_coefficients(p, n))
+            assert got.tobytes() == want.tobytes(), n
+
+    def test_rejects_non_integral_order(self):
+        with pytest.raises(ShePwmError, match="order must be an integer, got 2.5"):
+            segment_integral_harmonic(README_PATTERN, 2.5)
+        with pytest.raises(ShePwmError, match="order must be >= 1"):
+            segment_integral_harmonic(README_PATTERN, 0)
+
+    def test_accepts_numpy_integer_order(self):
+        for n in range(1, 10):
+            assert segment_integral_harmonic(DEFAULT_PATTERN, np.int64(n)) == (
+                segment_integral_harmonic(DEFAULT_PATTERN, n)
+            )
+
     def test_square_wave_fundamental(self):
         assert segment_integral_harmonic(SQUARE, 1) == pytest.approx(
             SQUARE_FUNDAMENTAL, rel=1e-12
@@ -117,6 +191,11 @@ class TestDft:
             if expected > 1e-3 * 200.0:
                 assert spec.magnitudes[n] == pytest.approx(expected, rel=1e-2)
 
+    def test_rejects_non_integral_max_order(self):
+        w = synthesize(SQUARE, 64)
+        with pytest.raises(ShePwmError, match="max_order must be an integer"):
+            dft_spectrum(w, 4.5)
+
     def test_nyquist_guard(self):
         w = synthesize(SQUARE, 64)
         with pytest.raises(ShePwmError, match="needs at least"):
@@ -165,11 +244,26 @@ class TestSpectrumType:
         with pytest.raises(ShePwmError, match="missing orders"):
             HarmonicSpectrum(magnitudes={1: 1.0, 3: 0.5}, max_order=3, base_volts=1.0)
 
+    def test_max_order_must_be_a_positive_integer(self):
+        with pytest.raises(ShePwmError, match="max_order must be an integer"):
+            HarmonicSpectrum(magnitudes={1: 1.0}, max_order=1.5, base_volts=1.0)
+        with pytest.raises(ShePwmError, match="max_order must be >= 1"):
+            HarmonicSpectrum(magnitudes={}, max_order=0, base_volts=1.0)
+
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ShePwmError, match="negative or non-finite"):
             HarmonicSpectrum(
                 magnitudes={1: 1.0, 2: -0.5}, max_order=2, base_volts=1.0
             )
+
+    def test_analytic_spectrum_rejects_non_integral_max_order(self):
+        with pytest.raises(ShePwmError, match="max_order must be an integer"):
+            analytic_spectrum(README_PATTERN, 4.5)
+        with pytest.raises(ShePwmError, match="max_order must be >= 1"):
+            analytic_spectrum(README_PATTERN, 0)
+        assert analytic_spectrum(README_PATTERN, np.int64(7)) == (
+            analytic_spectrum(README_PATTERN, 7)
+        )
 
     def test_analytic_spectrum_fields(self):
         spec = analytic_spectrum(DEFAULT_PATTERN, 49)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,15 +9,20 @@ from hypothesis import strategies as st
 
 from shepwm import (
     DEFAULT_SIGNS_K6,
+    PsoConfig,
+    SheProblem,
     SwitchingPattern,
     WaveformSamples,
+    build_lookup,
+    compare_methods,
     default_sign_pattern,
-    level_trajectory,
+    solve,
     synthesize,
     validate,
 )
 from shepwm.errors import ShePwmError
-from shepwm.pattern import waveform_csv
+from shepwm.harmonics import segment_integral_coefficients
+from shepwm.pattern import levels, waveform_csv
 
 from conftest import random_valid_pattern
 
@@ -76,17 +83,74 @@ class TestValidate:
 class TestLevelTrajectory:
     def test_staircase(self):
         p = SwitchingPattern((0.1, 0.3), (1, 1), 2, 200.0)
-        assert [lvl for _, lvl in level_trajectory(p)] == [1, 2]
+        assert levels(p.signs) == [1, 2]
 
     def test_default_pattern(self):
         angles = tuple(np.radians([5, 15, 25, 35, 45, 55]))
         p = SwitchingPattern(angles, DEFAULT_SIGNS_K6, 2, 200.0)
-        assert [lvl for _, lvl in level_trajectory(p)] == [1, 0, 1, 2, 1, 0]
+        assert levels(p.signs) == [1, 0, 1, 2, 1, 0]
 
     def test_full_amplitude_variant(self):
         angles = tuple(np.radians([5, 15, 25, 35, 45, 55]))
         p = SwitchingPattern(angles, (1, -1, 1, 1, -1, 1), 2, 200.0)
-        assert [lvl for _, lvl in level_trajectory(p)] == [1, 0, 1, 2, 1, 2]
+        assert levels(p.signs) == [1, 0, 1, 2, 1, 2]
+
+
+class TestSegmentTable:
+    def test_arrays_are_read_only(self, rng):
+        for _ in range(10):
+            breakpoints, volts = random_valid_pattern(rng).segments
+            for arr in (breakpoints, volts):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
+
+    def test_built_once_on_first_use(self):
+        p = SwitchingPattern((0.1, 0.3), (1, 1), 2, 200.0)
+        assert "segments" not in vars(p)
+        table = p.segments
+        assert p.segments is table
+        assert table.breakpoints.size == 4 * 2 + 3
+        assert table.volts.tolist() == [0.0, 200.0, 400.0, 200.0, 0.0,
+                                        -0.0, -200.0, -400.0, -200.0, -0.0]
+
+    def test_equality_and_hash_ignore_the_table(self, rng):
+        for _ in range(10):
+            p = random_valid_pattern(rng)
+            twin = SwitchingPattern(p.angles, p.signs, p.cells, p.vdc_per_cell)
+            before = hash(p)
+            p.segments
+            assert p == twin and hash(p) == before == hash(twin)
+
+    def test_replace_builds_a_fresh_table(self, rng):
+        p = random_valid_pattern(rng)
+        p.segments
+        same = dataclasses.replace(p)
+        assert "segments" not in vars(same)
+        scaled = dataclasses.replace(p, vdc_per_cell=2.0 * p.vdc_per_cell)
+        assert np.array_equal(scaled.segments.volts, 2.0 * p.segments.volts)
+
+    def test_pickle_round_trip(self, rng):
+        for _ in range(10):
+            p = random_valid_pattern(rng)
+            p.segments
+            copy = pickle.loads(pickle.dumps(p))
+            assert copy == p and "segments" not in vars(copy)
+            assert not copy.segments.volts.flags.writeable
+            for n in range(1, 50):
+                assert (np.array(segment_integral_coefficients(copy, n)).tobytes()
+                        == np.array(segment_integral_coefficients(p, n)).tobytes())
+
+    def test_solve_paths_never_build_it(self, monkeypatch):
+        def refuse(pattern):
+            raise AssertionError("segment table built")
+
+        monkeypatch.setattr(SwitchingPattern, "segments", property(refuse))
+        pso = PsoConfig(seed=3, iterations=20, restarts=1, swarm_size=10)
+        problem = SheProblem(target_m=0.8)
+        solve(problem, pso)
+        build_lookup([0.5, 1.0], pso, problem)
+        compare_methods([0.5, 1.0], pso, problem)
 
 
 class TestDefaultSigns:
