@@ -15,11 +15,13 @@ fundamental_v = v_pu * the base fundamental.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ShePwmError
 from .harmonics import DEFAULT_MAX_ORDER, analytic_harmonic, pattern_thd
 from .optimizer import PsoConfig, derive_seed
+from .pattern import HALF_PI
 from .she import SheProblem, Solution, solve, solve_pairs
 
 PROPOSED = "proposed"
@@ -87,7 +89,6 @@ class ComparisonRow:
 class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
     base_solution: Solution
-    lookup: LookupTable
     conventional: tuple[Solution, ...]
 
 
@@ -156,30 +157,27 @@ def compare_methods(
     pairs = [(1.0, pso.seed)]
     pairs += [(v, derive_seed(pso.seed, i)) for i, v in enumerate(below_full)]
     base, *solved = solve_pairs(problem, pairs, pso, jobs)
-    lookup = build_lookup(
-        grid, pso, problem, thd_max_order=thd_max_order, base_solution=base
-    )
     conventional = solved + [base] * (len(grid) - len(below_full))
+    # duty scaling carries the base THD to every grid point (see build_lookup)
+    thd_p = pattern_thd(base.pattern, thd_max_order)
 
     rows = []
-    for conv, prop_row in zip(conventional, lookup.rows):
+    for v, conv in zip(grid, conventional):
         thd_c = pattern_thd(conv.pattern, thd_max_order)
-        thd_p = prop_row.thd
         improvement = None if thd_c == thd_p else (thd_c - thd_p) / thd_c
         rows.append(
             ComparisonRow(
-                v_pu=prop_row.v_pu,
+                v_pu=v,
                 thd_conventional=thd_c,
                 thd_proposed=thd_p,
                 improvement=improvement,
                 feasible_conventional=conv.feasible,
-                feasible_proposed=prop_row.feasible,
+                feasible_proposed=base.feasible,
             )
         )
     return ComparisonTable(
         rows=tuple(rows),
         base_solution=base,
-        lookup=lookup,
         conventional=tuple(conventional),
     )
 
@@ -215,8 +213,9 @@ def read_lookup_csv(
     """Parse a lookup CSV back; structural metadata comes from the caller
     (it lives in the run manifest, not in the CSV schema). A header other
     than lookup_csv's, a row whose field count differs from the header's,
-    whose feasible flag is not true/false, or whose number does not parse
-    raises ShePwmError naming its line."""
+    whose feasible flag is not true/false, whose number does not parse, whose
+    thd_pct or fundamental_v is not finite and >= 0, or whose angles are not
+    nondecreasing within [0, pi/2] raises ShePwmError naming its line."""
     rows = []
     with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
@@ -236,6 +235,11 @@ def read_lookup_csv(
                     float(x) for x in parts[:1] + parts[2:4] + parts[5:])
             except ValueError as exc:
                 raise ShePwmError(f"{where}: {exc}") from None
+            if not all(0.0 <= x < math.inf for x in (thd_pct, fund)):
+                raise ShePwmError(f"{where}: negative or non-finite THD or fundamental")
+            if not all(0.0 <= a <= b <= HALF_PI
+                       for a, b in zip(angles, angles[1:] + [HALF_PI])):
+                raise ShePwmError(f"{where}: angles decrease or leave [0, pi/2]")
             rows.append(LookupRow(v_pu, parts[1], duty, thd_pct / 100.0,
                                   parts[4] == "true", fund, tuple(angles)))
     return LookupTable(

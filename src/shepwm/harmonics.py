@@ -4,7 +4,8 @@ Three independent routes to the same spectrum:
 
 * ``analytic_harmonic`` evaluates the closed form for quarter-wave-symmetric
   waveforms: odd harmonics are (4*V_dc)/(n*pi) * sum_i sign_i*cos(n*theta_i),
-  even harmonics are exactly zero. This is the path the solver iterates on.
+  even harmonics are exactly zero. The sum is ``odd_harmonic_sums``, the
+  library's one copy of it, which the solver's cost runs on too.
 * ``segment_integral_harmonic`` integrates v(phi)*sin(n*phi) in closed form
   over every constant segment of the full period. The segments come from the
   pattern's segment table, built once per pattern; each order then takes one
@@ -61,23 +62,57 @@ def _order(n, name: str) -> int:
     return n
 
 
+def signed_cosines(angles: np.ndarray, signs) -> np.ndarray:
+    """(K, B) block of signs[i]*cos(theta_i) for a (B, K) block of angles."""
+    rows, k = angles.shape
+    cur = np.cos(angles.T, out=np.empty((k, rows)))
+    cur *= np.array(signs, dtype=np.float64)[:, None]
+    return cur
+
+
+def odd_harmonic_sums(signed_cos: np.ndarray, max_order: int) -> np.ndarray:
+    """(n_odd, B) sums sum_i signs[i]*cos(n*theta_i), n = 1, 3, ..., max_order.
+
+    From the (K, B) block of ``signed_cosines``, by the Chebyshev step
+    cos((n+2)t) = (4c^2 - 2)*cos(nt) - cos((n-2)t), cos(-t) = cos(t), into one
+    (n_odd, K, B) stack whose K rows are added one at a time, so a column's
+    bits do not depend on its batch. Against math.cos (K <= 12; angles near
+    0 or pi/2 are the worst), a sum was off by at most 8e-13 up to order 49
+    and 2.2e-10 up to order 999, 3e-13 * V_dc in analytic_harmonic's volts
+    (the tests allow 1e-12 * V_dc).
+    """
+    k, rows = signed_cos.shape
+    stack = np.empty(((max_order + 1) // 2, k, rows))
+    stack[0] = signed_cos
+    two_cos2 = 4.0 * signed_cos * signed_cos - 2.0
+    terms = list(stack)
+    for prev, cur, nxt in zip(terms[:1] + terms, terms, terms[1:]):
+        np.multiply(two_cos2, cur, out=nxt)
+        nxt -= prev
+    sums = stack[:, 0].copy()
+    for i in range(1, k):
+        sums += stack[:, i]
+    return sums
+
+
+def _odd_volts(pattern: SwitchingPattern, max_order: int) -> np.ndarray:
+    """Signed amplitudes in volts of orders 1, 3, ..., max_order."""
+    block = signed_cosines(np.array([pattern.angles]), pattern.signs)
+    sums = odd_harmonic_sums(block, max_order)[:, 0]
+    n = np.arange(1, max_order + 1, 2)
+    return (4.0 * pattern.vdc_per_cell) / (n * np.pi) * sums
+
+
 def analytic_harmonic(pattern: SwitchingPattern, n: int) -> float:
     """Signed n-th harmonic amplitude in volts from the closed form.
 
     Even orders return exactly 0.0 (forced by quarter-wave symmetry; the
     odd-order sum does not apply to them).
     """
-    return _closed_form(pattern, _order(n, "harmonic order"))
-
-
-def _closed_form(pattern: SwitchingPattern, n: int) -> float:
-    """analytic_harmonic for an order already checked."""
+    n = _order(n, "harmonic order")
     if n % 2 == 0:
         return 0.0
-    acc = 0.0
-    for theta, sg in zip(pattern.angles, pattern.signs):
-        acc += sg * math.cos(n * theta)
-    return (4.0 * pattern.vdc_per_cell) / (n * math.pi) * acc
+    return float(_odd_volts(pattern, n)[-1])
 
 
 def segment_integral_coefficients(
@@ -125,9 +160,12 @@ def analytic_spectrum(
 ) -> HarmonicSpectrum:
     """Magnitude spectrum from the closed form, orders 1..max_order."""
     max_order = _order(max_order, "max_order")
-    mags = {n: abs(_closed_form(pattern, n)) for n in range(1, max_order + 1)}
+    mags = np.zeros(max_order)
+    mags[::2] = np.abs(_odd_volts(pattern, max_order))
     return HarmonicSpectrum(
-        magnitudes=mags, max_order=max_order, base_volts=pattern.base_volts
+        magnitudes=dict(zip(range(1, max_order + 1), mags.tolist())),
+        max_order=max_order,
+        base_volts=pattern.base_volts,
     )
 
 

@@ -5,10 +5,11 @@ target per-unit fundamental while nulling a chosen set of odd harmonics.
 Raw optimizer coordinates are sort-repaired into nondecreasing order before
 evaluation, which makes the objective total on the box and permutation
 invariant. ``cost_batch`` is the vectorised numpy kernel the swarm calls;
-the scalar ``cost`` is the reference it is tested against and the value
-reported with a solution. ``solve``, ``sweep`` and the variable-DC-link
-comparison all go through ``solve_pairs``, which runs every (target, seed)
-pair's swarms as one stacked batch.
+the scalar ``cost`` and every ``Solution`` run its arithmetic on one row,
+so a solution's cost is its optimizer's best value bit for bit. ``solve``,
+``sweep`` and the variable-DC-link comparison all go through
+``solve_pairs``, which runs every (target, seed) pair's swarms as one
+stacked batch.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShePwmError
-from .harmonics import analytic_harmonic
+from .harmonics import odd_harmonic_sums, signed_cosines
 from .optimizer import OptimizerResult, PsoConfig, derive_seed, minimize_stacked
 from .pattern import HALF_PI, SwitchingPattern, default_sign_pattern
 
@@ -116,11 +117,7 @@ class Solution:
 
 
 def cost(angles: Sequence[float], problem: SheProblem) -> float:
-    """Reference scalar evaluation of the elimination cost.
-
-    Sorts the raw angles, then weighs the fundamental tracking error against
-    the 1/n-weighted per-unit magnitudes of the orders to eliminate.
-    """
+    """cost_batch's value for one vector of raw angles within [0, pi/2]."""
     arr = np.asarray(angles, dtype=np.float64)
     if arr.shape != (problem.n_angles,):
         raise ShePwmError(
@@ -128,23 +125,17 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
         )
     if np.any(arr < 0.0) or np.any(arr > HALF_PI):
         raise ShePwmError("angles must lie within [0, pi/2]")
-    return _evaluate(problem, problem.make_pattern(np.sort(arr)))[2]
+    return float(cost_batch(arr, problem)[0])
 
 
-def _evaluate(
-    problem: SheProblem, pattern: SwitchingPattern
-) -> tuple[float, dict[int, float], float]:
-    """Per-unit fundamental, per-unit eliminated-order residuals and cost of
-    a sorted pattern, from one closed-form harmonic per order."""
-    base = problem.base_volts
-    orders = problem.eliminate_orders
-    volts = {n: abs(analytic_harmonic(pattern, n)) for n in (1, *orders)}
-    fund_pu = volts[1] / base
-    total = problem.weight_fundamental * abs(problem.target_m - fund_pu)
-    for n in orders:
-        total += problem.weight_harmonics / n * volts[n] / base
-    residuals = {n: volts[n] / base for n in orders}
-    return fund_pu, residuals, total
+def _magnitudes_pu(
+    block: np.ndarray, orders: Sequence[int], problem: SheProblem
+) -> list[np.ndarray]:
+    """Per-unit magnitudes |Vn_pu|, a (B,) array per given odd order, from a
+    (K, B) block of signed cosines."""
+    sums = odd_harmonic_sums(block, max(orders, default=1))
+    scale = 4.0 / (np.pi * problem.cells)
+    return [np.abs(scale / n * sums[n // 2]) for n in orders]
 
 
 def cost_batch(
@@ -163,15 +154,9 @@ def cost_batch(
 
     with Vn_pu = 4/(n*pi*cells) * sum_i signs[i]*cos(n*theta_i).
 
-    The kernel makes one cosine per angle, c = cos(theta), on a (K, P)
-    block. Every odd order then follows from the Chebyshev step
-    cos((n+2)theta) = 2cos(2theta)*cos(n*theta) - cos((n-2)theta), with
-    2cos(2theta) = 4c^2 - 2 and cos(-theta) = cos(theta) to start from. The
-    signs are folded in first; the step is linear and a factor of +-1 is
-    exact, so this changes no bit. Only the orders in eliminate_orders are
-    summed. Each step is elementwise, and the sum over angles adds one
-    sorted-angle row at a time, so a row's bits do not depend on the batch
-    it is evaluated in.
+    The kernel makes one cosine per angle and takes every order's sum by
+    ``harmonics.odd_harmonic_sums``, so a row's bits do not depend on the
+    batch it is evaluated in.
 
     target_m, when given, is a (P,) vector of per-row targets that replaces
     problem.target_m; row i then costs what it would cost alone under
@@ -199,55 +184,18 @@ def cost_batch(
             )
     if target_m is None:
         target_m = problem.target_m
-    cur = np.cos(np.sort(arr, axis=1).T, out=np.empty((k, rows)))
-    cur *= np.array(problem.sign_pattern, dtype=np.float64)[:, None]
-    scale = 4.0 / (np.pi * problem.cells)
+    block = signed_cosines(np.sort(arr, axis=1), problem.sign_pattern)
     total = problem.weight_fundamental * np.abs(
-        target_m - np.abs(scale * _sum_angles(cur))
+        target_m - _magnitudes_pu(block, (1,), problem)[0]
     )
-    if cutoff is None:
-        return _add_harmonics(total, cur, problem, scale)
-    # A NaN cutoff bounds nothing, so its row is kept.
-    keep = np.flatnonzero(~(total >= cutoff))
-    total[keep] = _add_harmonics(total[keep], cur[:, keep], problem, scale)
-    return total
-
-
-def _add_harmonics(
-    total: np.ndarray, cur: np.ndarray, problem: SheProblem, scale: float
-) -> np.ndarray:
-    """Add the weighted eliminated-order terms to `total`, in place, from the
-    (K, P) block `cur` of signed cos(theta); `cur` is overwritten.
-
-    Since 2cos(2theta) = 4c^2 - 2 and (s*c)^2 = c^2 exactly for s = +-1,
-    the signed block gives the step factor's unsigned bits.
-    """
     orders = problem.eliminate_orders
-    two_cos2 = 4.0 * cur * cur - 2.0
-    sums = {}
-    prev = cur.copy()
-    step = np.empty_like(cur)
-    for n in range(3, max(orders, default=1) + 1, 2):
-        np.multiply(two_cos2, cur, out=step)
-        np.subtract(step, prev, out=prev)
-        prev, cur = cur, prev
-        if n in orders:
-            sums[n] = _sum_angles(cur)
-    for n in orders:
-        total += (problem.weight_harmonics / n) * np.abs(scale / n * sums[n])
+    # A NaN cutoff bounds nothing, so its row is kept.
+    keep = slice(None) if cutoff is None else np.flatnonzero(~(total >= cutoff))
+    kept = total[keep]
+    for n, pu in zip(orders, _magnitudes_pu(block[:, keep], orders, problem)):
+        kept += problem.weight_harmonics / n * pu
+    total[keep] = kept
     return total
-
-
-def _sum_angles(terms: np.ndarray) -> np.ndarray:
-    """Column sums of a (K, P) block, adding one row at a time in row order.
-
-    ``terms.sum(axis=0)`` is not used: numpy sums a single column pairwise,
-    which would give a one-row batch other bits than a larger one.
-    """
-    acc = terms[0].copy()
-    for row in terms[1:]:
-        acc += row
-    return acc
 
 
 def solve(problem: SheProblem, pso: PsoConfig) -> Solution:
@@ -258,14 +206,17 @@ def solve(problem: SheProblem, pso: PsoConfig) -> Solution:
 def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
     """Solution for the optimizer's best point on one target's problem."""
     pat = problem.make_pattern(np.sort(result.best_position))
-    fund_pu, residuals, total = _evaluate(problem, pat)
+    orders = problem.eliminate_orders
+    block = signed_cosines(np.array([pat.angles]), problem.sign_pattern)
+    fund_pu, *res = (float(m[0]) for m in _magnitudes_pu(block, (1, *orders), problem))
+    residuals = dict(zip(orders, res))
     feasible = (
         abs(fund_pu - problem.target_m) <= FUNDAMENTAL_THRESHOLD_PU
         and all(r <= RESIDUAL_THRESHOLD_PU for r in residuals.values())
     )
     return Solution(
         pattern=pat,
-        cost=total,
+        cost=cost(pat.angles, problem),
         fundamental_pu=fund_pu,
         residuals_pu=residuals,
         feasible=feasible,

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -50,6 +51,18 @@ def random_valid_pattern(rng, k_choices=(1, 2, 4, 6)) -> SwitchingPattern:
     angles = np.sort(rng.random(k) * (np.pi / 2))
     vdc = float(50.0 + 450.0 * rng.random())
     return SwitchingPattern(tuple(angles), tuple(signs), s, vdc)
+
+
+def closed_form_oracle(pattern: SwitchingPattern, n: int) -> float:
+    """Signed n-th harmonic in volts as the closed form reads: one math.cos
+    per angle and order, (4*V_dc)/(n*pi) * sum_i sign_i*cos(n*theta_i), and
+    exactly 0.0 for even n. The library's recurrence is held to this."""
+    if n % 2 == 0:
+        return 0.0
+    acc = 0.0
+    for theta, sg in zip(pattern.angles, pattern.signs):
+        acc += sg * math.cos(n * theta)
+    return (4.0 * pattern.vdc_per_cell) / (n * math.pi) * acc
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shepwm
-from shepwm import PsoConfig, SheProblem, build_lookup, cli
+from shepwm import PsoConfig, SheProblem, build_lookup, cli, cost, solve
 from shepwm.dclink import read_lookup_csv
 from shepwm.harmonics import DEFAULT_MAX_ORDER
 
@@ -49,6 +49,27 @@ class TestSolve:
         assert diag["converged_iteration"] == (
             diag["restart_converged"][diag["winning_restart"]]
         )
+
+    @pytest.mark.parametrize(
+        "pu, seed, layout",
+        [(0.8, 1, []), (0.8, 7, []), (0.3, 42, []),
+         (0.8, 5, ["--cells", "2", "--angles-per-cell", "4", "--signs", K8_SIGNS])],
+        ids=["m0.8-seed1", "m0.8-seed7", "m0.3-seed42", "k8-seed5"],
+    )
+    def test_reported_cost_is_the_best_value(self, pu, seed, layout):
+        # one arithmetic for the swarm and the report: a solve states one cost
+        problem = SheProblem(target_m=pu)
+        if layout:
+            problem = SheProblem(target_m=pu, cells=2, angles_per_cell=4,
+                                 sign_pattern=tuple(int(s) for s in K8_SIGNS.split(",")))
+        sol = solve(problem, PsoConfig(seed=seed))
+        best = sol.diagnostics.best_value
+        assert sol.cost == best
+        assert cost(sol.diagnostics.best_position, problem) == best
+        out = run_cli(["solve", "--pu", str(pu), "--seed", str(seed), *layout])
+        assert out.returncode == 0, out.stderr.decode()
+        doc = json.loads(out.stdout)
+        assert doc["cost"] == doc["diagnostics"]["best_value"] == best
 
     def test_degrees_flag(self):
         out = run_cli(["solve", "--pu", "0.5", "--seed", "1", *FAST, "--degrees"])

@@ -212,8 +212,20 @@ class TestIo:
             (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,yes,200.0,0.1,0.2,0.3", 2),
             (LOOKUP_HEADER, "0.5,proposed,0.5,abc,true,200.0,0.1,0.2,0.3", 2),
             ("v_pu,method", "0.5,proposed", 1),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,-3.0,true,200.0,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,inf,true,200.0,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,nan,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,-200.0,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,0.1,7.0,inf", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2,nan", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,-0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2,1.6", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,0.3,0.2,0.4", 2),
         ],
-        ids=["short-row", "bad-flag", "bad-number", "foreign-header"],
+        ids=["short-row", "bad-flag", "bad-number", "foreign-header",
+             "negative-thd", "infinite-thd", "nan-fundamental",
+             "negative-fundamental", "infinite-angle", "nan-angle",
+             "negative-angle", "angle-above-half-pi", "decreasing-angles"],
     )
     def test_read_lookup_csv_rejects_malformed_file(self, tmp_path, header, row, line):
         path = tmp_path / "table.csv"

@@ -22,7 +22,7 @@ from shepwm.errors import ShePwmError, ZeroFundamental
 from shepwm.harmonics import segment_integral_coefficients, spectrum_csv
 from shepwm.pattern import levels
 
-from conftest import random_valid_pattern
+from conftest import closed_form_oracle, random_valid_pattern
 
 SQUARE = SwitchingPattern((0.0,), (1,), 1, 200.0)
 SQUARE_FUNDAMENTAL = 4 * 200.0 / math.pi  # 254.64790894703253
@@ -111,6 +111,42 @@ class TestAnalytic:
                     a = analytic_harmonic(scaled, n)
                     b = alpha * analytic_harmonic(p, n)
                     assert a == pytest.approx(b, rel=4e-16, abs=0.0) or a == b
+
+
+class TestClosedFormOracle:
+    """The recurrence behind analytic_harmonic and analytic_spectrum against
+    one math.cos per angle and order."""
+
+    @given(p=valid_patterns())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_math_cos_to_order_49(self, p):
+        spec = analytic_spectrum(p, 49)
+        for n in range(1, 50):
+            want = closed_form_oracle(p, n)
+            tol = dict(rel=1e-12, abs=1e-12 * p.vdc_per_cell)
+            assert analytic_harmonic(p, n) == pytest.approx(want, **tol), n
+            assert spec.magnitudes[n] == pytest.approx(abs(want), **tol), n
+
+    def test_matches_math_cos_to_order_999(self):
+        # angles within 1e-3 of 0 and pi/2 are where the recurrence drifts
+        # most; odd_harmonic_sums states the measured 3e-13 * V_dc worst case
+        rng = np.random.default_rng(999)
+        near_edges = np.sort(np.concatenate(
+            [rng.uniform(0.0, 1e-3, 6), math.pi / 2 - rng.uniform(0.0, 1e-3, 6)]
+        ))
+        patterns = [
+            SwitchingPattern(tuple(near_edges), (1, -1) * 6, 1, 200.0),
+            SwitchingPattern(tuple(near_edges), (1,) * 12, 12, 200.0),
+            README_PATTERN,
+        ]
+        for p in patterns:
+            spec = analytic_spectrum(p, 999)
+            for n in range(1, 1000, 2):
+                want = closed_form_oracle(p, n)
+                assert abs(spec.magnitudes[n] - abs(want)) <= 1e-12 * p.vdc_per_cell
+            for n in (1, 3, 499, 999):
+                err = abs(analytic_harmonic(p, n) - closed_form_oracle(p, n))
+                assert err <= 1e-12 * p.vdc_per_cell
 
 
 class TestSegmentIntegral:

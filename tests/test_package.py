@@ -64,3 +64,28 @@ def test_library_refuses_only_with_package_errors():
     raised = {p.name: _raised_names(p) for p in sorted(package.glob("*.py"))
               if p.name != "cli.py"}
     assert set().union(*raised.values()) == {"ShePwmError", "ZeroFundamental"}
+
+
+def _cosine_calls(path: Path) -> list[str]:
+    """Every call to a function named `cos`, as written: `np.cos`,
+    `math.cos`, a bare `cos`."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "cos":
+            calls.append(ast.unparse(func))
+        elif isinstance(func, ast.Name) and func.id == "cos":
+            calls.append(func.id)
+    return calls
+
+
+def test_only_harmonics_takes_cosines():
+    # the closed form sum_i s_i*cos(n*theta_i) has one implementation, the
+    # recurrence in harmonics; a cosine anywhere else, or a scalar math.cos
+    # loop beside it, would be a second copy
+    package = Path(shepwm.__file__).parent
+    calls = {p.name: _cosine_calls(p) for p in sorted(package.glob("*.py"))}
+    assert {name for name, found in calls.items() if found} == {"harmonics.py"}
+    assert "math.cos" not in calls["harmonics.py"]

@@ -18,7 +18,7 @@ from shepwm import (
     solve,
     sweep,
 )
-from shepwm import she
+from shepwm import harmonics, she
 from shepwm.errors import ShePwmError
 from shepwm.optimizer import derive_seed
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
@@ -151,12 +151,14 @@ class TestCost:
 
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_matches_scalar(self, rng, name):
-        # the recurrence against one math.cos per (order, angle) in `cost`
+        # one arithmetic: the scalar cost is the batch's bits, so a solution
+        # reports its optimizer's best value (the closed form itself is held
+        # to a math.cos oracle in test_harmonics)
         problem = KERNEL_PROBLEMS[name](0.45)
         pts = kernel_points(rng, problem.n_angles, 40)
         batch = cost_batch(pts, problem)
         for x, b in zip(pts, batch):
-            assert b == pytest.approx(cost(x, problem), rel=1e-12, abs=1e-12)
+            assert cost(x, problem) == b
 
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_row_bits_independent_of_batching(self, rng, name):
@@ -212,7 +214,9 @@ class TestCost:
                 cosines.append(np.size(x))
                 return np.cos(x, *args, **kwargs)
 
+        # the cosines are taken in harmonics, the kernel's one closed form
         monkeypatch.setattr(she, "np", CountingNumpy())
+        monkeypatch.setattr(harmonics, "np", CountingNumpy())
         assert np.array_equal(cost_batch(pts, problem), expected)
         assert np.array_equal(cost_batch(pts, problem, cutoff=cutoff), expected_cut)
         assert cosines == [pts.size, pts.size]
@@ -258,10 +262,23 @@ class TestSolve:
         sol = solve(problem, PsoConfig(seed=42, iterations=120))
         assert set(sol.residuals_pu) == set(problem.eliminate_orders)
         assert sol.pattern.signs == DEFAULT_SIGNS_K6
-        # residuals are reproducible from the pattern alone, bit for bit
+        # residuals are reproducible from the pattern alone, bit for bit, by
+        # the kernel's arithmetic: per-unit scale 4/(pi*cells*n) times the sum
+        pat = sol.pattern
+        block = harmonics.signed_cosines(np.array([pat.angles]), pat.signs)
+        sums = harmonics.odd_harmonic_sums(block, 11)[:, 0]
         for n, r in sol.residuals_pu.items():
-            assert abs(analytic_harmonic(sol.pattern, n)) / 400.0 == r
-        assert sol.fundamental_pu == abs(analytic_harmonic(sol.pattern, 1)) / 400.0
+            assert abs(4.0 / (math.pi * 2) / n * sums[n // 2]) == r
+        assert sol.fundamental_pu == abs(4.0 / (math.pi * 2) * sums[0])
+        assert cost(pat.angles, problem) == sol.cost
+        # and they are analytic_harmonic's volts over the base to a few ulps:
+        # the same sums, scaled in another order
+        for n, r in sol.residuals_pu.items():
+            volts = abs(analytic_harmonic(sol.pattern, n))
+            assert r == pytest.approx(volts / 400.0, rel=1e-15)
+        assert sol.fundamental_pu == pytest.approx(
+            abs(analytic_harmonic(sol.pattern, 1)) / 400.0, rel=1e-15
+        )
         assert 0.0 <= min(sol.pattern.angles)
         assert max(sol.pattern.angles) <= HALF_PI
         assert list(sol.pattern.angles) == sorted(sol.pattern.angles)
