@@ -191,7 +191,13 @@ def lookup_csv(table: LookupTable):
     k = len(table.rows[0].angles) if table.rows else 0
     header = LOOKUP_COLUMNS + _angle_headers(k)
     yield ",".join(header) + "\n"
+    # build_lookup gives every row the base's one angles tuple, so a table
+    # formats its angle columns once
+    angles = angle_text = None
     for r in table.rows:
+        if r.angles is not angles:
+            angles = r.angles
+            angle_text = "".join("," + format(a, ".17g") for a in angles)
         cells = [
             repr(r.v_pu),
             r.method,
@@ -200,8 +206,7 @@ def lookup_csv(table: LookupTable):
             "true" if r.feasible else "false",
             repr(r.fundamental_v),
         ]
-        cells += [format(a, ".17g") for a in r.angles]
-        yield ",".join(cells) + "\n"
+        yield ",".join(cells) + angle_text + "\n"
 
 
 def read_lookup_csv(

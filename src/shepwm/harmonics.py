@@ -70,28 +70,45 @@ def signed_cosines(angles: np.ndarray, signs) -> np.ndarray:
     return cur
 
 
-def odd_harmonic_sums(signed_cos: np.ndarray, max_order: int) -> np.ndarray:
+def odd_harmonic_sums(
+    signed_cos: np.ndarray, max_order: int, columns: np.ndarray | None = None
+) -> np.ndarray:
     """(n_odd, B) sums sum_i signs[i]*cos(n*theta_i), n = 1, 3, ..., max_order.
 
     From the (K, B) block of ``signed_cosines``, by the Chebyshev step
     cos((n+2)t) = (4c^2 - 2)*cos(nt) - cos((n-2)t), cos(-t) = cos(t), into one
     (n_odd, K, B) stack whose K rows are added one at a time, so a column's
-    bits do not depend on its batch. Against math.cos (K <= 12; angles near
-    0 or pi/2 are the worst), a sum was off by at most 8e-13 up to order 49
-    and 2.2e-10 up to order 999, 3e-13 * V_dc in analytic_harmonic's volts
-    (the tests allow 1e-12 * V_dc).
+    bits do not depend on its batch. The fundamental alone (max_order 1)
+    needs no recurrence and adds the K rows of the block directly. columns,
+    when given, picks the block's columns to sum (B = len(columns)); they
+    are gathered straight into the stack. Against math.cos (K <= 12; angles
+    near 0 or pi/2 are the worst), a sum was off by at most 8e-13 up to
+    order 49 and 2.2e-10 up to order 999, 3e-13 * V_dc in
+    analytic_harmonic's volts (the tests allow 1e-12 * V_dc).
     """
-    k, rows = signed_cos.shape
-    stack = np.empty(((max_order + 1) // 2, k, rows))
-    stack[0] = signed_cos
-    two_cos2 = 4.0 * signed_cos * signed_cos - 2.0
-    terms = list(stack)
-    for prev, cur, nxt in zip(terms[:1] + terms, terms, terms[1:]):
-        np.multiply(two_cos2, cur, out=nxt)
-        nxt -= prev
-    sums = stack[:, 0].copy()
-    for i in range(1, k):
-        sums += stack[:, i]
+    if max_order == 1 and columns is None:
+        # the fundamental alone: no recurrence, the block's rows in order
+        layers = signed_cos[:, None]
+    else:
+        k = signed_cos.shape[0]
+        rows = signed_cos.shape[1] if columns is None else len(columns)
+        stack = np.empty(((max_order + 1) // 2, k, rows))
+        c = stack[0]
+        if columns is None:
+            c[...] = signed_cos
+        else:
+            signed_cos.take(columns, axis=1, out=c, mode="clip")
+        two_cos2 = np.multiply(c, 4.0)
+        two_cos2 *= c
+        two_cos2 -= 2.0
+        terms = list(stack)
+        for prev, cur, nxt in zip(terms[:1] + terms, terms, terms[1:]):
+            np.multiply(two_cos2, cur, out=nxt)
+            nxt -= prev
+        layers = stack.swapaxes(0, 1)
+    sums = layers[0].copy()
+    for layer in layers[1:]:
+        sums += layer
     return sums
 
 

@@ -12,6 +12,7 @@ each result has the same bits as a one-seed ``minimize``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -20,6 +21,17 @@ import numpy as np
 from .errors import ShePwmError
 
 _U64_MAX = 2**64 - 1
+
+
+def check_seed(seed) -> int:
+    """seed as an int, refused unless it is an unsigned 64-bit integer."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or not 0 <= value <= _U64_MAX:
+        raise ShePwmError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return value
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -50,8 +62,7 @@ class PsoConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ShePwmError(f"{f.name} must be finite, got {value}")
-        if not (0 <= int(self.seed) <= _U64_MAX):
-            raise ShePwmError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
         if self.swarm_size < 1 or self.iterations < 1 or self.restarts < 1:
             raise ShePwmError("swarm_size, iterations and restarts must be >= 1")
         if not (self.inertia_start >= self.inertia_end >= 0.0):
@@ -143,6 +154,7 @@ def minimize_stacked(
     cutoff is that particle's own personal best.
     """
     lo, hi = _check_bounds(bounds)
+    seeds = [check_seed(seed) for seed in seeds]
     dim = lo.size
     span = hi - lo
     vmax = config.velocity_clamp_fraction * span
@@ -188,7 +200,7 @@ def minimize_stacked(
             np.minimum(a, high, out=a)
 
     rngs = [
-        np.random.default_rng(np.random.SeedSequence((int(seed), r)))
+        np.random.default_rng(np.random.SeedSequence((seed, r)))
         for seed in seeds
         for r in range(restarts)
     ]
@@ -198,12 +210,16 @@ def minimize_stacked(
     x += lo
     v = np.zeros_like(x)
     np.copyto(fp, evaluate())
-    pbest = x.copy()
+    # bests[:, 0] holds the personal bests and bests[:, 1] each swarm's best
+    # position, repeated for every one of its particles, so that one subtract
+    # takes both gaps.
+    bests = np.empty((blocks, 2, size, dim))
+    pbest, gpos = bests[:, 0], bests[:, 1]
+    pbest[...] = x
     swarm = np.arange(blocks)
     g = np.argmin(fp, axis=1)
     gval = fp[swarm, g]
-    # Each swarm's best position, repeated for every one of its particles.
-    gpos = np.repeat(pbest[swarm, g][:, None, :], size, axis=1)
+    gpos[...] = pbest[swarm, g][:, None, :]
     hist = np.empty((blocks, iters + 1))
     hist[:, 0] = gval
     conv = np.zeros(blocks, dtype=np.int64)
@@ -215,8 +231,12 @@ def minimize_stacked(
     coef = np.array([config.cognitive, config.social], dtype=np.float64)[:, None, None]
     pulls = np.empty((blocks, 2, size, dim))
     gaps = np.empty_like(pulls)
+    cognitive_pull, social_pull = pulls[:, 0], pulls[:, 1]
+    x_both = x[:, None]
     clamped = np.empty(x.shape, dtype=bool)
     above = np.empty_like(clamped)
+    improved = np.empty(fp.shape, dtype=bool)
+    improved_rows = improved[..., None]
 
     for t in range(iters):
         if iters > 1:
@@ -228,12 +248,11 @@ def minimize_stacked(
         for rng, pb in zip(rngs, pulls):
             rng.random(out=pb)
         pulls *= coef
-        np.subtract(pbest, x, out=gaps[:, 0])
-        np.subtract(gpos, x, out=gaps[:, 1])
+        np.subtract(bests, x_both, out=gaps)
         pulls *= gaps
         v *= w
-        v += pulls[:, 0]
-        v += pulls[:, 1]
+        v += cognitive_pull
+        v += social_pull
         clamp(v, neg_vmax_t, vmax_t)
         x += v
         np.less(x, lo_t, out=clamped)
@@ -242,15 +261,17 @@ def minimize_stacked(
         clamp(x, lo_t, hi_t)
         np.copyto(v, 0.0, where=clamped)
         fx = evaluate()
-        improved = fx < fp
-        pbest[improved] = x[improved]
+        np.less(fx, fp, out=improved)
+        np.copyto(pbest, x, where=improved_rows)
         np.copyto(fp, fx, where=improved)
-        g = np.argmin(fp, axis=1)
-        best = fp[swarm, g]
-        better = best < gval
-        if better.any():
-            gpos[better] = pbest[swarm[better], g[better]][:, None, :]
-            gval[better] = best[better]
+        # Only swarms whose least personal best beats their best gather a new
+        # one, and it is the first argmin's value: fp.min may give -0.0 where
+        # that is +0.0, though the two compare alike.
+        better = (fp.min(axis=1) < gval).nonzero()[0]
+        if better.size:
+            g = np.argmin(fp[better], axis=1)
+            gval[better] = fp[better, g]
+            gpos[better] = pbest[better, g][:, None, :]
             conv[better] = t + 1
         hist[:, t + 1] = gval
 

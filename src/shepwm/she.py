@@ -23,7 +23,13 @@ import numpy as np
 
 from .errors import ShePwmError
 from .harmonics import odd_harmonic_sums, signed_cosines
-from .optimizer import OptimizerResult, PsoConfig, derive_seed, minimize_stacked
+from .optimizer import (
+    OptimizerResult,
+    PsoConfig,
+    check_seed,
+    derive_seed,
+    minimize_stacked,
+)
 from .pattern import HALF_PI, SwitchingPattern, default_sign_pattern
 
 # A solution is feasible when every eliminated-order residual and the
@@ -123,19 +129,25 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
         raise ShePwmError(
             f"expected {problem.n_angles} angles, got shape {arr.shape}"
         )
-    if np.any(arr < 0.0) or np.any(arr > HALF_PI):
+    # NaN fails both comparisons, so it is refused with the out-of-box angles
+    if not np.all((arr >= 0.0) & (arr <= HALF_PI)):
         raise ShePwmError("angles must lie within [0, pi/2]")
     return float(cost_batch(arr, problem)[0])
 
 
 def _magnitudes_pu(
-    block: np.ndarray, orders: Sequence[int], problem: SheProblem
-) -> list[np.ndarray]:
-    """Per-unit magnitudes |Vn_pu|, a (B,) array per given odd order, from a
-    (K, B) block of signed cosines."""
-    sums = odd_harmonic_sums(block, max(orders, default=1))
+    block: np.ndarray,
+    orders: Sequence[int],
+    problem: SheProblem,
+    columns: np.ndarray | None = None,
+) -> np.ndarray:
+    """(len(orders), B) per-unit magnitudes |Vn_pu| of the given odd orders,
+    from a (K, B) block of signed cosines (or its given columns)."""
+    sums = odd_harmonic_sums(block, max(orders, default=1), columns)
     scale = 4.0 / (np.pi * problem.cells)
-    return [np.abs(scale / n * sums[n // 2]) for n in orders]
+    mags = sums.take([n // 2 for n in orders], axis=0)
+    mags *= np.array([scale / n for n in orders])[:, None]
+    return np.abs(mags, out=mags)
 
 
 def cost_batch(
@@ -185,15 +197,18 @@ def cost_batch(
     if target_m is None:
         target_m = problem.target_m
     block = signed_cosines(np.sort(arr, axis=1), problem.sign_pattern)
-    total = problem.weight_fundamental * np.abs(
-        target_m - _magnitudes_pu(block, (1,), problem)[0]
-    )
+    fund = odd_harmonic_sums(block, 1)[0]
+    fund_pu = np.abs(4.0 / (np.pi * problem.cells) * fund)
+    total = problem.weight_fundamental * np.abs(target_m - fund_pu)
     orders = problem.eliminate_orders
     # A NaN cutoff bounds nothing, so its row is kept.
-    keep = slice(None) if cutoff is None else np.flatnonzero(~(total >= cutoff))
+    keep = np.arange(rows) if cutoff is None else (~(total >= cutoff)).nonzero()[0]
+    terms = _magnitudes_pu(block, orders, problem, keep)
+    terms *= np.array([problem.weight_harmonics / n for n in orders])[:, None]
     kept = total[keep]
-    for n, pu in zip(orders, _magnitudes_pu(block[:, keep], orders, problem)):
-        kept += problem.weight_harmonics / n * pu
+    # one order at a time, in eliminate_orders order: that order fixes the bits
+    for term in terms:
+        kept += term
     total[keep] = kept
     return total
 
@@ -208,7 +223,7 @@ def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
     pat = problem.make_pattern(np.sort(result.best_position))
     orders = problem.eliminate_orders
     block = signed_cosines(np.array([pat.angles]), problem.sign_pattern)
-    fund_pu, *res = (float(m[0]) for m in _magnitudes_pu(block, (1, *orders), problem))
+    fund_pu, *res = _magnitudes_pu(block, (1, *orders), problem)[:, 0].tolist()
     residuals = dict(zip(orders, res))
     feasible = (
         abs(fund_pu - problem.target_m) <= FUNDAMENTAL_THRESHOLD_PU
@@ -254,10 +269,16 @@ def solve_pairs(
     Pair i solves replace(problem, target_m=m_i) under replace(pso,
     seed=seed_i), bit for bit. All pairs run as one stacked swarm; jobs > 1
     splits the pairs into at most `jobs` contiguous chunks, each stacked in
-    its own process. The chunking does not change any result.
+    its own process. The chunking does not change any result. Every pair
+    is checked before any swarm runs.
     """
     if jobs < 1:
         raise ShePwmError(f"jobs must be >= 1, got {jobs}")
+    for m, seed in pairs:
+        # NaN fails the comparison too
+        if not 0.0 <= m <= 1.0:
+            raise ShePwmError(f"per-unit target {m} outside [0, 1]")
+        check_seed(seed)
     chunks = min(jobs, len(pairs))
     if chunks <= 1:
         return _solve_stacked(problem, pairs, pso)
@@ -286,8 +307,5 @@ def sweep(
     """
     if len(m_values) == 0:
         raise ShePwmError("no target values given")
-    for m in m_values:
-        if not (0.0 <= m <= 1.0):
-            raise ShePwmError(f"per-unit target {m} outside [0, 1]")
     pairs = [(float(m), derive_seed(pso.seed, i)) for i, m in enumerate(m_values)]
     return solve_pairs(problem, pairs, pso, jobs)

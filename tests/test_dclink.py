@@ -16,6 +16,7 @@ from shepwm import (
     pattern_thd,
     solve,
 )
+from shepwm import dclink
 from shepwm.dclink import comparison_csv, lookup_csv, lookup_json, read_lookup_csv
 from shepwm.errors import ShePwmError
 
@@ -204,6 +205,37 @@ class TestIo:
         path.write_text("".join(lookup_csv(table)))
         back = read_lookup_csv(path)
         assert back == table
+
+    def test_lookup_csv_formats_shared_angles_once(self, monkeypatch):
+        table = build_lookup(
+            [0.25, 0.5, 0.75, 1.0], PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0)
+        )
+        expected = "".join(lookup_csv(table))
+        calls = []
+
+        def counting_format(value, spec):
+            calls.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(dclink, "format", counting_format, raising=False)
+        assert "".join(lookup_csv(table)) == expected
+        assert calls == list(table.rows[0].angles)
+
+    def test_lookup_csv_renders_each_rows_own_angles(self):
+        # rows that do not share the base's tuple, one of them equal in value
+        # to its neighbour but for the sign of a zero
+        angles = [(0.0, 0.2, 0.3), (-0.0, 0.2, 0.3), (0.1, 0.2, 0.3), (0.1, 0.2, 0.3)]
+        rows = tuple(
+            LookupRow(v, "proposed", v, 0.2, True, 100.0 * v, a)
+            for v, a in zip([0.25, 0.5, 0.75, 1.0], angles)
+        )
+        lines = "".join(lookup_csv(LookupTable(rows, 200.0, 1, 49))).splitlines()
+        assert [line.split(",")[6:] for line in lines[1:]] == [
+            ["0", "0.20000000000000001", "0.29999999999999999"],
+            ["-0", "0.20000000000000001", "0.29999999999999999"],
+            ["0.10000000000000001", "0.20000000000000001", "0.29999999999999999"],
+            ["0.10000000000000001", "0.20000000000000001", "0.29999999999999999"],
+        ]
 
     @pytest.mark.parametrize(
         "header, row, line",

@@ -343,6 +343,14 @@ class TestStackedOracle:
             _reference_minimize(signed_wavy_batch, bounds, cfg),
         )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "7"])
+    def test_stacked_seeds_are_unsigned_64_bit(self, seed):
+        def objective(pts, cutoff):
+            raise AssertionError("a swarm ran before the seeds were checked")
+
+        with pytest.raises(ShePwmError, match="seed must be an unsigned 64-bit"):
+            minimize_stacked(objective, [(0.0, 1.0)], PsoConfig(seed=1), [3, seed])
+
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_stacked_seeds_match_reference(self, vectorized):
         cfg = PsoConfig(seed=0, swarm_size=6, iterations=25, restarts=3)

@@ -149,6 +149,13 @@ class TestCost:
         with pytest.raises(ShePwmError, match="angles must lie within"):
             cost([0.1, 0.2, 0.3, 0.4, 0.5, 1.7], SheProblem(target_m=0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused(self, bad):
+        with pytest.raises(ShePwmError, match="angles must lie within"):
+            cost([0.1, 0.2, bad, 0.4, 0.5, 0.6], SheProblem(target_m=0.5))
+        with pytest.raises(ShePwmError, match="angles must lie within"):
+            cost([bad] * 6, SheProblem(target_m=0.5))
+
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_matches_scalar(self, rng, name):
         # one arithmetic: the scalar cost is the batch's bits, so a solution
@@ -246,6 +253,102 @@ class TestCost:
         for name in ("target_m", "cutoff"):
             with pytest.raises(ShePwmError, match=f"{name} must hold one value"):
                 cost_batch(pts, problem, **{name: np.full(shape, 0.5)})
+
+
+def reference_sums(signed_cos, max_order):
+    """The recurrence in its plainest form: the whole (n_odd, K, B) stack,
+    4c^2 - 2 taken whatever the order, K rows added in turn."""
+    k, rows = signed_cos.shape
+    stack = np.empty(((max_order + 1) // 2, k, rows))
+    stack[0] = signed_cos
+    two_cos2 = 4.0 * signed_cos * signed_cos - 2.0
+    for j in range(1, len(stack)):
+        stack[j] = two_cos2 * stack[j - 1] - stack[max(j - 2, 0)]
+    sums = stack[:, 0].copy()
+    for i in range(1, k):
+        sums += stack[:, i]
+    return sums
+
+
+def reference_magnitudes(block, orders, cells):
+    """One (B,) per-unit magnitude per order, each scaled on its own."""
+    sums = reference_sums(block, max(orders, default=1))
+    scale = 4.0 / (np.pi * cells)
+    return [np.abs(scale / n * sums[n // 2]) for n in orders]
+
+
+def reference_cost_batch(positions, problem, target_m=None, cutoff=None):
+    """cost_batch's arithmetic written out one order at a time."""
+    arr = np.sort(np.asarray(positions, dtype=np.float64), axis=1)
+    rows, k = arr.shape
+    block = np.cos(arr.T, out=np.empty((k, rows)))
+    block *= np.array(problem.sign_pattern, dtype=np.float64)[:, None]
+    if target_m is None:
+        target_m = problem.target_m
+    fund = reference_magnitudes(block, (1,), problem.cells)[0]
+    total = problem.weight_fundamental * np.abs(target_m - fund)
+    keep = slice(None) if cutoff is None else np.flatnonzero(~(total >= cutoff))
+    kept = total[keep]
+    orders = problem.eliminate_orders
+    for n, pu in zip(orders, reference_magnitudes(block[:, keep], orders, problem.cells)):
+        kept += problem.weight_harmonics / n * pu
+    total[keep] = kept
+    return total
+
+
+@st.composite
+def kernel_cases(draw):
+    """A problem, a batch and per-row inputs for the batched kernel."""
+    k = draw(st.integers(1, 12))
+    cells = draw(st.sampled_from([s for s in range(1, k + 1) if k % s == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs, level = [], 0
+    for _ in range(k):
+        options = [sg for sg in (1, -1) if 0 <= level + sg <= cells]
+        signs.append(int(rng.choice(options)))
+        level += signs[-1]
+    # drawn in any order: the order the terms are added in is part of the bits
+    orders = draw(st.lists(st.sampled_from(range(3, 42, 2)), unique=True,
+                           max_size=k - 1))
+    weights = st.sampled_from([0.0, 1.0, 10.0, 100.0, 0.37, 1e-3, 2.5e3])
+    problem = SheProblem(
+        target_m=draw(st.sampled_from([0.0, 1.0, 0.5, 0.8123])),
+        eliminate_orders=tuple(orders), cells=cells, angles_per_cell=k // cells,
+        sign_pattern=tuple(signs), weight_fundamental=draw(weights),
+        weight_harmonics=draw(weights),
+    )
+    rows = draw(st.sampled_from([1, 7, 250, 2500]))
+    # random angles, exact 0 and pi/2, and values repeated within a row
+    pool = np.concatenate([rng.random(2 * k) * HALF_PI, [0.0, HALF_PI]])
+    pts = rng.choice(pool, (rows, k))
+    pts[rng.random((rows, k)) < 0.5] = rng.random() * HALF_PI
+    targets = None
+    if draw(st.booleans()):
+        targets = rng.choice([0.0, 1.0, *rng.random(5)], rows)
+    cutoff = draw(st.sampled_from(
+        [None, "-inf", "inf", "nan", "quantile", "quantile", "mixed", "mixed"]))
+    if cutoff in ("-inf", "inf", "nan"):
+        cutoff = np.full(rows, float(cutoff))
+    elif cutoff is not None:
+        full = reference_cost_batch(pts, problem, target_m=targets)
+        levels = np.quantile(full, rng.random(3))
+        if cutoff == "mixed":
+            levels = [-np.inf, np.inf, np.nan, *levels]
+        cutoff = rng.choice(levels, rows)
+    return problem, pts, targets, cutoff
+
+
+class TestKernelBits:
+    @given(case=kernel_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_arithmetic(self, case):
+        # the kernel groups its numpy calls differently from the reference;
+        # every output must keep the reference's bits, since they fix every
+        # swarm trajectory and so every solve's output
+        problem, pts, targets, cutoff = case
+        got = cost_batch(pts, problem, target_m=targets, cutoff=cutoff)
+        want = reference_cost_batch(pts, problem, target_m=targets, cutoff=cutoff)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSolve:
@@ -399,6 +502,27 @@ class TestSweep:
     def test_out_of_range_target(self):
         with pytest.raises(ShePwmError, match="target 1.3 outside"):
             sweep(SheProblem(target_m=1.0), [0.5, 1.3], PsoConfig(seed=1))
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [((1.5, 3), "target 1.5 outside"), ((math.nan, 3), "target nan outside"),
+         ((-0.1, 3), "target -0.1 outside"), ((0.5, -1), "seed must be"),
+         ((0.5, 2**64), "seed must be"), ((0.5, 1.0), "seed must be")],
+        ids=["target-above-one", "nan-target", "negative-target",
+             "negative-seed", "seed-above-u64", "float-seed"],
+    )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_solve_pairs_checks_every_pair_first(self, monkeypatch, pair, message, jobs):
+        # the bad pair comes last, and no swarm may run before it is refused
+        def no_swarm(*args, **kwargs):
+            raise AssertionError("a swarm ran before the pairs were checked")
+
+        monkeypatch.setattr(she, "minimize_stacked", no_swarm)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_swarm)
+        with pytest.raises(ShePwmError, match=message) as info:
+            she.solve_pairs(SheProblem(target_m=1.0), [(0.5, 3), pair],
+                            PsoConfig(seed=1), jobs=jobs)
+        assert "\n" not in str(info.value)
 
     def test_nonpositive_jobs(self):
         with pytest.raises(ShePwmError, match="jobs"):
