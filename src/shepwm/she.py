@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,6 +106,49 @@ class SheProblem:
             vdc_per_cell=self.vdc_per_cell,
         )
 
+    @cached_property
+    def _kernel(self) -> _KernelColumns:
+        """cost_batch's constants for the eliminated orders, built on first
+        use and kept.
+
+        Derived from the fields alone, so it takes no part in equality,
+        hashing or pickling; ``dataclasses.replace`` builds a new one.
+        """
+        return _kernel_columns(self, self.eliminate_orders)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_kernel", None)
+        return state
+
+
+class _KernelColumns(NamedTuple):
+    """The kernel's per-problem constants for some odd orders: they depend
+    on the problem alone, not on the angles; arrays read-only."""
+
+    signs: np.ndarray  # (K, 1) transition signs
+    max_order: int  # the highest order, 1 when there is none
+    layers: list[int]  # each order's layer n // 2 of the recurrence stack
+    scale: np.ndarray  # (n_orders, 1) per-unit scale 4/(pi*cells*n)
+    weight: np.ndarray  # (n_orders, 1) cost weight weight_harmonics/n
+
+
+def _column(values) -> np.ndarray:
+    col = np.array(values, dtype=np.float64)[:, None]
+    col.flags.writeable = False
+    return col
+
+
+def _kernel_columns(problem: SheProblem, orders: Sequence[int]) -> _KernelColumns:
+    scale = 4.0 / (np.pi * problem.cells)
+    return _KernelColumns(
+        signs=_column(problem.sign_pattern),
+        max_order=max(orders, default=1),
+        layers=[n // 2 for n in orders],
+        scale=_column([scale / n for n in orders]),
+        weight=_column([problem.weight_harmonics / n for n in orders]),
+    )
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -136,17 +180,13 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
 
 
 def _magnitudes_pu(
-    block: np.ndarray,
-    orders: Sequence[int],
-    problem: SheProblem,
-    columns: np.ndarray | None = None,
+    block: np.ndarray, kernel: _KernelColumns, columns: np.ndarray | None = None
 ) -> np.ndarray:
-    """(len(orders), B) per-unit magnitudes |Vn_pu| of the given odd orders,
+    """(n_orders, B) per-unit magnitudes |Vn_pu| of the kernel's odd orders,
     from a (K, B) block of signed cosines (or its given columns)."""
-    sums = odd_harmonic_sums(block, max(orders, default=1), columns)
-    scale = 4.0 / (np.pi * problem.cells)
-    mags = sums.take([n // 2 for n in orders], axis=0)
-    mags *= np.array([scale / n for n in orders])[:, None]
+    sums = odd_harmonic_sums(block, kernel.max_order, columns)
+    mags = sums.take(kernel.layers, axis=0)
+    mags *= kernel.scale
     return np.abs(mags, out=mags)
 
 
@@ -196,15 +236,15 @@ def cost_batch(
             )
     if target_m is None:
         target_m = problem.target_m
-    block = signed_cosines(np.sort(arr, axis=1), problem.sign_pattern)
+    kernel = problem._kernel
+    block = signed_cosines(np.sort(arr, axis=1), kernel.signs)
     fund = odd_harmonic_sums(block, 1)[0]
     fund_pu = np.abs(4.0 / (np.pi * problem.cells) * fund)
     total = problem.weight_fundamental * np.abs(target_m - fund_pu)
-    orders = problem.eliminate_orders
     # A NaN cutoff bounds nothing, so its row is kept.
     keep = np.arange(rows) if cutoff is None else (~(total >= cutoff)).nonzero()[0]
-    terms = _magnitudes_pu(block, orders, problem, keep)
-    terms *= np.array([problem.weight_harmonics / n for n in orders])[:, None]
+    terms = _magnitudes_pu(block, kernel, keep)
+    terms *= kernel.weight
     kept = total[keep]
     # one order at a time, in eliminate_orders order: that order fixes the bits
     for term in terms:
@@ -222,8 +262,9 @@ def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
     """Solution for the optimizer's best point on one target's problem."""
     pat = problem.make_pattern(np.sort(result.best_position))
     orders = problem.eliminate_orders
-    block = signed_cosines(np.array([pat.angles]), problem.sign_pattern)
-    fund_pu, *res = _magnitudes_pu(block, (1, *orders), problem)[:, 0].tolist()
+    kernel = _kernel_columns(problem, (1, *orders))
+    block = signed_cosines(np.array([pat.angles]), kernel.signs)
+    fund_pu, *res = _magnitudes_pu(block, kernel)[:, 0].tolist()
     residuals = dict(zip(orders, res))
     feasible = (
         abs(fund_pu - problem.target_m) <= FUNDAMENTAL_THRESHOLD_PU

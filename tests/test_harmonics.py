@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,8 +20,14 @@ from shepwm import (
     synthesize,
     thd,
 )
+from shepwm import harmonics
 from shepwm.errors import ShePwmError, ZeroFundamental
-from shepwm.harmonics import segment_integral_coefficients, spectrum_csv
+from shepwm.harmonics import (
+    odd_harmonic_sums,
+    segment_integral_coefficients,
+    signed_cosines,
+    spectrum_csv,
+)
 from shepwm.pattern import levels
 
 from conftest import closed_form_oracle, random_valid_pattern
@@ -111,6 +119,124 @@ class TestAnalytic:
                     a = analytic_harmonic(scaled, n)
                     b = alpha * analytic_harmonic(p, n)
                     assert a == pytest.approx(b, rel=4e-16, abs=0.0) or a == b
+
+
+def reference_closed_form(p, n):
+    """analytic_harmonic as it stood before its order table: the recurrence
+    run through order n for this call alone, its last sum scaled."""
+    if n % 2 == 0:
+        return 0.0
+    block = signed_cosines(np.array([p.angles]), p.signs)
+    last = odd_harmonic_sums(block, n)[-1, 0]
+    return float((4.0 * p.vdc_per_cell) / (n * np.pi) * last)
+
+
+def flip_zeros(p):
+    """A pattern equal to p whose zero angles have the other sign."""
+    angles = tuple(-a if a == 0.0 else a for a in p.angles)
+    return SwitchingPattern(angles, p.signs, p.cells, p.vdc_per_cell)
+
+
+@st.composite
+def table_calls(draw):
+    """Calls (pattern, order) on two patterns and an equal twin of the first,
+    interleaved, with orders up to 999 taken rising, falling or in any
+    order. K runs to 40; angles are often 0, -0.0, pi/2 or coincident."""
+
+    def pattern():
+        k = draw(st.integers(min_value=1, max_value=40))
+        cells = draw(st.sampled_from([s for s in range(1, k + 1) if k % s == 0]))
+        signs, level = [], 0
+        for _ in range(k):
+            sg = draw(st.sampled_from(
+                [s for s in (1, -1) if 0 <= level + s <= cells]))
+            signs.append(sg)
+            level += sg
+        angle = st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2]),
+                          st.floats(0.0, math.pi / 2))
+        pool = draw(st.lists(angle, min_size=1, max_size=k))
+        angles = sorted(draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k)))
+        vdc = draw(st.floats(min_value=1.0, max_value=1000.0))
+        return SwitchingPattern(tuple(angles), tuple(signs), cells, vdc)
+
+    first = pattern()
+    patterns = [first, pattern(), flip_zeros(first)]
+    order = st.one_of(st.integers(1, 60), st.integers(1, 999))
+    calls = draw(st.lists(st.tuples(st.sampled_from(patterns), order),
+                          min_size=1, max_size=12))
+    direction = draw(st.sampled_from(["rising", "falling", "any"]))
+    if direction != "any":
+        calls.sort(key=lambda call: call[1], reverse=direction == "falling")
+    return calls
+
+
+class TestOrderTables:
+    """Both exact routes answer from a one-pattern order table; each answer
+    keeps the bits of the per-order arithmetic."""
+
+    @given(calls=table_calls())
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_per_order_arithmetic(self, calls):
+        for p, n in calls:
+            got = np.array(segment_integral_coefficients(p, n))
+            want = np.array(reference_segment_coefficients(p, n))
+            assert got.tobytes() == want.tobytes(), n
+            got = np.array(analytic_harmonic(p, n))
+            assert got.tobytes() == np.array(reference_closed_form(p, n)).tobytes(), n
+
+    def test_rising_loop_to_999_builds_six_tables(self, monkeypatch):
+        # M = max(n, 49) for a new pattern, at least doubling as the same
+        # pattern asks past it: 49, 98, 196, 392, 784, 1568
+        rng = np.random.default_rng(40)
+        angles = np.sort(rng.random(40) * (math.pi / 2))
+        angles[:3] = 0.0
+        angles[-1] = math.pi / 2
+        p = SwitchingPattern(tuple(angles), (1, -1) * 20, 1, 200.0)
+        builds = []
+
+        class CountingNumpy:
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            def cos(self, x, *args, **kwargs):
+                builds.append(np.shape(x))
+                return np.cos(x, *args, **kwargs)
+
+        monkeypatch.setattr(harmonics, "np", CountingNumpy())
+        for route in (segment_integral_coefficients, analytic_harmonic):
+            builds.clear()
+            got = [route(p, n) for n in range(1, 1000)]
+            # one cosine call per table: over the (M, 4K+3) phases, or over
+            # the K angles that the closed form's recurrence starts from
+            assert len(builds) == 6, builds
+            builds.clear()
+            assert [route(p, n) for n in range(999, 0, -1)] == got[::-1]
+            assert len(builds) == 0
+        monkeypatch.undo()
+        for n in range(1, 1000):
+            want = reference_segment_coefficients(p, n)
+            got = segment_integral_coefficients(p, n)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), n
+        for n in range(1, 1000, 2):
+            want = np.array(reference_closed_form(p, n)).tobytes()
+            assert np.array(analytic_harmonic(p, n)).tobytes() == want, n
+
+    @pytest.mark.parametrize("route", [analytic_harmonic, segment_integral_harmonic])
+    def test_keeps_only_the_last_pattern_asked(self, route):
+        # the last two are equal patterns (a zero of either sign); the table
+        # is keyed by identity, so the first of them is let go as well
+        patterns = [
+            SwitchingPattern((0.0, 0.2 + 0.1 * i), (1, -1), 1, 200.0)
+            for i in range(3)
+        ]
+        patterns.append(flip_zeros(patterns[-1]))
+        assert patterns[-1] == patterns[-2] and patterns[-1] is not patterns[-2]
+        refs = [weakref.ref(p) for p in patterns]
+        for p in patterns:
+            route(p, 5)
+        del p, patterns
+        gc.collect()
+        assert [r() is None for r in refs[:-1]] == [True] * 3
 
 
 class TestClosedFormOracle:

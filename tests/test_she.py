@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,41 @@ class TestProblemValidation:
         with pytest.raises(ShePwmError, match="vdc_per_cell") as info:
             SheProblem(target_m=0.5, vdc_per_cell=value)
         assert type(info.value) is ShePwmError
+
+
+class TestKernelConstants:
+    """cost_batch's per-problem constants are built once per problem and are
+    no part of its identity: equality, hash, replace and pickles are the
+    fields'."""
+
+    def test_built_once_per_problem(self, monkeypatch, rng):
+        built = []
+        real = she._kernel_columns
+        monkeypatch.setattr(
+            she, "_kernel_columns",
+            lambda problem, orders: built.append(orders) or real(problem, orders))
+        problem = k8_problem(0.7)
+        pts = rng.random((20, 8)) * HALF_PI
+        for _ in range(3):
+            cost_batch(pts, problem)
+        assert built == [problem.eliminate_orders]
+        cost_batch(pts, replace(problem, target_m=0.6))
+        assert len(built) == 2
+
+    def test_not_part_of_equality_hash_or_pickle(self, rng):
+        problem = k8_problem(0.7)
+        before = pickle.dumps(problem)
+        hashed = hash(problem)
+        pts = rng.random((20, 8)) * HALF_PI
+        want = cost_batch(pts, problem)
+        assert "_kernel" in vars(problem)
+        assert pickle.dumps(problem) == before and hash(problem) == hashed
+        assert problem == replace(problem) == k8_problem(0.7)
+        assert "_kernel" not in vars(replace(problem))
+        copy = pickle.loads(before)
+        assert copy == problem and "_kernel" not in vars(copy)
+        assert cost_batch(pts, copy).tobytes() == want.tobytes()
+        assert not copy._kernel.scale.flags.writeable
 
 
 class TestCost:
