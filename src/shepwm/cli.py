@@ -261,7 +261,7 @@ def _cmd_table(args) -> int:
     if args.json_out:
         files.append((args.json_out, lookup_json(table)))
     _write_outputs("table", cfg, pso.seed, files)
-    return 0 if all(r.feasible for r in table.rows) else 1
+    return 0 if table.feasible else 1
 
 
 def _cmd_compare(args) -> int:

@@ -7,9 +7,11 @@ lower outputs by scaling every cell's DC voltage through the duty cycle of
 an idealized isolated DC-DC converter (output = duty * input, all cells
 driven identically). Scaling the DC link scales every harmonic by the same
 factor, so the full-modulation solution's THD carries over unchanged to the
-entire output range. ``build_lookup`` applies that law directly: it analyses
-the base solution once, and every row carries the base THD exactly and
-fundamental_v = v_pu * the base fundamental.
+entire output range. ``LookupTable`` is that law as a type: one base record
+(angles, THD, feasibility, fundamental) and a grid of commanded voltages,
+and the row at v has duty v and fundamental_v = v * the base fundamental.
+``build_lookup`` analyses the base solution once; ``read_lookup_csv`` refuses
+a file whose rows are not one base scaled by duty.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ShePwmError
-from .harmonics import DEFAULT_MAX_ORDER, analytic_harmonic, pattern_thd
+from .harmonics import DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, thd
 from .optimizer import PsoConfig, derive_seed
 from .pattern import HALF_PI
 from .she import SheProblem, Solution, solve, solve_pairs
@@ -44,28 +46,35 @@ class LookupRow:
 
 @dataclass(frozen=True)
 class LookupTable:
-    """Rows sorted ascending by commanded per-unit voltage.
+    """One base operating point, duty-scaled to each voltage of a grid.
 
-    Every row is a proposed (variable-DC-link) row derived from the one base
-    solve, so its duty equals its v_pu.
+    grid is ascending within (0, 1]; angles, thd, feasible and fundamental_v
+    (volts at the full DC link) are the base's. The row at v has duty v and
+    fundamental v * fundamental_v.
     """
 
-    rows: tuple[LookupRow, ...]
+    grid: tuple[float, ...]
+    angles: tuple[float, ...]
+    thd: float
+    feasible: bool
+    fundamental_v: float
     base_vdc_per_cell: float
     cells: int
     thd_max_order: int
 
     def __post_init__(self):
-        v = [r.v_pu for r in self.rows]
-        if any(b < a for a, b in zip(v, v[1:])):
-            raise ShePwmError("lookup rows must be sorted ascending by v_pu")
-        for r in self.rows:
-            if not (0.0 <= r.v_pu <= 1.0 and 0.0 <= r.duty <= 1.0):
-                raise ShePwmError(f"row at v_pu={r.v_pu} outside the unit ranges")
-            if r.method != PROPOSED:
-                raise ShePwmError(f"unknown method {r.method!r}")
-            if r.duty != r.v_pu:
-                raise ShePwmError(f"proposed row at v_pu={r.v_pu} must have duty=v_pu")
+        grid = _check_grid(self.grid)
+        if grid != list(self.grid):
+            raise ShePwmError("lookup grid must be sorted ascending")
+        object.__setattr__(self, "grid", tuple(grid))
+
+    @property
+    def rows(self) -> tuple[LookupRow, ...]:
+        return tuple(
+            LookupRow(v, PROPOSED, v, self.thd, self.feasible,
+                      v * self.fundamental_v, self.angles)
+            for v in self.grid
+        )
 
 
 @dataclass(frozen=True)
@@ -109,27 +118,25 @@ def build_lookup(
     thd_max_order: int = DEFAULT_MAX_ORDER,
     base_solution: Solution | None = None,
 ) -> LookupTable:
-    """Variable-DC-link lookup rows for a grid of commanded voltages.
+    """Variable-DC-link lookup table for a grid of commanded voltages.
 
-    Solves once at full modulation (or reuses base_solution) and analyses
-    that solution once; each row then follows by duty scaling: the base
-    angles and THD, and duty times the base fundamental. Every row carries
-    the base feasibility flag, since duty scaling preserves the residuals in
-    per-unit terms exactly.
+    Solves once at full modulation (or reuses base_solution) and takes the
+    base THD and fundamental from one spectrum of that solution. The base
+    solve is pinned at full modulation, so the duty that reaches v is v
+    itself; every row carries the base feasibility flag, since duty scaling
+    preserves the residuals in per-unit terms exactly.
     """
     grid = _check_grid(v_pu_grid)
     base = base_solution
     if base is None:
         base = solve(replace(problem, target_m=1.0), pso)
-    # the base solve is pinned at full modulation, so the duty that reaches v
-    # is v itself
-    thd = pattern_thd(base.pattern, thd_max_order)
-    fund = abs(analytic_harmonic(base.pattern, 1))
+    spectrum = analytic_spectrum(base.pattern, thd_max_order)
     return LookupTable(
-        rows=tuple(
-            LookupRow(v, PROPOSED, v, thd, base.feasible, v * fund, base.pattern.angles)
-            for v in grid
-        ),
+        grid=tuple(grid),
+        angles=base.pattern.angles,
+        thd=thd(spectrum),
+        feasible=base.feasible,
+        fundamental_v=spectrum.fundamental,
         base_vdc_per_cell=problem.vdc_per_cell,
         cells=problem.cells,
         thd_max_order=thd_max_order,
@@ -188,25 +195,49 @@ def _angle_headers(k: int) -> list[str]:
 
 def lookup_csv(table: LookupTable):
     """Lookup CSV text, line by line; 17-digit angles parse back bit-exactly."""
-    k = len(table.rows[0].angles) if table.rows else 0
-    header = LOOKUP_COLUMNS + _angle_headers(k)
-    yield ",".join(header) + "\n"
-    # build_lookup gives every row the base's one angles tuple, so a table
-    # formats its angle columns once
-    angles = angle_text = None
-    for r in table.rows:
-        if r.angles is not angles:
-            angles = r.angles
-            angle_text = "".join("," + format(a, ".17g") for a in angles)
-        cells = [
-            repr(r.v_pu),
-            r.method,
-            repr(r.duty),
-            repr(100.0 * r.thd),
-            "true" if r.feasible else "false",
-            repr(r.fundamental_v),
-        ]
-        yield ",".join(cells) + angle_text + "\n"
+    yield ",".join(LOOKUP_COLUMNS + _angle_headers(len(table.angles))) + "\n"
+    # every row shares the base's THD, flag and angles: format them once
+    thd_flag = f"{100.0 * table.thd!r},{'true' if table.feasible else 'false'}"
+    angles = "".join("," + format(a, ".17g") for a in table.angles)
+    for v in table.grid:
+        yield f"{v!r},{PROPOSED},{v!r},{thd_flag},{v * table.fundamental_v!r}{angles}\n"
+
+
+def _read_base(parts: list[str], where: str) -> tuple[float, bool, tuple[float, ...]]:
+    """The base THD ratio, feasible flag and angles of a lookup CSV row."""
+    if parts[4] not in ("true", "false"):
+        raise ShePwmError(f"{where}: feasible is {parts[4]!r}, not true/false")
+    try:
+        thd_pct, *angles = (float(x) for x in parts[3:4] + parts[6:])
+    except ValueError as exc:
+        raise ShePwmError(f"{where}: {exc}") from None
+    if not 0.0 <= thd_pct < math.inf:
+        raise ShePwmError(f"{where}: negative or non-finite THD")
+    if not all(0.0 <= a <= b <= HALF_PI
+               for a, b in zip(angles, angles[1:] + [HALF_PI])):
+        raise ShePwmError(f"{where}: angles decrease or leave [0, pi/2]")
+    return thd_pct / 100.0, parts[4] == "true", tuple(angles)
+
+
+def _base_fundamental(path, rows: list[tuple[int, float, float]]) -> float:
+    """The first F with v * F == fundamental_v on every (line, v, fundamental_v)
+    row, among the top row's fundamental_v / v and two ulps either side: a
+    once-rounded normal product puts F there. Else the line the last of
+    them failed on is named."""
+    _, v, fund = rows[-1]
+    lo = hi = fund / v
+    candidates = [lo]
+    for _ in range(2):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        candidates += [lo, hi]
+    failed = 0
+    for f in candidates:
+        bad = next((i for i, (_, v, fund) in enumerate(rows) if v * f != fund), None)
+        if bad is None:
+            return f
+        failed = max(failed, bad)
+    raise ShePwmError(f"{path}, line {rows[failed][0]}: fundamental_v is not "
+                      "v_pu times a base fundamental that the other rows share")
 
 
 def read_lookup_csv(
@@ -215,12 +246,18 @@ def read_lookup_csv(
     cells: int = SheProblem.cells,
     thd_max_order: int = DEFAULT_MAX_ORDER,
 ) -> LookupTable:
-    """Parse a lookup CSV back; structural metadata comes from the caller
-    (it lives in the run manifest, not in the CSV schema). A header other
-    than lookup_csv's, a row whose field count differs from the header's,
-    whose feasible flag is not true/false, whose number does not parse, whose
-    thd_pct or fundamental_v is not finite and >= 0, or whose angles are not
-    nondecreasing within [0, pi/2] raises ShePwmError naming its line."""
+    """Parse a lookup CSV back into its table; structural metadata comes from
+    the caller (it lives in the run manifest, not in the CSV schema).
+
+    A file is outside input, so the duty-scaling law is checked here.
+    ShePwmError names the line of a foreign header or one with no rows, of
+    a row with the wrong field count, a flag not true/false, an unparsable
+    number, a negative or non-finite THD or fundamental, or angles outside
+    nondecreasing [0, pi/2], and of a row that is not the first row's base
+    scaled to its v_pu: other THD, flag or angle text, a method other than
+    proposed, duty != v_pu, v_pu outside (0, 1] or descending, or a
+    fundamental_v that is v_pu times no base fundamental the rows share.
+    """
     rows = []
     with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
@@ -233,22 +270,34 @@ def read_lookup_csv(
             where = f"{path}, line {lineno}"
             if len(parts) != len(header):
                 raise ShePwmError(f"{where}: {len(parts)} fields, header {len(header)}")
-            if parts[4] not in ("true", "false"):
-                raise ShePwmError(f"{where}: feasible is {parts[4]!r}, not true/false")
+            if not rows:
+                base_line, base_text = lineno, parts[3:5] + parts[6:]
+                base_thd, base_feasible, base_angles = _read_base(parts, where)
+            elif parts[3:5] + parts[6:] != base_text:
+                raise ShePwmError(
+                    f"{where}: THD, feasible flag or angles differ from line {base_line}")
+            if parts[1] != PROPOSED:
+                raise ShePwmError(f"{where}: method {parts[1]!r}, not {PROPOSED!r}")
             try:
-                v_pu, duty, thd_pct, fund, *angles = (
-                    float(x) for x in parts[:1] + parts[2:4] + parts[5:])
+                v_pu, duty, fund = float(parts[0]), float(parts[2]), float(parts[5])
             except ValueError as exc:
                 raise ShePwmError(f"{where}: {exc}") from None
-            if not all(0.0 <= x < math.inf for x in (thd_pct, fund)):
-                raise ShePwmError(f"{where}: negative or non-finite THD or fundamental")
-            if not all(0.0 <= a <= b <= HALF_PI
-                       for a, b in zip(angles, angles[1:] + [HALF_PI])):
-                raise ShePwmError(f"{where}: angles decrease or leave [0, pi/2]")
-            rows.append(LookupRow(v_pu, parts[1], duty, thd_pct / 100.0,
-                                  parts[4] == "true", fund, tuple(angles)))
+            if duty != v_pu:
+                raise ShePwmError(f"{where}: duty {duty!r} is not v_pu {v_pu!r}")
+            if not (0.0 < v_pu <= 1.0 and (not rows or rows[-1][1] <= v_pu)):
+                raise ShePwmError(f"{where}: v_pu {v_pu!r} outside (0, 1] or "
+                                  "below the row before")
+            if not 0.0 <= fund < math.inf:
+                raise ShePwmError(f"{where}: negative or non-finite fundamental")
+            rows.append((lineno, v_pu, fund))
+    if not rows:
+        raise ShePwmError(f"{path}, line 1: a header with no rows")
     return LookupTable(
-        rows=tuple(rows),
+        grid=tuple(v for _, v, _ in rows),
+        angles=base_angles,
+        thd=base_thd,
+        feasible=base_feasible,
+        fundamental_v=_base_fundamental(path, rows),
         base_vdc_per_cell=base_vdc_per_cell,
         cells=cells,
         thd_max_order=thd_max_order,
@@ -257,21 +306,22 @@ def read_lookup_csv(
 
 def lookup_json(table: LookupTable):
     """Lookup JSON text (indent 2), streamed in encoder chunks."""
+    thd_pct, angles = 100.0 * table.thd, list(table.angles)
     doc = {
         "base_vdc_per_cell": table.base_vdc_per_cell,
         "cells": table.cells,
         "thd_max_order": table.thd_max_order,
         "rows": [
             {
-                "v_pu": r.v_pu,
-                "method": r.method,
-                "duty": r.duty,
-                "thd_pct": 100.0 * r.thd,
-                "feasible": r.feasible,
-                "fundamental_v": r.fundamental_v,
-                "angles_rad": list(r.angles),
+                "v_pu": v,
+                "method": PROPOSED,
+                "duty": v,
+                "thd_pct": thd_pct,
+                "feasible": table.feasible,
+                "fundamental_v": v * table.fundamental_v,
+                "angles_rad": angles,
             }
-            for r in table.rows
+            for v in table.grid
         ],
     }
     yield from json.JSONEncoder(indent=2).iterencode(doc)

@@ -5,8 +5,8 @@ target per-unit fundamental while nulling a chosen set of odd harmonics.
 Raw optimizer coordinates are sort-repaired into nondecreasing order before
 evaluation, which makes the objective total on the box and permutation
 invariant. ``cost_batch`` is the vectorised numpy kernel the swarm calls;
-the scalar ``cost`` and every ``Solution`` run its arithmetic on one row,
-so a solution's cost is its optimizer's best value bit for bit. ``solve``,
+the scalar ``cost`` runs its arithmetic on one row, and a solution's cost
+is its optimizer's best value, which is that full cost bit for bit. ``solve``,
 ``sweep`` and the variable-DC-link comparison all go through
 ``solve_pairs``, which runs every (target, seed) pair's swarms as one
 stacked batch.
@@ -259,7 +259,9 @@ def solve(problem: SheProblem, pso: PsoConfig) -> Solution:
 
 
 def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
-    """Solution for the optimizer's best point on one target's problem."""
+    """Solution for the optimizer's best point on one target's problem. Its
+    cost is the best value: a row that the kernel's cutoff skips returns at
+    least its personal best, so every best is a full cost."""
     pat = problem.make_pattern(np.sort(result.best_position))
     orders = problem.eliminate_orders
     kernel = _kernel_columns(problem, (1, *orders))
@@ -272,7 +274,7 @@ def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
     )
     return Solution(
         pattern=pat,
-        cost=cost(pat.angles, problem),
+        cost=result.best_value,
         fundamental_pu=fund_pu,
         residuals_pu=residuals,
         feasible=feasible,

@@ -2,14 +2,16 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shepwm import (
-    LookupRow,
     LookupTable,
     PsoConfig,
     SheProblem,
     SwitchingPattern,
     analytic_harmonic,
+    analytic_spectrum,
     build_lookup,
     compare_methods,
     derive_seed,
@@ -75,6 +77,21 @@ class TestBuildLookup:
             assert abs(r.thd - pattern_thd(scaled, 49)) <= 1e-12
             expected = abs(analytic_harmonic(scaled, 1))
             assert r.fundamental_v == pytest.approx(expected, rel=4e-16)
+
+    def test_one_spectrum_gives_thd_and_fundamental(self, base_solution, monkeypatch):
+        calls = []
+
+        def counting_spectrum(pattern, max_order):
+            calls.append(max_order)
+            return analytic_spectrum(pattern, max_order)
+
+        monkeypatch.setattr(dclink, "analytic_spectrum", counting_spectrum)
+        table = build_lookup(GRID10, PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0),
+                             thd_max_order=31, base_solution=base_solution)
+        assert calls == [31]
+        pat = base_solution.pattern
+        assert table.thd == pattern_thd(pat, 31)
+        assert table.fundamental_v == abs(analytic_harmonic(pat, 1))
 
     def test_thd_survives_tiny_duty(self, base_solution):
         # per-row analysis of a pattern scaled to 1e-170 would underflow the
@@ -194,6 +211,7 @@ class TestCompare:
 
 
 LOOKUP_HEADER = "v_pu,method,duty,thd_pct,feasible,fundamental_v,theta_1,theta_2,theta_3"
+HALF_ROW = "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2,0.3"
 
 
 class TestIo:
@@ -221,24 +239,51 @@ class TestIo:
         assert "".join(lookup_csv(table)) == expected
         assert calls == list(table.rows[0].angles)
 
-    def test_lookup_csv_renders_each_rows_own_angles(self):
-        # rows that do not share the base's tuple, one of them equal in value
-        # to its neighbour but for the sign of a zero
-        angles = [(0.0, 0.2, 0.3), (-0.0, 0.2, 0.3), (0.1, 0.2, 0.3), (0.1, 0.2, 0.3)]
-        rows = tuple(
-            LookupRow(v, "proposed", v, 0.2, True, 100.0 * v, a)
-            for v, a in zip([0.25, 0.5, 0.75, 1.0], angles)
-        )
-        lines = "".join(lookup_csv(LookupTable(rows, 200.0, 1, 49))).splitlines()
-        assert [line.split(",")[6:] for line in lines[1:]] == [
-            ["0", "0.20000000000000001", "0.29999999999999999"],
+    def test_lookup_csv_keeps_the_sign_of_a_zero_angle(self, tmp_path):
+        table = LookupTable((0.5, 1.0), (-0.0, 0.2, 0.3), 0.2, True, 100.0,
+                            200.0, 1, 49)
+        text = "".join(lookup_csv(table))
+        assert [line.split(",")[6:] for line in text.splitlines()[1:]] == [
             ["-0", "0.20000000000000001", "0.29999999999999999"],
-            ["0.10000000000000001", "0.20000000000000001", "0.29999999999999999"],
-            ["0.10000000000000001", "0.20000000000000001", "0.29999999999999999"],
-        ]
+        ] * 2
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        assert "".join(lookup_csv(read_lookup_csv(path))) == text
 
     @pytest.mark.parametrize(
-        "header, row, line",
+        "grid", [[0.03, 0.3, 0.7], [round(0.001 * i, 12) for i in range(1, 1001)]],
+        ids=["no-full-modulation", "fine"],
+    )
+    def test_read_lookup_csv_renders_the_same_bytes(self, tmp_path, base_solution, grid):
+        # without v_pu = 1.0 the base fundamental is recovered from a product
+        table = build_lookup(grid, PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0),
+                             base_solution=base_solution)
+        text = "".join(lookup_csv(table))
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        assert "".join(lookup_csv(read_lookup_csv(path))) == text
+
+    @given(
+        grid=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=8),
+        fundamental=st.floats(1e-3, 1e6),
+        thd=st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_table_reads_back_to_its_bytes(self, tmp_path_factory, grid,
+                                               fundamental, thd):
+        # v_pu * F stays a normal float, so it is rounded once
+        table = LookupTable(tuple(sorted(grid)), (0.1, 0.2, 0.3), thd, False,
+                            fundamental, 200.0, 1, 49)
+        text = "".join(lookup_csv(table))
+        path = tmp_path_factory.mktemp("lookup") / "table.csv"
+        path.write_text(text)
+        back = read_lookup_csv(path, 200.0, 1)
+        assert "".join(lookup_csv(back)) == text
+        if table.grid[-1] == 1.0:
+            assert back.fundamental_v == fundamental
+
+    @pytest.mark.parametrize(
+        "header, rows, line",
         [
             (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2", 2),
             (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,yes,200.0,0.1,0.2,0.3", 2),
@@ -253,16 +298,29 @@ class TestIo:
             (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,-0.1,0.2,0.3", 2),
             (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2,1.6", 2),
             (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.0,0.3,0.2,0.4", 2),
+            (LOOKUP_HEADER, f"{HALF_ROW}\n1.0,proposed,1.0,12.0,true,400.0,0.1,0.2,0.4", 3),
+            (LOOKUP_HEADER, f"{HALF_ROW}\n1.0,proposed,1.0,12.5,true,400.0,0.1,0.2,0.3", 3),
+            (LOOKUP_HEADER, f"{HALF_ROW}\n1.0,proposed,1.0,12.0,false,400.0,0.1,0.2,0.3", 3),
+            (LOOKUP_HEADER, "0.5,proposed,0.7,12.0,true,200.0,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "0.5,conventional,0.5,12.0,true,200.0,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "0.5,proposed,0.5,12.0,true,200.5,0.1,0.2,0.3\n"
+                            "1.0,proposed,1.0,12.0,true,400.0,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, "", 1),
+            (LOOKUP_HEADER, "0.0,proposed,0.0,12.0,true,0.0,0.1,0.2,0.3", 2),
+            (LOOKUP_HEADER, f"{HALF_ROW}\n0.25,proposed,0.25,12.0,true,100.0,0.1,0.2,0.3", 3),
         ],
         ids=["short-row", "bad-flag", "bad-number", "foreign-header",
              "negative-thd", "infinite-thd", "nan-fundamental",
              "negative-fundamental", "infinite-angle", "nan-angle",
-             "negative-angle", "angle-above-half-pi", "decreasing-angles"],
+             "negative-angle", "angle-above-half-pi", "decreasing-angles",
+             "other-angles", "other-thd", "other-flag", "duty-not-v_pu",
+             "conventional-method", "fundamental-not-scaled", "header-only",
+             "zero-v_pu", "descending-v_pu"],
     )
-    def test_read_lookup_csv_rejects_malformed_file(self, tmp_path, header, row, line):
+    def test_read_lookup_csv_rejects_malformed_file(self, tmp_path, header, rows, line):
         path = tmp_path / "table.csv"
-        path.write_text(f"{header}\n{row}\n")
-        with pytest.raises(ShePwmError, match=f"line {line}"):
+        path.write_text("\n".join([header, *rows.splitlines()]) + "\n")
+        with pytest.raises(ShePwmError, match=f", line {line}: "):
             read_lookup_csv(path)
 
     def test_lookup_csv_header(self):
@@ -303,27 +361,12 @@ class TestIo:
             c, p = float(parts[1]), float(parts[2])
             assert imp == pytest.approx(100.0 * (c - p) / c, rel=1e-12)
 
-    def test_table_type_rejects_unsorted_rows(self):
-        row = LookupRow(0.5, "proposed", 0.5, 0.2, True, 200.0, (0.1,))
-        row2 = LookupRow(0.4, "proposed", 0.4, 0.2, True, 160.0, (0.1,))
-        with pytest.raises(ShePwmError, match="sorted ascending"):
-            LookupTable(
-                rows=(row, row2), base_vdc_per_cell=200.0, cells=1, thd_max_order=49
-            )
-
-    def test_table_type_enforces_duty_rules(self):
-        bad_proposed = LookupRow(0.5, "proposed", 0.7, 0.2, True, 200.0, (0.1,))
-        with pytest.raises(ShePwmError, match="must have duty=v_pu"):
-            LookupTable((bad_proposed,), 200.0, 1, 49)
-        bad_conventional = LookupRow(0.5, "conventional", 0.5, 0.2, True, 200.0, (0.1,))
-        with pytest.raises(ShePwmError, match="unknown method"):
-            LookupTable((bad_conventional,), 200.0, 1, 49)
-        # no lookup row runs at full DC link: a conventional row is refused
-        conventional = LookupRow(0.5, "conventional", 1.0, 0.2, True, 200.0, (0.1,))
-        with pytest.raises(ShePwmError, match="unknown method"):
-            LookupTable((conventional,), 200.0, 1, 49)
-        with pytest.raises(ShePwmError, match="unknown method"):
-            LookupTable(
-                (LookupRow(0.5, "hybrid", 0.5, 0.2, True, 200.0, (0.1,)),),
-                200.0, 1, 49,
-            )
+    @pytest.mark.parametrize(
+        "grid, message",
+        [((0.5, 0.4), "sorted ascending"), ((0.0, 0.5), r"outside \(0, 1\]"),
+         ((0.5, 1.5), r"outside \(0, 1\]"), ((), "empty")],
+        ids=["unsorted", "zero", "above-one", "empty"],
+    )
+    def test_table_type_rejects_bad_grid(self, grid, message):
+        with pytest.raises(ShePwmError, match=message):
+            LookupTable(grid, (0.1,), 0.2, True, 400.0, 200.0, 1, 49)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import shepwm
+from shepwm import dclink
 
 from conftest import PACKAGE_ROOT
 
@@ -89,3 +90,12 @@ def test_only_harmonics_takes_cosines():
     calls = {p.name: _cosine_calls(p) for p in sorted(package.glob("*.py"))}
     assert {name for name, found in calls.items() if found} == {"harmonics.py"}
     assert "math.cos" not in calls["harmonics.py"]
+
+
+def test_readme_lookup_schema_matches_the_header():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    schema = [line for line in readme.read_text().splitlines()
+              if line.startswith("* lookup CSV: `")]
+    assert len(schema) == 1
+    assert schema[0].removeprefix("* lookup CSV: `").startswith(
+        ",".join(dclink.LOOKUP_COLUMNS) + ",theta_1")
