@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import ShePwmError
@@ -50,7 +51,9 @@ class LookupTable:
 
     grid is ascending within (0, 1]; angles, thd, feasible and fundamental_v
     (volts at the full DC link) are the base's. The row at v has duty v and
-    fundamental v * fundamental_v.
+    fundamental v * fundamental_v. A row fundamental that is subnormal
+    (nonzero, below the smallest normal float) is refused: it has lost
+    bits, so the base fundamental could not be recovered from the CSV.
     """
 
     grid: tuple[float, ...]
@@ -67,6 +70,11 @@ class LookupTable:
         if grid != list(self.grid):
             raise ShePwmError("lookup grid must be sorted ascending")
         object.__setattr__(self, "grid", tuple(grid))
+        for v in grid:
+            if 0.0 < v * self.fundamental_v < sys.float_info.min:
+                raise ShePwmError(
+                    f"row fundamental {v * self.fundamental_v!r} V at v_pu {v!r} "
+                    "is subnormal")
 
     @property
     def rows(self) -> tuple[LookupRow, ...]:

@@ -14,15 +14,15 @@ Three independent routes to the same spectrum:
 * ``dft_spectrum`` takes the DFT of a sampled waveform; used for exporting
   spectrum data and as a third consistency route.
 
-Callers of the two exact routes ask a pattern for order after order, so each
-route answers from an order table: orders 1..M of one pattern, built in one
+``analytic_harmonic`` keeps nothing between calls. The segment route
+answers from an order table: orders 1..M of one pattern, built in one
 vectorized pass, with the bits the per-order arithmetic gives. Asked for
-order n, a route builds the table with M = max(n, DEFAULT_MAX_ORDER) for a
-pattern other than the last one it saw, and M = max(n, 2 * M) when the same
-pattern asks past its M, so a loop over orders 1..n builds O(log n) tables.
-Each route keeps the table of the last pattern asked, matched by identity:
-one pointer comparison per call, where equality would compare the angles
-(and equal patterns may differ in the sign of a zero angle).
+order n, it builds the table with M = max(n, DEFAULT_MAX_ORDER) for a new
+pattern and M = max(n, 2 * M) when the same pattern asks past its M, so a
+loop over orders 1..n builds O(log n) tables. It keeps the table of the last
+pattern asked, matched by identity (equal patterns may differ in the sign of
+a zero angle). The memo serves only per-order segment callers (perfbench's
+timed ``route_batch``) until the benchmark takes one spectrum per pattern.
 """
 
 from __future__ import annotations
@@ -133,6 +133,23 @@ def _odd_volts(pattern: SwitchingPattern, max_order: int) -> np.ndarray:
     return (4.0 * pattern.vdc_per_cell) / (n * np.pi) * sums
 
 
+def analytic_harmonic(pattern: SwitchingPattern, n: int) -> float:
+    """Signed n-th harmonic amplitude in volts from the closed form.
+
+    Even orders return exactly 0.0 (forced by quarter-wave symmetry; the
+    odd-order sum does not apply to them). An odd order is the last entry
+    of ``_odd_volts(pattern, n)``. One call costs one cosine per angle and
+    the recurrence through n, (n - 1) / 2 steps over the K angles (at
+    K = 12 on a 2-core Xeon, about 30 us at n = 1 and 0.6 ms at n = 999),
+    and keeps nothing; a caller that wants many orders of one pattern should
+    take ``analytic_spectrum`` once.
+    """
+    n = _order(n, "harmonic order")
+    if n % 2 == 0:
+        return 0.0
+    return float(_odd_volts(pattern, n)[-1])
+
+
 class _OrderTable:
     """One pattern's per-order table, from build(pattern, max_order).
 
@@ -140,6 +157,7 @@ class _OrderTable:
     asking another pattern replaces both, so at most one pattern is kept.
     The slot is read and replaced as one tuple, so a caller always indexes a
     table built for the pattern it asked about, whatever other threads do.
+    Only the segment route's per-order callers use it (module docstring).
     """
 
     def __init__(self, build):
@@ -154,27 +172,6 @@ class _OrderTable:
             table = self._build(pattern, max_order)
             self._slot = (pattern, max_order, table)
         return table
-
-
-_closed_form = _OrderTable(lambda pattern, m: _odd_volts(pattern, m).tolist())
-
-
-def analytic_harmonic(pattern: SwitchingPattern, n: int) -> float:
-    """Signed n-th harmonic amplitude in volts from the closed form.
-
-    Even orders return exactly 0.0 (forced by quarter-wave symmetry; the
-    odd-order sum does not apply to them). Odd orders are read from the
-    closed-form order table of the pattern (see the module docstring), which
-    holds ``_odd_volts(pattern, M)``; its entry for n has the bits of
-    ``_odd_volts(pattern, n)[-1]``, since the recurrence and the scaling work
-    order by order. A lone call at a high order builds the whole table: at
-    n = 999 that is the recurrence through 999, which a single order also
-    needs (about 0.9 ms at K=12).
-    """
-    n = _order(n, "harmonic order")
-    if n % 2 == 0:
-        return 0.0
-    return _closed_form.of(pattern, n)[n // 2]
 
 
 def _segment_coefficients(

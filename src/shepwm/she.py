@@ -15,7 +15,7 @@ stacked batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -108,13 +108,22 @@ class SheProblem:
 
     @cached_property
     def _kernel(self) -> _KernelColumns:
-        """cost_batch's constants for the eliminated orders, built on first
-        use and kept.
+        """The kernel constants that cost_batch and every solution's figures
+        read, built on first use and kept; nothing else builds them.
 
         Derived from the fields alone, so it takes no part in equality,
         hashing or pickling; ``dataclasses.replace`` builds a new one.
         """
-        return _kernel_columns(self, self.eliminate_orders)
+        orders = self.eliminate_orders
+        unit = 4.0 / (np.pi * self.cells)
+        return _KernelColumns(
+            signs=_column(self.sign_pattern),
+            unit=unit,
+            max_order=max(orders, default=1),
+            layers=[n // 2 for n in orders],
+            scale=_column([unit / n for n in orders]),
+            weight=_column([self.weight_harmonics / n for n in orders]),
+        )
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -123,10 +132,11 @@ class SheProblem:
 
 
 class _KernelColumns(NamedTuple):
-    """The kernel's per-problem constants for some odd orders: they depend
-    on the problem alone, not on the angles; arrays read-only."""
+    """The kernel's per-problem constants for the eliminated orders: they
+    depend on the problem alone, not on the angles; arrays read-only."""
 
     signs: np.ndarray  # (K, 1) transition signs
+    unit: float  # per-unit scale of the fundamental, 4/(pi*cells)
     max_order: int  # the highest order, 1 when there is none
     layers: list[int]  # each order's layer n // 2 of the recurrence stack
     scale: np.ndarray  # (n_orders, 1) per-unit scale 4/(pi*cells*n)
@@ -137,17 +147,6 @@ def _column(values) -> np.ndarray:
     col = np.array(values, dtype=np.float64)[:, None]
     col.flags.writeable = False
     return col
-
-
-def _kernel_columns(problem: SheProblem, orders: Sequence[int]) -> _KernelColumns:
-    scale = 4.0 / (np.pi * problem.cells)
-    return _KernelColumns(
-        signs=_column(problem.sign_pattern),
-        max_order=max(orders, default=1),
-        layers=[n // 2 for n in orders],
-        scale=_column([scale / n for n in orders]),
-        weight=_column([problem.weight_harmonics / n for n in orders]),
-    )
 
 
 @dataclass(frozen=True)
@@ -177,17 +176,6 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
     if not np.all((arr >= 0.0) & (arr <= HALF_PI)):
         raise ShePwmError("angles must lie within [0, pi/2]")
     return float(cost_batch(arr, problem)[0])
-
-
-def _magnitudes_pu(
-    block: np.ndarray, kernel: _KernelColumns, columns: np.ndarray | None = None
-) -> np.ndarray:
-    """(n_orders, B) per-unit magnitudes |Vn_pu| of the kernel's odd orders,
-    from a (K, B) block of signed cosines (or its given columns)."""
-    sums = odd_harmonic_sums(block, kernel.max_order, columns)
-    mags = sums.take(kernel.layers, axis=0)
-    mags *= kernel.scale
-    return np.abs(mags, out=mags)
 
 
 def cost_batch(
@@ -239,11 +227,14 @@ def cost_batch(
     kernel = problem._kernel
     block = signed_cosines(np.sort(arr, axis=1), kernel.signs)
     fund = odd_harmonic_sums(block, 1)[0]
-    fund_pu = np.abs(4.0 / (np.pi * problem.cells) * fund)
+    fund_pu = np.abs(kernel.unit * fund)
     total = problem.weight_fundamental * np.abs(target_m - fund_pu)
     # A NaN cutoff bounds nothing, so its row is kept.
     keep = np.arange(rows) if cutoff is None else (~(total >= cutoff)).nonzero()[0]
-    terms = _magnitudes_pu(block, kernel, keep)
+    sums = odd_harmonic_sums(block, kernel.max_order, keep)
+    terms = sums.take(kernel.layers, axis=0)
+    terms *= kernel.scale
+    np.abs(terms, out=terms)
     terms *= kernel.weight
     kept = total[keep]
     # one order at a time, in eliminate_orders order: that order fixes the bits
@@ -258,18 +249,20 @@ def solve(problem: SheProblem, pso: PsoConfig) -> Solution:
     return solve_pairs(problem, [(problem.target_m, pso.seed)], pso)[0]
 
 
-def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
-    """Solution for the optimizer's best point on one target's problem. Its
+def _package(problem: SheProblem, target_m: float, result: OptimizerResult) -> Solution:
+    """Solution for the optimizer's best point on target_m, its figures
+    read by cost_batch's arithmetic on the problem's kernel constants. Its
     cost is the best value: a row that the kernel's cutoff skips returns at
     least its personal best, so every best is a full cost."""
     pat = problem.make_pattern(np.sort(result.best_position))
-    orders = problem.eliminate_orders
-    kernel = _kernel_columns(problem, (1, *orders))
+    kernel = problem._kernel
     block = signed_cosines(np.array([pat.angles]), kernel.signs)
-    fund_pu, *res = _magnitudes_pu(block, kernel)[:, 0].tolist()
-    residuals = dict(zip(orders, res))
+    sums = odd_harmonic_sums(block, kernel.max_order)[:, 0]
+    fund_pu = float(abs(kernel.unit * sums[0]))
+    res = np.abs(sums[kernel.layers] * kernel.scale[:, 0]).tolist()
+    residuals = dict(zip(problem.eliminate_orders, res))
     feasible = (
-        abs(fund_pu - problem.target_m) <= FUNDAMENTAL_THRESHOLD_PU
+        abs(fund_pu - target_m) <= FUNDAMENTAL_THRESHOLD_PU
         and all(r <= RESIDUAL_THRESHOLD_PU for r in residuals.values())
     )
     return Solution(
@@ -279,7 +272,7 @@ def _package(problem: SheProblem, result: OptimizerResult) -> Solution:
         residuals_pu=residuals,
         feasible=feasible,
         diagnostics=result,
-        target_m=problem.target_m,
+        target_m=target_m,
     )
 
 
@@ -295,10 +288,7 @@ def _solve_stacked(problem: SheProblem, pairs, pso: PsoConfig) -> list[Solution]
         config=pso,
         seeds=[seed for _, seed in pairs],
     )
-    return [
-        _package(replace(problem, target_m=m), result)
-        for (m, _), result in zip(pairs, results)
-    ]
+    return [_package(problem, m, result) for (m, _), result in zip(pairs, results)]
 
 
 def solve_pairs(

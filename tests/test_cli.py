@@ -187,6 +187,20 @@ class TestUsageErrors:
         assert out.returncode == 2
         assert b"error" in out.stderr
 
+    def test_subnormal_row_fundamental_is_exit_2(self, tmp_path):
+        # v_pu * the base fundamental would lose bits, and the CSV could not
+        # be read back; the table is refused before anything is written
+        out = run_cli(
+            ["table", "--pu-grid", "3.40313263e-315,8.255770465e-315", "--seed", "1",
+             *FAST, "--out", "t.csv", "--json-out", "t.json"],
+            cwd=tmp_path,
+        )
+        assert out.returncode == 2
+        assert out.stdout == b""
+        stderr = out.stderr.decode()
+        assert "is subnormal" in stderr and len(stderr.splitlines()) == 1, stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSolverConfig:
     @pytest.mark.parametrize(

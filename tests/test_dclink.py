@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -214,6 +215,16 @@ LOOKUP_HEADER = "v_pu,method,duty,thd_pct,feasible,fundamental_v,theta_1,theta_2
 HALF_ROW = "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2,0.3"
 
 
+def positive_floats(top_exponent):
+    """Floats in (0, 10**top_exponent]: Hypothesis's own draws, which favour
+    edge values, and log-uniform ones, which reach every binade, the
+    subnormals included."""
+    return st.one_of(
+        st.floats(0.0, 10.0 ** top_exponent, exclude_min=True),
+        st.floats(-323.3, top_exponent).map(lambda e: 10.0 ** e),
+    )
+
+
 class TestIo:
     def test_lookup_csv_roundtrip(self, tmp_path):
         table = build_lookup(
@@ -264,16 +275,30 @@ class TestIo:
         assert "".join(lookup_csv(read_lookup_csv(path))) == text
 
     @given(
-        grid=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=8),
-        fundamental=st.floats(1e-3, 1e6),
+        grid=st.one_of(
+            st.lists(positive_floats(0), min_size=1, max_size=8),
+            # subnormal grids, where v_pu * F is most often subnormal
+            st.lists(st.integers(1, 2**52 - 1).map(lambda k: k * 5e-324),
+                     min_size=1, max_size=8),
+        ),
+        # and fundamentals of 1 mV to 1 MV, the range a converter has
+        fundamental=st.one_of(positive_floats(308),
+                              st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)),
         thd=st.floats(0.0, 10.0),
     )
     @settings(max_examples=200, deadline=None)
     def test_any_table_reads_back_to_its_bytes(self, tmp_path_factory, grid,
                                                fundamental, thd):
-        # v_pu * F stays a normal float, so it is rounded once
-        table = LookupTable(tuple(sorted(grid)), (0.1, 0.2, 0.3), thd, False,
-                            fundamental, 200.0, 1, 49)
+        # a table is refused when a row's v_pu * F is subnormal; every other
+        # v_pu * F is zero or a normal float rounded once
+        grid = tuple(sorted(grid))
+        try:
+            table = LookupTable(grid, (0.1, 0.2, 0.3), thd, False,
+                                fundamental, 200.0, 1, 49)
+        except ShePwmError as exc:
+            assert "is subnormal" in str(exc)
+            assert any(0.0 < v * fundamental < sys.float_info.min for v in grid)
+            return
         text = "".join(lookup_csv(table))
         path = tmp_path_factory.mktemp("lookup") / "table.csv"
         path.write_text(text)
@@ -370,3 +395,15 @@ class TestIo:
     def test_table_type_rejects_bad_grid(self, grid, message):
         with pytest.raises(ShePwmError, match=message):
             LookupTable(grid, (0.1,), 0.2, True, 400.0, 200.0, 1, 49)
+
+    @pytest.mark.parametrize(
+        "grid, fundamental, product",
+        [((1e-307,), 1e-3, "1e-310"),
+         # the first row's product underflows to zero, the second's is subnormal
+         ((1.38e-321, 7.614e-321), 0.0017299607635390445, "1.5e-323")],
+        ids=["first-row", "after-a-zero-row"],
+    )
+    def test_table_type_refuses_a_subnormal_row_fundamental(self, grid, fundamental,
+                                                            product):
+        with pytest.raises(ShePwmError, match=f"row fundamental {product} V .* subnormal"):
+            LookupTable(grid, (0.1,), 0.2, True, fundamental, 200.0, 1, 49)

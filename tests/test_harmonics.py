@@ -171,8 +171,9 @@ def table_calls(draw):
 
 
 class TestOrderTables:
-    """Both exact routes answer from a one-pattern order table; each answer
-    keeps the bits of the per-order arithmetic."""
+    """The segment route answers from a one-pattern order table, and the
+    closed form from a recurrence run for each call; each answer keeps the
+    bits of the per-order arithmetic."""
 
     @given(calls=table_calls())
     @settings(max_examples=60, deadline=None)
@@ -187,56 +188,85 @@ class TestOrderTables:
     def test_rising_loop_to_999_builds_six_tables(self, monkeypatch):
         # M = max(n, 49) for a new pattern, at least doubling as the same
         # pattern asks past it: 49, 98, 196, 392, 784, 1568
-        rng = np.random.default_rng(40)
-        angles = np.sort(rng.random(40) * (math.pi / 2))
-        angles[:3] = 0.0
-        angles[-1] = math.pi / 2
-        p = SwitchingPattern(tuple(angles), (1, -1) * 20, 1, 200.0)
-        builds = []
-
-        class CountingNumpy:
-            def __getattr__(self, attr):
-                return getattr(np, attr)
-
-            def cos(self, x, *args, **kwargs):
-                builds.append(np.shape(x))
-                return np.cos(x, *args, **kwargs)
-
-        monkeypatch.setattr(harmonics, "np", CountingNumpy())
-        for route in (segment_integral_coefficients, analytic_harmonic):
-            builds.clear()
-            got = [route(p, n) for n in range(1, 1000)]
-            # one cosine call per table: over the (M, 4K+3) phases, or over
-            # the K angles that the closed form's recurrence starts from
-            assert len(builds) == 6, builds
-            builds.clear()
-            assert [route(p, n) for n in range(999, 0, -1)] == got[::-1]
-            assert len(builds) == 0
+        p = forty_angle_pattern()
+        builds = count_cosines(monkeypatch)
+        got = [segment_integral_coefficients(p, n) for n in range(1, 1000)]
+        # one cosine call per table, over its (M, 4K+3) phases
+        assert len(builds) == 6, builds
+        builds.clear()
+        assert [segment_integral_coefficients(p, n)
+                for n in range(999, 0, -1)] == got[::-1]
+        assert len(builds) == 0
         monkeypatch.undo()
         for n in range(1, 1000):
             want = reference_segment_coefficients(p, n)
             got = segment_integral_coefficients(p, n)
             assert np.array(got).tobytes() == np.array(want).tobytes(), n
-        for n in range(1, 1000, 2):
-            want = np.array(reference_closed_form(p, n)).tobytes()
-            assert np.array(analytic_harmonic(p, n)).tobytes() == want, n
 
-    @pytest.mark.parametrize("route", [analytic_harmonic, segment_integral_harmonic])
+    def test_closed_form_takes_one_cosine_call_per_call(self, monkeypatch):
+        # no table: every odd order's call takes the K angles' cosines again
+        # and runs the recurrence through n; an even order takes none
+        p = forty_angle_pattern()
+        builds = count_cosines(monkeypatch)
+        got = [analytic_harmonic(p, n) for n in range(1, 1000)]
+        assert builds == [(40, 1)] * 500
+        monkeypatch.undo()
+        for n, value in zip(range(1, 1000), got):
+            want = np.array(reference_closed_form(p, n)).tobytes()
+            assert np.array(value).tobytes() == want, n
+
+    @pytest.mark.parametrize("route", [segment_integral_harmonic])
     def test_keeps_only_the_last_pattern_asked(self, route):
         # the last two are equal patterns (a zero of either sign); the table
         # is keyed by identity, so the first of them is let go as well
-        patterns = [
-            SwitchingPattern((0.0, 0.2 + 0.1 * i), (1, -1), 1, 200.0)
-            for i in range(3)
-        ]
-        patterns.append(flip_zeros(patterns[-1]))
-        assert patterns[-1] == patterns[-2] and patterns[-1] is not patterns[-2]
-        refs = [weakref.ref(p) for p in patterns]
-        for p in patterns:
-            route(p, 5)
-        del p, patterns
-        gc.collect()
+        refs = ask_four_patterns(route)
         assert [r() is None for r in refs[:-1]] == [True] * 3
+
+    def test_closed_form_keeps_no_pattern(self):
+        refs = ask_four_patterns(analytic_harmonic)
+        assert [r() is None for r in refs] == [True] * 4
+
+
+def forty_angle_pattern():
+    """K = 40, three angles at 0 and one at pi/2."""
+    rng = np.random.default_rng(40)
+    angles = np.sort(rng.random(40) * (math.pi / 2))
+    angles[:3] = 0.0
+    angles[-1] = math.pi / 2
+    return SwitchingPattern(tuple(angles), (1, -1) * 20, 1, 200.0)
+
+
+def count_cosines(monkeypatch):
+    """The shapes of the np.cos calls that harmonics makes from now on."""
+    shapes = []
+
+    class CountingNumpy:
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+        def cos(self, x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return np.cos(x, *args, **kwargs)
+
+    monkeypatch.setattr(harmonics, "np", CountingNumpy())
+    return shapes
+
+
+def ask_four_patterns(route):
+    """Weak references to four patterns after route asked each for order 5;
+    the last two are equal, with a zero of either sign."""
+    patterns = [
+        SwitchingPattern((0.0, 0.2 + 0.1 * i), (1, -1), 1, 200.0)
+        for i in range(3)
+    ]
+    patterns.append(flip_zeros(patterns[-1]))
+    assert patterns[-1] == patterns[-2] and patterns[-1] is not patterns[-2]
+    refs = [weakref.ref(p) for p in patterns]
+    for p in patterns:
+        route(p, 5)
+    del p, patterns
+    gc.collect()
+    return refs
 
 
 class TestClosedFormOracle:

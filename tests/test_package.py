@@ -1,5 +1,7 @@
 import ast
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -99,3 +101,15 @@ def test_readme_lookup_schema_matches_the_header():
     assert len(schema) == 1
     assert schema[0].removeprefix("* lookup CSV: `").startswith(
         ",".join(dclink.LOOKUP_COLUMNS) + ",theta_1")
+
+
+def test_readme_lookup_json_keys_match_the_writer():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    bullets = readme.read_text().split("\n* ")
+    schema = [b for b in bullets if b.startswith("lookup JSON: ")]
+    assert len(schema) == 1
+    top, row = (spans.split(", ") for spans in re.findall(r"`([^`]*)`", schema[0])[:2])
+    table = dclink.LookupTable((0.5, 1.0), (0.1, 0.2), 0.2, True, 300.0, 200.0, 1, 49)
+    doc = json.loads("".join(dclink.lookup_json(table)))
+    assert top == list(doc)
+    assert [row] * 2 == [list(r) for r in doc["rows"]]

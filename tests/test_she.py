@@ -110,18 +110,22 @@ class TestKernelConstants:
     fields'."""
 
     def test_built_once_per_problem(self, monkeypatch, rng):
+        # SheProblem._kernel is the one maker of the constants
         built = []
-        real = she._kernel_columns
+        real = she._KernelColumns
         monkeypatch.setattr(
-            she, "_kernel_columns",
-            lambda problem, orders: built.append(orders) or real(problem, orders))
+            she, "_KernelColumns", lambda **columns: built.append(1) or real(**columns))
         problem = k8_problem(0.7)
         pts = rng.random((20, 8)) * HALF_PI
         for _ in range(3):
             cost_batch(pts, problem)
-        assert built == [problem.eliminate_orders]
+        assert len(built) == 1
         cost_batch(pts, replace(problem, target_m=0.6))
         assert len(built) == 2
+        # packaging each solve reads the problem's constants and makes none
+        sweep(k8_problem(0.7), [0.5, 0.7, 0.9],
+              PsoConfig(seed=3, swarm_size=8, iterations=5, restarts=1))
+        assert len(built) == 3
 
     def test_not_part_of_equality_hash_or_pickle(self, rng):
         problem = k8_problem(0.7)
