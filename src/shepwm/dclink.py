@@ -9,22 +9,23 @@ driven identically). Scaling the DC link scales every harmonic by the same
 factor, so the full-modulation solution's THD carries over unchanged to the
 entire output range. ``LookupTable`` is that law as a type: one base record
 (angles, THD, feasibility, fundamental) and a grid of commanded voltages,
-and the row at v has duty v and fundamental_v = v * the base fundamental.
-``build_lookup`` analyses the base solution once; ``read_lookup_csv`` refuses
-a file whose rows are not one base scaled by duty.
+and the row at v has duty v and fundamental_v = v * the base fundamental;
+it owns every rule of a table. ``build_lookup`` analyses the base solution
+once; ``read_lookup_csv`` refuses a file whose rows are not its table's.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import ShePwmError
+from .errors import GridPositionError, ShePwmError
 from .harmonics import DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, thd
 from .optimizer import PsoConfig, derive_seed
-from .pattern import HALF_PI
+from .pattern import check_angles
 from .she import SheProblem, Solution, solve, solve_pairs
 
 PROPOSED = "proposed"
@@ -49,11 +50,10 @@ class LookupRow:
 class LookupTable:
     """One base operating point, duty-scaled to each voltage of a grid.
 
-    grid is ascending within (0, 1]; angles, thd, feasible and fundamental_v
-    (volts at the full DC link) are the base's. The row at v has duty v and
-    fundamental v * fundamental_v. A row fundamental that is subnormal
-    (nonzero, below the smallest normal float) is refused: it has lost
-    bits, so the base fundamental could not be recovered from the CSV.
+    The grid obeys ``check_lookup_grid`` and the angles ``check_angles``;
+    thd and fundamental_v (volts at the full DC link) are finite and >= 0.
+    Angles, thd, feasible and fundamental_v are the base's; the row at v has
+    duty v and fundamental v * fundamental_v.
     """
 
     grid: tuple[float, ...]
@@ -66,15 +66,17 @@ class LookupTable:
     thd_max_order: int
 
     def __post_init__(self):
-        grid = _check_grid(self.grid)
-        if grid != list(self.grid):
-            raise ShePwmError("lookup grid must be sorted ascending")
-        object.__setattr__(self, "grid", tuple(grid))
-        for v in grid:
-            if 0.0 < v * self.fundamental_v < sys.float_info.min:
-                raise ShePwmError(
-                    f"row fundamental {v * self.fundamental_v!r} V at v_pu {v!r} "
-                    "is subnormal")
+        # kept as Python floats and a bool, whose repr the writers print
+        for name in ("grid", "angles"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        object.__setattr__(self, "feasible", bool(self.feasible))
+        for name in ("thd", "fundamental_v"):
+            value = float(getattr(self, name))
+            if not 0.0 <= value < math.inf:
+                raise ShePwmError(f"base {name} {value!r} is negative or not finite")
+            object.__setattr__(self, name, value)
+        check_angles(self.angles)
+        check_lookup_grid(self.grid, self.fundamental_v)
 
     @property
     def rows(self) -> tuple[LookupRow, ...]:
@@ -109,14 +111,24 @@ class ComparisonTable:
     conventional: tuple[Solution, ...]
 
 
-def _check_grid(v_pu_grid) -> list[float]:
-    grid = [float(v) for v in v_pu_grid]
+def check_lookup_grid(grid, fundamental_v: float = 0.0):
+    """Return grid; refuse an empty one, or with a GridPositionError the first
+    value outside (0, 1], below the one before, or whose v * fundamental_v is
+    subnormal, a product too coarse to give the base fundamental back."""
     if not grid:
         raise ShePwmError("empty per-unit voltage grid")
-    for v in grid:
-        if not (0.0 < v <= 1.0):
-            raise ShePwmError(f"grid value {v} outside (0, 1]")
-    return sorted(grid)
+    prev = 0.0
+    for i, v in enumerate(grid):
+        if not 0.0 < v <= 1.0:
+            raise GridPositionError(i, f"grid value {v!r} outside (0, 1]")
+        if v < prev:
+            raise GridPositionError(
+                i, f"lookup grid must be sorted ascending: {v!r} after {prev!r}")
+        if 0.0 < v * fundamental_v < sys.float_info.min:
+            raise GridPositionError(
+                i, f"row fundamental {v * fundamental_v!r} V at v_pu {v!r} is subnormal")
+        prev = v
+    return grid
 
 
 def build_lookup(
@@ -134,7 +146,7 @@ def build_lookup(
     itself; every row carries the base feasibility flag, since duty scaling
     preserves the residuals in per-unit terms exactly.
     """
-    grid = _check_grid(v_pu_grid)
+    grid = check_lookup_grid(sorted(float(v) for v in v_pu_grid))
     base = base_solution
     if base is None:
         base = solve(replace(problem, target_m=1.0), pso)
@@ -167,7 +179,7 @@ def compare_methods(
     processes without changing any result. At v_pu = 1.0 both methods share
     the base operating point and the improvement is undefined.
     """
-    grid = _check_grid(v_pu_grid)
+    grid = check_lookup_grid(sorted(float(v) for v in v_pu_grid))
     below_full = [v for v in grid if v != 1.0]
     pairs = [(1.0, pso.seed)]
     pairs += [(v, derive_seed(pso.seed, i)) for i, v in enumerate(below_full)]
@@ -211,41 +223,18 @@ def lookup_csv(table: LookupTable):
         yield f"{v!r},{PROPOSED},{v!r},{thd_flag},{v * table.fundamental_v!r}{angles}\n"
 
 
-def _read_base(parts: list[str], where: str) -> tuple[float, bool, tuple[float, ...]]:
-    """The base THD ratio, feasible flag and angles of a lookup CSV row."""
-    if parts[4] not in ("true", "false"):
-        raise ShePwmError(f"{where}: feasible is {parts[4]!r}, not true/false")
-    try:
-        thd_pct, *angles = (float(x) for x in parts[3:4] + parts[6:])
-    except ValueError as exc:
-        raise ShePwmError(f"{where}: {exc}") from None
-    if not 0.0 <= thd_pct < math.inf:
-        raise ShePwmError(f"{where}: negative or non-finite THD")
-    if not all(0.0 <= a <= b <= HALF_PI
-               for a, b in zip(angles, angles[1:] + [HALF_PI])):
-        raise ShePwmError(f"{where}: angles decrease or leave [0, pi/2]")
-    return thd_pct / 100.0, parts[4] == "true", tuple(angles)
-
-
-def _base_fundamental(path, rows: list[tuple[int, float, float]]) -> float:
-    """The first F with v * F == fundamental_v on every (line, v, fundamental_v)
-    row, among the top row's fundamental_v / v and two ulps either side: a
-    once-rounded normal product puts F there. Else the line the last of
-    them failed on is named."""
-    _, v, fund = rows[-1]
-    lo = hi = fund / v
+def _base_fundamental(rows: list[LookupRow]) -> float:
+    """The first F with v_pu * F == fundamental_v on the most leading rows (on
+    all, in a file the writer made) among the top row's fundamental_v / v_pu
+    and two ulps either side: a once-rounded normal product puts F there."""
+    top = rows[-1]
+    lo = hi = top.fundamental_v / top.v_pu
     candidates = [lo]
     for _ in range(2):
         lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
         candidates += [lo, hi]
-    failed = 0
-    for f in candidates:
-        bad = next((i for i, (_, v, fund) in enumerate(rows) if v * f != fund), None)
-        if bad is None:
-            return f
-        failed = max(failed, bad)
-    raise ShePwmError(f"{path}, line {rows[failed][0]}: fundamental_v is not "
-                      "v_pu times a base fundamental that the other rows share")
+    return max(candidates, key=lambda f: next(
+        (i for i, r in enumerate(rows) if r.v_pu * f != r.fundamental_v), len(rows)))
 
 
 def read_lookup_csv(
@@ -257,16 +246,14 @@ def read_lookup_csv(
     """Parse a lookup CSV back into its table; structural metadata comes from
     the caller (it lives in the run manifest, not in the CSV schema).
 
-    A file is outside input, so the duty-scaling law is checked here.
-    ShePwmError names the line of a foreign header or one with no rows, of
-    a row with the wrong field count, a flag not true/false, an unparsable
-    number, a negative or non-finite THD or fundamental, or angles outside
-    nondecreasing [0, pi/2], and of a row that is not the first row's base
-    scaled to its v_pu: other THD, flag or angle text, a method other than
-    proposed, duty != v_pu, v_pu outside (0, 1] or descending, or a
-    fundamental_v that is v_pu times no base fundamental the rows share.
+    It parses, builds the table of the first row's THD, flag and angles,
+    the v_pu column and the fundamental_v column's base fundamental, and
+    compares each row with the table's by value. ShePwmError names the line
+    of a foreign header or one with no rows, a wrong field count, a flag not
+    true/false, an unparsable number, a v_pu the grid rule refuses, the first
+    row when the table refuses a base figure, and the first row that differs.
     """
-    rows = []
+    lines, rows = [], []
     with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
         if header != LOOKUP_COLUMNS + _angle_headers(len(header) - len(LOOKUP_COLUMNS)):
@@ -278,62 +265,58 @@ def read_lookup_csv(
             where = f"{path}, line {lineno}"
             if len(parts) != len(header):
                 raise ShePwmError(f"{where}: {len(parts)} fields, header {len(header)}")
-            if not rows:
-                base_line, base_text = lineno, parts[3:5] + parts[6:]
-                base_thd, base_feasible, base_angles = _read_base(parts, where)
-            elif parts[3:5] + parts[6:] != base_text:
-                raise ShePwmError(
-                    f"{where}: THD, feasible flag or angles differ from line {base_line}")
-            if parts[1] != PROPOSED:
-                raise ShePwmError(f"{where}: method {parts[1]!r}, not {PROPOSED!r}")
+            if parts[4] not in ("true", "false"):
+                raise ShePwmError(f"{where}: feasible is {parts[4]!r}, not true/false")
             try:
-                v_pu, duty, fund = float(parts[0]), float(parts[2]), float(parts[5])
+                v_pu, duty, thd_pct, fund, *angles = map(
+                    float, parts[:1] + parts[2:4] + parts[5:])
             except ValueError as exc:
                 raise ShePwmError(f"{where}: {exc}") from None
-            if duty != v_pu:
-                raise ShePwmError(f"{where}: duty {duty!r} is not v_pu {v_pu!r}")
-            if not (0.0 < v_pu <= 1.0 and (not rows or rows[-1][1] <= v_pu)):
-                raise ShePwmError(f"{where}: v_pu {v_pu!r} outside (0, 1] or "
-                                  "below the row before")
-            if not 0.0 <= fund < math.inf:
-                raise ShePwmError(f"{where}: negative or non-finite fundamental")
-            rows.append((lineno, v_pu, fund))
+            lines.append(lineno)
+            rows.append(LookupRow(v_pu, parts[1], duty, thd_pct / 100.0,
+                                  parts[4] == "true", fund, tuple(angles)))
     if not rows:
         raise ShePwmError(f"{path}, line 1: a header with no rows")
-    return LookupTable(
-        grid=tuple(v for _, v, _ in rows),
-        angles=base_angles,
-        thd=base_thd,
-        feasible=base_feasible,
-        fundamental_v=_base_fundamental(path, rows),
-        base_vdc_per_cell=base_vdc_per_cell,
-        cells=cells,
-        thd_max_order=thd_max_order,
-    )
+    grid, base = tuple(r.v_pu for r in rows), rows[0]
+    try:
+        check_lookup_grid(grid)  # before a v_pu of 0 divides a fundamental_v
+        table = LookupTable(grid, base.angles, base.thd, base.feasible,
+                            _base_fundamental(rows), base_vdc_per_cell, cells,
+                            thd_max_order)
+    except GridPositionError as exc:
+        raise ShePwmError(f"{path}, line {lines[exc.position]}: {exc}") from None
+    except ShePwmError as exc:
+        raise ShePwmError(f"{path}, line {lines[0]}: {exc}") from None
+    for lineno, row, expected in zip(lines, rows, table.rows):
+        for name, got in vars(row).items():
+            if got != vars(expected)[name]:
+                raise ShePwmError(f"{path}, line {lineno}: {name} is {got!r}, "
+                                  f"not the table's {vars(expected)[name]!r}")
+    return table
 
 
 def lookup_json(table: LookupTable):
-    """Lookup JSON text (indent 2), streamed in encoder chunks."""
-    thd_pct, angles = 100.0 * table.thd, list(table.angles)
-    doc = {
-        "base_vdc_per_cell": table.base_vdc_per_cell,
-        "cells": table.cells,
-        "thd_max_order": table.thd_max_order,
-        "rows": [
-            {
-                "v_pu": v,
-                "method": PROPOSED,
-                "duty": v,
-                "thd_pct": thd_pct,
-                "feasible": table.feasible,
-                "fundamental_v": v * table.fundamental_v,
-                "angles_rad": angles,
-            }
-            for v in table.grid
-        ],
-    }
-    yield from json.JSONEncoder(indent=2).iterencode(doc)
-    yield "\n"
+    """Lookup JSON text, the bytes json.JSONEncoder(indent=2) writes.
+
+    The encoder writes the head, and one row whose v_pu, duty and
+    fundamental_v are markers, once per table; each grid value fills that
+    row's text in at the markers.
+    """
+    encode = json.JSONEncoder(indent=2).encode
+    head, sep, tail = encode({"base_vdc_per_cell": table.base_vdc_per_cell,
+                              "cells": table.cells, "thd_max_order": table.thd_max_order,
+                              "rows": ["@row", "@row"]}).split('"@row"')
+    row = encode({"v_pu": "@v", "method": PROPOSED, "duty": "@v",
+                  "thd_pct": 100.0 * table.thd, "feasible": table.feasible,
+                  "fundamental_v": "@f", "angles_rad": list(table.angles)})
+    # a row sits two levels deep, so each of its line breaks indents 4 more
+    row_open, to_duty, to_fundamental, row_close = re.split(
+        '"@[vf]"', row.replace("\n", "\n    "))
+    yield head
+    for i, v in enumerate(table.grid):
+        yield (f"{sep if i else ''}{row_open}{v!r}{to_duty}{v!r}{to_fundamental}"
+               f"{v * table.fundamental_v!r}{row_close}")
+    yield tail + "\n"
 
 
 def comparison_csv(table: ComparisonTable):

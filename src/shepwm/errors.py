@@ -1,7 +1,7 @@
 """Exception types raised across the package.
 
-Every refusal raises ShePwmError; its message names the fault. The one
-subclass, ZeroFundamental, exists because callers catch it: it marks a THD
+Every refusal raises ShePwmError; its message names the fault. Its two
+subclasses exist because callers catch them: ZeroFundamental marks a THD
 that is undefined, not an input that is wrong.
 """
 
@@ -12,3 +12,11 @@ class ShePwmError(Exception):
 
 class ZeroFundamental(ShePwmError):
     """THD is undefined because the fundamental magnitude is (numerically) zero."""
+
+
+class GridPositionError(ShePwmError):
+    """The value at index ``position`` breaks a lookup grid's rule."""
+
+    def __init__(self, position: int, message: str):
+        super().__init__(message)
+        self.position = position

@@ -107,7 +107,8 @@ class SwitchingPattern:
 class WaveformSamples:
     """Uniform samples of one fundamental period of the output voltage.
 
-    Holds an array, so instances compare by identity.
+    Holds an array, so instances compare by identity. The samples must be
+    finite, an even count of at least 4, and odd half-wave symmetric.
     """
 
     samples: np.ndarray
@@ -121,6 +122,8 @@ class WaveformSamples:
             raise ShePwmError(f"need an even sample count >= 4, got {n}")
         half = n // 2
         peak = float(np.max(np.abs(self.samples)))
+        if not math.isfinite(peak):
+            raise ShePwmError("waveform samples must be finite")
         skew = float(np.max(np.abs(self.samples[half:] + self.samples[:half])))
         if skew > 1e-9 * max(peak, 1.0):
             raise ShePwmError(
@@ -164,19 +167,24 @@ def validate(pattern: SwitchingPattern) -> SwitchingPattern:
         raise ShePwmError(
             f"angle count {k} is not a multiple of the cell count {pattern.cells}"
         )
-    prev = 0.0
-    for a in pattern.angles:
-        if not (math.isfinite(a) and 0.0 <= a <= HALF_PI):
-            raise ShePwmError(f"angle {a!r} outside [0, pi/2]")
-        if a < prev:
-            raise ShePwmError(f"angles not nondecreasing at {a!r} after {prev!r}")
-        prev = a
+    check_angles(pattern.angles)
     for j, level in enumerate(levels(pattern.signs)):
         if level < 0 or level > pattern.cells:
             raise ShePwmError(
                 f"level {level} after transition {j + 1} outside [0, {pattern.cells}]"
             )
     return pattern
+
+
+def check_angles(angles) -> None:
+    """Refuse angles not finite and nondecreasing within [0, pi/2], naming the first."""
+    prev = 0.0
+    for a in angles:
+        if not (math.isfinite(a) and 0.0 <= a <= HALF_PI):
+            raise ShePwmError(f"angle {a!r} outside [0, pi/2]")
+        if a < prev:
+            raise ShePwmError(f"angles not nondecreasing at {a!r} after {prev!r}")
+        prev = a
 
 
 def levels(signs) -> list[int]:

@@ -25,6 +25,8 @@ from shepwm import (
     synthesize,
 )
 
+from shepwm.harmonics import _odd_volts
+
 from conftest import random_valid_pattern, run_cli
 
 GRID_ARGS = ["--pu-grid", "0.1:1.0:0.1"]
@@ -67,17 +69,21 @@ def test_criterion_1_oracle_equivalence(rng):
     t0 = time.monotonic()
     worst_rel = 0.0
     worst_even = 0.0
-    for _ in range(1000):
+    for i in range(1000):
         pat = random_valid_pattern(rng)
         vdc = pat.vdc_per_cell
+        # the closed form's orders 1, 3, ..., 49 in one pass; each is the
+        # value analytic_harmonic returns, checked bit for bit at one order
+        odd = _odd_volts(pat, 49).tolist()
+        assert odd[i % 25] == analytic_harmonic(pat, 2 * (i % 25) + 1)
         for n in range(1, 50):
             seg = segment_integral_harmonic(pat, n)
-            ana = analytic_harmonic(pat, n)
             if n % 2 == 0:
-                assert ana == 0.0
+                assert analytic_harmonic(pat, n) == 0.0
                 worst_even = max(worst_even, abs(seg) / vdc)
                 assert abs(seg) <= 1e-9 * vdc
             else:
+                ana = odd[n // 2]
                 err = abs(seg - ana)
                 tol = 1e-10 * max(abs(seg), abs(ana)) + 1e-12 * vdc
                 if max(abs(seg), abs(ana)) > 1e-12 * vdc:

@@ -1,9 +1,11 @@
 import json
+import math
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shepwm import (
@@ -22,6 +24,7 @@ from shepwm import (
 from shepwm import dclink
 from shepwm.dclink import comparison_csv, lookup_csv, lookup_json, read_lookup_csv
 from shepwm.errors import ShePwmError
+from shepwm.pattern import HALF_PI
 
 GRID10 = [round(0.1 * i, 12) for i in range(1, 11)]
 FAST = dict(iterations=60, restarts=2, swarm_size=20)
@@ -212,6 +215,8 @@ class TestCompare:
 
 
 LOOKUP_HEADER = "v_pu,method,duty,thd_pct,feasible,fundamental_v,theta_1,theta_2,theta_3"
+# non-finite, negative, and (for an angle) above pi/2
+EDGE_FIGURES = [math.nan, math.inf, -math.inf, -1.0, 2.0]
 HALF_ROW = "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2,0.3"
 
 
@@ -283,22 +288,35 @@ class TestIo:
         ),
         # and fundamentals of 1 mV to 1 MV, the range a converter has
         fundamental=st.one_of(positive_floats(308),
-                              st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)),
-        thd=st.floats(0.0, 10.0),
+                              st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e),
+                              st.sampled_from(EDGE_FIGURES)),
+        thd=st.one_of(st.floats(0.0, 10.0), st.sampled_from(EDGE_FIGURES)),
+        # sorted angles, or ones that may decrease or leave [0, pi/2]
+        angles=st.one_of(
+            st.lists(st.floats(0.0, HALF_PI), min_size=1, max_size=4).map(sorted),
+            st.lists(st.one_of(st.floats(0.0, HALF_PI), st.sampled_from(EDGE_FIGURES)),
+                     min_size=1, max_size=4),
+        ),
     )
+    @example(grid=[0.5, 1.0], fundamental=100.0, thd=math.nan, angles=[0.1, 0.2])
     @settings(max_examples=200, deadline=None)
     def test_any_table_reads_back_to_its_bytes(self, tmp_path_factory, grid,
-                                               fundamental, thd):
-        # a table is refused when a row's v_pu * F is subnormal; every other
-        # v_pu * F is zero or a normal float rounded once
-        grid = tuple(sorted(grid))
+                                               fundamental, thd, angles):
+        # the table refuses a base figure its reader would refuse, and a row
+        # whose v_pu * F is subnormal; every other v_pu * F is zero or a
+        # normal float rounded once
+        grid, angles = tuple(sorted(grid)), tuple(angles)
+        base_ok = (0.0 <= thd < math.inf and 0.0 <= fundamental < math.inf
+                   and all(0.0 <= a <= b <= HALF_PI
+                           for a, b in zip(angles, angles[1:] + (HALF_PI,))))
         try:
-            table = LookupTable(grid, (0.1, 0.2, 0.3), thd, False,
-                                fundamental, 200.0, 1, 49)
+            table = LookupTable(grid, angles, thd, False, fundamental, 200.0, 1, 49)
         except ShePwmError as exc:
-            assert "is subnormal" in str(exc)
-            assert any(0.0 < v * fundamental < sys.float_info.min for v in grid)
+            if base_ok:
+                assert "is subnormal" in str(exc)
+                assert any(0.0 < v * fundamental < sys.float_info.min for v in grid)
             return
+        assert base_ok
         text = "".join(lookup_csv(table))
         path = tmp_path_factory.mktemp("lookup") / "table.csv"
         path.write_text(text)
@@ -333,6 +351,10 @@ class TestIo:
             (LOOKUP_HEADER, "", 1),
             (LOOKUP_HEADER, "0.0,proposed,0.0,12.0,true,0.0,0.1,0.2,0.3", 2),
             (LOOKUP_HEADER, f"{HALF_ROW}\n0.25,proposed,0.25,12.0,true,100.0,0.1,0.2,0.3", 3),
+            # the table refuses the second row's v_pu * F = 1e-310 V
+            (LOOKUP_HEADER, "5e-324,proposed,5e-324,12.0,true,0.0,0.1,0.2,0.3\n"
+                            "1e-300,proposed,1e-300,12.0,true,1e-310,0.1,0.2,0.3\n"
+                            "1.0,proposed,1.0,12.0,true,1e-10,0.1,0.2,0.3", 3),
         ],
         ids=["short-row", "bad-flag", "bad-number", "foreign-header",
              "negative-thd", "infinite-thd", "nan-fundamental",
@@ -340,13 +362,22 @@ class TestIo:
              "negative-angle", "angle-above-half-pi", "decreasing-angles",
              "other-angles", "other-thd", "other-flag", "duty-not-v_pu",
              "conventional-method", "fundamental-not-scaled", "header-only",
-             "zero-v_pu", "descending-v_pu"],
+             "zero-v_pu", "descending-v_pu", "subnormal-fundamental"],
     )
     def test_read_lookup_csv_rejects_malformed_file(self, tmp_path, header, rows, line):
         path = tmp_path / "table.csv"
         path.write_text("\n".join([header, *rows.splitlines()]) + "\n")
         with pytest.raises(ShePwmError, match=f", line {line}: "):
             read_lookup_csv(path)
+
+    def test_read_lookup_csv_compares_rows_by_value(self, tmp_path):
+        # the second row spells the base's THD and angles otherwise
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join([
+            LOOKUP_HEADER, HALF_ROW,
+            "1.0,proposed,1.00,12.000,true,400.0,0.10000000000000001,0.2,3e-1"]) + "\n")
+        assert read_lookup_csv(path) == LookupTable((0.5, 1.0), (0.1, 0.2, 0.3), 0.12,
+                                                    True, 400.0, 200.0, 2, 49)
 
     def test_lookup_csv_header(self):
         table = build_lookup(
@@ -369,6 +400,40 @@ class TestIo:
         assert doc["rows"][0]["v_pu"] == 0.5
         assert doc["rows"][0]["angles_rad"] == list(table.rows[0].angles)
         assert doc["rows"][0]["thd_pct"] == 100.0 * table.rows[0].thd
+
+    @given(
+        grid=st.lists(positive_floats(0), min_size=1, max_size=6),
+        angles=st.lists(st.one_of(st.floats(0.0, HALF_PI), st.integers(0, 1),
+                                  st.just(-0.0)), min_size=1, max_size=12),
+        thd=st.one_of(st.floats(0.0, 10.0), st.integers(0, 3)),
+        feasible=st.booleans(),
+        fundamental=st.one_of(positive_floats(308), st.integers(0, 1000)),
+        base_vdc=st.one_of(st.floats(1e-3, 1e4), st.integers(1, 1000)),
+        cells=st.integers(1, 6),
+        max_order=st.integers(1, 999),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_json_is_the_encoders_text(self, grid, angles, thd, feasible,
+                                              fundamental, base_vdc, cells, max_order):
+        try:
+            table = LookupTable(tuple(sorted(grid)), tuple(sorted(angles)), thd, feasible,
+                                fundamental, base_vdc, cells, max_order)
+        except ShePwmError as exc:
+            assert "is subnormal" in str(exc)
+            return
+        doc = {
+            "base_vdc_per_cell": table.base_vdc_per_cell,
+            "cells": table.cells,
+            "thd_max_order": table.thd_max_order,
+            "rows": [
+                {"v_pu": v, "method": "proposed", "duty": v, "thd_pct": 100.0 * table.thd,
+                 "feasible": table.feasible, "fundamental_v": v * table.fundamental_v,
+                 "angles_rad": list(table.angles)}
+                for v in table.grid
+            ],
+        }
+        expected = "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"
+        assert "".join(lookup_json(table)) == expected
 
     def test_comparison_csv(self, small_compare):
         lines = "".join(comparison_csv(small_compare)).splitlines()
@@ -395,6 +460,31 @@ class TestIo:
     def test_table_type_rejects_bad_grid(self, grid, message):
         with pytest.raises(ShePwmError, match=message):
             LookupTable(grid, (0.1,), 0.2, True, 400.0, 200.0, 1, 49)
+
+    @pytest.mark.parametrize(
+        "thd, fundamental, angles, message",
+        [(math.nan, 100.0, (0.1, 0.2), "base thd nan"),
+         (-0.1, 100.0, (0.1, 0.2), "base thd -0.1"),
+         (0.2, -100.0, (0.1, 0.2), "base fundamental_v -100.0"),
+         (0.2, math.inf, (0.1, 0.2), "base fundamental_v inf"),
+         (0.2, 100.0, (0.3, 0.2), "not nondecreasing at 0.2 after 0.3"),
+         (0.2, 100.0, (0.1, 2.0), r"angle 2.0 outside \[0, pi/2\]")],
+        ids=["nan-thd", "negative-thd", "negative-fundamental", "infinite-fundamental",
+             "decreasing-angles", "angle-above-half-pi"],
+    )
+    def test_table_type_refuses_bad_base_figures(self, thd, fundamental, angles, message):
+        with pytest.raises(ShePwmError, match=message):
+            LookupTable((0.5, 1.0), angles, thd, True, fundamental, 200.0, 1, 49)
+
+    def test_table_type_keeps_python_floats(self, tmp_path):
+        # numpy scalars used to reach the CSV as np.float64(...) text
+        table = LookupTable(np.array([0.5, 1.0]), (np.float64(0.1),), np.float64(0.2),
+                            np.bool_(True), np.float64(300.0), 200.0, 1, 49)
+        text = "".join(lookup_csv(table))
+        assert "np." not in text + "".join(lookup_json(table))
+        path = tmp_path / "table.csv"
+        path.write_text(text)
+        assert read_lookup_csv(path, 200.0, 1) == table
 
     @pytest.mark.parametrize(
         "grid, fundamental, product",

@@ -28,26 +28,39 @@ def test_import_leaves_the_process_pool_out():
     assert run.returncode == 0, run.stderr.decode()
 
 
-def _write_mode_opens(path: Path) -> list[int]:
-    """Line numbers of `open(...)` calls whose mode (second positional or
-    `mode=`) is a literal holding w, a, x or +."""
-    lines = []
+def _file_writes(path: Path) -> list[str]:
+    """Every call that may write or remove a file, as written: an `open`
+    (bare or as a method) with a mode that is not a literal read mode,
+    `os.remove` or `os.unlink`."""
+    calls = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "open"):
+        if not isinstance(node, ast.Call):
             continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
         modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-        if any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
-               for m in modes):
-            lines.append(node.lineno)
-    return lines
+        writes = name == "open" and any(
+            not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt"))
+            for m in modes)
+        if writes or ast.unparse(func) in ("os.remove", "os.unlink"):
+            calls.append(ast.unparse(node))
+    return calls
+
+
+def test_only_cli_writes_or_removes_files():
+    # library modules render file text as generators; cli._write_outputs
+    # alone writes the files and removes them when a run fails
+    package = Path(shepwm.__file__).parent
+    calls = {p.name: _file_writes(p) for p in sorted(package.glob("*.py"))}
+    assert {name for name, found in calls.items() if found} == {"cli.py"}
 
 
 def test_only_cli_opens_files_for_writing():
     package = Path(shepwm.__file__).parent
-    writers = {p.name: _write_mode_opens(p) for p in sorted(package.glob("*.py"))}
-    assert {name for name, lines in writers.items() if lines} == {"cli.py"}
-    assert len(writers["cli.py"]) == 1
+    opens = {p.name: [c for c in _file_writes(p) if not c.startswith("os.")]
+             for p in sorted(package.glob("*.py"))}
+    assert {name for name, found in opens.items() if found} == {"cli.py"}
+    assert len(opens["cli.py"]) == 1
 
 
 def _raised_names(path: Path) -> set[str]:
@@ -66,7 +79,8 @@ def test_library_refuses_only_with_package_errors():
     package = Path(shepwm.__file__).parent
     raised = {p.name: _raised_names(p) for p in sorted(package.glob("*.py"))
               if p.name != "cli.py"}
-    assert set().union(*raised.values()) == {"ShePwmError", "ZeroFundamental"}
+    assert set().union(*raised.values()) == {"ShePwmError", "ZeroFundamental",
+                                             "GridPositionError"}
 
 
 def _cosine_calls(path: Path) -> list[str]:

@@ -241,6 +241,13 @@ class TestWaveformSamples:
         with pytest.raises(ShePwmError, match="half-wave symmetry"):
             WaveformSamples(samples=np.array([1.0, 1.0, -1.0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_samples(self, bad):
+        # the symmetry check cannot see these: NaN fails every comparison,
+        # and an infinite peak makes its tolerance infinite
+        with pytest.raises(ShePwmError, match="must be finite"):
+            WaveformSamples(samples=np.array([bad, 1.0, bad, -1.0]))
+
     def test_accepts_numerically_symmetric_sine(self):
         n = 64
         v = np.sin(2 * np.pi * np.arange(n) / n)
