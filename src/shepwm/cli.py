@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .dclink import build_lookup, compare_methods, comparison_csv, lookup_csv, lookup_json
-from .errors import ShePwmError, ZeroFundamental
+from .errors import ShePwmError, ZeroFundamental, check_count
 from .harmonics import (
     DEFAULT_MAX_ORDER,
     analytic_spectrum,
@@ -43,16 +43,6 @@ GRID_STOP_SLACK = 1e-9
 # Cap on (stop - start) / step of a start:stop:step grid, checked before the
 # grid is built.
 MAX_GRID_POINTS = 1_000_000
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} must be >= 1")
-    return value
 
 
 def _float_list(text: str) -> list[float]:
@@ -138,6 +128,7 @@ _NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
 def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
     """Problem, swarm and manifest config: both dataclasses in full, plus every
     parsed argument that is not one of their fields."""
+    check_count(args.max_order, "--max-order")  # before any solve
     given = vars(args)
     problem = SheProblem(
         target_m,
@@ -270,10 +261,11 @@ def _cmd_compare(args) -> int:
         args.pu_grid, pso, problem, thd_max_order=args.max_order, jobs=args.jobs
     )
     _write_outputs("compare", cfg, pso.seed, [(args.out, comparison_csv(table))])
-    return 0 if table.base_solution.feasible else 1
+    return 0 if table.proposed.feasible else 1
 
 
 def _cmd_analyze(args) -> int:
+    check_count(args.samples, "--samples")
     angles = args.angles
     if args.degrees:
         angles = [math.radians(a) for a in angles]
@@ -340,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fundamental,harmonic cost weights (default %(default)s)")
     solver.add_argument("--seed", type=int, required=True,
                         help="base seed (unsigned 64-bit, required)")
-    solver.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER)
+    solver.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--pu-grid", type=parse_grid, required=True,
                       metavar="START:STOP:STEP")
@@ -383,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--vdc", type=float, default=SheProblem.vdc_per_cell)
     p_an.add_argument("--cells", type=int, default=None,
                       help="cell count (default: peak level of the signs)")
-    p_an.add_argument("--max-order", type=_positive_int, default=DEFAULT_MAX_ORDER)
-    p_an.add_argument("--samples", type=_positive_int, default=65536,
+    p_an.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
+    p_an.add_argument("--samples", type=int, default=65536,
                       help="samples per period for --emit-waveform")
     p_an.add_argument("--degrees", action="store_true",
                       help="interpret --angles as degrees")

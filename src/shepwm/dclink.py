@@ -22,10 +22,10 @@ import re
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import GridPositionError, ShePwmError
+from .errors import GridPositionError, ShePwmError, check_count
 from .harmonics import DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, thd
 from .optimizer import PsoConfig, derive_seed
-from .pattern import check_angles
+from .pattern import check_angles, check_vdc
 from .she import SheProblem, Solution, solve, solve_pairs
 
 PROPOSED = "proposed"
@@ -51,7 +51,8 @@ class LookupTable:
     """One base operating point, duty-scaled to each voltage of a grid.
 
     The grid obeys ``check_lookup_grid`` and the angles ``check_angles``;
-    thd and fundamental_v (volts at the full DC link) are finite and >= 0.
+    thd and fundamental_v (volts at the full DC link) are finite and >= 0;
+    base_vdc_per_cell obeys ``check_vdc``, cells and thd_max_order ``check_count``.
     Angles, thd, feasible and fundamental_v are the base's; the row at v has
     duty v and fundamental v * fundamental_v.
     """
@@ -66,7 +67,7 @@ class LookupTable:
     thd_max_order: int
 
     def __post_init__(self):
-        # kept as Python floats and a bool, whose repr the writers print
+        # kept as Python floats, ints and a bool, whose repr the writers print
         for name in ("grid", "angles"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         object.__setattr__(self, "feasible", bool(self.feasible))
@@ -75,6 +76,9 @@ class LookupTable:
             if not 0.0 <= value < math.inf:
                 raise ShePwmError(f"base {name} {value!r} is negative or not finite")
             object.__setattr__(self, name, value)
+        for name, rule in (("base_vdc_per_cell", check_vdc), ("cells", check_count),
+                           ("thd_max_order", check_count)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         check_angles(self.angles)
         check_lookup_grid(self.grid, self.fundamental_v)
 
@@ -106,9 +110,20 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    rows: tuple[ComparisonRow, ...]
+    """The base solution's lookup table beside each grid value's conventional
+    solution and THD; every row's proposed THD and flag are the table's."""
+
+    proposed: LookupTable
     base_solution: Solution
     conventional: tuple[Solution, ...]
+    thd_conventional: tuple[float, ...]
+
+    @property
+    def rows(self) -> tuple[ComparisonRow, ...]:
+        p, thd_c = self.proposed, self.thd_conventional
+        return tuple(ComparisonRow(v, c, p.thd, None if c == p.thd else (c - p.thd) / c,
+                                   conv.feasible, p.feasible)
+                     for v, conv, c in zip(p.grid, self.conventional, thd_c))
 
 
 def check_lookup_grid(grid, fundamental_v: float = 0.0):
@@ -147,6 +162,7 @@ def build_lookup(
     preserves the residuals in per-unit terms exactly.
     """
     grid = check_lookup_grid(sorted(float(v) for v in v_pu_grid))
+    thd_max_order = check_count(thd_max_order, "thd_max_order")
     base = base_solution
     if base is None:
         base = solve(replace(problem, target_m=1.0), pso)
@@ -176,37 +192,19 @@ def compare_methods(
     run as one stacked batch (see solve_pairs). Conventional solve i, over
     the sorted grid without 1.0, uses seed derive_seed(pso.seed, i), as a
     sweep over those points would; jobs > 1 splits the batch over
-    processes without changing any result. At v_pu = 1.0 both methods share
-    the base operating point and the improvement is undefined.
-    """
+    processes without changing any result. The proposed side is build_lookup's
+    table of the base solve; at v_pu = 1.0 both methods share the base
+    operating point and the improvement is undefined."""
     grid = check_lookup_grid(sorted(float(v) for v in v_pu_grid))
+    thd_max_order = check_count(thd_max_order, "thd_max_order")
     below_full = [v for v in grid if v != 1.0]
     pairs = [(1.0, pso.seed)]
     pairs += [(v, derive_seed(pso.seed, i)) for i, v in enumerate(below_full)]
     base, *solved = solve_pairs(problem, pairs, pso, jobs)
     conventional = solved + [base] * (len(grid) - len(below_full))
-    # duty scaling carries the base THD to every grid point (see build_lookup)
-    thd_p = pattern_thd(base.pattern, thd_max_order)
-
-    rows = []
-    for v, conv in zip(grid, conventional):
-        thd_c = pattern_thd(conv.pattern, thd_max_order)
-        improvement = None if thd_c == thd_p else (thd_c - thd_p) / thd_c
-        rows.append(
-            ComparisonRow(
-                v_pu=v,
-                thd_conventional=thd_c,
-                thd_proposed=thd_p,
-                improvement=improvement,
-                feasible_conventional=conv.feasible,
-                feasible_proposed=base.feasible,
-            )
-        )
-    return ComparisonTable(
-        rows=tuple(rows),
-        base_solution=base,
-        conventional=tuple(conventional),
-    )
+    proposed = build_lookup(grid, pso, problem, thd_max_order, base_solution=base)
+    thd_c = tuple(pattern_thd(c.pattern, thd_max_order) for c in conventional)
+    return ComparisonTable(proposed, base, tuple(conventional), thd_c)
 
 
 def _angle_headers(k: int) -> list[str]:
@@ -248,12 +246,16 @@ def read_lookup_csv(
 
     It parses, builds the table of the first row's THD, flag and angles,
     the v_pu column and the fundamental_v column's base fundamental, and
-    compares each row with the table's by value. ShePwmError names the line
-    of a foreign header or one with no rows, a wrong field count, a flag not
-    true/false, an unparsable number, a v_pu the grid rule refuses, the first
-    row when the table refuses a base figure, and the first row that differs.
-    """
-    lines, rows = [], []
+    compares each row with the table's by value. A metadata argument the table
+    refuses is refused by name before the file is read. ShePwmError names the
+    line of a foreign header or one with no rows, a wrong field count, a flag
+    not true/false, an unparsable number, a v_pu the grid rule refuses, the
+    first row when the table refuses a base figure, and the first row that
+    differs (its THD as the thd_pct column)."""
+    base_vdc_per_cell = check_vdc(base_vdc_per_cell, "base_vdc_per_cell")
+    cells = check_count(cells, "cells")
+    thd_max_order = check_count(thd_max_order, "thd_max_order")
+    lines, pcts, rows = [], [], []
     with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
         if header != LOOKUP_COLUMNS + _angle_headers(len(header) - len(LOOKUP_COLUMNS)):
@@ -273,6 +275,7 @@ def read_lookup_csv(
             except ValueError as exc:
                 raise ShePwmError(f"{where}: {exc}") from None
             lines.append(lineno)
+            pcts.append(thd_pct)
             rows.append(LookupRow(v_pu, parts[1], duty, thd_pct / 100.0,
                                   parts[4] == "true", fund, tuple(angles)))
     if not rows:
@@ -287,11 +290,14 @@ def read_lookup_csv(
         raise ShePwmError(f"{path}, line {lines[exc.position]}: {exc}") from None
     except ShePwmError as exc:
         raise ShePwmError(f"{path}, line {lines[0]}: {exc}") from None
-    for lineno, row, expected in zip(lines, rows, table.rows):
+    for lineno, pct, row, expected in zip(lines, pcts, rows, table.rows):
         for name, got in vars(row).items():
-            if got != vars(expected)[name]:
+            want = vars(expected)[name]
+            if got != want:
+                if name == "thd":  # named as the file has it, in percent
+                    name, got, want = "thd_pct", pct, 100.0 * want
                 raise ShePwmError(f"{path}, line {lineno}: {name} is {got!r}, "
-                                  f"not the table's {vars(expected)[name]!r}")
+                                  f"not the table's {want!r}")
     return table
 
 

@@ -1,9 +1,11 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the one count rule.
 
 Every refusal raises ShePwmError; its message names the fault. Its two
 subclasses exist because callers catch them: ZeroFundamental marks a THD
 that is undefined, not an input that is wrong.
 """
+
+import operator
 
 
 class ShePwmError(Exception):
@@ -20,3 +22,14 @@ class GridPositionError(ShePwmError):
     def __init__(self, position: int, message: str):
         super().__init__(message)
         self.position = position
+
+
+def check_count(n, name: str) -> int:
+    """n as an int >= 1; integer types such as numpy's pass, floats do not."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ShePwmError(f"{name} must be an integer, got {n!r}") from None
+    if n < 1:
+        raise ShePwmError(f"{name} must be >= 1, got {n}")
+    return n

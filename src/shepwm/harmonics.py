@@ -28,12 +28,11 @@ timed ``route_batch``) until the benchmark takes one spectrum per pattern.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShePwmError, ZeroFundamental
+from .errors import ShePwmError, ZeroFundamental, check_count
 from .pattern import SwitchingPattern, WaveformSamples
 
 DEFAULT_MAX_ORDER = 49
@@ -48,7 +47,7 @@ class HarmonicSpectrum:
     base_volts: float
 
     def __post_init__(self):
-        _order(self.max_order, "max_order")
+        object.__setattr__(self, "max_order", check_count(self.max_order, "max_order"))
         missing = [n for n in range(1, self.max_order + 1) if n not in self.magnitudes]
         if missing:
             raise ShePwmError(f"spectrum missing orders {missing[:5]}...")
@@ -59,17 +58,6 @@ class HarmonicSpectrum:
     @property
     def fundamental(self) -> float:
         return self.magnitudes[1]
-
-
-def _order(n, name: str) -> int:
-    """n as an int >= 1; integer types such as numpy's pass, floats do not."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ShePwmError(f"{name} must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ShePwmError(f"{name} must be >= 1, got {n}")
-    return n
 
 
 def signed_cosines(angles: np.ndarray, signs) -> np.ndarray:
@@ -144,7 +132,7 @@ def analytic_harmonic(pattern: SwitchingPattern, n: int) -> float:
     and keeps nothing; a caller that wants many orders of one pattern should
     take ``analytic_spectrum`` once.
     """
-    n = _order(n, "harmonic order")
+    n = check_count(n, "harmonic order")
     if n % 2 == 0:
         return 0.0
     return float(_odd_volts(pattern, n)[-1])
@@ -216,7 +204,7 @@ def segment_integral_coefficients(
     n = 999 that is 999 rows, about 4 ms at K=12, where that order alone
     took 15 us.
     """
-    n = _order(n, "harmonic order")
+    n = check_count(n, "harmonic order")
     a, b = _segment.of(pattern, n)
     return a[n - 1], b[n - 1]
 
@@ -240,7 +228,7 @@ def analytic_spectrum(
     pattern: SwitchingPattern, max_order: int = DEFAULT_MAX_ORDER
 ) -> HarmonicSpectrum:
     """Magnitude spectrum from the closed form, orders 1..max_order."""
-    max_order = _order(max_order, "max_order")
+    max_order = check_count(max_order, "max_order")
     mags = np.zeros(max_order)
     mags[::2] = np.abs(_odd_volts(pattern, max_order))
     return HarmonicSpectrum(
@@ -261,7 +249,7 @@ def dft_spectrum(
     is not given, the waveform's peak value is used as the per-unit base
     (exact for patterns that reach the full level).
     """
-    max_order = _order(max_order, "max_order")
+    max_order = check_count(max_order, "max_order")
     n_samp = samples.n_samples
     if max_order >= n_samp // 2:
         raise ShePwmError(

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShePwmError
+from .errors import ShePwmError, check_count
 
 _U64_MAX = 2**64 - 1
 
@@ -63,8 +63,8 @@ class PsoConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ShePwmError(f"{f.name} must be finite, got {value}")
         check_seed(self.seed)
-        if self.swarm_size < 1 or self.iterations < 1 or self.restarts < 1:
-            raise ShePwmError("swarm_size, iterations and restarts must be >= 1")
+        for name in ("swarm_size", "iterations", "restarts"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
         if not (self.inertia_start >= self.inertia_end >= 0.0):
             raise ShePwmError("need inertia_start >= inertia_end >= 0")
         if self.cognitive < 0 or self.social < 0:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShePwmError
+from .errors import ShePwmError, check_count
 
 HALF_PI = math.pi / 2
 
@@ -65,6 +65,7 @@ class SwitchingPattern:
     def __post_init__(self):
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
         object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
+        object.__setattr__(self, "cells", check_count(self.cells, "cells"))
         validate(self)
 
     @property
@@ -145,15 +146,10 @@ class WaveformSamples:
 def validate(pattern: SwitchingPattern) -> SwitchingPattern:
     """Check all structural invariants; return the pattern unchanged if valid.
 
-    Raises ShePwmError naming the first broken invariant: cell count, DC
-    voltage, angle/sign counts, a sign, an angle's range or order, or a level.
+    Raises ShePwmError naming the first broken invariant: DC voltage,
+    angle/sign counts, a sign, an angle's range or order, or a level.
     """
-    if not isinstance(pattern.cells, int) or pattern.cells < 1:
-        raise ShePwmError(f"cells must be a positive integer, got {pattern.cells!r}")
-    if not (math.isfinite(pattern.vdc_per_cell) and pattern.vdc_per_cell > 0):
-        raise ShePwmError(
-            f"vdc_per_cell must be finite and > 0, got {pattern.vdc_per_cell!r}"
-        )
+    check_vdc(pattern.vdc_per_cell, "vdc_per_cell")
     k = len(pattern.angles)
     if k == 0 or len(pattern.signs) != k:
         raise ShePwmError(
@@ -174,6 +170,13 @@ def validate(pattern: SwitchingPattern) -> SwitchingPattern:
                 f"level {level} after transition {j + 1} outside [0, {pattern.cells}]"
             )
     return pattern
+
+
+def check_vdc(value, name: str) -> float:
+    """value as a float, refused unless finite and > 0: the DC-voltage rule."""
+    if not (math.isfinite(value) and value > 0):
+        raise ShePwmError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 def check_angles(angles) -> None:
@@ -199,6 +202,7 @@ def default_sign_pattern(cells: int, per_cell: int) -> tuple[int, ...]:
     per_cell values each level contributes one net rise plus (per_cell-1)/2
     notch pairs. Even per_cell has no canonical default; pass signs explicitly.
     """
+    cells, per_cell = check_count(cells, "cells"), check_count(per_cell, "per_cell")
     if cells == 2 and per_cell == 3:
         return DEFAULT_SIGNS_K6
     if per_cell % 2 == 1:
@@ -217,6 +221,8 @@ def synthesize(pattern: SwitchingPattern, n_samples: int) -> WaveformSamples:
     v(phi)), and the second half-period is the exact negation of the first,
     so v[i + N/2] == -v[i] bit-for-bit.
     """
+    if not isinstance(n_samples, (int, np.integer)):  # integers keep the rule below
+        check_count(n_samples, "sample count")
     if n_samples < 4 or n_samples % 4 != 0:
         raise ShePwmError(
             f"sample count must be a positive multiple of 4, got {n_samples}"

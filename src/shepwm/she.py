@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ShePwmError
+from .errors import ShePwmError, check_count
 from .harmonics import odd_harmonic_sums, signed_cosines
 from .optimizer import (
     OptimizerResult,
@@ -61,15 +61,10 @@ class SheProblem:
             w = getattr(self, name)
             if not (math.isfinite(w) and w >= 0.0):
                 raise ShePwmError(f"{name} must be finite and >= 0, got {w}")
-        if not (math.isfinite(self.vdc_per_cell) and self.vdc_per_cell > 0):
-            raise ShePwmError(
-                f"vdc_per_cell must be finite and > 0, got {self.vdc_per_cell!r}"
-            )
-        if self.cells < 1 or self.angles_per_cell < 1:
-            raise ShePwmError("cells and angles_per_cell must be >= 1")
-        object.__setattr__(
-            self, "eliminate_orders", tuple(int(n) for n in self.eliminate_orders)
-        )
+        for name in ("cells", "angles_per_cell"):
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        object.__setattr__(self, "eliminate_orders", tuple(
+            check_count(n, "eliminate_orders") for n in self.eliminate_orders))
         k = self.n_angles
         orders = self.eliminate_orders
         if len(set(orders)) != len(orders):
@@ -305,8 +300,7 @@ def solve_pairs(
     its own process. The chunking does not change any result. Every pair
     is checked before any swarm runs.
     """
-    if jobs < 1:
-        raise ShePwmError(f"jobs must be >= 1, got {jobs}")
+    jobs = check_count(jobs, "jobs")
     for m, seed in pairs:
         # NaN fails the comparison too
         if not 0.0 <= m <= 1.0:

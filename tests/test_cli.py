@@ -107,6 +107,15 @@ class TestSolve:
         assert "timestamp" in manifest and "version" in manifest
 
 
+# counts the library refuses, not argparse: one error line and no usage block
+ONE_LINE = [
+    ["solve", "--pu", "0.5", "--seed", "1", "--max-order", "0"],
+    ["table", "--pu-grid", "0.5,1.0", "--seed", "1", "--out", "t.csv",
+     "--max-order", "0"],
+    ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "0"],
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "args",
@@ -141,6 +150,7 @@ class TestUsageErrors:
              "--emit-spectrum", "missing/sp.csv"],
             ["analyze", "--angles", "", "--signs", ""],
             ["sweep", "--pu-grid", "0.5", "--seed", "1", "--jobs", "0"],
+            *ONE_LINE,
         ],
     )
     def test_exit_code_2(self, args, tmp_path):
@@ -149,6 +159,9 @@ class TestUsageErrors:
         stderr = out.stderr.decode()
         assert "Traceback" not in stderr
         assert sum("error:" in line for line in stderr.splitlines()) == 1, stderr
+        if args in ONE_LINE:
+            assert stderr.startswith("shepwm: error: ")
+            assert len(stderr.splitlines()) == 1, stderr
 
     @pytest.mark.parametrize(
         "args",
@@ -193,6 +206,19 @@ class TestUsageErrors:
         out = run_cli(
             ["table", "--pu-grid", "3.40313263e-315,8.255770465e-315", "--seed", "1",
              *FAST, "--out", "t.csv", "--json-out", "t.json"],
+            cwd=tmp_path,
+        )
+        assert out.returncode == 2
+        assert out.stdout == b""
+        stderr = out.stderr.decode()
+        assert "is subnormal" in stderr and len(stderr.splitlines()) == 1, stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_subnormal_compare_row_is_exit_2(self, tmp_path):
+        # compare's proposed side is the lookup table, held to the same rule
+        out = run_cli(
+            ["compare", "--pu-grid", "3.40313263e-315,8.255770465e-315", "--seed", "1",
+             *FAST, "--out", "c.csv"],
             cwd=tmp_path,
         )
         assert out.returncode == 2

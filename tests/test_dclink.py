@@ -163,9 +163,11 @@ class TestCompare:
             assert r.improvement == expected
 
     def test_proposed_column_constant(self, small_compare):
-        anchor = small_compare.rows[-1].thd_proposed
+        table = build_lookup(GRID10, PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0))
+        assert small_compare.proposed == table
         for r in small_compare.rows:
-            assert abs(r.thd_proposed - anchor) <= 1e-12
+            assert r.thd_proposed == table.thd
+            assert r.feasible_proposed is table.feasible
 
     def test_deterministic(self):
         a = compare_methods(
@@ -218,6 +220,10 @@ LOOKUP_HEADER = "v_pu,method,duty,thd_pct,feasible,fundamental_v,theta_1,theta_2
 # non-finite, negative, and (for an angle) above pi/2
 EDGE_FIGURES = [math.nan, math.inf, -math.inf, -1.0, 2.0]
 HALF_ROW = "0.5,proposed,0.5,12.0,true,200.0,0.1,0.2,0.3"
+
+
+def refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
 
 
 def positive_floats(top_exponent):
@@ -364,11 +370,15 @@ class TestIo:
              "conventional-method", "fundamental-not-scaled", "header-only",
              "zero-v_pu", "descending-v_pu", "subnormal-fundamental"],
     )
-    def test_read_lookup_csv_rejects_malformed_file(self, tmp_path, header, rows, line):
+    def test_read_lookup_csv_rejects_malformed_file(self, request, tmp_path, header,
+                                                    rows, line):
         path = tmp_path / "table.csv"
         path.write_text("\n".join([header, *rows.splitlines()]) + "\n")
-        with pytest.raises(ShePwmError, match=f", line {line}: "):
+        with pytest.raises(ShePwmError, match=f", line {line}: ") as info:
             read_lookup_csv(path)
+        if request.node.callspec.id == "other-thd":
+            # the THD is named as the file has it: the thd_pct column, in percent
+            assert str(info.value).endswith(": thd_pct is 12.5, not the table's 12.0")
 
     def test_read_lookup_csv_compares_rows_by_value(self, tmp_path):
         # the second row spells the base's THD and angles otherwise
@@ -408,19 +418,26 @@ class TestIo:
         thd=st.one_of(st.floats(0.0, 10.0), st.integers(0, 3)),
         feasible=st.booleans(),
         fundamental=st.one_of(positive_floats(308), st.integers(0, 1000)),
-        base_vdc=st.one_of(st.floats(1e-3, 1e4), st.integers(1, 1000)),
-        cells=st.integers(1, 6),
-        max_order=st.integers(1, 999),
+        base_vdc=st.one_of(st.floats(1e-3, 1e4), st.integers(1, 1000),
+                           st.sampled_from([math.nan, math.inf, 0.0, -1.0])),
+        cells=st.integers(-1, 6),
+        max_order=st.integers(-1, 999),
     )
+    @example(grid=[1.0], angles=[0.1], thd=0.2, feasible=True, fundamental=1.0,
+             base_vdc=math.nan, cells=1, max_order=49)
     @settings(max_examples=200, deadline=None)
     def test_lookup_json_is_the_encoders_text(self, grid, angles, thd, feasible,
                                               fundamental, base_vdc, cells, max_order):
+        # the table refuses metadata that JSON cannot carry, so the text
+        # parses with no NaN or Infinity constant
+        meta_ok = 0 < base_vdc < math.inf and cells >= 1 and max_order >= 1
         try:
             table = LookupTable(tuple(sorted(grid)), tuple(sorted(angles)), thd, feasible,
                                 fundamental, base_vdc, cells, max_order)
         except ShePwmError as exc:
-            assert "is subnormal" in str(exc)
+            assert not meta_ok or "is subnormal" in str(exc)
             return
+        assert meta_ok
         doc = {
             "base_vdc_per_cell": table.base_vdc_per_cell,
             "cells": table.cells,
@@ -433,7 +450,9 @@ class TestIo:
             ],
         }
         expected = "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"
-        assert "".join(lookup_json(table)) == expected
+        text = "".join(lookup_json(table))
+        assert text == expected
+        json.loads(text, parse_constant=refuse_constant)
 
     def test_comparison_csv(self, small_compare):
         lines = "".join(comparison_csv(small_compare)).splitlines()

@@ -108,6 +108,38 @@ def test_only_harmonics_takes_cosines():
     assert "math.cos" not in calls["harmonics.py"]
 
 
+def _index_calls(path: Path) -> list[tuple[str, str]]:
+    """(enclosing function or "<module>", call) for every call of
+    operator.index, written `operator.index` or through a name imported
+    from operator."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "operator"
+                for alias in node.names}
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                    ast.unparse(child.func) == "operator.index"
+                    or getattr(child.func, "id", None) in imported):
+                calls.append((where, ast.unparse(child)))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(tree, "<module>")
+    return calls
+
+
+def test_only_the_count_and_seed_rules_take_an_index():
+    # every count goes through errors.check_count and every seed through
+    # optimizer.check_seed; an integer test anywhere else would be a copy
+    package = Path(shepwm.__file__).parent
+    found = {(p.name, function) for p in sorted(package.glob("*.py"))
+             for function, _ in _index_calls(p)}
+    assert found == {("errors.py", "check_count"), ("optimizer.py", "check_seed")}
+
+
 def test_readme_lookup_schema_matches_the_header():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     schema = [line for line in readme.read_text().splitlines()
