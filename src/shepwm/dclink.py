@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import GridPositionError, ShePwmError, check_count
+from .errors import GridPositionError, ShePwmError, check_count, check_real
 from .harmonics import DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, thd
 from .optimizer import PsoConfig, derive_seed
 from .pattern import check_angles, check_vdc
@@ -68,18 +68,17 @@ class LookupTable:
 
     def __post_init__(self):
         # kept as Python floats, ints and a bool, whose repr the writers print
-        for name in ("grid", "angles"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        object.__setattr__(self, "grid", tuple(check_real(v, "grid") for v in self.grid))
         object.__setattr__(self, "feasible", bool(self.feasible))
         for name in ("thd", "fundamental_v"):
-            value = float(getattr(self, name))
+            value = check_real(getattr(self, name), name)
             if not 0.0 <= value < math.inf:
                 raise ShePwmError(f"base {name} {value!r} is negative or not finite")
             object.__setattr__(self, name, value)
         for name, rule in (("base_vdc_per_cell", check_vdc), ("cells", check_count),
                            ("thd_max_order", check_count)):
             object.__setattr__(self, name, rule(getattr(self, name), name))
-        check_angles(self.angles)
+        object.__setattr__(self, "angles", check_angles(self.angles))
         check_lookup_grid(self.grid, self.fundamental_v)
 
     @property
@@ -161,7 +160,7 @@ def build_lookup(
     itself; every row carries the base feasibility flag, since duty scaling
     preserves the residuals in per-unit terms exactly.
     """
-    grid = check_lookup_grid(sorted(float(v) for v in v_pu_grid))
+    grid = check_lookup_grid(sorted(check_real(v, "grid") for v in v_pu_grid))
     thd_max_order = check_count(thd_max_order, "thd_max_order")
     base = base_solution
     if base is None:
@@ -195,7 +194,7 @@ def compare_methods(
     processes without changing any result. The proposed side is build_lookup's
     table of the base solve; at v_pu = 1.0 both methods share the base
     operating point and the improvement is undefined."""
-    grid = check_lookup_grid(sorted(float(v) for v in v_pu_grid))
+    grid = check_lookup_grid(sorted(check_real(v, "grid") for v in v_pu_grid))
     thd_max_order = check_count(thd_max_order, "thd_max_order")
     below_full = [v for v in grid if v != 1.0]
     pairs = [(1.0, pso.seed)]

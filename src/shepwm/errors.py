@@ -1,10 +1,11 @@
-"""Exception types raised across the package, and the one count rule.
+"""Exception types raised across the package, and the count and real rules.
 
 Every refusal raises ShePwmError; its message names the fault. Its two
 subclasses exist because callers catch them: ZeroFundamental marks a THD
 that is undefined, not an input that is wrong.
 """
 
+import numbers
 import operator
 
 
@@ -33,3 +34,10 @@ def check_count(n, name: str) -> int:
     if n < 1:
         raise ShePwmError(f"{name} must be >= 1, got {n}")
     return n
+
+
+def check_real(x, name: str) -> float:
+    """x as a float; real types such as numpy's pass, a str, None or complex not."""
+    if type(x) is float or isinstance(x, numbers.Real):
+        return float(x)
+    raise ShePwmError(f"{name} must be a real number, got {x!r}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShePwmError, ZeroFundamental, check_count
+from .errors import ShePwmError, ZeroFundamental, check_count, check_real
 from .pattern import SwitchingPattern, WaveformSamples
 
 DEFAULT_MAX_ORDER = 49
@@ -40,7 +40,7 @@ DEFAULT_MAX_ORDER = 49
 
 @dataclass(frozen=True)
 class HarmonicSpectrum:
-    """Harmonic magnitudes |V_n| indexed by order, plus the per-unit base."""
+    """Harmonic magnitudes |V_n| indexed by order, plus the per-unit base >= 0."""
 
     magnitudes: dict[int, float]
     max_order: int
@@ -48,6 +48,10 @@ class HarmonicSpectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "max_order", check_count(self.max_order, "max_order"))
+        base = check_real(self.base_volts, "base_volts")
+        if not 0.0 <= base < math.inf:
+            raise ShePwmError(f"base_volts must be finite and >= 0, got {base!r}")
+        object.__setattr__(self, "base_volts", base)
         missing = [n for n in range(1, self.max_order + 1) if n not in self.magnitudes]
         if missing:
             raise ShePwmError(f"spectrum missing orders {missing[:5]}...")
@@ -259,11 +263,11 @@ def dft_spectrum(
     bins = np.fft.rfft(samples.samples)
     mags = (2.0 / n_samp) * np.abs(bins[1 : max_order + 1])
     if base_volts is None:
-        base_volts = float(np.max(np.abs(samples.samples)))
+        base_volts = np.max(np.abs(samples.samples))
     return HarmonicSpectrum(
         magnitudes=dict(zip(range(1, max_order + 1), mags.tolist())),
         max_order=max_order,
-        base_volts=float(base_volts),
+        base_volts=base_volts,
     )
 
 

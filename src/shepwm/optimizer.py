@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShePwmError, check_count
+from .errors import ShePwmError, check_count, check_real
 
 _U64_MAX = 2**64 - 1
 
@@ -58,10 +58,12 @@ class PsoConfig:
     restarts: int = 5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ShePwmError(f"{f.name} must be finite, got {value}")
+        for name in ("inertia_start", "inertia_end", "cognitive", "social",
+                     "velocity_clamp_fraction"):
+            value = check_real(getattr(self, name), name)
+            if not math.isfinite(value):
+                raise ShePwmError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         check_seed(self.seed)
         for name in ("swarm_size", "iterations", "restarts"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShePwmError, check_count
+from .errors import ShePwmError, check_count, check_real
 
 HALF_PI = math.pi / 2
 
@@ -63,9 +63,10 @@ class SwitchingPattern:
     vdc_per_cell: float
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        object.__setattr__(self, "cells", check_count(self.cells, "cells"))
+        object.__setattr__(self, "angles", check_angles(self.angles))
+        object.__setattr__(self, "signs", check_signs(self.signs))
+        for name, rule in (("cells", check_count), ("vdc_per_cell", check_vdc)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         validate(self)
 
     @property
@@ -144,26 +145,21 @@ class WaveformSamples:
 
 
 def validate(pattern: SwitchingPattern) -> SwitchingPattern:
-    """Check all structural invariants; return the pattern unchanged if valid.
+    """Check the invariants the field rules leave; return the pattern if valid.
 
-    Raises ShePwmError naming the first broken invariant: DC voltage,
-    angle/sign counts, a sign, an angle's range or order, or a level.
+    Raises ShePwmError naming the first broken invariant: angle/sign counts,
+    an angle count that is not a multiple of the cells, or a level.
     """
-    check_vdc(pattern.vdc_per_cell, "vdc_per_cell")
     k = len(pattern.angles)
     if k == 0 or len(pattern.signs) != k:
         raise ShePwmError(
             f"need matching non-empty angles/signs, got {k} angles "
             f"and {len(pattern.signs)} signs"
         )
-    for sg in pattern.signs:
-        if sg not in (1, -1):
-            raise ShePwmError(f"transition sign must be +1 or -1, got {sg!r}")
     if k % pattern.cells != 0:
         raise ShePwmError(
             f"angle count {k} is not a multiple of the cell count {pattern.cells}"
         )
-    check_angles(pattern.angles)
     for j, level in enumerate(levels(pattern.signs)):
         if level < 0 or level > pattern.cells:
             raise ShePwmError(
@@ -174,20 +170,32 @@ def validate(pattern: SwitchingPattern) -> SwitchingPattern:
 
 def check_vdc(value, name: str) -> float:
     """value as a float, refused unless finite and > 0: the DC-voltage rule."""
-    if not (math.isfinite(value) and value > 0):
+    value = check_real(value, name)
+    if not 0.0 < value < math.inf:
         raise ShePwmError(f"{name} must be finite and > 0, got {value!r}")
-    return float(value)
+    return value
 
 
-def check_angles(angles) -> None:
-    """Refuse angles not finite and nondecreasing within [0, pi/2], naming the first."""
+def check_signs(signs) -> tuple[int, ...]:
+    """signs as ints, each refused unless it equals +1 or -1 (1.0 passes, "1" not)."""
+    signs = tuple(signs)
+    for s in signs:
+        if s not in (1, -1):
+            raise ShePwmError(f"transition sign must be +1 or -1, got {s!r}")
+    return tuple(1 if s == 1 else -1 for s in signs)
+
+
+def check_angles(angles) -> tuple[float, ...]:
+    """angles as floats, refused unless nondecreasing within [0, pi/2], naming the first."""
+    angles = tuple(check_real(a, "angles") for a in angles)
     prev = 0.0
     for a in angles:
-        if not (math.isfinite(a) and 0.0 <= a <= HALF_PI):
+        if not 0.0 <= a <= HALF_PI:
             raise ShePwmError(f"angle {a!r} outside [0, pi/2]")
         if a < prev:
             raise ShePwmError(f"angles not nondecreasing at {a!r} after {prev!r}")
         prev = a
+    return angles
 
 
 def levels(signs) -> list[int]:

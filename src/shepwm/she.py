@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ShePwmError, check_count
+from .errors import ShePwmError, check_count, check_real
 from .harmonics import odd_harmonic_sums, signed_cosines
 from .optimizer import (
     OptimizerResult,
@@ -31,7 +31,7 @@ from .optimizer import (
     derive_seed,
     minimize_stacked,
 )
-from .pattern import HALF_PI, SwitchingPattern, default_sign_pattern
+from .pattern import HALF_PI, SwitchingPattern, check_signs, check_vdc, default_sign_pattern
 
 # A solution is feasible when every eliminated-order residual and the
 # fundamental tracking error are below 0.1% of the DC base s*V_dc.
@@ -39,6 +39,14 @@ RESIDUAL_THRESHOLD_PU = 1e-3
 FUNDAMENTAL_THRESHOLD_PU = 1e-3
 
 DEFAULT_ELIMINATE = (3, 5, 7, 9, 11)
+
+
+def check_target(m) -> float:
+    """m as a float, refused unless within [0, 1]: the per-unit target rule."""
+    m = check_real(m, "target_m")
+    if not 0.0 <= m <= 1.0:  # NaN fails too
+        raise ShePwmError(f"target_m must be in [0, 1], got {m}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -55,14 +63,15 @@ class SheProblem:
     vdc_per_cell: float = 200.0
 
     def __post_init__(self):
-        if not (0.0 <= self.target_m <= 1.0):
-            raise ShePwmError(f"target_m must be in [0, 1], got {self.target_m}")
+        object.__setattr__(self, "target_m", check_target(self.target_m))
         for name in ("weight_fundamental", "weight_harmonics"):
-            w = getattr(self, name)
+            w = check_real(getattr(self, name), name)
             if not (math.isfinite(w) and w >= 0.0):
                 raise ShePwmError(f"{name} must be finite and >= 0, got {w}")
-        for name in ("cells", "angles_per_cell"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name))
+            object.__setattr__(self, name, w)
+        for name, rule in (("cells", check_count), ("angles_per_cell", check_count),
+                           ("vdc_per_cell", check_vdc)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         object.__setattr__(self, "eliminate_orders", tuple(
             check_count(n, "eliminate_orders") for n in self.eliminate_orders))
         k = self.n_angles
@@ -78,11 +87,10 @@ class SheProblem:
         signs = self.sign_pattern
         if signs is None:
             signs = default_sign_pattern(self.cells, self.angles_per_cell)
-        object.__setattr__(self, "sign_pattern", tuple(int(s) for s in signs))
-        if len(self.sign_pattern) != k:
-            raise ShePwmError(
-                f"sign pattern length {len(self.sign_pattern)} != K = {k}"
-            )
+        signs = check_signs(signs)
+        if len(signs) != k:
+            raise ShePwmError(f"sign pattern length {len(signs)} != K = {k}")
+        object.__setattr__(self, "sign_pattern", signs)
         self.make_pattern(np.zeros(k))
 
     @property
@@ -301,11 +309,7 @@ def solve_pairs(
     is checked before any swarm runs.
     """
     jobs = check_count(jobs, "jobs")
-    for m, seed in pairs:
-        # NaN fails the comparison too
-        if not 0.0 <= m <= 1.0:
-            raise ShePwmError(f"per-unit target {m} outside [0, 1]")
-        check_seed(seed)
+    pairs = [(check_target(m), check_seed(seed)) for m, seed in pairs]
     chunks = min(jobs, len(pairs))
     if chunks <= 1:
         return _solve_stacked(problem, pairs, pso)
@@ -334,5 +338,5 @@ def sweep(
     """
     if len(m_values) == 0:
         raise ShePwmError("no target values given")
-    pairs = [(float(m), derive_seed(pso.seed, i)) for i, m in enumerate(m_values)]
+    pairs = [(m, derive_seed(pso.seed, i)) for i, m in enumerate(m_values)]
     return solve_pairs(problem, pairs, pso, jobs)

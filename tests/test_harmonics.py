@@ -409,6 +409,20 @@ class TestThd:
         with pytest.raises(ZeroFundamental):
             thd(spec)
 
+    def test_a_base_that_cannot_bound_the_fundamental_is_refused(self):
+        # thd compares the fundamental with 1e-12 of the base; a NaN or
+        # negative base let a zero fundamental through to a division by zero
+        for base in (math.nan, -1.0, math.inf):
+            with pytest.raises(ShePwmError) as info:
+                thd(HarmonicSpectrum({1: 0.0, 2: 0.0}, 2, base))
+            assert str(info.value) == f"base_volts must be finite and >= 0, got {base!r}"
+            assert type(info.value) is ShePwmError
+        # a zero base stays: a silent waveform's DFT spectrum takes its peak
+        spec = dft_spectrum(WaveformSamples(np.zeros(64)), 9)
+        assert spec.base_volts == 0.0
+        with pytest.raises(ZeroFundamental):
+            thd(spec)
+
     def test_square_wave_limit(self):
         # sum over odd n >= 3 of 1/n^2 equals pi^2/8 - 1
         value = pattern_thd(SQUARE, 100001)

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import re
@@ -159,3 +160,32 @@ def test_readme_lookup_json_keys_match_the_writer():
     doc = json.loads("".join(dclink.lookup_json(table)))
     assert top == list(doc)
     assert [row] * 2 == [list(r) for r in doc["rows"]]
+
+
+def _value_rules_section() -> str:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    return readme.read_text().split("### Value rules\n", 1)[1].split("\n#", 1)[0]
+
+
+def test_readme_value_rules_match_the_rule_functions():
+    # every `module.function` the section cites resolves in the package,
+    # and every rule function is cited there
+    section = _value_rules_section()
+    package = Path(shepwm.__file__).parent
+    modules = {p.stem for p in package.glob("*.py")}
+    cited = {(m, f) for m, f in re.findall(r"`(\w+)\.(\w+)", section) if m in modules}
+    missing = [f"{m}.{f}" for m, f in sorted(cited)
+               if not hasattr(importlib.import_module(f"shepwm.{m}"), f)]
+    assert missing == []
+    rules = {"errors.check_count", "errors.check_real", "pattern.check_vdc",
+             "pattern.check_angles", "pattern.check_signs", "she.check_target",
+             "optimizer.check_seed", "dclink.check_lookup_grid"}
+    assert rules - {f"{m}.{f}" for m, f in cited} == set()
+
+
+def test_only_the_real_rule_tests_for_a_real():
+    # every real goes through errors.check_real; a numbers.Real test
+    # anywhere else would be a second copy of the rule
+    package = Path(shepwm.__file__).parent
+    found = {p.name for p in package.glob("*.py") if "numbers.Real" in p.read_text()}
+    assert found == {"errors.py"}

@@ -1,7 +1,8 @@
 """The value rules every public entry point shares: each count goes through
-errors.check_count and each DC-link voltage through pattern.check_vdc, so
-each is refused by the same message naming its field, and a numpy integer
-builds what the Python int builds."""
+errors.check_count, each real number through errors.check_real, each DC-link
+voltage through pattern.check_vdc and each transition sign through
+pattern.check_signs, so each is refused by the same message naming its
+field, and a numpy number builds what the Python number builds."""
 
 import math
 import re
@@ -26,7 +27,8 @@ from shepwm import (
     synthesize,
 )
 from shepwm.dclink import lookup_csv, read_lookup_csv
-from shepwm.errors import ShePwmError
+from shepwm.errors import GridPositionError, ShePwmError
+from shepwm.she import solve_pairs
 from shepwm.harmonics import segment_integral_coefficients
 
 PATTERN = SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0)
@@ -159,3 +161,122 @@ def test_read_lookup_csv_stores_a_numpy_count_as_an_int(tmp_path, argument):
     table = read_lookup_csv(path, 200.0, **counts)
     assert table == _table()
     assert type(getattr(table, argument)) is int
+
+
+# (call with the real, the name its refusal gives as a pattern, the real it
+# stores, a valid real that float32 holds exactly)
+REALS = {
+    "SheProblem.target_m": (lambda v: SheProblem(v), "target_m",
+                            lambda p: p.target_m, 0.5),
+    "SheProblem.weight_fundamental": (
+        lambda v: SheProblem(0.5, weight_fundamental=v), "weight_fundamental",
+        lambda p: p.weight_fundamental, 100.0),
+    "SheProblem.weight_harmonics": (
+        lambda v: SheProblem(0.5, weight_harmonics=v), "weight_harmonics",
+        lambda p: p.weight_harmonics, 10.0),
+    "SheProblem.vdc_per_cell": (lambda v: SheProblem(0.5, vdc_per_cell=v),
+                                "vdc_per_cell", lambda p: p.vdc_per_cell, 200.0),
+    **{f"PsoConfig.{name}": (lambda v, name=name: PsoConfig(1, **{name: v}), name,
+                             lambda c, name=name: getattr(c, name), value)
+       for name, value in (("inertia_start", 0.75), ("inertia_end", 0.25),
+                           ("cognitive", 1.5), ("social", 1.5),
+                           ("velocity_clamp_fraction", 0.25))},
+    "SwitchingPattern.angles": (
+        lambda v: SwitchingPattern((v, 1.5), (1, -1), 1, 200.0), "angles?",
+        lambda p: p.angles[0], 0.5),
+    "SwitchingPattern.vdc_per_cell": (
+        lambda v: SwitchingPattern((0.1, 0.2), (1, -1), 1, v), "vdc_per_cell",
+        lambda p: p.vdc_per_cell, 200.0),
+    "LookupTable.grid": (lambda v: _table(grid=(v, 1.0)), "grid",
+                         lambda t: t.grid[0], 0.5),
+    "LookupTable.angles": (lambda v: _table(angles=(v, 0.5)), "angles?",
+                           lambda t: t.angles[0], 0.25),
+    "LookupTable.thd": (lambda v: _table(thd=v), "thd", lambda t: t.thd, 0.25),
+    "LookupTable.fundamental_v": (lambda v: _table(fundamental_v=v), "fundamental_v",
+                                  lambda t: t.fundamental_v, 300.0),
+    "LookupTable.base_vdc_per_cell": (
+        lambda v: _table(base_vdc_per_cell=v), "base_vdc_per_cell",
+        lambda t: t.base_vdc_per_cell, 200.0),
+    "build_lookup.grid": (lambda v: build_lookup([v, 1.0], TINY, SheProblem(1.0)),
+                          "grid", lambda t: t.grid[0], 0.5),
+    "compare_methods.grid": (
+        lambda v: compare_methods([v, 1.0], TINY, SheProblem(1.0)), "grid",
+        lambda t: t.proposed.grid[0], 0.5),
+    "sweep.target": (lambda v: sweep(SheProblem(1.0), [v], TINY), "target_m",
+                     lambda s: s[0].target_m, 0.5),
+    "solve_pairs.target": (lambda v: solve_pairs(SheProblem(1.0), [(v, 3)], TINY),
+                           "target_m", lambda s: s[0].target_m, 0.5),
+    "HarmonicSpectrum.base_volts": (
+        lambda v: HarmonicSpectrum({1: 1.0, 2: 0.0}, 2, v), "base_volts",
+        lambda s: s.base_volts, 1.0),
+    "dft_spectrum.base_volts": (
+        lambda v: dft_spectrum(synthesize(PATTERN, 64), 9, base_volts=v), "base_volts",
+        lambda s: s.base_volts, 200.0),
+}
+NOT_REAL = ["0.5", None, 1j]
+NOT_FINITE = [math.nan, np.float32("nan"), math.inf, -math.inf]
+# dft_spectrum's base_volts=None asks for the waveform's peak
+BAD_REALS = [(case, value) for case in REALS for value in NOT_REAL + NOT_FINITE
+             if (case, value) != ("dft_spectrum.base_volts", None)]
+
+
+@pytest.mark.parametrize("case, value", BAD_REALS,
+                         ids=[f"{case}-{value!r}" for case, value in BAD_REALS])
+def test_a_bad_real_is_refused_by_name(case, value):
+    call, name, _, _ = REALS[case]
+    with pytest.raises(ShePwmError) as info:
+        call(value)
+    message = str(info.value)
+    if value in NOT_REAL:
+        assert type(info.value) is ShePwmError
+        assert re.fullmatch(f"{name} must be a real number, got {re.escape(repr(value))}",
+                            message)
+    else:
+        # the field's own range rule; a grid's names the refused position
+        assert type(info.value) in (ShePwmError, GridPositionError)
+        assert re.search(rf"\b{name}\b", message)
+        assert "\n" not in message
+
+
+@pytest.mark.parametrize("case", REALS)
+def test_a_numpy_real_builds_what_a_float_builds(case):
+    call, _, stored, v = REALS[case]
+    want = call(v)
+    for numpy_value in (np.float32(v), np.float64(v)):
+        got = call(numpy_value)
+        assert got == want
+        assert type(stored(got)) is float
+
+
+def test_an_int_real_is_stored_as_a_float():
+    problem = SheProblem(1, weight_fundamental=100, vdc_per_cell=200)
+    assert problem == SheProblem(1.0)
+    assert [type(x) for x in (problem.target_m, problem.weight_fundamental,
+                              problem.vdc_per_cell)] == [float] * 3
+
+
+BAD_SIGNS = [1.5, 1.9, "1", 0, 2, -0.5, None]
+SIGNS = {
+    "SwitchingPattern": (lambda s: SwitchingPattern((0.1, 0.2), s, 1, 200.0),
+                         lambda p: p.signs),
+    "SheProblem": (lambda s: SheProblem(0.5, sign_pattern=(*s, 1, 1, -1, -1)),
+                   lambda p: p.sign_pattern[:2]),
+}
+
+
+@pytest.mark.parametrize("value", BAD_SIGNS, ids=repr)
+@pytest.mark.parametrize("case", SIGNS)
+def test_a_bad_sign_is_refused_not_truncated(case, value):
+    call, _ = SIGNS[case]
+    with pytest.raises(ShePwmError) as info:
+        call((value, -1))
+    assert type(info.value) is ShePwmError
+    assert str(info.value) == f"transition sign must be +1 or -1, got {value!r}"
+
+
+@pytest.mark.parametrize("case", SIGNS)
+def test_a_sign_equal_to_one_builds_what_the_int_builds(case):
+    call, stored = SIGNS[case]
+    got = call((1.0, np.int64(-1)))
+    assert got == call((1, -1))
+    assert [type(s) for s in stored(got)] == [int, int]

@@ -25,6 +25,8 @@ from shepwm.optimizer import derive_seed
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
 
 HALF_PI = math.pi / 2
+# she.check_target's refusal, shared by SheProblem and solve_pairs
+TARGET_RANGE = r"^target_m must be in \[0, 1\], got "
 
 # Eight angles admit an exact solution at full modulation for this sign
 # pattern (the six-angle default does not; see the solve tests below).
@@ -540,13 +542,13 @@ class TestSweep:
             sweep(SheProblem(target_m=1.0), [], PsoConfig(seed=1))
 
     def test_out_of_range_target(self):
-        with pytest.raises(ShePwmError, match="target 1.3 outside"):
+        with pytest.raises(ShePwmError, match=TARGET_RANGE + "1.3$"):
             sweep(SheProblem(target_m=1.0), [0.5, 1.3], PsoConfig(seed=1))
 
     @pytest.mark.parametrize(
         "pair, message",
-        [((1.5, 3), "target 1.5 outside"), ((math.nan, 3), "target nan outside"),
-         ((-0.1, 3), "target -0.1 outside"), ((0.5, -1), "seed must be"),
+        [((1.5, 3), TARGET_RANGE + "1.5$"), ((math.nan, 3), TARGET_RANGE + "nan$"),
+         ((-0.1, 3), TARGET_RANGE + "-0.1$"), ((0.5, -1), "seed must be"),
          ((0.5, 2**64), "seed must be"), ((0.5, 1.0), "seed must be")],
         ids=["target-above-one", "nan-target", "negative-target",
              "negative-seed", "seed-above-u64", "float-seed"],
