@@ -22,7 +22,8 @@ import re
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import GridPositionError, ShePwmError, check_count, check_real
+from .errors import (GridPositionError, ShePwmError, apply_rules, check_count,
+                     check_nonnegative, check_real, check_sequence)
 from .harmonics import DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, thd
 from .optimizer import PsoConfig, derive_seed
 from .pattern import check_angles, check_vdc
@@ -46,15 +47,38 @@ class LookupRow:
     angles: tuple[float, ...]
 
 
+def check_lookup_grid(grid, name: str = "grid") -> tuple[float, ...]:
+    """grid as a tuple of reals; refuse an empty one, or with a GridPositionError
+    the first value outside (0, 1] or below the one before."""
+    grid = check_sequence(grid, name, check_real)
+    if not grid:
+        raise ShePwmError("empty per-unit voltage grid")
+    prev = 0.0
+    for i, v in enumerate(grid):
+        if not 0.0 < v <= 1.0:
+            raise GridPositionError(i, f"grid value {v!r} outside (0, 1]")
+        if v < prev:
+            raise GridPositionError(
+                i, f"lookup grid must be sorted ascending: {v!r} after {prev!r}")
+        prev = v
+    return grid
+
+
+def check_flag(value, name: str) -> bool:
+    """value as a bool, refused unless it equals True or False; "no", 2 and
+    an array (no one truth value) are refused, not cast."""
+    if getattr(value, "ndim", 0) or value not in (True, False):
+        raise ShePwmError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
 @dataclass(frozen=True)
 class LookupTable:
     """One base operating point, duty-scaled to each voltage of a grid.
 
-    The grid obeys ``check_lookup_grid`` and the angles ``check_angles``;
-    thd and fundamental_v (volts at the full DC link) are finite and >= 0;
-    base_vdc_per_cell obeys ``check_vdc``, cells and thd_max_order ``check_count``.
-    Angles, thd, feasible and fundamental_v are the base's; the row at v has
-    duty v and fundamental v * fundamental_v.
+    Each field obeys its rule in ``RULES``, and no row fundamental is subnormal.
+    Angles, thd, feasible and fundamental_v (volts at the full DC link) are
+    the base's; the row at v has duty v and fundamental v * fundamental_v.
     """
 
     grid: tuple[float, ...]
@@ -66,20 +90,18 @@ class LookupTable:
     cells: int
     thd_max_order: int
 
+    # kept as Python floats, ints and a bool, whose repr the writers print
+    RULES = (("grid", check_lookup_grid), ("feasible", check_flag),
+             ("thd", check_nonnegative), ("fundamental_v", check_nonnegative),
+             ("base_vdc_per_cell", check_vdc), ("cells", check_count),
+             ("thd_max_order", check_count), ("angles", check_angles))
+
     def __post_init__(self):
-        # kept as Python floats, ints and a bool, whose repr the writers print
-        object.__setattr__(self, "grid", tuple(check_real(v, "grid") for v in self.grid))
-        object.__setattr__(self, "feasible", bool(self.feasible))
-        for name in ("thd", "fundamental_v"):
-            value = check_real(getattr(self, name), name)
-            if not 0.0 <= value < math.inf:
-                raise ShePwmError(f"base {name} {value!r} is negative or not finite")
-            object.__setattr__(self, name, value)
-        for name, rule in (("base_vdc_per_cell", check_vdc), ("cells", check_count),
-                           ("thd_max_order", check_count)):
-            object.__setattr__(self, name, rule(getattr(self, name), name))
-        object.__setattr__(self, "angles", check_angles(self.angles))
-        check_lookup_grid(self.grid, self.fundamental_v)
+        apply_rules(self, self.RULES)
+        for i, v in enumerate(self.grid):  # too coarse to give the fundamental back
+            if 0.0 < v * self.fundamental_v < sys.float_info.min:
+                raise GridPositionError(i, f"row fundamental {v * self.fundamental_v!r} V "
+                                           f"at v_pu {v!r} is subnormal")
 
     @property
     def rows(self) -> tuple[LookupRow, ...]:
@@ -125,26 +147,6 @@ class ComparisonTable:
                      for v, conv, c in zip(p.grid, self.conventional, thd_c))
 
 
-def check_lookup_grid(grid, fundamental_v: float = 0.0):
-    """Return grid; refuse an empty one, or with a GridPositionError the first
-    value outside (0, 1], below the one before, or whose v * fundamental_v is
-    subnormal, a product too coarse to give the base fundamental back."""
-    if not grid:
-        raise ShePwmError("empty per-unit voltage grid")
-    prev = 0.0
-    for i, v in enumerate(grid):
-        if not 0.0 < v <= 1.0:
-            raise GridPositionError(i, f"grid value {v!r} outside (0, 1]")
-        if v < prev:
-            raise GridPositionError(
-                i, f"lookup grid must be sorted ascending: {v!r} after {prev!r}")
-        if 0.0 < v * fundamental_v < sys.float_info.min:
-            raise GridPositionError(
-                i, f"row fundamental {v * fundamental_v!r} V at v_pu {v!r} is subnormal")
-        prev = v
-    return grid
-
-
 def build_lookup(
     v_pu_grid,
     pso: PsoConfig,
@@ -160,7 +162,7 @@ def build_lookup(
     itself; every row carries the base feasibility flag, since duty scaling
     preserves the residuals in per-unit terms exactly.
     """
-    grid = check_lookup_grid(sorted(check_real(v, "grid") for v in v_pu_grid))
+    grid = check_lookup_grid(sorted(check_sequence(v_pu_grid, "grid", check_real)))
     thd_max_order = check_count(thd_max_order, "thd_max_order")
     base = base_solution
     if base is None:
@@ -194,7 +196,7 @@ def compare_methods(
     processes without changing any result. The proposed side is build_lookup's
     table of the base solve; at v_pu = 1.0 both methods share the base
     operating point and the improvement is undefined."""
-    grid = check_lookup_grid(sorted(check_real(v, "grid") for v in v_pu_grid))
+    grid = check_lookup_grid(sorted(check_sequence(v_pu_grid, "grid", check_real)))
     thd_max_order = check_count(thd_max_order, "thd_max_order")
     below_full = [v for v in grid if v != 1.0]
     pairs = [(1.0, pso.seed)]

@@ -1,12 +1,15 @@
-"""Exception types raised across the package, and the count and real rules.
+"""Exception types raised across the package, and the rules the modules share.
 
 Every refusal raises ShePwmError; its message names the fault. Its two
 subclasses exist because callers catch them: ZeroFundamental marks a THD
-that is undefined, not an input that is wrong.
+that is undefined, not an input that is wrong. A rule takes (value, name) and
+returns the value as stored; each type's (field, rule) table goes to apply_rules.
 """
 
+import math
 import numbers
 import operator
+from collections.abc import Mapping
 
 
 class ShePwmError(Exception):
@@ -41,3 +44,31 @@ def check_real(x, name: str) -> float:
     if type(x) is float or isinstance(x, numbers.Real):
         return float(x)
     raise ShePwmError(f"{name} must be a real number, got {x!r}")
+
+
+def check_nonnegative(x, name: str) -> float:
+    """x by check_real, refused unless finite and >= 0 (NaN fails too)."""
+    x = check_real(x, name)
+    if not 0.0 <= x < math.inf:
+        raise ShePwmError(f"{name} must be finite and >= 0, got {x!r}")
+    return x
+
+
+def check_sequence(values, name: str, rule) -> tuple:
+    """A tuple of rule(v, name) for v in values; a str, bytes, mapping or
+    non-iterable (None, a number, a 0-d array) is refused."""
+    if type(values) not in (tuple, list):
+        try:
+            iter(values)
+            iterable = not isinstance(values, (str, bytes, Mapping))
+        except TypeError:
+            iterable = False
+        if not iterable:
+            raise ShePwmError(f"{name} must be a sequence, got {values!r}")
+    return tuple([rule(v, name) for v in values])
+
+
+def apply_rules(obj, rules) -> None:
+    """Store rule(value, field) on the frozen obj for each (field, rule), in order."""
+    for field, rule in rules:
+        object.__setattr__(obj, field, rule(getattr(obj, field), field))

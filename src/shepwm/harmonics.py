@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShePwmError, ZeroFundamental, check_count, check_real
+from .errors import (ShePwmError, ZeroFundamental, apply_rules, check_count,
+                     check_nonnegative)
 from .pattern import SwitchingPattern, WaveformSamples
 
 DEFAULT_MAX_ORDER = 49
@@ -46,12 +47,11 @@ class HarmonicSpectrum:
     max_order: int
     base_volts: float
 
+    # magnitudes has no rule here: the checks below read the whole mapping
+    RULES = (("max_order", check_count), ("base_volts", check_nonnegative))
+
     def __post_init__(self):
-        object.__setattr__(self, "max_order", check_count(self.max_order, "max_order"))
-        base = check_real(self.base_volts, "base_volts")
-        if not 0.0 <= base < math.inf:
-            raise ShePwmError(f"base_volts must be finite and >= 0, got {base!r}")
-        object.__setattr__(self, "base_volts", base)
+        apply_rules(self, self.RULES)
         missing = [n for n in range(1, self.max_order + 1) if n not in self.magnitudes]
         if missing:
             raise ShePwmError(f"spectrum missing orders {missing[:5]}...")

@@ -11,26 +11,25 @@ each result has the same bits as a one-seed ``minimize``.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShePwmError, check_count, check_real
+from .errors import ShePwmError, apply_rules, check_count, check_nonnegative, check_real
 
 _U64_MAX = 2**64 - 1
 
 
-def check_seed(seed) -> int:
+def check_seed(seed, name: str = "seed") -> int:
     """seed as an int, refused unless it is an unsigned 64-bit integer."""
     try:
         value = operator.index(seed)
     except TypeError:
         value = None
     if value is None or not 0 <= value <= _U64_MAX:
-        raise ShePwmError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+        raise ShePwmError(f"{name} must be an unsigned 64-bit integer, got {seed!r}")
     return value
 
 
@@ -57,20 +56,16 @@ class PsoConfig:
     velocity_clamp_fraction: float = 0.2
     restarts: int = 5
 
+    RULES = (("seed", check_seed), ("swarm_size", check_count),
+             ("iterations", check_count), ("inertia_start", check_nonnegative),
+             ("inertia_end", check_nonnegative), ("cognitive", check_nonnegative),
+             ("social", check_nonnegative), ("velocity_clamp_fraction", check_real),
+             ("restarts", check_count))
+
     def __post_init__(self):
-        for name in ("inertia_start", "inertia_end", "cognitive", "social",
-                     "velocity_clamp_fraction"):
-            value = check_real(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise ShePwmError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        check_seed(self.seed)
-        for name in ("swarm_size", "iterations", "restarts"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name))
-        if not (self.inertia_start >= self.inertia_end >= 0.0):
+        apply_rules(self, self.RULES)
+        if self.inertia_start < self.inertia_end:
             raise ShePwmError("need inertia_start >= inertia_end >= 0")
-        if self.cognitive < 0 or self.social < 0:
-            raise ShePwmError("acceleration coefficients must be >= 0")
         if not (0.0 < self.velocity_clamp_fraction <= 1.0):
             raise ShePwmError("velocity_clamp_fraction must be in (0, 1]")
 

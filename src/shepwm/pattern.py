@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShePwmError, check_count, check_real
+from .errors import ShePwmError, apply_rules, check_count, check_real, check_sequence
 
 HALF_PI = math.pi / 2
 
@@ -44,6 +44,40 @@ class SegmentTable(NamedTuple):
     volts: np.ndarray
 
 
+def check_vdc(value, name: str) -> float:
+    """value as a float, refused unless finite and > 0: the DC-voltage rule."""
+    value = check_real(value, name)
+    if not 0.0 < value < math.inf:
+        raise ShePwmError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _check_sign(s, name: str) -> int:
+    if s == 1:
+        return 1
+    if s == -1:
+        return -1
+    raise ShePwmError(f"transition sign must be +1 or -1, got {s!r}")
+
+
+def check_signs(signs, name: str = "signs") -> tuple[int, ...]:
+    """signs as ints, each refused unless it equals +1 or -1 (1.0 passes, "1" not)."""
+    return check_sequence(signs, name, _check_sign)
+
+
+def check_angles(angles, name: str = "angles") -> tuple[float, ...]:
+    """angles as floats, refused unless nondecreasing within [0, pi/2], naming the first."""
+    angles = check_sequence(angles, name, check_real)
+    prev = 0.0
+    for a in angles:
+        if not 0.0 <= a <= HALF_PI:
+            raise ShePwmError(f"angle {a!r} outside [0, pi/2]")
+        if a < prev:
+            raise ShePwmError(f"angles not nondecreasing at {a!r} after {prev!r}")
+        prev = a
+    return angles
+
+
 @dataclass(frozen=True)
 class SwitchingPattern:
     """Ordered switching angles with per-transition signs.
@@ -62,11 +96,11 @@ class SwitchingPattern:
     cells: int
     vdc_per_cell: float
 
+    RULES = (("angles", check_angles), ("signs", check_signs), ("cells", check_count),
+             ("vdc_per_cell", check_vdc))
+
     def __post_init__(self):
-        object.__setattr__(self, "angles", check_angles(self.angles))
-        object.__setattr__(self, "signs", check_signs(self.signs))
-        for name, rule in (("cells", check_count), ("vdc_per_cell", check_vdc)):
-            object.__setattr__(self, name, rule(getattr(self, name), name))
+        apply_rules(self, self.RULES)
         validate(self)
 
     @property
@@ -116,9 +150,7 @@ class WaveformSamples:
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=np.float64)
-        )
+        apply_rules(self, [("samples", lambda v, _: np.asarray(v, dtype=np.float64))])
         n = self.samples.size
         if n < 4 or n % 2 != 0:
             raise ShePwmError(f"need an even sample count >= 4, got {n}")
@@ -166,36 +198,6 @@ def validate(pattern: SwitchingPattern) -> SwitchingPattern:
                 f"level {level} after transition {j + 1} outside [0, {pattern.cells}]"
             )
     return pattern
-
-
-def check_vdc(value, name: str) -> float:
-    """value as a float, refused unless finite and > 0: the DC-voltage rule."""
-    value = check_real(value, name)
-    if not 0.0 < value < math.inf:
-        raise ShePwmError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
-def check_signs(signs) -> tuple[int, ...]:
-    """signs as ints, each refused unless it equals +1 or -1 (1.0 passes, "1" not)."""
-    signs = tuple(signs)
-    for s in signs:
-        if s not in (1, -1):
-            raise ShePwmError(f"transition sign must be +1 or -1, got {s!r}")
-    return tuple(1 if s == 1 else -1 for s in signs)
-
-
-def check_angles(angles) -> tuple[float, ...]:
-    """angles as floats, refused unless nondecreasing within [0, pi/2], naming the first."""
-    angles = tuple(check_real(a, "angles") for a in angles)
-    prev = 0.0
-    for a in angles:
-        if not 0.0 <= a <= HALF_PI:
-            raise ShePwmError(f"angle {a!r} outside [0, pi/2]")
-        if a < prev:
-            raise ShePwmError(f"angles not nondecreasing at {a!r} after {prev!r}")
-        prev = a
-    return angles
 
 
 def levels(signs) -> list[int]:

@@ -14,7 +14,6 @@ stacked batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -22,7 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ShePwmError, check_count, check_real
+from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_real,
+                     check_sequence)
 from .harmonics import odd_harmonic_sums, signed_cosines
 from .optimizer import (
     OptimizerResult,
@@ -41,12 +41,27 @@ FUNDAMENTAL_THRESHOLD_PU = 1e-3
 DEFAULT_ELIMINATE = (3, 5, 7, 9, 11)
 
 
-def check_target(m) -> float:
+def check_target(m, name: str = "target_m") -> float:
     """m as a float, refused unless within [0, 1]: the per-unit target rule."""
-    m = check_real(m, "target_m")
+    m = check_real(m, name)
     if not 0.0 <= m <= 1.0:  # NaN fails too
-        raise ShePwmError(f"target_m must be in [0, 1], got {m}")
+        raise ShePwmError(f"{name} must be in [0, 1], got {m}")
     return m
+
+
+def check_orders(orders, name: str = "eliminate_orders") -> tuple[int, ...]:
+    """orders as ints by check_count, refused unless distinct, odd and > 1."""
+    orders = check_sequence(orders, name, check_count)
+    if len(set(orders)) != len(orders):
+        raise ShePwmError(f"{name} must be distinct, got {orders}")
+    if any(n <= 1 or n % 2 == 0 for n in orders):
+        raise ShePwmError(f"{name} must be odd and > 1, got {orders}")
+    return orders
+
+
+def _signs_or_none(signs, name: str) -> tuple[int, ...] | None:
+    """signs by check_signs; None asks for the default of the cell counts."""
+    return None if signs is None else check_signs(signs, name)
 
 
 @dataclass(frozen=True)
@@ -62,35 +77,21 @@ class SheProblem:
     weight_harmonics: float = 10.0
     vdc_per_cell: float = 200.0
 
+    RULES = (("target_m", check_target), ("eliminate_orders", check_orders),
+             ("cells", check_count), ("angles_per_cell", check_count),
+             ("sign_pattern", _signs_or_none), ("weight_fundamental", check_nonnegative),
+             ("weight_harmonics", check_nonnegative), ("vdc_per_cell", check_vdc))
+
     def __post_init__(self):
-        object.__setattr__(self, "target_m", check_target(self.target_m))
-        for name in ("weight_fundamental", "weight_harmonics"):
-            w = check_real(getattr(self, name), name)
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ShePwmError(f"{name} must be finite and >= 0, got {w}")
-            object.__setattr__(self, name, w)
-        for name, rule in (("cells", check_count), ("angles_per_cell", check_count),
-                           ("vdc_per_cell", check_vdc)):
-            object.__setattr__(self, name, rule(getattr(self, name), name))
-        object.__setattr__(self, "eliminate_orders", tuple(
-            check_count(n, "eliminate_orders") for n in self.eliminate_orders))
-        k = self.n_angles
-        orders = self.eliminate_orders
-        if len(set(orders)) != len(orders):
-            raise ShePwmError(f"eliminate_orders must be distinct, got {orders}")
-        if any(n <= 1 or n % 2 == 0 for n in orders):
-            raise ShePwmError(f"eliminate_orders must be odd and > 1, got {orders}")
-        if len(orders) > k - 1:
-            raise ShePwmError(
-                f"{k} angles support at most {k - 1} eliminations, got {len(orders)}"
-            )
-        signs = self.sign_pattern
-        if signs is None:
-            signs = default_sign_pattern(self.cells, self.angles_per_cell)
-        signs = check_signs(signs)
-        if len(signs) != k:
-            raise ShePwmError(f"sign pattern length {len(signs)} != K = {k}")
-        object.__setattr__(self, "sign_pattern", signs)
+        apply_rules(self, self.RULES)
+        k, n = self.n_angles, len(self.eliminate_orders)
+        if n > k - 1:
+            raise ShePwmError(f"{k} angles support at most {k - 1} eliminations, got {n}")
+        if self.sign_pattern is None:  # the default follows the checked counts
+            apply_rules(self, [("sign_pattern", lambda _, __: default_sign_pattern(
+                self.cells, self.angles_per_cell))])
+        if len(self.sign_pattern) != k:
+            raise ShePwmError(f"sign pattern length {len(self.sign_pattern)} != K = {k}")
         self.make_pattern(np.zeros(k))
 
     @property
@@ -294,6 +295,14 @@ def _solve_stacked(problem: SheProblem, pairs, pso: PsoConfig) -> list[Solution]
     return [_package(problem, m, result) for (m, _), result in zip(pairs, results)]
 
 
+def _check_pair(pair, name: str) -> tuple[float, int]:
+    """pair as (target_m, seed) by their rules; refused unless a sequence of two."""
+    pair = check_sequence(pair, name, lambda v, _: v)
+    if len(pair) != 2:
+        raise ShePwmError(f"{name} must hold (target_m, seed) pairs, got {pair!r}")
+    return check_target(pair[0]), check_seed(pair[1])
+
+
 def solve_pairs(
     problem: SheProblem,
     pairs: Sequence[tuple[float, int]],
@@ -309,7 +318,7 @@ def solve_pairs(
     is checked before any swarm runs.
     """
     jobs = check_count(jobs, "jobs")
-    pairs = [(check_target(m), check_seed(seed)) for m, seed in pairs]
+    pairs = check_sequence(pairs, "pairs", _check_pair)
     chunks = min(jobs, len(pairs))
     if chunks <= 1:
         return _solve_stacked(problem, pairs, pso)
@@ -336,7 +345,8 @@ def sweep(
     on how the work is scheduled; jobs > 1 splits the targets over up to
     `jobs` processes (see solve_pairs).
     """
-    if len(m_values) == 0:
+    m_values = check_sequence(m_values, "m_values", lambda m, _: check_target(m))
+    if not m_values:
         raise ShePwmError("no target values given")
     pairs = [(m, derive_seed(pso.seed, i)) for i, m in enumerate(m_values)]
     return solve_pairs(problem, pairs, pso, jobs)

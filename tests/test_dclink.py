@@ -482,10 +482,10 @@ class TestIo:
 
     @pytest.mark.parametrize(
         "thd, fundamental, angles, message",
-        [(math.nan, 100.0, (0.1, 0.2), "base thd nan"),
-         (-0.1, 100.0, (0.1, 0.2), "base thd -0.1"),
-         (0.2, -100.0, (0.1, 0.2), "base fundamental_v -100.0"),
-         (0.2, math.inf, (0.1, 0.2), "base fundamental_v inf"),
+        [(math.nan, 100.0, (0.1, 0.2), "^thd must be finite and >= 0, got nan$"),
+         (-0.1, 100.0, (0.1, 0.2), "^thd must be finite and >= 0, got -0.1$"),
+         (0.2, -100.0, (0.1, 0.2), "^fundamental_v must be finite and >= 0, got -100.0$"),
+         (0.2, math.inf, (0.1, 0.2), "^fundamental_v must be finite and >= 0, got inf$"),
          (0.2, 100.0, (0.3, 0.2), "not nondecreasing at 0.2 after 0.3"),
          (0.2, 100.0, (0.1, 2.0), r"angle 2.0 outside \[0, pi/2\]")],
         ids=["nan-thd", "negative-thd", "negative-fundamental", "infinite-fundamental",

@@ -141,6 +141,25 @@ def test_only_the_count_and_seed_rules_take_an_index():
     assert found == {("errors.py", "check_count"), ("optimizer.py", "check_seed")}
 
 
+def test_only_apply_rules_sets_a_frozen_field():
+    # every type stores its fields through its rule table; a bare
+    # object.__setattr__ anywhere else would be a rule applied by hand
+    package = Path(shepwm.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                if (isinstance(child, ast.Call)
+                        and ast.unparse(child.func) == "object.__setattr__"):
+                    found.add((path.name, where))
+                inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                visit(child, child.name if inner else where)
+
+        visit(ast.parse(path.read_text()), "<module>")
+    assert found == {("errors.py", "apply_rules")}
+    assert sum(p.read_text().count("object.__setattr__") for p in package.glob("*.py")) == 1
+
+
 def test_readme_lookup_schema_matches_the_header():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     schema = [line for line in readme.read_text().splitlines()
@@ -177,9 +196,11 @@ def test_readme_value_rules_match_the_rule_functions():
     missing = [f"{m}.{f}" for m, f in sorted(cited)
                if not hasattr(importlib.import_module(f"shepwm.{m}"), f)]
     assert missing == []
-    rules = {"errors.check_count", "errors.check_real", "pattern.check_vdc",
-             "pattern.check_angles", "pattern.check_signs", "she.check_target",
-             "optimizer.check_seed", "dclink.check_lookup_grid"}
+    rules = {"errors.check_count", "errors.check_real", "errors.check_nonnegative",
+             "errors.check_sequence", "errors.apply_rules",
+             "pattern.check_vdc", "pattern.check_angles", "pattern.check_signs",
+             "she.check_target", "she.check_orders", "optimizer.check_seed",
+             "dclink.check_flag", "dclink.check_lookup_grid"}
     assert rules - {f"{m}.{f}" for m, f in cited} == set()
 
 

@@ -1,9 +1,14 @@
-"""The value rules every public entry point shares: each count goes through
-errors.check_count, each real number through errors.check_real, each DC-link
-voltage through pattern.check_vdc and each transition sign through
-pattern.check_signs, so each is refused by the same message naming its
-field, and a numpy number builds what the Python number builds."""
+"""The value rules every public entry point shares. Each frozen type
+declares one (field, rule) table, RULES, that errors.apply_rules applies;
+RULES below is the expected map of those tables, and every field case here
+is generated from it, so a field without a rule, or a rule without cases,
+fails. Each count goes through errors.check_count, each real number through
+errors.check_real, each sequence through errors.check_sequence, and so on,
+so each is refused by the same message naming its field, and a numpy value
+builds what the Python value builds."""
 
+import dataclasses
+import json
 import math
 import re
 
@@ -26,27 +31,110 @@ from shepwm import (
     sweep,
     synthesize,
 )
-from shepwm.dclink import lookup_csv, read_lookup_csv
-from shepwm.errors import GridPositionError, ShePwmError
-from shepwm.she import solve_pairs
+from shepwm.dclink import check_flag, check_lookup_grid, lookup_csv, read_lookup_csv
+from shepwm.errors import (GridPositionError, ShePwmError, check_count,
+                           check_nonnegative, check_real)
 from shepwm.harmonics import segment_integral_coefficients
+from shepwm.optimizer import check_seed
+from shepwm.pattern import check_angles, check_signs, check_vdc
+from shepwm.she import _signs_or_none, check_orders, check_target, solve_pairs
 
 PATTERN = SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0)
 TINY = PsoConfig(seed=1, swarm_size=3, iterations=2, restarts=1)
-TABLE = dict(grid=(0.5, 1.0), angles=(0.1, 0.2), thd=0.2, feasible=True,
-             fundamental_v=300.0, base_vdc_per_cell=200.0, cells=1, thd_max_order=49)
+
+# field -> rule for every field of the five types. HarmonicSpectrum.magnitudes
+# is the one field without a rule: the spectrum checks the whole mapping.
+RULES = {
+    SwitchingPattern: {"angles": check_angles, "signs": check_signs,
+                       "cells": check_count, "vdc_per_cell": check_vdc},
+    SheProblem: {"target_m": check_target, "eliminate_orders": check_orders,
+                 "cells": check_count, "angles_per_cell": check_count,
+                 "sign_pattern": _signs_or_none, "weight_fundamental": check_nonnegative,
+                 "weight_harmonics": check_nonnegative, "vdc_per_cell": check_vdc},
+    PsoConfig: {"seed": check_seed, "swarm_size": check_count, "iterations": check_count,
+                "inertia_start": check_nonnegative, "inertia_end": check_nonnegative,
+                "cognitive": check_nonnegative, "social": check_nonnegative,
+                "velocity_clamp_fraction": check_real, "restarts": check_count},
+    LookupTable: {"grid": check_lookup_grid, "angles": check_angles,
+                  "thd": check_nonnegative, "feasible": check_flag,
+                  "fundamental_v": check_nonnegative, "base_vdc_per_cell": check_vdc,
+                  "cells": check_count, "thd_max_order": check_count},
+    HarmonicSpectrum: {"max_order": check_count, "base_volts": check_nonnegative},
+}
+WITHOUT_RULE = {HarmonicSpectrum: {"magnitudes"}}
+
+# a valid value of every field; each real, or a sequence's first, is one that
+# float32 holds exactly
+VALID = {
+    SwitchingPattern: dict(angles=(0.5, 1.5), signs=(1, -1), cells=1, vdc_per_cell=200.0),
+    SheProblem: dict(target_m=0.5, eliminate_orders=(3, 5, 7, 9, 11), cells=2,
+                     angles_per_cell=3, sign_pattern=(1, -1, 1, 1, -1, -1),
+                     weight_fundamental=100.0, weight_harmonics=10.0, vdc_per_cell=200.0),
+    PsoConfig: dict(seed=1, swarm_size=3, iterations=3, inertia_start=0.75,
+                    inertia_end=0.25, cognitive=1.5, social=1.5,
+                    velocity_clamp_fraction=0.25, restarts=3),
+    LookupTable: dict(grid=(0.5, 1.0), angles=(0.25, 0.5), thd=0.25, feasible=True,
+                      fundamental_v=300.0, base_vdc_per_cell=200.0, cells=1,
+                      thd_max_order=49),
+    HarmonicSpectrum: dict(magnitudes={1: 1.0, 2: 0.0, 3: 0.5}, max_order=3,
+                           base_volts=1.0),
+}
+
+# the rules whose field is a sequence; the element cases set its first value
+SEQUENCE_RULES = {check_angles, check_lookup_grid, check_signs, _signs_or_none,
+                  check_orders}
+COUNT_RULES = {check_count, check_orders}
+REAL_RULES = {check_real, check_nonnegative, check_vdc, check_target, check_angles,
+              check_lookup_grid}
+SIGN_RULES = {check_signs, _signs_or_none}
+# the name a refusal gives, where it is not the field's own
+NAMES = {check_angles: "angles?"}
+
+
+def _build(cls, **fields):
+    return cls(**{**VALID[cls], **fields})
 
 
 def _table(**fields):
-    return LookupTable(**{**TABLE, **fields})
+    return _build(LookupTable, **fields)
+
+
+def _field_case(cls, name):
+    """(call with a value for the field, the name its refusal gives, the value
+    it stores, a valid value); a sequence field takes the value as its first
+    element."""
+    rule, valid = RULES[cls][name], VALID[cls][name]
+    if rule in SEQUENCE_RULES:
+        return (lambda v: _build(cls, **{name: (v, *valid[1:])}), NAMES.get(rule, name),
+                lambda obj: getattr(obj, name)[0], valid[0])
+    return lambda v: _build(cls, **{name: v}), name, lambda obj: getattr(obj, name), valid
+
+
+def _field_cases(rules):
+    """{"Type.field": _field_case(Type, field)} for every field whose rule is
+    one of rules."""
+    return {f"{cls.__name__}.{name}": _field_case(cls, name)
+            for cls, table in RULES.items() for name, rule in table.items()
+            if rule in rules}
+
+
+@pytest.mark.parametrize("cls", RULES, ids=lambda cls: cls.__name__)
+def test_each_type_declares_one_rule_per_field(cls):
+    assert dict(cls.RULES) == RULES[cls]
+    assert len(cls.RULES) == len(RULES[cls])
+    fields = {f.name for f in dataclasses.fields(cls)}
+    assert set(RULES[cls]) == fields - WITHOUT_RULE.get(cls, set())
+
+
+def test_every_rule_has_cases():
+    cased = COUNT_RULES | REAL_RULES | SIGN_RULES | SEQUENCE_RULES
+    cased |= {check_seed, check_flag}
+    assert {rule for table in RULES.values() for rule in table.values()} <= cased
 
 
 # (call with the count, name its refusal gives, the count it stores or None,
 # a valid count)
 COUNTS = {
-    "HarmonicSpectrum.max_order": (
-        lambda n: HarmonicSpectrum({1: 1.0, 2: 0.0, 3: 0.5}, n, 1.0), "max_order",
-        lambda s: s.max_order, 3),
     "analytic_harmonic": (lambda n: analytic_harmonic(PATTERN, n),
                           "harmonic order", None, 5),
     "segment_integral_harmonic": (lambda n: segment_integral_harmonic(PATTERN, n),
@@ -57,9 +145,6 @@ COUNTS = {
                           lambda s: s.max_order, 9),
     "dft_spectrum": (lambda n: dft_spectrum(synthesize(PATTERN, 64), n), "max_order",
                      lambda s: s.max_order, 9),
-    "SwitchingPattern.cells": (
-        lambda n: SwitchingPattern((0.1, 0.2), (1, -1), n, 200.0), "cells",
-        lambda p: p.cells, 1),
     "default_sign_pattern.cells": (lambda n: default_sign_pattern(n, 3), "cells",
                                    None, 2),
     "default_sign_pattern.per_cell": (lambda n: default_sign_pattern(2, n),
@@ -67,19 +152,6 @@ COUNTS = {
     # an integer below 1 keeps the multiple-of-4 message, which names the count
     "synthesize": (lambda n: synthesize(PATTERN, n).samples.tolist(), "sample count",
                    None, 8),
-    "SheProblem.cells": (lambda n: SheProblem(0.5, cells=n), "cells",
-                         lambda p: p.cells, 2),
-    "SheProblem.angles_per_cell": (lambda n: SheProblem(0.5, angles_per_cell=n),
-                                   "angles_per_cell", lambda p: p.angles_per_cell, 3),
-    "SheProblem.eliminate_orders": (
-        lambda n: SheProblem(0.5, eliminate_orders=(n, 5)), "eliminate_orders",
-        lambda p: p.eliminate_orders[0], 3),
-    "PsoConfig.swarm_size": (lambda n: PsoConfig(1, swarm_size=n), "swarm_size",
-                             lambda c: c.swarm_size, 3),
-    "PsoConfig.iterations": (lambda n: PsoConfig(1, iterations=n), "iterations",
-                             lambda c: c.iterations, 3),
-    "PsoConfig.restarts": (lambda n: PsoConfig(1, restarts=n), "restarts",
-                           lambda c: c.restarts, 3),
     "sweep.jobs": (lambda n: sweep(SheProblem(1.0), [0.5, 0.7], TINY, jobs=n),
                    "jobs", None, 1),
     "compare_methods.jobs": (
@@ -91,9 +163,7 @@ COUNTS = {
     "build_lookup.thd_max_order": (
         lambda n: build_lookup([0.5, 1.0], TINY, SheProblem(1.0), n), "thd_max_order",
         lambda t: t.thd_max_order, 9),
-    "LookupTable.cells": (lambda n: _table(cells=n), "cells", lambda t: t.cells, 2),
-    "LookupTable.thd_max_order": (lambda n: _table(thd_max_order=n), "thd_max_order",
-                                  lambda t: t.thd_max_order, 9),
+    **_field_cases(COUNT_RULES),
 }
 BAD_COUNTS = [2.0, 2.5, "3", 0, -1]
 
@@ -110,9 +180,14 @@ def test_a_bad_count_is_refused_by_name(case, value):
                         str(info.value))
 
 
-@pytest.mark.parametrize("case", COUNTS)
+# a seed is a count that may be 0; PsoConfig stores a numpy seed as an int,
+# so asdict(config) gives JSON
+NUMPY_COUNTS = {**COUNTS, **_field_cases({check_seed})}
+
+
+@pytest.mark.parametrize("case", NUMPY_COUNTS)
 def test_a_numpy_count_builds_what_an_int_builds(case):
-    call, _, stored, k = COUNTS[case]
+    call, _, stored, k = NUMPY_COUNTS[case]
     got, want = call(np.int64(k)), call(k)
     assert got == want
     if stored is not None:
@@ -120,20 +195,13 @@ def test_a_numpy_count_builds_what_an_int_builds(case):
 
 
 BAD_VOLTAGES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
-VOLTAGES = {
-    "SwitchingPattern.vdc_per_cell": (
-        lambda v: SwitchingPattern((0.1,), (1,), 1, v), "vdc_per_cell"),
-    "SheProblem.vdc_per_cell": (lambda v: SheProblem(0.5, vdc_per_cell=v),
-                                "vdc_per_cell"),
-    "LookupTable.base_vdc_per_cell": (lambda v: _table(base_vdc_per_cell=v),
-                                      "base_vdc_per_cell"),
-}
+VOLTAGES = _field_cases({check_vdc})
 
 
 @pytest.mark.parametrize("value", BAD_VOLTAGES, ids=repr)
 @pytest.mark.parametrize("case", VOLTAGES)
 def test_a_bad_voltage_is_refused_by_name(case, value):
-    call, name = VOLTAGES[case]
+    call, name, _, _ = VOLTAGES[case]
     with pytest.raises(ShePwmError, match=f"^{name} must be finite and > 0, got "):
         call(value)
 
@@ -156,7 +224,7 @@ def test_read_lookup_csv_refuses_its_arguments_before_the_file(tmp_path, argumen
 def test_read_lookup_csv_stores_a_numpy_count_as_an_int(tmp_path, argument):
     path = tmp_path / "table.csv"
     path.write_text("".join(lookup_csv(_table())))
-    counts = {name: TABLE[name] for name in ("cells", "thd_max_order")}
+    counts = {name: VALID[LookupTable][name] for name in ("cells", "thd_max_order")}
     counts[argument] = np.int64(counts[argument])
     table = read_lookup_csv(path, 200.0, **counts)
     assert table == _table()
@@ -166,37 +234,6 @@ def test_read_lookup_csv_stores_a_numpy_count_as_an_int(tmp_path, argument):
 # (call with the real, the name its refusal gives as a pattern, the real it
 # stores, a valid real that float32 holds exactly)
 REALS = {
-    "SheProblem.target_m": (lambda v: SheProblem(v), "target_m",
-                            lambda p: p.target_m, 0.5),
-    "SheProblem.weight_fundamental": (
-        lambda v: SheProblem(0.5, weight_fundamental=v), "weight_fundamental",
-        lambda p: p.weight_fundamental, 100.0),
-    "SheProblem.weight_harmonics": (
-        lambda v: SheProblem(0.5, weight_harmonics=v), "weight_harmonics",
-        lambda p: p.weight_harmonics, 10.0),
-    "SheProblem.vdc_per_cell": (lambda v: SheProblem(0.5, vdc_per_cell=v),
-                                "vdc_per_cell", lambda p: p.vdc_per_cell, 200.0),
-    **{f"PsoConfig.{name}": (lambda v, name=name: PsoConfig(1, **{name: v}), name,
-                             lambda c, name=name: getattr(c, name), value)
-       for name, value in (("inertia_start", 0.75), ("inertia_end", 0.25),
-                           ("cognitive", 1.5), ("social", 1.5),
-                           ("velocity_clamp_fraction", 0.25))},
-    "SwitchingPattern.angles": (
-        lambda v: SwitchingPattern((v, 1.5), (1, -1), 1, 200.0), "angles?",
-        lambda p: p.angles[0], 0.5),
-    "SwitchingPattern.vdc_per_cell": (
-        lambda v: SwitchingPattern((0.1, 0.2), (1, -1), 1, v), "vdc_per_cell",
-        lambda p: p.vdc_per_cell, 200.0),
-    "LookupTable.grid": (lambda v: _table(grid=(v, 1.0)), "grid",
-                         lambda t: t.grid[0], 0.5),
-    "LookupTable.angles": (lambda v: _table(angles=(v, 0.5)), "angles?",
-                           lambda t: t.angles[0], 0.25),
-    "LookupTable.thd": (lambda v: _table(thd=v), "thd", lambda t: t.thd, 0.25),
-    "LookupTable.fundamental_v": (lambda v: _table(fundamental_v=v), "fundamental_v",
-                                  lambda t: t.fundamental_v, 300.0),
-    "LookupTable.base_vdc_per_cell": (
-        lambda v: _table(base_vdc_per_cell=v), "base_vdc_per_cell",
-        lambda t: t.base_vdc_per_cell, 200.0),
     "build_lookup.grid": (lambda v: build_lookup([v, 1.0], TINY, SheProblem(1.0)),
                           "grid", lambda t: t.grid[0], 0.5),
     "compare_methods.grid": (
@@ -206,12 +243,10 @@ REALS = {
                      lambda s: s[0].target_m, 0.5),
     "solve_pairs.target": (lambda v: solve_pairs(SheProblem(1.0), [(v, 3)], TINY),
                            "target_m", lambda s: s[0].target_m, 0.5),
-    "HarmonicSpectrum.base_volts": (
-        lambda v: HarmonicSpectrum({1: 1.0, 2: 0.0}, 2, v), "base_volts",
-        lambda s: s.base_volts, 1.0),
     "dft_spectrum.base_volts": (
         lambda v: dft_spectrum(synthesize(PATTERN, 64), 9, base_volts=v), "base_volts",
         lambda s: s.base_volts, 200.0),
+    **_field_cases(REAL_RULES),
 }
 NOT_REAL = ["0.5", None, 1j]
 NOT_FINITE = [math.nan, np.float32("nan"), math.inf, -math.inf]
@@ -256,27 +291,123 @@ def test_an_int_real_is_stored_as_a_float():
 
 
 BAD_SIGNS = [1.5, 1.9, "1", 0, 2, -0.5, None]
-SIGNS = {
-    "SwitchingPattern": (lambda s: SwitchingPattern((0.1, 0.2), s, 1, 200.0),
-                         lambda p: p.signs),
-    "SheProblem": (lambda s: SheProblem(0.5, sign_pattern=(*s, 1, 1, -1, -1)),
-                   lambda p: p.sign_pattern[:2]),
-}
+# each type has one sign field, so a case is named by its type
+SIGNS = {cls.__name__: (cls, name) for cls, table in RULES.items()
+         for name, rule in table.items() if rule in SIGN_RULES}
+
+
+def _signs(case, first_two):
+    cls, name = SIGNS[case]
+    return _build(cls, **{name: (*first_two, *VALID[cls][name][2:])})
 
 
 @pytest.mark.parametrize("value", BAD_SIGNS, ids=repr)
 @pytest.mark.parametrize("case", SIGNS)
 def test_a_bad_sign_is_refused_not_truncated(case, value):
-    call, _ = SIGNS[case]
     with pytest.raises(ShePwmError) as info:
-        call((value, -1))
+        _signs(case, (value, -1))
     assert type(info.value) is ShePwmError
     assert str(info.value) == f"transition sign must be +1 or -1, got {value!r}"
 
 
 @pytest.mark.parametrize("case", SIGNS)
 def test_a_sign_equal_to_one_builds_what_the_int_builds(case):
-    call, stored = SIGNS[case]
-    got = call((1.0, np.int64(-1)))
-    assert got == call((1, -1))
-    assert [type(s) for s in stored(got)] == [int, int]
+    got = _signs(case, (1.0, np.int64(-1)))
+    assert got == _signs(case, (1, -1))
+    assert [type(s) for s in getattr(got, SIGNS[case][1])] == [int] * len(
+        VALID[SIGNS[case][0]][SIGNS[case][1]])
+
+
+SEEDS = _field_cases({check_seed})
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, 2.0, "3", None], ids=repr)
+@pytest.mark.parametrize("case", SEEDS)
+def test_a_bad_seed_is_refused_by_name(case, value):
+    with pytest.raises(ShePwmError) as info:
+        SEEDS[case][0](value)
+    assert type(info.value) is ShePwmError
+    assert str(info.value) == f"seed must be an unsigned 64-bit integer, got {value!r}"
+
+
+def test_a_numpy_seed_config_dumps_to_json():
+    # the CLI writes asdict(config) into its manifest
+    doc = json.loads(json.dumps(dataclasses.asdict(PsoConfig(np.uint64(3)))))
+    assert doc["seed"] == 3
+
+
+FLAGS = _field_cases({check_flag})
+
+
+@pytest.mark.parametrize("value", ["no", "true", None, 2, 0.5, -1, [True],
+                                   np.array([True, False])], ids=repr)
+@pytest.mark.parametrize("case", FLAGS)
+def test_a_bad_flag_is_refused_not_cast(case, value):
+    call, name, _, _ = FLAGS[case]
+    with pytest.raises(ShePwmError) as info:
+        call(value)
+    assert type(info.value) is ShePwmError
+    assert str(info.value) == f"{name} must be True or False, got {value!r}"
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("case", FLAGS)
+def test_a_flag_equal_to_a_bool_builds_what_the_bool_builds(case, flag):
+    call, _, stored, _ = FLAGS[case]
+    for value in (np.bool_(flag), int(flag), float(flag)):
+        got = call(value)
+        assert got == call(flag)
+        assert stored(got) is flag
+
+
+# (call with the whole sequence, the name its refusal gives, a valid tuple)
+SEQUENCES = {
+    "build_lookup.grid": (lambda g: build_lookup(g, TINY, SheProblem(1.0)), "grid",
+                          (0.5, 1.0)),
+    "compare_methods.grid": (lambda g: compare_methods(g, TINY, SheProblem(1.0)),
+                             "grid", (0.5, 1.0)),
+    "sweep.m_values": (lambda m: sweep(SheProblem(1.0), m, TINY), "m_values",
+                       (0.5, 0.7)),
+    "solve_pairs.pairs": (lambda p: solve_pairs(SheProblem(1.0), p, TINY), "pairs",
+                          ((0.5, 3), (0.7, 4))),
+    # a field's whole value, where _field_cases sets its first element
+    **{f"{cls.__name__}.{name}": (lambda v, cls=cls, name=name: _build(cls, **{name: v}),
+                                  name, VALID[cls][name])
+       for cls, table in RULES.items() for name, rule in table.items()
+       if rule in SEQUENCE_RULES},
+}
+NOT_SEQUENCES = ["0.5", {0.5: 1}, None, 0.5, 3, np.float64(0.5), np.array(0.5)]
+# SheProblem's sign_pattern=None asks for the default signs
+BAD_SEQUENCES = [(case, value) for case in SEQUENCES for value in NOT_SEQUENCES
+                 if (case, value) != ("SheProblem.sign_pattern", None)]
+
+
+@pytest.mark.parametrize("case, value", BAD_SEQUENCES,
+                         ids=[f"{case}-{value!r}" for case, value in BAD_SEQUENCES])
+def test_a_non_sequence_is_refused_by_name(case, value):
+    call, name, _ = SEQUENCES[case]
+    with pytest.raises(ShePwmError) as info:
+        call(value)
+    assert type(info.value) is ShePwmError
+    assert str(info.value) == f"{name} must be a sequence, got {value!r}"
+
+
+def _as_array(values):
+    # pairs mix a float and an int, which only an object array keeps apart
+    return np.array(values, dtype=object if isinstance(values[0], tuple) else None)
+
+
+@pytest.mark.parametrize("form", [list, _as_array, lambda t: (v for v in t)],
+                         ids=["list", "ndarray", "generator"])
+@pytest.mark.parametrize("case", SEQUENCES)
+def test_any_sequence_builds_what_the_tuple_builds(case, form):
+    call, _, valid = SEQUENCES[case]
+    assert call(form(valid)) == call(valid)
+
+
+@pytest.mark.parametrize("pair", [(0.5,), (0.5, 3, 4), ()], ids=repr)
+def test_a_pair_of_another_length_is_refused_by_name(pair):
+    with pytest.raises(ShePwmError) as info:
+        solve_pairs(SheProblem(1.0), [(0.7, 4), pair], TINY)
+    assert type(info.value) is ShePwmError
+    assert str(info.value) == f"pairs must hold (target_m, seed) pairs, got {pair!r}"
