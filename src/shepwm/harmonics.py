@@ -21,8 +21,11 @@ order n, it builds the table with M = max(n, DEFAULT_MAX_ORDER) for a new
 pattern and M = max(n, 2 * M) when the same pattern asks past its M, so a
 loop over orders 1..n builds O(log n) tables. It keeps the table of the last
 pattern asked, matched by identity (equal patterns may differ in the sign of
-a zero angle). The memo serves only per-order segment callers (perfbench's
-timed ``route_batch``) until the benchmark takes one spectrum per pattern.
+a zero angle), in one module-level slot. The slot is read and replaced as
+one tuple, so a caller always indexes a table built for the pattern it asked
+about, whatever other threads do. The memo serves only per-order segment
+callers (perfbench's timed ``route_batch``) until the benchmark takes one
+spectrum per pattern.
 """
 
 from __future__ import annotations
@@ -142,30 +145,6 @@ def analytic_harmonic(pattern: SwitchingPattern, n: int) -> float:
     return float(_odd_volts(pattern, n)[-1])
 
 
-class _OrderTable:
-    """One pattern's per-order table, from build(pattern, max_order).
-
-    Holds the last pattern asked about (compared by identity) and its table;
-    asking another pattern replaces both, so at most one pattern is kept.
-    The slot is read and replaced as one tuple, so a caller always indexes a
-    table built for the pattern it asked about, whatever other threads do.
-    Only the segment route's per-order callers use it (module docstring).
-    """
-
-    def __init__(self, build):
-        self._build = build
-        self._slot = (None, 0, None)
-
-    def of(self, pattern: SwitchingPattern, n: int):
-        held, max_order, table = self._slot
-        if held is not pattern or n > max_order:
-            grown = 2 * max_order if held is pattern else 0
-            max_order = max(n, DEFAULT_MAX_ORDER, grown)
-            table = self._build(pattern, max_order)
-            self._slot = (pattern, max_order, table)
-        return table
-
-
 def _segment_coefficients(
     pattern: SwitchingPattern, max_order: int
 ) -> tuple[list[float], list[float]]:
@@ -186,46 +165,46 @@ def _segment_coefficients(
     return a.tolist(), b.tolist()
 
 
-_segment = _OrderTable(_segment_coefficients)
+# (pattern, M, _segment_coefficients(pattern, M)) of the last pattern asked
+_segment_slot = (None, 0, None)
 
 
-def segment_integral_coefficients(
-    pattern: SwitchingPattern, n: int
-) -> tuple[float, float]:
-    """Exact Fourier coefficients (a_n, b_n) by per-segment integration.
+def _segment_table(pattern: SwitchingPattern, n: int) -> tuple[list[float], list[float]]:
+    """(a_n, b_n) of orders 1..M >= n of pattern, from the slot or a new pass."""
+    global _segment_slot
+    held, max_order, table = _segment_slot
+    if held is not pattern or n > max_order:
+        grown = 2 * max_order if held is pattern else 0
+        max_order = max(n, DEFAULT_MAX_ORDER, grown)
+        table = _segment_coefficients(pattern, max_order)
+        _segment_slot = (pattern, max_order, table)
+    return table
+
+
+def segment_integral_harmonic(pattern: SwitchingPattern, n: int) -> float:
+    """Signed n-th harmonic amplitude b_n via full-period segment integration.
 
     a_n = (1/pi) * integral of v(phi)*cos(n*phi) over [0, 2*pi)
     b_n = (1/pi) * integral of v(phi)*sin(n*phi) over [0, 2*pi)
 
     Both integrals are sums of closed forms over the constant segments of the
-    full-period waveform, read from the pattern's segment table; zero-width
-    segments contribute nothing. Each order takes one cosine and one sine per
-    breakpoint: a segment [lo, hi) uses cos/sin at lo and at hi, and each
-    inner breakpoint is the hi of one segment and the lo of the next. The
-    coefficients are read from the segment order table of the pattern (see
-    the module docstring): orders 1..M in one pass over an (M, 4K+3) block
-    of phases. A lone call at a high order builds the whole table: at
-    n = 999 that is 999 rows, about 4 ms at K=12, where that order alone
-    took 15 us.
+    full-period waveform; zero-width segments contribute nothing. A segment
+    [lo, hi) takes cos/sin at lo and at hi, and each inner breakpoint is the
+    hi of one segment and the lo of the next. The values are read from the
+    pattern's order table (module docstring), so a lone call at a high order
+    builds the whole table: at n = 999, 999 rows, about 4 ms at K=12, where
+    that order alone took 15 us. Verifies on the way that a_n vanishes (it
+    must: a valid pattern's waveform is odd about phase 0 by construction).
     """
     n = check_count(n, "harmonic order")
-    a, b = _segment.of(pattern, n)
-    return a[n - 1], b[n - 1]
-
-
-def segment_integral_harmonic(pattern: SwitchingPattern, n: int) -> float:
-    """Signed n-th harmonic amplitude via full-period segment integration.
-
-    Verifies on the way that the cosine coefficient vanishes (it must, for
-    any valid pattern: the waveform is odd about phase 0 by construction).
-    """
-    a_n, b_n = segment_integral_coefficients(pattern, n)
+    a, b = _segment_table(pattern, n)
+    a_n = a[n - 1]
     bound = 1e-9 * pattern.cells * pattern.vdc_per_cell
     if abs(a_n) > bound:
         raise ShePwmError(
             f"cosine coefficient a_{n} = {a_n:g} exceeds rounding bound {bound:g}"
         )
-    return b_n
+    return b[n - 1]
 
 
 def analytic_spectrum(

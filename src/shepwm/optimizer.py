@@ -11,13 +11,15 @@ each result has the same bits as a one-seed ``minimize``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShePwmError, apply_rules, check_count, check_nonnegative, check_real
+from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_real,
+                     check_sequence)
 
 _U64_MAX = 2**64 - 1
 
@@ -90,15 +92,25 @@ class OptimizerResult:
     restart_converged: tuple[int, ...] = ()
 
 
+def _check_bound(pair, name: str) -> tuple[float, float]:
+    """pair as (low, high): a sequence of two finite reals, low <= high."""
+    pair = check_sequence(pair, name, check_real)
+    if len(pair) != 2:
+        raise ShePwmError(f"{name} must hold (low, high) pairs, got {pair!r}")
+    low, high = pair
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ShePwmError(f"{name} must be finite")
+    if low > high:
+        raise ShePwmError("each lower bound must be <= its upper bound")
+    return pair
+
+
 def _check_bounds(bounds: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    if len(bounds) == 0:
+    bounds = check_sequence(bounds, "bounds", _check_bound)
+    if not bounds:
         raise ShePwmError("bounds must be a non-empty list of (low, high) pairs")
     lo = np.asarray([b[0] for b in bounds], dtype=np.float64)
     hi = np.asarray([b[1] for b in bounds], dtype=np.float64)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ShePwmError("bounds must be finite")
-    if np.any(lo > hi):
-        raise ShePwmError("each lower bound must be <= its upper bound")
     return lo, hi
 
 
@@ -151,7 +163,7 @@ def minimize_stacked(
     cutoff is that particle's own personal best.
     """
     lo, hi = _check_bounds(bounds)
-    seeds = [check_seed(seed) for seed in seeds]
+    seeds = check_sequence(seeds, "seeds", lambda seed, _: check_seed(seed))
     dim = lo.size
     span = hi - lo
     vmax = config.velocity_clamp_fraction * span

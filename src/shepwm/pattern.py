@@ -53,10 +53,12 @@ def check_vdc(value, name: str) -> float:
 
 
 def _check_sign(s, name: str) -> int:
-    if s == 1:
-        return 1
-    if s == -1:
-        return -1
+    # an array has no one truth value, so it is refused before it is compared
+    if not getattr(s, "ndim", 0):
+        if s == 1:
+            return 1
+        if s == -1:
+            return -1
     raise ShePwmError(f"transition sign must be +1 or -1, got {s!r}")
 
 

@@ -25,7 +25,7 @@ from shepwm import (
     synthesize,
 )
 
-from shepwm.harmonics import _odd_volts
+from shepwm.harmonics import _odd_volts, _segment_coefficients
 
 from conftest import random_valid_pattern, run_cli
 
@@ -72,12 +72,16 @@ def test_criterion_1_oracle_equivalence(rng):
     for i in range(1000):
         pat = random_valid_pattern(rng)
         vdc = pat.vdc_per_cell
-        # the closed form's orders 1, 3, ..., 49 in one pass; each is the
-        # value analytic_harmonic returns, checked bit for bit at one order
+        # each exact route's orders in one pass, the closed form's 1, 3, ...,
+        # 49 and the segment route's 1..49; each is the value its per-order
+        # function returns, checked bit for bit at one order
         odd = _odd_volts(pat, 49).tolist()
         assert odd[i % 25] == analytic_harmonic(pat, 2 * (i % 25) + 1)
+        cos_coef, sin_coef = _segment_coefficients(pat, 49)
+        assert sin_coef[i % 49] == segment_integral_harmonic(pat, i % 49 + 1)
         for n in range(1, 50):
-            seg = segment_integral_harmonic(pat, n)
+            seg = sin_coef[n - 1]
+            assert abs(cos_coef[n - 1]) <= 1e-9 * pat.cells * vdc
             if n % 2 == 0:
                 assert analytic_harmonic(pat, n) == 0.0
                 worst_even = max(worst_even, abs(seg) / vdc)

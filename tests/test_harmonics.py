@@ -23,8 +23,9 @@ from shepwm import (
 from shepwm import harmonics
 from shepwm.errors import ShePwmError, ZeroFundamental
 from shepwm.harmonics import (
+    _segment_coefficients,
+    _segment_table,
     odd_harmonic_sums,
-    segment_integral_coefficients,
     signed_cosines,
     spectrum_csv,
 )
@@ -80,6 +81,12 @@ def reference_segment_coefficients(p, n):
     b_n = float(np.sum(volts * (np.cos(n * lo) - np.cos(n * hi))) / (n * math.pi))
     a_n = float(np.sum(volts * (np.sin(n * hi) - np.sin(n * lo))) / (n * math.pi))
     return a_n, b_n
+
+
+def segment_coefficients(p, n):
+    """(a_n, b_n) as segment_integral_harmonic reads them from the order table."""
+    a, b = _segment_table(p, n)
+    return a[n - 1], b[n - 1]
 
 
 class TestAnalytic:
@@ -179,9 +186,10 @@ class TestOrderTables:
     @settings(max_examples=60, deadline=None)
     def test_bits_match_per_order_arithmetic(self, calls):
         for p, n in calls:
-            got = np.array(segment_integral_coefficients(p, n))
+            got = np.array(segment_coefficients(p, n))
             want = np.array(reference_segment_coefficients(p, n))
             assert got.tobytes() == want.tobytes(), n
+            assert np.array(segment_integral_harmonic(p, n)).tobytes() == want[1].tobytes()
             got = np.array(analytic_harmonic(p, n))
             assert got.tobytes() == np.array(reference_closed_form(p, n)).tobytes(), n
 
@@ -190,17 +198,16 @@ class TestOrderTables:
         # pattern asks past it: 49, 98, 196, 392, 784, 1568
         p = forty_angle_pattern()
         builds = count_cosines(monkeypatch)
-        got = [segment_integral_coefficients(p, n) for n in range(1, 1000)]
+        got = [segment_coefficients(p, n) for n in range(1, 1000)]
         # one cosine call per table, over its (M, 4K+3) phases
         assert len(builds) == 6, builds
         builds.clear()
-        assert [segment_integral_coefficients(p, n)
-                for n in range(999, 0, -1)] == got[::-1]
+        assert [segment_coefficients(p, n) for n in range(999, 0, -1)] == got[::-1]
         assert len(builds) == 0
         monkeypatch.undo()
         for n in range(1, 1000):
             want = reference_segment_coefficients(p, n)
-            got = segment_integral_coefficients(p, n)
+            got = segment_coefficients(p, n)
             assert np.array(got).tobytes() == np.array(want).tobytes(), n
 
     def test_closed_form_takes_one_cosine_call_per_call(self, monkeypatch):
@@ -309,10 +316,11 @@ class TestSegmentIntegral:
     @given(p=valid_patterns())
     @settings(max_examples=200, deadline=None)
     def test_bits_match_reference(self, p):
+        a, b = _segment_coefficients(p, 49)
         for n in range(1, 50):
-            got = np.array(segment_integral_coefficients(p, n))
             want = np.array(reference_segment_coefficients(p, n))
-            assert got.tobytes() == want.tobytes(), n
+            assert np.array((a[n - 1], b[n - 1])).tobytes() == want.tobytes(), n
+            assert np.array(segment_integral_harmonic(p, n)).tobytes() == want[1].tobytes()
 
     def test_rejects_non_integral_order(self):
         with pytest.raises(ShePwmError, match="order must be an integer, got 2.5"):
@@ -337,9 +345,9 @@ class TestSegmentIntegral:
     def test_cosine_coefficient_vanishes(self, rng):
         for _ in range(10):
             p = random_valid_pattern(rng)
+            a, _ = _segment_coefficients(p, 12)
             for n in (1, 2, 5, 12):
-                a_n, _ = segment_integral_coefficients(p, n)
-                assert abs(a_n) <= 1e-9 * p.cells * p.vdc_per_cell
+                assert abs(a[n - 1]) <= 1e-9 * p.cells * p.vdc_per_cell
 
     def test_matches_analytic_on_default_pattern(self):
         for n in range(1, 50):

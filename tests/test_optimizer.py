@@ -229,11 +229,17 @@ class TestMinimize:
         assert res.gbest_history.size == 2
 
     @pytest.mark.parametrize(
-        "bounds", [[], [(1.0, 0.0)], [(0.0, float("inf"))], [(float("nan"), 1.0)]]
+        "bounds", [[], [(1.0, 0.0)], [(0.0, float("inf"))], [(float("nan"), 1.0)],
+                   [(0.0,)], None]
     )
     def test_invalid_bounds(self, bounds):
         with pytest.raises(ShePwmError, match="bound"):
             minimize(pointwise(sphere), bounds, PsoConfig(seed=1))
+
+    @pytest.mark.parametrize("seeds", [None, 5], ids=repr)
+    def test_stacked_seeds_must_be_a_sequence(self, seeds):
+        with pytest.raises(ShePwmError, match=f"^seeds must be a sequence, got {seeds}$"):
+            minimize_stacked(sphere_batch, [(0.0, 1.0)], PsoConfig(seed=1), seeds)
 
     def test_scalar_objective_raises(self):
         # a scalar objective returns one value for the whole batch

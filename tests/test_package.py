@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import re
@@ -11,6 +12,10 @@ import shepwm
 from shepwm import dclink
 
 from conftest import PACKAGE_ROOT
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the names under which the benchmark reaches the package
+BENCHMARK_MODULES = ("shepwm", "harmonics", "dclink", "she", "pattern", "cli")
 
 
 def test_every_exported_name_resolves():
@@ -210,3 +215,43 @@ def test_only_the_real_rule_tests_for_a_real():
     package = Path(shepwm.__file__).parent
     found = {p.name for p in package.glob("*.py") if "numbers.Real" in p.read_text()}
     assert found == {"errors.py"}
+
+
+def _benchmark_references() -> set[tuple[str, str, str]]:
+    """(file, module, attribute) for each attribute the benchmark's code takes
+    on one of BENCHMARK_MODULES, once per file."""
+    refs = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in BENCHMARK_MODULES):
+                refs.add((path.name, node.value.id, node.attr))
+    return refs
+
+
+def test_every_name_the_benchmark_takes_resolves():
+    # the benchmark changes only on its own; a library change that drops a
+    # name it calls fails here rather than in a benchmark run
+    refs = _benchmark_references()
+    assert {("workloads.py", "harmonics", "segment_integral_harmonic"),
+            ("workloads.py", "dclink", "read_lookup_csv")} <= refs
+    modules = {m: importlib.import_module("shepwm" if m == "shepwm" else f"shepwm.{m}")
+               for m in BENCHMARK_MODULES}
+    missing = [f"{f}: {m}.{a}" for f, m, a in sorted(refs) if not hasattr(modules[m], a)]
+    assert missing == []
+
+
+def test_benchmark_route_batch_passes_its_check(monkeypatch):
+    # perfbench/workloads.py, read by path: its analyze-routes batch on five
+    # of its patterns, judged by its own answer check
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    patterns = workloads.route_patterns(1)[:5]
+    problem, base = workloads.route_base()
+    res = workloads.route_batch(patterns, problem, base)
+    chk = workloads.route_check(patterns, problem, base, res)
+    assert chk.attempted > len(patterns)
+    assert (chk.failed, chk.problems) == (0, [])

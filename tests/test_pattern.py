@@ -21,7 +21,7 @@ from shepwm import (
     validate,
 )
 from shepwm.errors import ShePwmError
-from shepwm.harmonics import segment_integral_coefficients
+from shepwm.harmonics import _segment_coefficients
 from shepwm.pattern import levels, waveform_csv
 
 from conftest import random_valid_pattern
@@ -137,9 +137,8 @@ class TestSegmentTable:
             copy = pickle.loads(pickle.dumps(p))
             assert copy == p and "segments" not in vars(copy)
             assert not copy.segments.volts.flags.writeable
-            for n in range(1, 50):
-                assert (np.array(segment_integral_coefficients(copy, n)).tobytes()
-                        == np.array(segment_integral_coefficients(p, n)).tobytes())
+            assert (np.array(_segment_coefficients(copy, 49)).tobytes()
+                    == np.array(_segment_coefficients(p, 49)).tobytes())
 
     def test_solve_paths_never_build_it(self, monkeypatch):
         def refuse(pattern):

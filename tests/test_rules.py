@@ -34,7 +34,6 @@ from shepwm import (
 from shepwm.dclink import check_flag, check_lookup_grid, lookup_csv, read_lookup_csv
 from shepwm.errors import (GridPositionError, ShePwmError, check_count,
                            check_nonnegative, check_real)
-from shepwm.harmonics import segment_integral_coefficients
 from shepwm.optimizer import check_seed
 from shepwm.pattern import check_angles, check_signs, check_vdc
 from shepwm.she import _signs_or_none, check_orders, check_target, solve_pairs
@@ -139,8 +138,6 @@ COUNTS = {
                           "harmonic order", None, 5),
     "segment_integral_harmonic": (lambda n: segment_integral_harmonic(PATTERN, n),
                                   "harmonic order", None, 5),
-    "segment_integral_coefficients": (
-        lambda n: segment_integral_coefficients(PATTERN, n), "harmonic order", None, 5),
     "analytic_spectrum": (lambda n: analytic_spectrum(PATTERN, n), "max_order",
                           lambda s: s.max_order, 9),
     "dft_spectrum": (lambda n: dft_spectrum(synthesize(PATTERN, 64), n), "max_order",
@@ -290,7 +287,8 @@ def test_an_int_real_is_stored_as_a_float():
                               problem.vdc_per_cell)] == [float] * 3
 
 
-BAD_SIGNS = [1.5, 1.9, "1", 0, 2, -0.5, None]
+# an array of signs in one sign's place has no one truth value
+BAD_SIGNS = [1.5, 1.9, "1", 0, 2, -0.5, None, np.array([1, 1])]
 # each type has one sign field, so a case is named by its type
 SIGNS = {cls.__name__: (cls, name) for cls, table in RULES.items()
          for name, rule in table.items() if rule in SIGN_RULES}
@@ -308,6 +306,15 @@ def test_a_bad_sign_is_refused_not_truncated(case, value):
         _signs(case, (value, -1))
     assert type(info.value) is ShePwmError
     assert str(info.value) == f"transition sign must be +1 or -1, got {value!r}"
+
+
+@pytest.mark.parametrize("case", SIGNS)
+def test_a_two_dimensional_sign_array_is_refused(case):
+    cls, name = SIGNS[case]
+    rows = np.array([[1, -1]] * len(VALID[cls][name]))
+    with pytest.raises(ShePwmError) as info:
+        _build(cls, **{name: rows})
+    assert str(info.value) == f"transition sign must be +1 or -1, got {rows[0]!r}"
 
 
 @pytest.mark.parametrize("case", SIGNS)
