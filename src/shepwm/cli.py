@@ -11,8 +11,10 @@ timestamp is metadata about the original run, not an input.
 Exit status: 0 on success, 1 when the full-modulation base point of a
 table/compare run misses the feasibility thresholds (outputs are still
 written), 2 on usage errors, on output paths that cannot be written and on
-two outputs (manifests included) that name the same file. A run that exits 2
-leaves no output file and no stdout behind.
+two outputs (manifests included) that name the same file, and on a run whose
+arrays cannot be allocated (--max-order and --samples are capped up front,
+see MAX_ORDER and MAX_SAMPLES). A run that exits 2 leaves no output file and
+no stdout behind.
 """
 
 from __future__ import annotations
@@ -43,6 +45,24 @@ GRID_STOP_SLACK = 1e-9
 # Cap on (stop - start) / step of a start:stop:step grid, checked before the
 # grid is built.
 MAX_GRID_POINTS = 1_000_000
+# Caps on the counts whose memory grows with their value, checked before
+# anything is allocated: about COUNT_BUDGET_BYTES for either at its cap. An
+# order of `analyze --max-order` holds about 1.1 kB at peak (its spectrum
+# entry, its JSON record and text); a sample of `--samples` about 26 B
+# (synthesize's arrays and the phases the CSV reads).
+COUNT_BUDGET_BYTES = 1 << 30
+ORDER_BYTES = 1200
+SAMPLE_BYTES = 32
+MAX_ORDER = COUNT_BUDGET_BYTES // ORDER_BYTES
+MAX_SAMPLES = COUNT_BUDGET_BYTES // SAMPLE_BYTES
+
+
+def _check_capped(value, flag: str, cap: int) -> int:
+    """value by check_count, refused above cap."""
+    value = check_count(value, flag)
+    if value > cap:
+        raise ShePwmError(f"{flag} must be <= {cap}, got {value}")
+    return value
 
 
 def _float_list(text: str) -> list[float]:
@@ -128,7 +148,7 @@ _NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
 def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
     """Problem, swarm and manifest config: both dataclasses in full, plus every
     parsed argument that is not one of their fields."""
-    check_count(args.max_order, "--max-order")  # before any solve
+    _check_capped(args.max_order, "--max-order", MAX_ORDER)  # before any solve
     given = vars(args)
     problem = SheProblem(
         target_m,
@@ -265,7 +285,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    check_count(args.samples, "--samples")
+    _check_capped(args.max_order, "--max-order", MAX_ORDER)
+    _check_capped(args.samples, "--samples", MAX_SAMPLES)
     angles = args.angles
     if args.degrees:
         angles = [math.radians(a) for a in angles]
@@ -394,6 +415,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ShePwmError, OSError) as exc:
         print(f"shepwm: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"shepwm: error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,9 @@ from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, c
                      check_sequence)
 
 _U64_MAX = 2**64 - 1
+# The most bytes of uniform draws a stacked swarm holds at once; it fixes how
+# many iterations each swarm's stream fills per call (at least one).
+DRAW_BUDGET_BYTES = 1 << 20
 
 
 def check_seed(seed, name: str = "seed") -> int:
@@ -174,7 +177,8 @@ def minimize_stacked(
     # Every personal best starts at +inf. The objective reads the positions,
     # and the personal bests as each row's cutoff, through read-only views.
     fp = np.full((blocks, size), np.inf)
-    points, cutoff = x.reshape(rows, dim), fp.reshape(rows)
+    x_rows, fp_rows = x.reshape(rows, dim), fp.reshape(rows)
+    points, cutoff = x_rows.view(), fp_rows.view()
     points.flags.writeable = cutoff.flags.writeable = False
 
     def evaluate():
@@ -186,7 +190,7 @@ def minimize_stacked(
             )
         if not np.isfinite(fx).all():
             raise ShePwmError("objective returned a non-finite value")
-        return fx.reshape(blocks, size)
+        return fx
 
     # The bounds tiled over one swarm, so that each clamp runs numpy's inner
     # loop over size * dim elements rather than dim.
@@ -218,12 +222,13 @@ def minimize_stacked(
     x *= span
     x += lo
     v = np.zeros_like(x)
-    np.copyto(fp, evaluate())
-    # bests[:, 0] holds the personal bests and bests[:, 1] each swarm's best
+    np.copyto(fp_rows, evaluate())
+    # bests[0] holds the personal bests and bests[1] each swarm's best
     # position, repeated for every one of its particles, so that one subtract
-    # takes both gaps.
-    bests = np.empty((blocks, 2, size, dim))
-    pbest, gpos = bests[:, 0], bests[:, 1]
+    # takes both gaps; each half is one contiguous block.
+    bests = np.empty((2, blocks, size, dim))
+    pbest, gpos = bests
+    pbest_rows = pbest.reshape(rows, dim)
     pbest[...] = x
     swarm = np.arange(blocks)
     g = np.argmin(fp, axis=1)
@@ -237,15 +242,17 @@ def minimize_stacked(
     # per swarm. The in-place steps below evaluate
     # v = w*v + cognitive*r1*(pbest - x) + social*r2*(gbest - x) in the
     # one-swarm order, so every element gets the same bits.
-    coef = np.array([config.cognitive, config.social], dtype=np.float64)[:, None, None]
-    pulls = np.empty((blocks, 2, size, dim))
+    pulls = np.empty((2, blocks, size, dim))
     gaps = np.empty_like(pulls)
-    cognitive_pull, social_pull = pulls[:, 0], pulls[:, 1]
-    x_both = x[:, None]
+    cognitive_pull, social_pull = pulls
+    # Each swarm's stream fills the draws of `chunk` iterations at once, in
+    # the order one iteration at a time would draw them: (r1, r2) per
+    # iteration, r1 for the cognitive pull and r2 for the social one.
+    chunk = min(iters, max(1, DRAW_BUDGET_BYTES // pulls.nbytes))
+    draws = np.empty((blocks, chunk, 2, size, dim))
     clamped = np.empty(x.shape, dtype=bool)
     above = np.empty_like(clamped)
-    improved = np.empty(fp.shape, dtype=bool)
-    improved_rows = improved[..., None]
+    improved = np.empty(rows, dtype=bool)
 
     for t in range(iters):
         if iters > 1:
@@ -254,10 +261,14 @@ def minimize_stacked(
             ) * (t / (iters - 1))
         else:
             w = config.inertia_start
-        for rng, pb in zip(rngs, pulls):
-            rng.random(out=pb)
-        pulls *= coef
-        np.subtract(bests, x_both, out=gaps)
+        step = t % chunk
+        if step == 0:
+            fill = min(chunk, iters - t)
+            for rng, own in zip(rngs, draws):
+                rng.random(out=own[:fill])
+        np.multiply(draws[:, step, 0], config.cognitive, out=cognitive_pull)
+        np.multiply(draws[:, step, 1], config.social, out=social_pull)
+        np.subtract(bests, x, out=gaps)
         pulls *= gaps
         v *= w
         v += cognitive_pull
@@ -270,9 +281,10 @@ def minimize_stacked(
         clamp(x, lo_t, hi_t)
         np.copyto(v, 0.0, where=clamped)
         fx = evaluate()
-        np.less(fx, fp, out=improved)
-        np.copyto(pbest, x, where=improved_rows)
-        np.copyto(fp, fx, where=improved)
+        np.less(fx, fp_rows, out=improved)
+        moved = improved.nonzero()[0]
+        pbest_rows[moved] = x_rows[moved]
+        fp_rows[moved] = fx[moved]
         # Only swarms whose least personal best beats their best gather a new
         # one, and it is the first argmin's value: fp.min may give -0.0 where
         # that is +0.0, though the two compare alike.

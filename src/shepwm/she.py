@@ -198,9 +198,9 @@ def cost_batch(
 
     with Vn_pu = 4/(n*pi*cells) * sum_i signs[i]*cos(n*theta_i).
 
-    The kernel makes one cosine per angle and takes every order's sum by
-    ``harmonics.odd_harmonic_sums``, so a row's bits do not depend on the
-    batch it is evaluated in.
+    ``harmonics.signed_cosines`` sorts each row and makes one cosine per
+    angle, and ``harmonics.odd_harmonic_sums`` takes every order's sum, so a
+    row's bits do not depend on the batch it is evaluated in.
 
     target_m, when given, is a (P,) vector of per-row targets that replaces
     problem.target_m; row i then costs what it would cost alone under
@@ -229,7 +229,7 @@ def cost_batch(
     if target_m is None:
         target_m = problem.target_m
     kernel = problem._kernel
-    block = signed_cosines(np.sort(arr, axis=1), kernel.signs)
+    block = signed_cosines(arr, kernel.signs)
     fund = odd_harmonic_sums(block, 1)[0]
     fund_pu = np.abs(kernel.unit * fund)
     total = problem.weight_fundamental * np.abs(target_m - fund_pu)

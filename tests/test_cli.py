@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import shepwm
 from shepwm import PsoConfig, SheProblem, build_lookup, cli, cost, solve
 from shepwm.dclink import read_lookup_csv
+from shepwm.errors import ShePwmError
 from shepwm.harmonics import DEFAULT_MAX_ORDER
 
 from conftest import run_cli
@@ -113,6 +114,15 @@ ONE_LINE = [
     ["table", "--pu-grid", "0.5,1.0", "--seed", "1", "--out", "t.csv",
      "--max-order", "0"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "0"],
+    # counts above their caps, refused before anything is allocated
+    ["solve", "--pu", "0.5", "--seed", "1", "--max-order", str(cli.MAX_ORDER + 1)],
+    ["analyze", "--angles", "0.1", "--signs", "1", "--max-order", "1000000000"],
+    ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "4000000000",
+     "--emit-waveform", "w.csv"],
+    # a swarm larger than any address space: its first array fails to
+    # allocate at once, and the MemoryError is one error line
+    ["solve", "--pu", "0.5", "--seed", "1", "--swarm", "1000000000000000",
+     "--iterations", "1"],
 ]
 
 
@@ -190,6 +200,15 @@ class TestUsageErrors:
         stderr = out.stderr.decode()
         assert sum("error:" in line for line in stderr.splitlines()) == 1, stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_caps_admit_their_own_value(self):
+        # the capped counts stop exactly at their caps, and the sample cap is
+        # a count synthesize takes (a multiple of 4)
+        for flag, cap in (("--max-order", cli.MAX_ORDER), ("--samples", cli.MAX_SAMPLES)):
+            assert cli._check_capped(cap, flag, cap) == cap
+            with pytest.raises(ShePwmError, match=f"{flag} must be <= {cap}, got"):
+                cli._check_capped(cap + 1, flag, cap)
+        assert cli.MAX_SAMPLES % 4 == 0
 
     def test_runtime_domain_error_is_exit_2(self, tmp_path):
         # grid value 0 parses but has no defined THD row

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shepwm import OptimizerResult, PsoConfig, derive_seed, minimize
+from shepwm import OptimizerResult, PsoConfig, derive_seed, minimize, optimizer
 from shepwm.errors import ShePwmError
 from shepwm.optimizer import _check_bounds, minimize_stacked
 
@@ -348,6 +348,40 @@ class TestStackedOracle:
             minimize(signed_wavy_batch, bounds, cfg),
             _reference_minimize(signed_wavy_batch, bounds, cfg),
         )
+
+    @pytest.mark.parametrize("chunk", [1, 3, 40])
+    def test_draw_buffer_refills_match_reference(self, monkeypatch, chunk):
+        # A draw budget of `chunk` iterations' bytes makes every swarm's
+        # stream refill the buffer mid-run (23 is no multiple of 3), or, at
+        # 40, fill all 23 iterations at once.
+        cfg = PsoConfig(seed=0, swarm_size=4, iterations=23, restarts=2,
+                        inertia_end=0.0, velocity_clamp_fraction=1.0)
+        seeds = [5, derive_seed(5, 0), 2**64 - 1]
+        refs = [_reference_minimize(signed_wavy_batch, ORACLE_BOUNDS,
+                                    replace(cfg, seed=seed)) for seed in seeds]
+        rows = len(seeds) * cfg.restarts * cfg.swarm_size
+        per_iteration = 2 * rows * len(ORACLE_BOUNDS) * 8
+        monkeypatch.setattr(optimizer, "DRAW_BUDGET_BYTES", chunk * per_iteration)
+        fills = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, *, out):
+                if out.ndim == 4:  # (iterations, 2, swarm_size, dim) of pulls
+                    fills.append(len(out))
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        stacked = minimize_stacked(signed_wavy_batch, ORACLE_BOUNDS, cfg, seeds)
+        for res, ref in zip(stacked, refs):
+            assert_bit_equal(res, ref)
+        # each refill takes every swarm's stream in turn
+        step = min(chunk, cfg.iterations)
+        refills = [min(step, cfg.iterations - t) for t in range(0, cfg.iterations, step)]
+        assert fills == [n for n in refills for _ in range(len(seeds) * cfg.restarts)]
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "7"])
     def test_stacked_seeds_are_unsigned_64_bit(self, seed):

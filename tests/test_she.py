@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 import pickle
 from dataclasses import replace
@@ -145,6 +146,36 @@ class TestKernelConstants:
         assert not copy._kernel.scale.flags.writeable
 
 
+def count_kernel_calls(monkeypatch, problem, pts):
+    """Sizes of the np.cos and np.sort calls of two cost_batch calls on pts,
+    without and with a cutoff, whose values must not change when counted."""
+    expected = cost_batch(pts, problem)
+    cutoff = np.full(len(pts), np.median(expected))
+    expected_cut = cost_batch(pts, problem, cutoff=cutoff)
+    calls = {"cos": [], "sort": []}
+
+    class CountingNumpy:
+        def __getattr__(self, attr):
+            if attr in ("sin", "tan", "arccos", "arcsin", "arctan"):
+                raise AssertionError(f"cost_batch called np.{attr}")
+            return getattr(np, attr)
+
+        def cos(self, x, *args, **kwargs):
+            calls["cos"].append(np.size(x))
+            return np.cos(x, *args, **kwargs)
+
+        def sort(self, x, *args, **kwargs):
+            calls["sort"].append(np.size(x))
+            return np.sort(x, *args, **kwargs)
+
+    # the cosines are taken in harmonics, the kernel's one closed form
+    monkeypatch.setattr(she, "np", CountingNumpy())
+    monkeypatch.setattr(harmonics, "np", CountingNumpy())
+    assert np.array_equal(cost_batch(pts, problem), expected)
+    assert np.array_equal(cost_batch(pts, problem, cutoff=cutoff), expected_cut)
+    return calls
+
+
 class TestCost:
     def test_two_angle_staircase_frozen_value(self):
         # direct evaluation of the cost formula, cross-checked against the
@@ -248,27 +279,7 @@ class TestCost:
     def test_batch_makes_one_cosine_per_angle(self, rng, monkeypatch, name):
         problem = KERNEL_PROBLEMS[name](0.5)
         pts = rng.random((30, problem.n_angles)) * HALF_PI
-        expected = cost_batch(pts, problem)
-        cutoff = np.full(len(pts), np.median(expected))
-        expected_cut = cost_batch(pts, problem, cutoff=cutoff)
-        cosines = []
-
-        class CountingNumpy:
-            def __getattr__(self, attr):
-                if attr in ("sin", "tan", "arccos", "arcsin", "arctan"):
-                    raise AssertionError(f"cost_batch called np.{attr}")
-                return getattr(np, attr)
-
-            def cos(self, x, *args, **kwargs):
-                cosines.append(np.size(x))
-                return np.cos(x, *args, **kwargs)
-
-        # the cosines are taken in harmonics, the kernel's one closed form
-        monkeypatch.setattr(she, "np", CountingNumpy())
-        monkeypatch.setattr(harmonics, "np", CountingNumpy())
-        assert np.array_equal(cost_batch(pts, problem), expected)
-        assert np.array_equal(cost_batch(pts, problem, cutoff=cutoff), expected_cut)
-        assert cosines == [pts.size, pts.size]
+        assert count_kernel_calls(monkeypatch, problem, pts)["cos"] == [pts.size] * 2
 
     @pytest.mark.parametrize("cols", [4, 9])
     def test_batch_wrong_column_count(self, rng, cols):
@@ -391,6 +402,61 @@ class TestKernelBits:
         got = cost_batch(pts, problem, target_m=targets, cutoff=cutoff)
         want = reference_cost_batch(pts, problem, target_m=targets, cutoff=cutoff)
         assert got.tobytes() == want.tobytes()
+
+
+def zero_one_rows(k):
+    """Every row of k zeros and ones, 2**k rows."""
+    return np.array(list(itertools.product((0.0, 1.0), repeat=k))).reshape(-1, k)
+
+
+class TestKernelSort:
+    @pytest.mark.parametrize("k", range(1, harmonics.NETWORK_MAX_K + 1))
+    def test_network_sorts_zero_one_rows(self, k):
+        # the 0-1 principle: a comparator network that sorts every row of
+        # zeros and ones sorts every row
+        rows = zero_one_rows(k)
+        for row in rows.tolist():
+            for i, j in harmonics.merge_exchange(k):
+                row[i], row[j] = min(row[i], row[j]), max(row[i], row[j])
+            assert row == sorted(row)
+        # and the kernel, on a batch large enough to take the network
+        batch = np.tile(rows, (-(-harmonics.NETWORK_MIN_ROWS // len(rows)), 1))
+        want = np.cos(np.sort(batch, axis=1).T)
+        got = harmonics.signed_cosines(batch, np.ones(k))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, harmonics.NETWORK_MAX_K + 1))
+    def test_network_rows_match_one_row_calls(self, rng, k):
+        # signed zeros, ties, negatives and non-finite angles: every row of a
+        # network-sized batch has the bits of its own one-row (np.sort) call
+        pool = np.array([0.0, -0.0, 0.3, 0.3, -0.2, HALF_PI, 1.0])
+        batch = rng.choice(pool, (harmonics.NETWORK_MIN_ROWS, k))
+        batch[: 2 * k] = rng.choice([0.0, -0.0], (2 * k, k))
+        batch[-4:, 0] = (np.nan, np.inf, -np.inf, np.nan)
+        batch[-1, -1] = np.inf
+        signs = rng.choice([-1.0, 1.0], k)
+        with np.errstate(invalid="ignore"):  # cos(+-inf) is NaN
+            got = harmonics.signed_cosines(batch, signs)
+            for i, row in enumerate(batch):
+                alone = harmonics.signed_cosines(row[None], signs)[:, 0]
+                if np.isnan(row).any():
+                    assert np.isnan(got[:, i]).any() and np.isnan(alone).any()
+                else:
+                    assert got[:, i].tobytes() == alone.tobytes(), row
+
+    @pytest.mark.parametrize("rows", [-1, 0], ids=["below", "at"])
+    @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
+    def test_network_batch_makes_one_cosine_per_angle(self, rng, monkeypatch, name, rows):
+        # the sort path depends on the batch's (rows, K) alone; either way
+        # the batch takes one np.cos over all its angles
+        problem = KERNEL_PROBLEMS[name](0.5)
+        rows += harmonics.NETWORK_MIN_ROWS
+        pts = kernel_points(rng, problem.n_angles, rows - 3)  # + 3 edge rows
+        calls = count_kernel_calls(monkeypatch, problem, pts)
+        assert calls["cos"] == [pts.size] * 2
+        network = rows >= harmonics.NETWORK_MIN_ROWS and (
+            problem.n_angles <= harmonics.NETWORK_MAX_K)
+        assert calls["sort"] == ([] if network else [pts.size] * 2)
 
 
 class TestSolve:
