@@ -32,8 +32,8 @@ from .dclink import build_lookup, compare_methods, comparison_csv, lookup_csv, l
 from .errors import ShePwmError, ZeroFundamental, check_count
 from .harmonics import (
     DEFAULT_MAX_ORDER,
+    HarmonicSpectrum,
     analytic_spectrum,
-    pattern_thd,
     spectrum_csv,
     thd,
 )
@@ -192,15 +192,17 @@ def _write_outputs(command: str, cfg: dict, seed: int | None, files: list,
         raise
 
 
-def _thd_pct_or_none(sol: Solution, max_order: int):
+def _thd_pct_or_none(spectrum: HarmonicSpectrum):
     """THD in percent; None when the fundamental vanished (zero target)."""
     try:
-        return 100.0 * pattern_thd(sol.pattern, max_order)
+        return 100.0 * thd(spectrum)
     except ZeroFundamental:
         return None
 
 
 def _solution_doc(sol: Solution, degrees: bool, max_order: int) -> dict:
+    # the fundamental and THD of one spectrum, as build_lookup takes them
+    spectrum = analytic_spectrum(sol.pattern, max_order)
     angles = list(sol.pattern.angles)
     key = "angles_rad"
     if degrees:
@@ -211,8 +213,8 @@ def _solution_doc(sol: Solution, degrees: bool, max_order: int) -> dict:
         "feasible": sol.feasible,
         "cost": sol.cost,
         "fundamental_pu": sol.fundamental_pu,
-        "fundamental_v": sol.fundamental_pu * sol.pattern.base_volts,
-        "thd_pct": _thd_pct_or_none(sol, max_order),
+        "fundamental_v": spectrum.fundamental,
+        "thd_pct": _thd_pct_or_none(spectrum),
         "residuals_pu": {str(n): r for n, r in sorted(sol.residuals_pu.items())},
         key: angles,
         "signs": list(sol.pattern.signs),
@@ -243,7 +245,7 @@ def _sweep_csv_text(solutions: list[Solution], max_order: int) -> str:
     header += [f"theta_{i + 1}" for i in range(k)]
     lines = [",".join(header)]
     for s in solutions:
-        thd_pct = _thd_pct_or_none(s, max_order)
+        thd_pct = _thd_pct_or_none(analytic_spectrum(s.pattern, max_order))
         row = [
             repr(s.target_m),
             "true" if s.feasible else "false",

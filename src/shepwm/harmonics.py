@@ -36,31 +36,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ShePwmError, ZeroFundamental, apply_rules, check_count,
-                     check_nonnegative)
+                     check_nonnegative, check_real, check_sequence)
 from .pattern import SwitchingPattern, WaveformSamples
 
 DEFAULT_MAX_ORDER = 49
 
 
+def check_magnitudes(values, name: str) -> tuple[float, ...]:
+    """values as a tuple of floats |V_n|, n = 0..M with M >= 1, each finite and >= 0."""
+    values = check_sequence(values, name, check_real)
+    if len(values) < 2:
+        raise ShePwmError(f"{name} must hold orders 0..M with M >= 1, got {values!r}")
+    bad = [n for n, m in enumerate(values) if not 0.0 <= m < math.inf]
+    if bad:
+        raise ShePwmError(f"negative or non-finite magnitudes at orders {bad[:5]}")
+    return values
+
+
 @dataclass(frozen=True)
 class HarmonicSpectrum:
-    """Harmonic magnitudes |V_n| indexed by order, plus the per-unit base >= 0."""
+    """Magnitudes |V_n| at magnitudes[n], n = 0..max_order, and the per-unit base >= 0."""
 
-    magnitudes: dict[int, float]
-    max_order: int
+    magnitudes: tuple[float, ...]
     base_volts: float
 
-    # magnitudes has no rule here: the checks below read the whole mapping
-    RULES = (("max_order", check_count), ("base_volts", check_nonnegative))
+    RULES = (("magnitudes", check_magnitudes), ("base_volts", check_nonnegative))
 
     def __post_init__(self):
         apply_rules(self, self.RULES)
-        missing = [n for n in range(1, self.max_order + 1) if n not in self.magnitudes]
-        if missing:
-            raise ShePwmError(f"spectrum missing orders {missing[:5]}...")
-        bad = [n for n, m in self.magnitudes.items() if m < 0 or not math.isfinite(m)]
-        if bad:
-            raise ShePwmError(f"negative or non-finite magnitudes at orders {bad[:5]}")
+
+    @property
+    def max_order(self) -> int:
+        return len(self.magnitudes) - 1
 
     @property
     def fundamental(self) -> float:
@@ -279,15 +286,11 @@ def segment_integral_harmonic(pattern: SwitchingPattern, n: int) -> float:
 def analytic_spectrum(
     pattern: SwitchingPattern, max_order: int = DEFAULT_MAX_ORDER
 ) -> HarmonicSpectrum:
-    """Magnitude spectrum from the closed form, orders 1..max_order."""
+    """Magnitude spectrum from the closed form, orders 0..max_order."""
     max_order = check_count(max_order, "max_order")
-    mags = np.zeros(max_order)
-    mags[::2] = np.abs(_odd_volts(pattern, max_order))
-    return HarmonicSpectrum(
-        magnitudes=dict(zip(range(1, max_order + 1), mags.tolist())),
-        max_order=max_order,
-        base_volts=pattern.base_volts,
-    )
+    mags = np.zeros(max_order + 1)
+    mags[1::2] = np.abs(_odd_volts(pattern, max_order))
+    return HarmonicSpectrum(mags.tolist(), pattern.base_volts)
 
 
 def dft_spectrum(
@@ -297,9 +300,9 @@ def dft_spectrum(
 ) -> HarmonicSpectrum:
     """Magnitude spectrum of a sampled waveform via the DFT.
 
-    Bin n carries |(2/N) * sum_i v[i] * exp(-2j*pi*n*i/N)|. When base_volts
-    is not given, the waveform's peak value is used as the per-unit base
-    (exact for patterns that reach the full level).
+    Order n carries |(2/N) * sum_i v[i] * exp(-2j*pi*n*i/N)|, order 0 half
+    that (the mean). When base_volts is not given, the waveform's peak value
+    is used as the per-unit base (exact for patterns that reach the full level).
     """
     max_order = check_count(max_order, "max_order")
     n_samp = samples.n_samples
@@ -309,27 +312,27 @@ def dft_spectrum(
             f"got {n_samp}"
         )
     bins = np.fft.rfft(samples.samples)
-    mags = (2.0 / n_samp) * np.abs(bins[1 : max_order + 1])
+    mags = (2.0 / n_samp) * np.abs(bins[: max_order + 1])
+    mags[0] *= 0.5
     if base_volts is None:
         base_volts = np.max(np.abs(samples.samples))
-    return HarmonicSpectrum(
-        magnitudes=dict(zip(range(1, max_order + 1), mags.tolist())),
-        max_order=max_order,
-        base_volts=base_volts,
-    )
+    return HarmonicSpectrum(mags.tolist(), base_volts)
 
 
 def thd(spectrum: HarmonicSpectrum) -> float:
-    """Total harmonic distortion sqrt(sum_{n=2..max} V_n^2) / |V_1| as a ratio."""
+    """Total harmonic distortion sqrt(sum_{n=2..max} V_n^2) / |V_1| as a ratio, each
+    V_n first scaled exactly by the power of two that puts V_1 in [0.5, 1)."""
     v1 = spectrum.fundamental
     if v1 <= 1e-12 * spectrum.base_volts:
         raise ZeroFundamental(
             f"fundamental {v1:g} V is below 1e-12 of base {spectrum.base_volts:g} V"
         )
+    shift = -math.frexp(v1)[1]
     acc = 0.0
-    for n in range(2, spectrum.max_order + 1):
-        acc += spectrum.magnitudes[n] ** 2
-    return math.sqrt(acc) / v1
+    for m in spectrum.magnitudes[2:]:
+        m = math.ldexp(m, shift)
+        acc += m * m
+    return math.sqrt(acc) / math.ldexp(v1, shift)
 
 
 def pattern_thd(
@@ -343,7 +346,6 @@ def spectrum_csv(spectrum: HarmonicSpectrum):
     """CSV text `order,magnitude_v,magnitude_pct_of_fundamental`, line by line."""
     v1 = spectrum.fundamental
     yield "order,magnitude_v,magnitude_pct_of_fundamental\n"
-    for n in range(1, spectrum.max_order + 1):
-        m = spectrum.magnitudes[n]
+    for n, m in enumerate(spectrum.magnitudes[1:], 1):
         pct = 100.0 * m / v1 if v1 > 0 else float("inf")
         yield f"{n},{m!r},{pct!r}\n"

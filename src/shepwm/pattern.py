@@ -14,6 +14,7 @@ segment-integration route.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -45,10 +46,14 @@ class SegmentTable(NamedTuple):
 
 
 def check_vdc(value, name: str) -> float:
-    """value as a float, refused unless finite and > 0: the DC-voltage rule."""
+    """value as a float, refused unless finite, > 0 and normal: the DC-voltage rule."""
     value = check_real(value, name)
     if not 0.0 < value < math.inf:
         raise ShePwmError(f"{name} must be finite and > 0, got {value!r}")
+    if value < sys.float_info.min:
+        raise ShePwmError(
+            f"{name} must be at least {sys.float_info.min!r} (not subnormal), got {value!r}"
+        )
     return value
 
 

@@ -92,6 +92,18 @@ class TestSolve:
         assert doc["thd_pct"] is None
         assert doc["feasible"] is True
 
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_fundamental_v_is_the_table_figure(self, seed, tmp_path, capsys):
+        # one closed-form spectrum gives both: the same text, not one ulp off
+        flags = ["--seed", str(seed), "--iterations", "40", "--restarts", "2"]
+        assert cli.main(["solve", "--pu", "1.0", *flags]) == 0
+        solved = json.loads(capsys.readouterr().out, parse_float=str)
+        out = tmp_path / "t.csv"
+        assert cli.main(["table", "--pu-grid", "1.0", *flags, "--out", str(out)]) in (0, 1)
+        header, row = out.read_text().splitlines()
+        column = header.split(",").index("fundamental_v")
+        assert solved["fundamental_v"] == row.split(",")[column]
+
     def test_out_file_matches_stdout_and_has_manifest(self, tmp_path):
         out = run_cli(
             ["solve", "--pu", "0.8", "--seed", "7", *FAST, "--out", "sol.json"],
@@ -123,6 +135,9 @@ ONE_LINE = [
     # allocate at once, and the MemoryError is one error line
     ["solve", "--pu", "0.5", "--seed", "1", "--swarm", "1000000000000000",
      "--iterations", "1"],
+    # a subnormal V_dc holds too few bits for a THD
+    ["solve", "--pu", "0.5", "--seed", "1", "--vdc", "1e-320"],
+    ["analyze", "--angles", "0.1", "--signs", "1", "--vdc", "1e-320"],
 ]
 
 
@@ -369,6 +384,25 @@ class TestAnalyze:
     def test_invalid_pattern_is_exit_2(self):
         out = run_cli(["analyze", "--angles", "0.5,0.1", "--signs", "1,1"])
         assert out.returncode == 2
+
+
+# the THD at any admissible V_dc is the THD at 200 V, to rounding
+EXTREME_VDC = {
+    "analyze": ["analyze", "--angles", "0.1,0.3", "--signs", "1,1", "--max-order", "3"],
+    "solve": ["solve", "--pu", "0.5", "--seed", "1", *FAST],
+}
+
+
+@pytest.mark.parametrize("vdc", ["1e300", "1e-300"])
+@pytest.mark.parametrize("command", EXTREME_VDC)
+def test_thd_at_an_extreme_vdc_is_the_thd_at_200_v(command, vdc):
+    docs = []
+    for volts in ("200", vdc):
+        out = run_cli([*EXTREME_VDC[command], "--vdc", volts])
+        assert out.returncode == 0, out.stderr.decode()
+        docs.append(json.loads(out.stdout))
+    assert docs[1]["thd_pct"] == pytest.approx(docs[0]["thd_pct"], rel=1e-14)
+    assert docs[1]["thd_pct"] > 0.0
 
 
 class TestTable:

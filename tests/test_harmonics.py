@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -405,24 +406,29 @@ class TestDft:
 
 class TestThd:
     def test_fundamental_only(self):
-        spec = HarmonicSpectrum(
-            magnitudes={1: 10.0, 2: 0.0, 3: 0.0}, max_order=3, base_volts=10.0
-        )
+        spec = HarmonicSpectrum(magnitudes=(0.0, 10.0, 0.0, 0.0), base_volts=10.0)
         assert thd(spec) == 0.0
 
     def test_zero_fundamental(self):
-        spec = HarmonicSpectrum(
-            magnitudes={1: 0.0, 2: 0.0, 3: 5.0}, max_order=3, base_volts=10.0
-        )
+        spec = HarmonicSpectrum(magnitudes=(0.0, 0.0, 0.0, 5.0), base_volts=10.0)
         with pytest.raises(ZeroFundamental):
             thd(spec)
+
+    @pytest.mark.parametrize("volts", [1e300, 1e-300, 2.0**-1000, sys.float_info.max])
+    def test_squares_neither_overflow_nor_underflow(self, volts):
+        # squared, these magnitudes overflow to inf or underflow to 0.0; the
+        # ratio of each to the fundamental is what counts
+        spec = HarmonicSpectrum((0.0, volts, 0.0, volts / 2, volts / 4), volts)
+        assert thd(spec) == math.sqrt(0.25 + 0.0625)
+        # the mean is not a harmonic
+        assert thd(HarmonicSpectrum((volts, volts, 0.0), volts)) == 0.0
 
     def test_a_base_that_cannot_bound_the_fundamental_is_refused(self):
         # thd compares the fundamental with 1e-12 of the base; a NaN or
         # negative base let a zero fundamental through to a division by zero
         for base in (math.nan, -1.0, math.inf):
             with pytest.raises(ShePwmError) as info:
-                thd(HarmonicSpectrum({1: 0.0, 2: 0.0}, 2, base))
+                thd(HarmonicSpectrum((0.0, 0.0, 0.0), base))
             assert str(info.value) == f"base_volts must be finite and >= 0, got {base!r}"
             assert type(info.value) is ShePwmError
         # a zero base stays: a silent waveform's DFT spectrum takes its peak
@@ -441,34 +447,74 @@ class TestThd:
         expected = math.sqrt(sum(1.0 / n**2 for n in range(3, 50, 2)))
         assert pattern_thd(SQUARE, 49) == pytest.approx(expected, rel=1e-12)
 
-    @given(alpha=st.floats(min_value=0.01, max_value=100.0))
+    # every V_dc check_vdc admits whose closed form stays finite
+    @given(vdc=st.floats(min_value=sys.float_info.min, max_value=1e307))
     @settings(max_examples=40, deadline=None)
-    def test_scale_invariance(self, alpha):
+    def test_scale_invariance(self, vdc):
         scaled = SwitchingPattern(
-            DEFAULT_PATTERN.angles,
-            DEFAULT_PATTERN.signs,
-            DEFAULT_PATTERN.cells,
-            alpha * DEFAULT_PATTERN.vdc_per_cell,
+            DEFAULT_PATTERN.angles, DEFAULT_PATTERN.signs, DEFAULT_PATTERN.cells, vdc
         )
         assert abs(pattern_thd(scaled, 49) - pattern_thd(DEFAULT_PATTERN, 49)) <= 1e-12
 
+    # 200 V times 2**e: every magnitude of the pattern stays a normal double
+    @given(e=st.integers(min_value=-1020, max_value=1009))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_invariance_is_exact_for_powers_of_two(self, e):
+        scaled = SwitchingPattern(
+            DEFAULT_PATTERN.angles, DEFAULT_PATTERN.signs, DEFAULT_PATTERN.cells,
+            math.ldexp(DEFAULT_PATTERN.vdc_per_cell, e),
+        )
+        assert pattern_thd(scaled, 49) == pattern_thd(DEFAULT_PATTERN, 49)
+
 
 class TestSpectrumType:
-    def test_orders_must_be_complete(self):
-        with pytest.raises(ShePwmError, match="missing orders"):
-            HarmonicSpectrum(magnitudes={1: 1.0, 3: 0.5}, max_order=3, base_volts=1.0)
-
     def test_max_order_must_be_a_positive_integer(self):
-        with pytest.raises(ShePwmError, match="max_order must be an integer"):
-            HarmonicSpectrum(magnitudes={1: 1.0}, max_order=1.5, base_volts=1.0)
-        with pytest.raises(ShePwmError, match="max_order must be >= 1"):
-            HarmonicSpectrum(magnitudes={}, max_order=0, base_volts=1.0)
+        # max_order is the length less one: orders 0 and 1 at the least
+        for short in ((1.0,), ()):
+            with pytest.raises(ShePwmError) as info:
+                HarmonicSpectrum(magnitudes=short, base_volts=1.0)
+            assert str(info.value) == (
+                f"magnitudes must hold orders 0..M with M >= 1, got {short!r}")
+
+    def test_max_order_is_the_length_less_one(self):
+        w = synthesize(DEFAULT_PATTERN, 256)
+        for m in (1, 2, 49):
+            for spec in (analytic_spectrum(DEFAULT_PATTERN, m), dft_spectrum(w, m)):
+                assert spec.max_order == m
+                assert len(spec.magnitudes) == m + 1
+        assert HarmonicSpectrum((0.0, 1.0), 1.0).max_order == 1
 
     def test_negative_magnitude_rejected(self):
-        with pytest.raises(ShePwmError, match="negative or non-finite"):
-            HarmonicSpectrum(
-                magnitudes={1: 1.0, 2: -0.5}, max_order=2, base_volts=1.0
-            )
+        message = r"negative or non-finite magnitudes at orders \[2\]"
+        with pytest.raises(ShePwmError, match=message):
+            HarmonicSpectrum(magnitudes=(0.0, 1.0, -0.5), base_volts=1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_an_array_is_stored_as_a_tuple_of_floats(self, dtype):
+        spec = HarmonicSpectrum(np.array([0.0, 2.0, 0.5], dtype=dtype), 2.0)
+        assert spec.magnitudes == (0.0, 2.0, 0.5)
+        assert type(spec.magnitudes) is tuple
+        assert [type(m) for m in spec.magnitudes] == [float] * 3
+        assert spec == HarmonicSpectrum((0.0, 2.0, 0.5), 2.0)
+
+    def test_order_zero_is_the_mean(self, rng):
+        # exactly 0.0 on the closed form; the DFT's bin 0 is the sampled
+        # waveform's mean, which quarter-wave symmetry makes 0 to rounding
+        for _ in range(50):
+            p = random_valid_pattern(rng)
+            assert analytic_spectrum(p, 49).magnitudes[0] == 0.0
+            w = synthesize(p, 1024)
+            peak = np.max(np.abs(w.samples))
+            assert dft_spectrum(w, 49).magnitudes[0] <= 1e-9 * peak
+
+    def test_dft_orders_keep_the_scaled_bins(self):
+        # orders >= 1 are (2/N)|bin n| with the bits of the one vector
+        # product, and order 0 is |bin 0| / N (exact for N a power of two)
+        w = synthesize(README_PATTERN, 512)
+        bins = np.abs(np.fft.rfft(w.samples))
+        spec = dft_spectrum(w, 49)
+        assert spec.magnitudes[1:] == tuple(((2.0 / 512) * bins)[1:50].tolist())
+        assert spec.magnitudes[0] == bins[0] / 512
 
     def test_analytic_spectrum_rejects_non_integral_max_order(self):
         with pytest.raises(ShePwmError, match="max_order must be an integer"):
@@ -483,8 +529,10 @@ class TestSpectrumType:
         spec = analytic_spectrum(DEFAULT_PATTERN, 49)
         assert spec.max_order == 49
         assert spec.base_volts == 400.0
-        assert set(spec.magnitudes) == set(range(1, 50))
-        assert all(m >= 0 for m in spec.magnitudes.values())
+        assert len(spec.magnitudes) == 50
+        assert spec.magnitudes[0] == 0.0
+        assert spec.magnitudes[2::2] == (0.0,) * 24
+        assert all(type(m) is float and m >= 0 for m in spec.magnitudes)
 
 
 def test_spectrum_csv():

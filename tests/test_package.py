@@ -205,7 +205,8 @@ def test_readme_value_rules_match_the_rule_functions():
              "errors.check_sequence", "errors.apply_rules",
              "pattern.check_vdc", "pattern.check_angles", "pattern.check_signs",
              "she.check_target", "she.check_orders", "optimizer.check_seed",
-             "dclink.check_flag", "dclink.check_lookup_grid"}
+             "dclink.check_flag", "dclink.check_lookup_grid",
+             "harmonics.check_magnitudes"}
     assert rules - {f"{m}.{f}" for m, f in cited} == set()
 
 

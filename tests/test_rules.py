@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from shepwm import (
 from shepwm.dclink import check_flag, check_lookup_grid, lookup_csv, read_lookup_csv
 from shepwm.errors import (GridPositionError, ShePwmError, check_count,
                            check_nonnegative, check_real)
+from shepwm.harmonics import check_magnitudes
 from shepwm.optimizer import check_seed
 from shepwm.pattern import check_angles, check_signs, check_vdc
 from shepwm.she import _signs_or_none, check_orders, check_target, solve_pairs
@@ -41,8 +43,7 @@ from shepwm.she import _signs_or_none, check_orders, check_target, solve_pairs
 PATTERN = SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0)
 TINY = PsoConfig(seed=1, swarm_size=3, iterations=2, restarts=1)
 
-# field -> rule for every field of the five types. HarmonicSpectrum.magnitudes
-# is the one field without a rule: the spectrum checks the whole mapping.
+# field -> rule for every field of the five types
 RULES = {
     SwitchingPattern: {"angles": check_angles, "signs": check_signs,
                        "cells": check_count, "vdc_per_cell": check_vdc},
@@ -58,9 +59,8 @@ RULES = {
                   "thd": check_nonnegative, "feasible": check_flag,
                   "fundamental_v": check_nonnegative, "base_vdc_per_cell": check_vdc,
                   "cells": check_count, "thd_max_order": check_count},
-    HarmonicSpectrum: {"max_order": check_count, "base_volts": check_nonnegative},
+    HarmonicSpectrum: {"magnitudes": check_magnitudes, "base_volts": check_nonnegative},
 }
-WITHOUT_RULE = {HarmonicSpectrum: {"magnitudes"}}
 
 # a valid value of every field; each real, or a sequence's first, is one that
 # float32 holds exactly
@@ -75,16 +75,15 @@ VALID = {
     LookupTable: dict(grid=(0.5, 1.0), angles=(0.25, 0.5), thd=0.25, feasible=True,
                       fundamental_v=300.0, base_vdc_per_cell=200.0, cells=1,
                       thd_max_order=49),
-    HarmonicSpectrum: dict(magnitudes={1: 1.0, 2: 0.0, 3: 0.5}, max_order=3,
-                           base_volts=1.0),
+    HarmonicSpectrum: dict(magnitudes=(0.0, 1.0, 0.0, 0.5), base_volts=1.0),
 }
 
 # the rules whose field is a sequence; the element cases set its first value
 SEQUENCE_RULES = {check_angles, check_lookup_grid, check_signs, _signs_or_none,
-                  check_orders}
+                  check_orders, check_magnitudes}
 COUNT_RULES = {check_count, check_orders}
 REAL_RULES = {check_real, check_nonnegative, check_vdc, check_target, check_angles,
-              check_lookup_grid}
+              check_lookup_grid, check_magnitudes}
 SIGN_RULES = {check_signs, _signs_or_none}
 # the name a refusal gives, where it is not the field's own
 NAMES = {check_angles: "angles?"}
@@ -122,7 +121,7 @@ def test_each_type_declares_one_rule_per_field(cls):
     assert dict(cls.RULES) == RULES[cls]
     assert len(cls.RULES) == len(RULES[cls])
     fields = {f.name for f in dataclasses.fields(cls)}
-    assert set(RULES[cls]) == fields - WITHOUT_RULE.get(cls, set())
+    assert set(RULES[cls]) == fields
 
 
 def test_every_rule_has_cases():
@@ -201,6 +200,23 @@ def test_a_bad_voltage_is_refused_by_name(case, value):
     call, name, _, _ = VOLTAGES[case]
     with pytest.raises(ShePwmError, match=f"^{name} must be finite and > 0, got "):
         call(value)
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0)],
+                         ids=repr)
+@pytest.mark.parametrize("case", VOLTAGES)
+def test_a_subnormal_voltage_is_refused_by_name(case, value):
+    # a subnormal V_dc holds too few bits for a THD; the least normal passes
+    call, name, _, _ = VOLTAGES[case]
+    with pytest.raises(ShePwmError) as info:
+        call(value)
+    assert str(info.value) == (f"{name} must be at least {sys.float_info.min!r} "
+                               f"(not subnormal), got {float(value)!r}")
+
+
+def test_the_least_normal_voltage_builds_a_pattern():
+    pattern = SwitchingPattern((0.1, 0.2), (1, -1), 1, sys.float_info.min)
+    assert pattern.vdc_per_cell == sys.float_info.min
 
 
 @pytest.mark.parametrize(
