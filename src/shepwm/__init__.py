@@ -32,7 +32,6 @@ from .pattern import (
     WaveformSamples,
     default_sign_pattern,
     synthesize,
-    validate,
 )
 from .she import SheProblem, Solution, cost, cost_batch, solve, sweep
 
@@ -66,5 +65,4 @@ __all__ = [
     "sweep",
     "synthesize",
     "thd",
-    "validate",
 ]

@@ -13,7 +13,8 @@ table/compare run misses the feasibility thresholds (outputs are still
 written), 2 on usage errors, on output paths that cannot be written and on
 two outputs (manifests included) that name the same file, and on a run whose
 arrays cannot be allocated (--max-order and --samples are capped up front,
-see MAX_ORDER and MAX_SAMPLES). A run that exits 2 leaves no output file and
+see MAX_ORDER and MAX_SAMPLES, and so is a solve's planned peak, see
+_check_solve_budget). A run that exits 2 leaves no output file and
 no stdout behind.
 """
 
@@ -55,6 +56,14 @@ ORDER_BYTES = 1200
 SAMPLE_BYTES = 32
 MAX_ORDER = COUNT_BUDGET_BYTES // ORDER_BYTES
 MAX_SAMPLES = COUNT_BUDGET_BYTES // SAMPLE_BYTES
+# A solve's peak, planned from its counts before anything is built (see
+# _check_solve_budget). tracemalloc read 140 B per particle row and angle at
+# K >= 6 and 204 B at K = 1 (the swarm state, its draws and the kernel's
+# cosines), 7.9-9.3 B more per recurrence layer, and 8 B per history entry
+# of each swarm, 16 B when each swarm is a target of its own.
+ROW_ANGLE_BYTES = 208
+LAYER_BYTES = 10
+HISTORY_BYTES = 16
 
 
 def _check_capped(value, flag: str, cap: int) -> int:
@@ -145,10 +154,38 @@ _NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
     "pu", "seed", "weights", "command", "func"}
 
 
-def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
+def _check_solve_budget(args, targets: int) -> None:
+    """Refuse a solve of `targets` targets whose planned peak passes
+    COUNT_BUDGET_BYTES, from the raw counts, before anything is built. Each
+    target has restarts * swarm rows of K = cells * angles-per-cell angles
+    through (highest eliminated order + 1) / 2 recurrence layers, each swarm
+    iterations + 1 history entries, and one spectrum takes K angles through
+    (max-order + 1) / 2 layers. A count below 1 plans as 1: its field rule
+    refuses it."""
+    swarm, restarts, iterations, cells, per_cell = (max(n, 1) for n in (
+        args.swarm_size, args.restarts, args.iterations, args.cells, args.angles_per_cell))
+    top = max([1, *args.eliminate_orders])
+    swarms = targets * restarts
+    k = cells * per_cell
+    planned = (swarms * swarm * k * (ROW_ANGLE_BYTES + LAYER_BYTES * ((top + 1) // 2))
+               + k * LAYER_BYTES * ((args.max_order + 1) // 2)
+               + swarms * (iterations + 1) * HISTORY_BYTES)
+    if planned > COUNT_BUDGET_BYTES:
+        raise ShePwmError(
+            f"the solve plans {planned} bytes, over the budget of {COUNT_BUDGET_BYTES}: "
+            f"{targets} target(s) x --restarts {restarts} x --swarm {swarm} rows of "
+            f"--cells {cells} x --angles-per-cell {per_cell} angles, --eliminate up to "
+            f"order {top}, --iterations {iterations}, --max-order {args.max_order}"
+        )
+
+
+def _configs(args, target_m: float,
+             targets: int = 1) -> tuple[SheProblem, PsoConfig, dict]:
     """Problem, swarm and manifest config: both dataclasses in full, plus every
-    parsed argument that is not one of their fields."""
+    parsed argument that is not one of their fields. The counts are checked
+    against their caps and the solve budget of `targets` targets first."""
     _check_capped(args.max_order, "--max-order", MAX_ORDER)  # before any solve
+    _check_solve_budget(args, targets)
     given = vars(args)
     problem = SheProblem(
         target_m,
@@ -259,7 +296,7 @@ def _sweep_csv_text(solutions: list[Solution], max_order: int) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    problem, pso, cfg = _configs(args, 1.0)
+    problem, pso, cfg = _configs(args, 1.0, len(args.pu_grid))
     solutions = sweep(problem, args.pu_grid, pso, jobs=args.jobs)
     text = _sweep_csv_text(solutions, args.max_order)
     files = [(args.out, [text])] if args.out else []
@@ -278,7 +315,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    problem, pso, cfg = _configs(args, 1.0)
+    problem, pso, cfg = _configs(args, 1.0, len(args.pu_grid) + 1)
     table = compare_methods(
         args.pu_grid, pso, problem, thd_max_order=args.max_order, jobs=args.jobs
     )

@@ -96,6 +96,10 @@ class SwitchingPattern:
 
     Equal adjacent angles are allowed; a pair of coincident angles with
     opposite signs is a zero-width pulse that cancels exactly.
+
+    After the field rules the constructor checks the structure: K > 0 signs
+    for K angles, K a multiple of the cells, every level within [0, cells],
+    and a V_dc whose closed-form amplitudes stay finite.
     """
 
     angles: tuple[float, ...]
@@ -108,7 +112,27 @@ class SwitchingPattern:
 
     def __post_init__(self):
         apply_rules(self, self.RULES)
-        validate(self)
+        k = len(self.angles)
+        if k == 0 or len(self.signs) != k:
+            raise ShePwmError(
+                f"need matching non-empty angles/signs, got {k} angles "
+                f"and {len(self.signs)} signs"
+            )
+        if k % self.cells != 0:
+            raise ShePwmError(
+                f"angle count {k} is not a multiple of the cell count {self.cells}"
+            )
+        for j, level in enumerate(levels(self.signs)):
+            if level < 0 or level > self.cells:
+                raise ShePwmError(
+                    f"level {level} after transition {j + 1} outside [0, {self.cells}]"
+                )
+        # the fundamental's bound, in the order _odd_volts takes it
+        if not math.isfinite(4.0 * self.vdc_per_cell / math.pi * k):
+            raise ShePwmError(
+                f"vdc_per_cell {self.vdc_per_cell!r} is too large for K = {k} angles: "
+                f"4 * vdc_per_cell / pi * K overflows"
+            )
 
     @property
     def n_angles(self) -> int:
@@ -181,30 +205,6 @@ class WaveformSamples:
         """Sample phases 2*pi*i/N in radians."""
         n = self.samples.size
         return 2.0 * np.pi * np.arange(n) / n
-
-
-def validate(pattern: SwitchingPattern) -> SwitchingPattern:
-    """Check the invariants the field rules leave; return the pattern if valid.
-
-    Raises ShePwmError naming the first broken invariant: angle/sign counts,
-    an angle count that is not a multiple of the cells, or a level.
-    """
-    k = len(pattern.angles)
-    if k == 0 or len(pattern.signs) != k:
-        raise ShePwmError(
-            f"need matching non-empty angles/signs, got {k} angles "
-            f"and {len(pattern.signs)} signs"
-        )
-    if k % pattern.cells != 0:
-        raise ShePwmError(
-            f"angle count {k} is not a multiple of the cell count {pattern.cells}"
-        )
-    for j, level in enumerate(levels(pattern.signs)):
-        if level < 0 or level > pattern.cells:
-            raise ShePwmError(
-                f"level {level} after transition {j + 1} outside [0, {pattern.cells}]"
-            )
-    return pattern
 
 
 def levels(signs) -> list[int]:

@@ -131,13 +131,25 @@ ONE_LINE = [
     ["analyze", "--angles", "0.1", "--signs", "1", "--max-order", "1000000000"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "4000000000",
      "--emit-waveform", "w.csv"],
-    # a swarm larger than any address space: its first array fails to
-    # allocate at once, and the MemoryError is one error line
+    # a swarm larger than any address space, refused by the solve budget
     ["solve", "--pu", "0.5", "--seed", "1", "--swarm", "1000000000000000",
      "--iterations", "1"],
     # a subnormal V_dc holds too few bits for a THD
     ["solve", "--pu", "0.5", "--seed", "1", "--vdc", "1e-320"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--vdc", "1e-320"],
+    # counts past the solve budget, refused before anything is built
+    *(["solve", "--pu", "0.5", "--seed", "1", flag, value] for flag, value in (
+        ("--swarm", "100000000000000000000"),
+        ("--restarts", "100000000000000000000"),
+        ("--iterations", "100000000000000000000"),
+        ("--cells", "100000000000000000000"),
+        ("--angles-per-cell", "100000000000000000001"),
+        ("--eliminate", "3,5,7,9,100000000000000000001"),
+    )),
+    # a V_dc whose closed form overflows, refused before any swarm runs
+    ["solve", "--pu", "0.5", "--seed", "1", "--vdc", "1e308", "--iterations", "10",
+     "--restarts", "1"],
+    ["analyze", "--angles", "0.1,0.3", "--signs", "1,1", "--vdc", "1e308"],
 ]
 
 
@@ -224,6 +236,25 @@ class TestUsageErrors:
             with pytest.raises(ShePwmError, match=f"{flag} must be <= {cap}, got"):
                 cli._check_capped(cap + 1, flag, cap)
         assert cli.MAX_SAMPLES % 4 == 0
+
+    def test_solve_budget(self):
+        # the benchmark's shapes with a swarm 100 times larger: compare's 10
+        # grid targets and its base at K = 6, and table's one target at K = 8
+        # with 2,001 history entries per swarm
+        def args(*flags):
+            return cli.build_parser().parse_args(["solve", "--pu", "1", "--seed", "1",
+                                                  *flags])
+
+        cli._check_solve_budget(args("--swarm", "5000"), 11)
+        cli._check_solve_budget(args("--swarm", "5000", "--angles-per-cell", "4",
+                                     "--signs", K8_SIGNS, "--iterations", "2000"), 1)
+        # a billion cells is refused here, before any sign or array is built
+        with pytest.raises(ShePwmError, match=(
+                r"the solve plans \d+ bytes, over the budget of 1073741824: 1 target\(s\) "
+                r"x --restarts 5 x --swarm 50 rows of --cells 1000000000 x "
+                r"--angles-per-cell 1 angles")):
+            cli._check_solve_budget(
+                args("--cells", "1000000000", "--angles-per-cell", "1"), 1)
 
     def test_runtime_domain_error_is_exit_2(self, tmp_path):
         # grid value 0 parses but has no defined THD row

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import pickle
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,12 +15,12 @@ from shepwm import (
     SheProblem,
     SwitchingPattern,
     WaveformSamples,
+    analytic_spectrum,
     build_lookup,
     compare_methods,
     default_sign_pattern,
     solve,
     synthesize,
-    validate,
 )
 from shepwm.errors import ShePwmError
 from shepwm.harmonics import _segment_coefficients
@@ -31,8 +33,7 @@ HALF_PI = math.pi / 2
 
 class TestValidate:
     def test_plain_staircase_is_valid(self):
-        p = SwitchingPattern((0.1, 0.3), (1, 1), 2, 200.0)
-        assert validate(p) is p
+        SwitchingPattern((0.1, 0.3), (1, 1), 2, 200.0)
 
     def test_first_step_down_hits_level_bound(self):
         with pytest.raises(ShePwmError, match=r"level -1 after transition 1 outside"):
@@ -40,8 +41,7 @@ class TestValidate:
 
     def test_default_six_angle_pattern_is_valid(self):
         angles = tuple(np.radians([5, 15, 25, 35, 45, 55]))
-        p = SwitchingPattern(angles, DEFAULT_SIGNS_K6, 2, 200.0)
-        assert validate(p) is p
+        SwitchingPattern(angles, DEFAULT_SIGNS_K6, 2, 200.0)
 
     def test_angle_above_quarter_period(self):
         with pytest.raises(ShePwmError, match=r"outside \[0, pi/2\]"):
@@ -56,8 +56,7 @@ class TestValidate:
             SwitchingPattern((0.3, 0.1), (1, 1), 2, 200.0)
 
     def test_equal_angles_allowed(self):
-        p = SwitchingPattern((0.3, 0.3), (1, -1), 1, 200.0)
-        assert validate(p) is p
+        SwitchingPattern((0.3, 0.3), (1, -1), 1, 200.0)
 
     def test_bad_sign(self):
         with pytest.raises(ShePwmError, match="sign must be"):
@@ -76,8 +75,40 @@ class TestValidate:
             SwitchingPattern((0.1,), (1,), 1, 0.0)
 
     def test_boundary_angles_allowed(self):
-        p = SwitchingPattern((0.0, HALF_PI), (1, 1), 2, 200.0)
-        assert validate(p) is p
+        SwitchingPattern((0.0, HALF_PI), (1, 1), 2, 200.0)
+
+    def test_angle_and_sign_counts_must_match(self):
+        with pytest.raises(ShePwmError, match="need matching non-empty angles/signs, "
+                                              "got 2 angles and 1 signs"):
+            SwitchingPattern((0.1, 0.3), (1,), 2, 200.0)
+
+    @pytest.mark.parametrize("k", [2, 6, 12])
+    def test_largest_admitted_vdc_keeps_the_closed_form_finite(self, k):
+        # K rising steps at angle 0 on K cells: the fundamental's sum is K itself
+        def admitted(vdc):
+            try:
+                return SwitchingPattern((0.0,) * k, (1,) * k, k, vdc)
+            except ShePwmError:
+                return None
+
+        # bisect the bit patterns of the positive doubles, 1.0 admitted
+        low, high = np.array([1.0, sys.float_info.max]).view(np.int64).tolist()
+        while high - low > 1:
+            mid = (low + high) // 2
+            if admitted(float(np.int64(mid).view(np.float64))):
+                low = mid
+            else:
+                high = mid
+        vdc = float(np.int64(low).view(np.float64))
+        assert vdc == pytest.approx(min(sys.float_info.max / 4,
+                                        sys.float_info.max / (4 * k) * math.pi))
+        spectrum = analytic_spectrum(admitted(vdc), 49)
+        assert all(map(math.isfinite, spectrum.magnitudes))
+        assert spectrum.fundamental == pytest.approx(4 * vdc / math.pi * k)
+        above = math.nextafter(vdc, math.inf)
+        with pytest.raises(ShePwmError, match=re.escape(
+                f"vdc_per_cell {above!r} is too large for K = {k} angles")):
+            SwitchingPattern((0.0,) * k, (1,) * k, k, above)
 
 
 class TestLevelTrajectory:
