@@ -12,9 +12,9 @@ Exit status: 0 on success, 1 when the full-modulation base point of a
 table/compare run misses the feasibility thresholds (outputs are still
 written), 2 on usage errors, on output paths that cannot be written and on
 two outputs (manifests included) that name the same file, and on a run whose
-arrays cannot be allocated (--max-order and --samples are capped up front,
-see MAX_ORDER and MAX_SAMPLES, and so is a solve's planned peak, see
-_check_solve_budget). A run that exits 2 leaves no output file and
+arrays cannot be allocated: --max-order and --samples are capped (MAX_ORDER,
+MAX_SAMPLES), and SheProblem, she.solve_pairs and harmonics.plan_spectrum plan
+the rest before anything is built. A run that exits 2 leaves no output file and
 no stdout behind.
 """
 
@@ -30,14 +30,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .dclink import build_lookup, compare_methods, comparison_csv, lookup_csv, lookup_json
-from .errors import ShePwmError, ZeroFundamental, check_count
-from .harmonics import (
-    DEFAULT_MAX_ORDER,
-    HarmonicSpectrum,
-    analytic_spectrum,
-    spectrum_csv,
-    thd,
-)
+from .errors import COUNT_BUDGET_BYTES, ShePwmError, ZeroFundamental, check_count
+from .harmonics import (DEFAULT_MAX_ORDER, HarmonicSpectrum, analytic_spectrum, plan_spectrum,
+                        spectrum_csv, thd)
 from .optimizer import PsoConfig
 from .pattern import SwitchingPattern, levels, synthesize, waveform_csv
 from .she import SheProblem, Solution, solve, sweep
@@ -51,19 +46,10 @@ MAX_GRID_POINTS = 1_000_000
 # order of `analyze --max-order` holds about 1.1 kB at peak (its spectrum
 # entry, its JSON record and text); a sample of `--samples` about 26 B
 # (synthesize's arrays and the phases the CSV reads).
-COUNT_BUDGET_BYTES = 1 << 30
 ORDER_BYTES = 1200
 SAMPLE_BYTES = 32
 MAX_ORDER = COUNT_BUDGET_BYTES // ORDER_BYTES
 MAX_SAMPLES = COUNT_BUDGET_BYTES // SAMPLE_BYTES
-# A solve's peak, planned from its counts before anything is built (see
-# _check_solve_budget). tracemalloc read 140 B per particle row and angle at
-# K >= 6 and 204 B at K = 1 (the swarm state, its draws and the kernel's
-# cosines), 7.9-9.3 B more per recurrence layer, and 8 B per history entry
-# of each swarm, 16 B when each swarm is a target of its own.
-ROW_ANGLE_BYTES = 208
-LAYER_BYTES = 10
-HISTORY_BYTES = 16
 
 
 def _check_capped(value, flag: str, cap: int) -> int:
@@ -154,38 +140,11 @@ _NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
     "pu", "seed", "weights", "command", "func"}
 
 
-def _check_solve_budget(args, targets: int) -> None:
-    """Refuse a solve of `targets` targets whose planned peak passes
-    COUNT_BUDGET_BYTES, from the raw counts, before anything is built. Each
-    target has restarts * swarm rows of K = cells * angles-per-cell angles
-    through (highest eliminated order + 1) / 2 recurrence layers, each swarm
-    iterations + 1 history entries, and one spectrum takes K angles through
-    (max-order + 1) / 2 layers. A count below 1 plans as 1: its field rule
-    refuses it."""
-    swarm, restarts, iterations, cells, per_cell = (max(n, 1) for n in (
-        args.swarm_size, args.restarts, args.iterations, args.cells, args.angles_per_cell))
-    top = max([1, *args.eliminate_orders])
-    swarms = targets * restarts
-    k = cells * per_cell
-    planned = (swarms * swarm * k * (ROW_ANGLE_BYTES + LAYER_BYTES * ((top + 1) // 2))
-               + k * LAYER_BYTES * ((args.max_order + 1) // 2)
-               + swarms * (iterations + 1) * HISTORY_BYTES)
-    if planned > COUNT_BUDGET_BYTES:
-        raise ShePwmError(
-            f"the solve plans {planned} bytes, over the budget of {COUNT_BUDGET_BYTES}: "
-            f"{targets} target(s) x --restarts {restarts} x --swarm {swarm} rows of "
-            f"--cells {cells} x --angles-per-cell {per_cell} angles, --eliminate up to "
-            f"order {top}, --iterations {iterations}, --max-order {args.max_order}"
-        )
-
-
-def _configs(args, target_m: float,
-             targets: int = 1) -> tuple[SheProblem, PsoConfig, dict]:
+def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
     """Problem, swarm and manifest config: both dataclasses in full, plus every
-    parsed argument that is not one of their fields. The counts are checked
-    against their caps and the solve budget of `targets` targets first."""
-    _check_capped(args.max_order, "--max-order", MAX_ORDER)  # before any solve
-    _check_solve_budget(args, targets)
+    parsed argument that is not one of their fields. --max-order is checked
+    against its cap, and its spectrum planned, before any solve."""
+    _check_capped(args.max_order, "--max-order", MAX_ORDER)
     given = vars(args)
     problem = SheProblem(
         target_m,
@@ -193,6 +152,7 @@ def _configs(args, target_m: float,
         weight_harmonics=args.weights[1],
         **{field: given[field] for _, field, _, _ in PROBLEM_FLAGS},
     )
+    plan_spectrum(problem.n_angles, args.max_order)
     pso = PsoConfig(args.seed, **{field: given[field] for _, field, _, _ in PSO_FLAGS})
     extra = {k: v for k, v in given.items() if k not in _NOT_EXTRA}
     return problem, pso, {"problem": asdict(problem), "pso": asdict(pso), **extra}
@@ -296,7 +256,7 @@ def _sweep_csv_text(solutions: list[Solution], max_order: int) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    problem, pso, cfg = _configs(args, 1.0, len(args.pu_grid))
+    problem, pso, cfg = _configs(args, 1.0)
     solutions = sweep(problem, args.pu_grid, pso, jobs=args.jobs)
     text = _sweep_csv_text(solutions, args.max_order)
     files = [(args.out, [text])] if args.out else []
@@ -315,7 +275,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    problem, pso, cfg = _configs(args, 1.0, len(args.pu_grid) + 1)
+    problem, pso, cfg = _configs(args, 1.0)
     table = compare_methods(
         args.pu_grid, pso, problem, thd_max_order=args.max_order, jobs=args.jobs
     )

@@ -11,6 +11,9 @@ import numbers
 import operator
 from collections.abc import Mapping
 
+# The bytes one planned peak may take: a swarm, a spectrum, a count the CLI caps.
+COUNT_BUDGET_BYTES = 1 << 30
+
 
 class ShePwmError(Exception):
     """Base class for all errors raised by this package."""
@@ -72,3 +75,12 @@ def apply_rules(obj, rules) -> None:
     """Store rule(value, field) on the frozen obj for each (field, rule), in order."""
     for field, rule in rules:
         object.__setattr__(obj, field, rule(getattr(obj, field), field))
+
+
+def check_plan(planned: int, what: str, **counts) -> None:
+    """Refuse `what` when its planned peak of `planned` bytes passes
+    COUNT_BUDGET_BYTES, naming each of the counts it was planned from."""
+    if planned > COUNT_BUDGET_BYTES:
+        named = ", ".join(f"{name} {n}" for name, n in counts.items())
+        raise ShePwmError(f"{what} plans {planned} bytes, over the budget of "
+                          f"{COUNT_BUDGET_BYTES}: {named}")

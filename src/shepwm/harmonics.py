@@ -25,7 +25,8 @@ a zero angle), in one module-level slot. The slot is read and replaced as
 one tuple, so a caller always indexes a table built for the pattern it asked
 about, whatever other threads do. The memo serves only per-order segment
 callers (perfbench's timed ``route_batch``) until the benchmark takes one
-spectrum per pattern.
+spectrum per pattern. Every closed-form call plans its peak by
+``plan_spectrum`` (in ``_odd_volts``) before it builds anything.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ShePwmError, ZeroFundamental, apply_rules, check_count,
-                     check_nonnegative, check_real, check_sequence)
+                     check_nonnegative, check_plan, check_real, check_sequence)
 from .pattern import SwitchingPattern, WaveformSamples
 
 DEFAULT_MAX_ORDER = 49
@@ -196,8 +197,21 @@ def odd_harmonic_sums(
     return sums
 
 
+# tracemalloc read 8 B per angle and layer of odd_harmonic_sums' stack (7.9-9.3 B
+# in a solve's kernel) and 84 B per order of analytic_spectrum's magnitudes.
+LAYER_BYTES = 10
+MAGNITUDE_BYTES = 88
+
+
+def plan_spectrum(k: int, max_order: int) -> None:
+    """Refuse a spectrum of k angles through max_order planned past the budget."""
+    check_plan(k * LAYER_BYTES * ((max_order + 1) // 2) + MAGNITUDE_BYTES * (max_order + 1),
+               "the spectrum", K=k, max_order=max_order)
+
+
 def _odd_volts(pattern: SwitchingPattern, max_order: int) -> np.ndarray:
-    """Signed amplitudes in volts of orders 1, 3, ..., max_order."""
+    """Signed amplitudes in volts of orders 1, 3, ..., max_order, planned first."""
+    plan_spectrum(len(pattern.angles), max_order)
     block = signed_cosines(np.array([pattern.angles]), pattern.signs)
     sums = odd_harmonic_sums(block, max_order)[:, 0]
     n = np.arange(1, max_order + 1, 2)
@@ -288,8 +302,9 @@ def analytic_spectrum(
 ) -> HarmonicSpectrum:
     """Magnitude spectrum from the closed form, orders 0..max_order."""
     max_order = check_count(max_order, "max_order")
+    odd = np.abs(_odd_volts(pattern, max_order))  # the plan comes before any array
     mags = np.zeros(max_order + 1)
-    mags[1::2] = np.abs(_odd_volts(pattern, max_order))
+    mags[1::2] = odd
     return HarmonicSpectrum(mags.tolist(), pattern.base_volts)
 
 

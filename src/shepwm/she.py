@@ -9,11 +9,13 @@ the scalar ``cost`` runs its arithmetic on one row, and a solution's cost
 is its optimizer's best value, which is that full cost bit for bit. ``solve``,
 ``sweep`` and the variable-DC-link comparison all go through
 ``solve_pairs``, which runs every (target, seed) pair's swarms as one
-stacked batch.
+stacked batch. ``SheProblem`` plans one particle row's peak and
+``solve_pairs`` the swarm's before anything is built.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -21,9 +23,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_real,
-                     check_sequence)
-from .harmonics import odd_harmonic_sums, signed_cosines
+from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_plan,
+                     check_real, check_sequence)
+from .harmonics import LAYER_BYTES, odd_harmonic_sums, signed_cosines
 from .optimizer import (
     OptimizerResult,
     PsoConfig,
@@ -39,6 +41,12 @@ RESIDUAL_THRESHOLD_PU = 1e-3
 FUNDAMENTAL_THRESHOLD_PU = 1e-3
 
 DEFAULT_ELIMINATE = (3, 5, 7, 9, 11)
+# A solve's peak: tracemalloc read 140 B per particle row and angle at K >= 6
+# and 204 B at K = 1 (the swarm state, its draws and the kernel's cosines),
+# plus harmonics.LAYER_BYTES per recurrence layer, and 8 B per history entry
+# of each swarm, 16 B when each swarm is a target of its own.
+ROW_ANGLE_BYTES = 208
+HISTORY_BYTES = 16
 
 
 def check_target(m, name: str = "target_m") -> float:
@@ -87,6 +95,8 @@ class SheProblem:
         k, n = self.n_angles, len(self.eliminate_orders)
         if n > k - 1:
             raise ShePwmError(f"{k} angles support at most {k - 1} eliminations, got {n}")
+        top = max(self.eliminate_orders, default=1)  # before any sign is built
+        check_plan(_row_bytes(k, top), "a particle row", K=k, top_order=top)
         if self.sign_pattern is None:  # the default follows the checked counts
             apply_rules(self, [("sign_pattern", lambda _, __: default_sign_pattern(
                 self.cells, self.angles_per_cell))])
@@ -145,6 +155,10 @@ class _KernelColumns(NamedTuple):
     layers: list[int]  # each order's layer n // 2 of the recurrence stack
     scale: np.ndarray  # (n_orders, 1) per-unit scale 4/(pi*cells*n)
     weight: np.ndarray  # (n_orders, 1) cost weight weight_harmonics/n
+
+
+def _row_bytes(k: int, top: int) -> int:
+    return k * (ROW_ANGLE_BYTES + LAYER_BYTES * ((top + 1) // 2))
 
 
 def _column(values) -> np.ndarray:
@@ -313,13 +327,18 @@ def solve_pairs(
 
     Pair i solves replace(problem, target_m=m_i) under replace(pso,
     seed=seed_i), bit for bit. All pairs run as one stacked swarm; jobs > 1
-    splits the pairs into at most `jobs` contiguous chunks, each stacked in
-    its own process. The chunking does not change any result. Every pair
-    is checked before any swarm runs.
+    splits them into at most min(jobs, os.cpu_count()) contiguous chunks, each
+    stacked in its own process; the chunking changes no result. Every pair
+    is checked, then the swarm's peak planned, before any swarm runs.
     """
     jobs = check_count(jobs, "jobs")
     pairs = check_sequence(pairs, "pairs", _check_pair)
-    chunks = min(jobs, len(pairs))
+    k, top, n = problem.n_angles, max(problem.eliminate_orders, default=1), len(pairs)
+    check_plan(n * pso.restarts * (pso.swarm_size * _row_bytes(k, top)
+                                   + (pso.iterations + 1) * HISTORY_BYTES), "the solve",
+               pairs=n, restarts=pso.restarts, swarm_size=pso.swarm_size, K=k,
+               top_order=top, iterations=pso.iterations)
+    chunks = min(jobs, len(pairs), os.cpu_count() or 1)
     if chunks <= 1:
         return _solve_stacked(problem, pairs, pso)
     # Imported here: the pool pulls in multiprocessing, which only a

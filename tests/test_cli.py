@@ -120,6 +120,10 @@ class TestSolve:
         assert "timestamp" in manifest and "version" in manifest
 
 
+# 30,000 angles under the order cap: a recurrence stack of over 100 GB, which
+# only the spectrum's plan refuses before it is built
+WIDE_SPECTRUM = ["analyze", "--angles", ",".join(["0"] * 30000),
+                 "--signs", ",".join(["1", "-1"] * 15000), "--max-order", str(cli.MAX_ORDER)]
 # counts the library refuses, not argparse: one error line and no usage block
 ONE_LINE = [
     ["solve", "--pu", "0.5", "--seed", "1", "--max-order", "0"],
@@ -131,13 +135,14 @@ ONE_LINE = [
     ["analyze", "--angles", "0.1", "--signs", "1", "--max-order", "1000000000"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "4000000000",
      "--emit-waveform", "w.csv"],
-    # a swarm larger than any address space, refused by the solve budget
+    # a swarm larger than any address space, refused by the swarm's plan
     ["solve", "--pu", "0.5", "--seed", "1", "--swarm", "1000000000000000",
      "--iterations", "1"],
     # a subnormal V_dc holds too few bits for a THD
     ["solve", "--pu", "0.5", "--seed", "1", "--vdc", "1e-320"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--vdc", "1e-320"],
-    # counts past the solve budget, refused before anything is built
+    # counts past a particle row's or a swarm's plan, refused before anything
+    # is built
     *(["solve", "--pu", "0.5", "--seed", "1", flag, value] for flag, value in (
         ("--swarm", "100000000000000000000"),
         ("--restarts", "100000000000000000000"),
@@ -150,6 +155,7 @@ ONE_LINE = [
     ["solve", "--pu", "0.5", "--seed", "1", "--vdc", "1e308", "--iterations", "10",
      "--restarts", "1"],
     ["analyze", "--angles", "0.1,0.3", "--signs", "1,1", "--vdc", "1e308"],
+    WIDE_SPECTRUM,
 ]
 
 
@@ -198,7 +204,10 @@ class TestUsageErrors:
         assert sum("error:" in line for line in stderr.splitlines()) == 1, stderr
         if args in ONE_LINE:
             assert stderr.startswith("shepwm: error: ")
+            assert "out of memory" not in stderr
             assert len(stderr.splitlines()) == 1, stderr
+        if args is WIDE_SPECTRUM:
+            assert stderr.startswith("shepwm: error: the spectrum plans "), stderr
 
     @pytest.mark.parametrize(
         "args",
@@ -237,24 +246,22 @@ class TestUsageErrors:
                 cli._check_capped(cap + 1, flag, cap)
         assert cli.MAX_SAMPLES % 4 == 0
 
-    def test_solve_budget(self):
-        # the benchmark's shapes with a swarm 100 times larger: compare's 10
-        # grid targets and its base at K = 6, and table's one target at K = 8
-        # with 2,001 history entries per swarm
-        def args(*flags):
-            return cli.build_parser().parse_args(["solve", "--pu", "1", "--seed", "1",
-                                                  *flags])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "table", "compare"])
+    def test_spectrum_is_planned_before_any_swarm(self, monkeypatch, capsys, tmp_path,
+                                                  command):
+        # K = 230 solves within budget, but its spectrum at the order cap plans
+        # past it; the solver commands refuse that before the swarm runs
+        def no_swarm(*args, **kwargs):
+            raise AssertionError("a swarm ran before the spectrum was planned")
 
-        cli._check_solve_budget(args("--swarm", "5000"), 11)
-        cli._check_solve_budget(args("--swarm", "5000", "--angles-per-cell", "4",
-                                     "--signs", K8_SIGNS, "--iterations", "2000"), 1)
-        # a billion cells is refused here, before any sign or array is built
-        with pytest.raises(ShePwmError, match=(
-                r"the solve plans \d+ bytes, over the budget of 1073741824: 1 target\(s\) "
-                r"x --restarts 5 x --swarm 50 rows of --cells 1000000000 x "
-                r"--angles-per-cell 1 angles")):
-            cli._check_solve_budget(
-                args("--cells", "1000000000", "--angles-per-cell", "1"), 1)
+        monkeypatch.setattr(shepwm.she, "minimize_stacked", no_swarm)
+        target = ["--pu", "0.5"] if command == "solve" else ["--pu-grid", "0.5,1.0"]
+        out = [] if command in ("solve", "sweep") else ["--out", str(tmp_path / "o.csv")]
+        assert cli.main([command, *target, *out, "--seed", "1", "--cells", "230",
+                         "--angles-per-cell", "1", "--max-order", str(cli.MAX_ORDER)]) == 2
+        assert capsys.readouterr().err == (
+            "shepwm: error: the spectrum plans 1107742680 bytes, over the budget of "
+            "1073741824: K 230, max_order 894784\n")
 
     def test_runtime_domain_error_is_exit_2(self, tmp_path):
         # grid value 0 parses but has no defined THD row

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -178,7 +179,9 @@ class TestCompare:
         )
         assert a.rows == b.rows
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # two CPUs, so that a real two-worker pool starts on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         a = compare_methods(
             [0.2, 0.6, 1.0], PsoConfig(seed=8, **FAST), SheProblem(target_m=1.0)
         )

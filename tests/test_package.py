@@ -165,6 +165,21 @@ def test_only_apply_rules_sets_a_frozen_field():
     assert sum(p.read_text().count("object.__setattr__") for p in package.glob("*.py")) == 1
 
 
+def test_each_plan_constant_has_one_home():
+    # each memory plan's constant is assigned once, beside the array it
+    # measures; an assignment in cli.py would be a second copy of a plan
+    package = Path(shepwm.__file__).parent
+    homes = {name: [] for name in ("COUNT_BUDGET_BYTES", "ROW_ANGLE_BYTES", "LAYER_BYTES",
+                                   "HISTORY_BYTES", "MAGNITUDE_BYTES")}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                homes.get(node.id, []).append(path.name)
+    assert homes == {"COUNT_BUDGET_BYTES": ["errors.py"], "ROW_ANGLE_BYTES": ["she.py"],
+                     "LAYER_BYTES": ["harmonics.py"], "HISTORY_BYTES": ["she.py"],
+                     "MAGNITUDE_BYTES": ["harmonics.py"]}
+
+
 def test_readme_lookup_schema_matches_the_header():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     schema = [line for line in readme.read_text().splitlines()

@@ -1,7 +1,9 @@
 import concurrent.futures
 import itertools
 import math
+import os
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,11 +18,12 @@ from shepwm import (
     analytic_harmonic,
     cost,
     cost_batch,
+    pattern_thd,
     segment_integral_harmonic,
     solve,
     sweep,
 )
-from shepwm import harmonics, she
+from shepwm import errors, harmonics, she
 from shepwm.errors import ShePwmError
 from shepwm.optimizer import derive_seed
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
@@ -582,6 +585,7 @@ class TestSweep:
         # a fork pool starts every worker up front; never ask for more
         # workers than there are chunks of targets to hand out
         targets = [0.3, 0.8]
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         problem = SheProblem(target_m=1.0)
         cfg = PsoConfig(seed=11, iterations=10, restarts=2, swarm_size=6)
@@ -593,7 +597,23 @@ class TestSweep:
                 assert_same_solution(a, b)
         assert InlinePool.sizes == [2, 2, 2]
 
+    @pytest.mark.parametrize("cpus, sizes", [(3, [3]), (1, []), (None, [])],
+                             ids=["three-cpus", "one-cpu", "unknown"])
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch, cpus, sizes):
+        # never more workers than CPUs, and none when the count is unknown
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        InlinePool.sizes.clear()
+        InlinePool.chunks.clear()
+        targets = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        cfg = PsoConfig(seed=4, iterations=3, restarts=1, swarm_size=3)
+        sols = sweep(SheProblem(target_m=1.0), targets, cfg, jobs=1000)
+        assert [s.target_m for s in sols] == targets
+        assert InlinePool.sizes == sizes
+        assert len(InlinePool.chunks) == sum(sizes)
+
     def test_chunks_are_contiguous_and_in_order(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         InlinePool.chunks.clear()
         targets = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
@@ -636,7 +656,9 @@ class TestSweep:
         with pytest.raises(ShePwmError, match="jobs"):
             sweep(SheProblem(target_m=1.0), [0.5], PsoConfig(seed=1), jobs=0)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # two CPUs, so that a real two-worker pool starts on any host
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         problem = SheProblem(target_m=1.0)
         cfg = PsoConfig(seed=11, iterations=30, restarts=1, swarm_size=12)
         serial = sweep(problem, [0.3, 0.7, 1.0], cfg, jobs=1)
@@ -644,3 +666,76 @@ class TestSweep:
         assert serial == parallel
         for a, b in zip(serial, parallel):
             assert a.pattern.angles == b.pattern.angles
+
+
+# library calls whose counts no array could hold, refused by a plan
+OVERSIZE = {
+    "swarm_size": lambda: solve(SheProblem(0.5),
+                                PsoConfig(1, swarm_size=10**20, iterations=1, restarts=1)),
+    "cells": lambda: SheProblem(0.5, cells=10**20),
+    "eliminate_orders": lambda: SheProblem(0.5, eliminate_orders=(3, 5, 7, 9, 10**20 + 1)),
+    "max_order": lambda: pattern_thd(SheProblem(0.5).make_pattern([0.1] * 6), 10**20 + 1),
+}
+
+
+class TestMemoryPlans:
+    def test_solve_budget(self, monkeypatch):
+        # the benchmark's shapes with a swarm 100 times larger pass the plan:
+        # compare's 10 grid targets and its base at K = 6, and table's one
+        # target at K = 8 with 2,001 history entries per swarm
+        monkeypatch.setattr(she, "_solve_stacked", lambda problem, pairs, pso: pairs)
+        big = PsoConfig(seed=1, swarm_size=5000)
+        pairs = [(round(0.1 * i, 12), i) for i in range(1, 11)] + [(1.0, 0)]
+        assert she.solve_pairs(SheProblem(1.0), pairs, big) == tuple(pairs)
+        assert she.solve_pairs(k8_problem(), [(1.0, 1)], replace(big, iterations=2000))
+        # three times that swarm at compare's shape does not
+        with pytest.raises(ShePwmError, match=(
+                r"^the solve plans \d+ bytes, over the budget of 1073741824: pairs 11, "
+                r"restarts 5, swarm_size 15000, K 6, top_order 11, iterations 500$")):
+            she.solve_pairs(SheProblem(1.0), pairs, replace(big, swarm_size=15000))
+
+        # a billion cells is refused by its row, before any sign is built
+        def no_signs(*args):
+            raise AssertionError("a sign pattern was built")
+
+        monkeypatch.setattr(she, "default_sign_pattern", no_signs)
+        with pytest.raises(ShePwmError, match=(
+                r"^a particle row plans 268000000000 bytes, over the budget of "
+                r"1073741824: K 1000000000, top_order 11$")):
+            SheProblem(0.5, cells=10**9, angles_per_cell=1)
+
+    @pytest.mark.parametrize("call", OVERSIZE)
+    def test_oversize_counts_are_refused_before_any_array(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShePwmError, match=" plans \\d+ bytes, over the budget") as info:
+                OVERSIZE[call]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(info.value) is ShePwmError
+        assert "\n" not in str(info.value)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("k, max_order", [(1, 100001), (12, 20001)])
+    def test_the_spectrum_plan_covers_its_peak(self, monkeypatch, k, max_order):
+        # a budget one byte under the measured peak refuses the plan
+        pattern = SheProblem(0.5, eliminate_orders=(), cells=k, angles_per_cell=1
+                             ).make_pattern([0.1] * k)
+        tracemalloc.start()
+        try:
+            harmonics.analytic_spectrum(pattern, max_order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        harmonics.plan_spectrum(k, max_order)
+        monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", peak - 1)
+        with pytest.raises(ShePwmError, match="^the spectrum plans "):
+            harmonics.plan_spectrum(k, max_order)
+
+    def test_a_bad_pair_is_refused_before_the_plan(self):
+        # the swarm plans past the budget, but the pair rule speaks first
+        with pytest.raises(ShePwmError, match=TARGET_RANGE + "1.5$"):
+            she.solve_pairs(SheProblem(1.0), [(0.5, 1), (1.5, 2)],
+                            PsoConfig(1, swarm_size=10**20))
+
