@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 from .errors import (GridPositionError, ShePwmError, apply_rules, check_count,
                      check_nonnegative, check_real, check_sequence)
-from .harmonics import DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, thd
+from .harmonics import DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, plan_spectrum, thd
 from .optimizer import PsoConfig, derive_seed
 from .pattern import check_angles, check_vdc
 from .she import SheProblem, Solution, solve, solve_pairs
@@ -164,6 +164,7 @@ def build_lookup(
     """
     grid = check_lookup_grid(sorted(check_sequence(v_pu_grid, "grid", check_real)))
     thd_max_order = check_count(thd_max_order, "thd_max_order")
+    plan_spectrum(problem.n_angles, thd_max_order)  # before any solve
     base = base_solution
     if base is None:
         base = solve(replace(problem, target_m=1.0), pso)
@@ -198,6 +199,7 @@ def compare_methods(
     operating point and the improvement is undefined."""
     grid = check_lookup_grid(sorted(check_sequence(v_pu_grid, "grid", check_real)))
     thd_max_order = check_count(thd_max_order, "thd_max_order")
+    plan_spectrum(problem.n_angles, thd_max_order)  # before any solve
     below_full = [v for v in grid if v != 1.0]
     pairs = [(1.0, pso.seed)]
     pairs += [(v, derive_seed(pso.seed, i)) for i, v in enumerate(below_full)]

@@ -26,7 +26,8 @@ one tuple, so a caller always indexes a table built for the pattern it asked
 about, whatever other threads do. The memo serves only per-order segment
 callers (perfbench's timed ``route_batch``) until the benchmark takes one
 spectrum per pattern. Every closed-form call plans its peak by
-``plan_spectrum`` (in ``_odd_volts``) before it builds anything.
+``plan_spectrum`` (in ``_odd_volts``), and every order table its blocks by
+``SEGMENT_BYTES``, before it builds anything.
 """
 
 from __future__ import annotations
@@ -75,84 +76,18 @@ class HarmonicSpectrum:
         return self.magnitudes[1]
 
 
-def merge_exchange(k: int) -> tuple[tuple[int, int], ...]:
-    """Batcher's odd-even merge network for k keys, as (i, j) pairs, i < j.
-
-    Knuth's Algorithm 5.2.2M: the network of the next power of two with
-    every comparator that reaches past key k - 1 pruned. Applying the pairs
-    in order, each putting the lesser of keys i and j at i, sorts any k keys
-    (12 comparators at k = 6). K. E. Batcher, "Sorting networks and their
-    applications", AFIPS SJCC 1968.
-    """
-    pairs = []
-    t = (k - 1).bit_length()
-    p = 1 << t >> 1
-    while p:
-        q, r, d = 1 << t >> 1, 0, p
-        while True:
-            pairs += [(i, i + d) for i in range(k - d) if i & p == r]
-            if q == p:
-                break
-            d, q, r = q - p, q >> 1, p
-        p >>= 1
-    return tuple(pairs)
-
-
-def _network_plan(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, int]:
-    """(pairs, slots, free) to sort k keys held as rows of a (k + 1, B) buffer.
-
-    A comparator writes the lesser key into the free row, the greater over
-    key j, and frees key i's old row, so it copies nothing. slots[i] is the
-    row key i starts in and free the row left free: the comparators run
-    backwards from every key i in row i and row k free, so that is where
-    they end.
-    """
-    pairs = merge_exchange(k)
-    slots, free = list(range(k)), k
-    for i, _ in reversed(pairs):
-        slots[i], free = free, slots[i]
-    return pairs, np.array(slots), free
-
-
-# Batches of at least NETWORK_MIN_ROWS rows of at most NETWORK_MAX_K angles
-# are sorted by the network; np.sort's per-row dispatch (about 40 ns a row
-# whatever K is) wins below that (CHANGES.md has the crossover table).
-NETWORK_MAX_K = 6
-NETWORK_MIN_ROWS = 1000
-_NETWORKS = {k: _network_plan(k) for k in range(1, NETWORK_MAX_K + 1)}
-
-
 def signed_cosines(angles: np.ndarray, signs) -> np.ndarray:
-    """(K, B) block of signs[i]*cos(theta_(i)) for a (B, K) block of angles,
-    theta_(i) the i-th least angle of its row.
+    """signs[i]*cos(theta_i) over a (K, B) block of angles, written in place.
 
-    signs: K values, as a sequence or as a (K, 1) float64 column.
-
-    A batch of NETWORK_MIN_ROWS rows or more and at most NETWORK_MAX_K angles
-    is transposed into the rows of a (K + 1, B) buffer and sorted there by
-    merge_exchange's network, one np.minimum and one np.maximum over all
-    rows per comparator (see _network_plan); any other batch is sorted by
-    np.sort. Both give the same values, -0.0 and +0.0 being tied (their
-    cosines are equal), so a row's bits do not depend on its batch; only a
-    row holding NaN differs, NaN by both. Every batch takes one np.cos over
-    its B * K angles.
+    Each column holds one pattern's angles in ascending order, theta_i the
+    i-th least, since each transition's sign belongs to its place in that
+    order; nothing here sorts. signs: K values, as a sequence or as a (K, 1)
+    float64 column. The block takes one np.cos over its B * K angles and is
+    returned holding the signed cosines.
     """
-    rows, k = angles.shape
-    if rows >= NETWORK_MIN_ROWS and k <= NETWORK_MAX_K:
-        pairs, slots, free = _NETWORKS[k]
-        buf = np.empty((k + 1, rows))
-        buf[slots] = angles.T
-        key, spare = [buf[r] for r in slots], buf[free]
-        for i, j in pairs:
-            np.minimum(key[i], key[j], out=spare)
-            np.maximum(key[i], key[j], out=key[j])
-            key[i], spare = spare, key[i]
-        cur = buf[:k]  # key i ends in row i
-        np.cos(cur, out=cur)
-    else:
-        cur = np.cos(np.sort(angles, axis=1).T, out=np.empty((k, rows)))
-    cur *= np.asarray(signs, dtype=np.float64).reshape(k, 1)
-    return cur
+    np.cos(angles, out=angles)
+    angles *= np.asarray(signs, dtype=np.float64).reshape(-1, 1)
+    return angles
 
 
 def odd_harmonic_sums(
@@ -212,7 +147,7 @@ def plan_spectrum(k: int, max_order: int) -> None:
 def _odd_volts(pattern: SwitchingPattern, max_order: int) -> np.ndarray:
     """Signed amplitudes in volts of orders 1, 3, ..., max_order, planned first."""
     plan_spectrum(len(pattern.angles), max_order)
-    block = signed_cosines(np.array([pattern.angles]), pattern.signs)
+    block = signed_cosines(np.array(pattern.angles)[:, None], pattern.signs)
     sums = odd_harmonic_sums(block, max_order)[:, 0]
     n = np.arange(1, max_order + 1, 2)
     return (4.0 * pattern.vdc_per_cell) / (n * np.pi) * sums
@@ -255,6 +190,9 @@ def _segment_coefficients(
     return a.tolist(), b.tolist()
 
 
+# tracemalloc read 40 B per order and breakpoint of _segment_coefficients'
+# blocks plus 8 B per order, 41.1 B per order and breakpoint at K = 1.
+SEGMENT_BYTES = 48
 # (pattern, M, _segment_coefficients(pattern, M)) of the last pattern asked
 _segment_slot = (None, 0, None)
 
@@ -266,6 +204,8 @@ def _segment_table(pattern: SwitchingPattern, n: int) -> tuple[list[float], list
     if held is not pattern or n > max_order:
         grown = 2 * max_order if held is pattern else 0
         max_order = max(n, DEFAULT_MAX_ORDER, grown)
+        check_plan(max_order * len(pattern.segments.breakpoints) * SEGMENT_BYTES,
+                   "the segment table", K=len(pattern.angles), max_order=max_order)
         table = _segment_coefficients(pattern, max_order)
         _segment_slot = (pattern, max_order, table)
     return table

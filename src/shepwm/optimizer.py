@@ -53,7 +53,7 @@ class PsoConfig:
 
     seed: int
     swarm_size: int = 50
-    iterations: int = 500
+    iterations: int = 200
     inertia_start: float = 0.9
     inertia_end: float = 0.4
     cognitive: float = 2.0

@@ -1,15 +1,16 @@
 """Selective harmonic elimination: problem setup, cost function, PSO solve.
 
-The solver searches the box [0, pi/2]^K for switching angles that hit a
-target per-unit fundamental while nulling a chosen set of odd harmonics.
-Raw optimizer coordinates are sort-repaired into nondecreasing order before
-evaluation, which makes the objective total on the box and permutation
-invariant. ``cost_batch`` is the vectorised numpy kernel the swarm calls;
-the scalar ``cost`` runs its arithmetic on one row, and a solution's cost
-is its optimizer's best value, which is that full cost bit for bit. ``solve``,
-``sweep`` and the variable-DC-link comparison all go through
-``solve_pairs``, which runs every (target, seed) pair's swarms as one
-stacked batch. ``SheProblem`` plans one particle row's peak and
+The solver searches the unit box [0, 1]^K, and ``_ordered_angles``, the one
+home of the map, turns each point u into ascending angles in [0, pi/2]:
+theta_K = (pi/2)*u_K^(1/K), then theta_k = theta_(k+1)*u_k^(1/k). That is
+the order-statistic construction of K sorted uniforms, so the box covers the
+ordered angles once, with uniform density, and the swarm never sorts.
+``cost_batch``, the public cost of raw angle rows, sorts each row once and
+runs the same kernel; the scalar ``cost`` runs it on one row, and a
+solution's cost is its optimizer's best value, which is that full cost bit
+for bit. ``solve``, ``sweep`` and the variable-DC-link comparison all go
+through ``solve_pairs``, which runs every (target, seed) pair's swarms as
+one stacked batch. ``SheProblem`` plans one particle row's peak and
 ``solve_pairs`` the swarm's before anything is built.
 """
 
@@ -132,6 +133,7 @@ class SheProblem:
         unit = 4.0 / (np.pi * self.cells)
         return _KernelColumns(
             signs=_column(self.sign_pattern),
+            exponents=_column([1.0 / k for k in range(1, self.n_angles + 1)]),
             unit=unit,
             max_order=max(orders, default=1),
             layers=[n // 2 for n in orders],
@@ -150,6 +152,7 @@ class _KernelColumns(NamedTuple):
     depend on the problem alone, not on the angles; arrays read-only."""
 
     signs: np.ndarray  # (K, 1) transition signs
+    exponents: np.ndarray  # (K, 1) the map's exponents 1/k, k = 1..K
     unit: float  # per-unit scale of the fundamental, 4/(pi*cells)
     max_order: int  # the highest order, 1 when there is none
     layers: list[int]  # each order's layer n // 2 of the recurrence stack
@@ -172,6 +175,8 @@ class Solution:
     """Solved angles with the residual bookkeeping for one target.
 
     Equality covers the solution payload; optimizer diagnostics are excluded.
+    diagnostics.best_position is the swarm's best point in [0, 1]^K, and the
+    pattern's angles are its map.
     """
 
     pattern: SwitchingPattern
@@ -204,17 +209,18 @@ def cost_batch(
 ) -> np.ndarray:
     """Elimination cost for a (P, K) batch of raw angle vectors.
 
-    Each row is sort-repaired (ascending) before evaluation. Harmonics are
-    per-unit of the DC base s*V_dc, so the cost does not depend on V_dc:
+    Each row is sorted ascending (one np.sort over the batch) and then costed
+    by the kernel the swarm runs on its mapped rows. Harmonics are per-unit
+    of the DC base s*V_dc, so the cost does not depend on V_dc:
 
         cost = weight_fundamental * |target_m - |V1_pu||
              + sum_n weight_harmonics/n * |Vn_pu|     over eliminate_orders
 
     with Vn_pu = 4/(n*pi*cells) * sum_i signs[i]*cos(n*theta_i).
 
-    ``harmonics.signed_cosines`` sorts each row and makes one cosine per
-    angle, and ``harmonics.odd_harmonic_sums`` takes every order's sum, so a
-    row's bits do not depend on the batch it is evaluated in.
+    ``harmonics.signed_cosines`` makes one cosine per angle and
+    ``harmonics.odd_harmonic_sums`` takes every order's sum, so a row's bits
+    do not depend on the batch it is evaluated in.
 
     target_m, when given, is a (P,) vector of per-row targets that replaces
     problem.target_m; row i then costs what it would cost alone under
@@ -240,15 +246,49 @@ def cost_batch(
                 f"{name} must hold one value per row ({rows}), "
                 f"got shape {np.shape(per_row)}"
             )
+    # copied into the (K, P) layout the map writes
+    theta = np.sort(arr, axis=1).T.copy()
+    return _ordered_cost(theta, problem, target_m, cutoff)
+
+
+def _ordered_angles(u: np.ndarray, problem: SheProblem) -> np.ndarray:
+    """(K, B) block of ascending angles in [0, pi/2] for a (B, K) batch of
+    points in [0, 1]^K, column b the angles of row b.
+
+    theta_K = (pi/2)*u_K^(1/K), then theta_k = theta_(k+1)*u_k^(1/k) for
+    k = K-1, ..., 1. The powers are exp(log(u)/k) on a contiguous copy of the
+    batch, one np.log and one np.exp in place and a product with the
+    problem's exponent column, so every element takes the same numpy loop
+    whatever the batch's shape and each column's bits are its own (np.power
+    takes sqrt for the 1/2 column when its exponent is broadcast, and pow
+    when it is not). Each power of a u within [0, 1] is within [0, 1], so the
+    top row's scale and the K - 1 row products in place keep theta_k <=
+    theta_(k+1) <= pi/2 exactly.
+    """
+    theta = u.T.copy()
+    with np.errstate(divide="ignore"):  # log(0) is -inf, and exp(-inf) is 0
+        np.log(theta, out=theta)
+    theta *= problem._kernel.exponents
+    np.exp(theta, out=theta)
+    theta[-1] *= HALF_PI
+    for k in range(len(theta) - 2, -1, -1):
+        theta[k] *= theta[k + 1]
+    return theta
+
+
+def _ordered_cost(theta: np.ndarray, problem: SheProblem, target_m=None,
+                  cutoff=None) -> np.ndarray:
+    """cost_batch's value of each column of a (K, B) block of ascending
+    angles, which it overwrites; target_m and cutoff as there, unchecked."""
     if target_m is None:
         target_m = problem.target_m
     kernel = problem._kernel
-    block = signed_cosines(arr, kernel.signs)
+    block = signed_cosines(theta, kernel.signs)
     fund = odd_harmonic_sums(block, 1)[0]
     fund_pu = np.abs(kernel.unit * fund)
     total = problem.weight_fundamental * np.abs(target_m - fund_pu)
     # A NaN cutoff bounds nothing, so its row is kept.
-    keep = np.arange(rows) if cutoff is None else (~(total >= cutoff)).nonzero()[0]
+    keep = np.arange(len(total)) if cutoff is None else (~(total >= cutoff)).nonzero()[0]
     sums = odd_harmonic_sums(block, kernel.max_order, keep)
     terms = sums.take(kernel.layers, axis=0)
     terms *= kernel.scale
@@ -263,19 +303,20 @@ def cost_batch(
 
 
 def solve(problem: SheProblem, pso: PsoConfig) -> Solution:
-    """Minimize the elimination cost and package the repaired best point."""
+    """Minimize the elimination cost and package the mapped best point."""
     return solve_pairs(problem, [(problem.target_m, pso.seed)], pso)[0]
 
 
 def _package(problem: SheProblem, target_m: float, result: OptimizerResult) -> Solution:
-    """Solution for the optimizer's best point on target_m, its figures
-    read by cost_batch's arithmetic on the problem's kernel constants. Its
-    cost is the best value: a row that the kernel's cutoff skips returns at
-    least its personal best, so every best is a full cost."""
-    pat = problem.make_pattern(np.sort(result.best_position))
+    """Solution for the optimizer's best point on target_m: its angles are
+    the point's map, and its figures are read by the kernel's arithmetic on
+    the problem's constants. Its cost is the best value: a row that the
+    kernel's cutoff skips returns at least its personal best, so every best
+    is a full cost."""
+    theta = _ordered_angles(result.best_position[None], problem)
+    pat = problem.make_pattern(theta[:, 0])
     kernel = problem._kernel
-    block = signed_cosines(np.array([pat.angles]), kernel.signs)
-    sums = odd_harmonic_sums(block, kernel.max_order)[:, 0]
+    sums = odd_harmonic_sums(signed_cosines(theta, kernel.signs), kernel.max_order)[:, 0]
     fund_pu = float(abs(kernel.unit * sums[0]))
     res = np.abs(sums[kernel.layers] * kernel.scale[:, 0]).tolist()
     residuals = dict(zip(problem.eliminate_orders, res))
@@ -295,14 +336,14 @@ def _package(problem: SheProblem, target_m: float, result: OptimizerResult) -> S
 
 
 def _solve_stacked(problem: SheProblem, pairs, pso: PsoConfig) -> list[Solution]:
-    """Every (target_m, seed) pair's swarms as one stacked swarm."""
+    """Every (target_m, seed) pair's swarms as one stacked swarm over [0, 1]^K."""
     targets = np.array([m for m, _ in pairs], dtype=np.float64)
     row_targets = np.repeat(targets, pso.restarts * pso.swarm_size)
     results = minimize_stacked(
-        lambda pts, cutoff: cost_batch(
-            pts, problem, target_m=row_targets, cutoff=cutoff
+        lambda pts, cutoff: _ordered_cost(
+            _ordered_angles(pts, problem), problem, row_targets, cutoff
         ),
-        bounds=[(0.0, HALF_PI)] * problem.n_angles,
+        bounds=[(0.0, 1.0)] * problem.n_angles,
         config=pso,
         seeds=[seed for _, seed in pairs],
     )

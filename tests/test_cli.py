@@ -66,7 +66,7 @@ class TestSolve:
         sol = solve(problem, PsoConfig(seed=seed))
         best = sol.diagnostics.best_value
         assert sol.cost == best
-        assert cost(sol.diagnostics.best_position, problem) == best
+        assert cost(sol.pattern.angles, problem) == best
         out = run_cli(["solve", "--pu", str(pu), "--seed", str(seed), *layout])
         assert out.returncode == 0, out.stderr.decode()
         doc = json.loads(out.stdout)

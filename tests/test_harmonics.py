@@ -134,7 +134,7 @@ def reference_closed_form(p, n):
     run through order n for this call alone, its last sum scaled."""
     if n % 2 == 0:
         return 0.0
-    block = signed_cosines(np.array([p.angles]), p.signs)
+    block = signed_cosines(np.array(p.angles)[:, None], p.signs)
     last = odd_harmonic_sums(block, n)[-1, 0]
     return float((4.0 * p.vdc_per_cell) / (n * np.pi) * last)
 

@@ -135,7 +135,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = PsoConfig(seed=1)
         assert cfg.swarm_size == 50
-        assert cfg.iterations == 500
+        assert cfg.iterations == 200
         assert cfg.inertia_start == 0.9
         assert cfg.inertia_end == 0.4
         assert cfg.cognitive == 2.0

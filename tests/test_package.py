@@ -89,17 +89,17 @@ def test_library_refuses_only_with_package_errors():
                                              "GridPositionError"}
 
 
-def _cosine_calls(path: Path) -> list[str]:
-    """Every call to a function named `cos`, as written: `np.cos`,
+def _calls(path: Path, name: str) -> list[str]:
+    """Every call to a function named `name`, as written: `np.cos`,
     `math.cos`, a bare `cos`."""
     calls = []
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "cos":
+        if isinstance(func, ast.Attribute) and func.attr == name:
             calls.append(ast.unparse(func))
-        elif isinstance(func, ast.Name) and func.id == "cos":
+        elif isinstance(func, ast.Name) and func.id == name:
             calls.append(func.id)
     return calls
 
@@ -109,9 +109,21 @@ def test_only_harmonics_takes_cosines():
     # recurrence in harmonics; a cosine anywhere else, or a scalar math.cos
     # loop beside it, would be a second copy
     package = Path(shepwm.__file__).parent
-    calls = {p.name: _cosine_calls(p) for p in sorted(package.glob("*.py"))}
+    calls = {p.name: _calls(p, "cos") for p in sorted(package.glob("*.py"))}
     assert {name for name, found in calls.items() if found} == {"harmonics.py"}
     assert "math.cos" not in calls["harmonics.py"]
+
+
+def test_only_she_maps_and_harmonics_sorts_nothing():
+    # the swarm's map from the unit box to ascending angles has one home,
+    # she._ordered_angles, with one np.log and one np.exp; the closed form
+    # takes the ordered angles it is given and sorts nothing
+    package = Path(shepwm.__file__).parent
+    calls = {fn: {p.name: found for p in sorted(package.glob("*.py"))
+                  if (found := _calls(p, fn))}
+             for fn in ("power", "log", "exp")}
+    assert calls == {"power": {}, "log": {"she.py": ["np.log"]}, "exp": {"she.py": ["np.exp"]}}
+    assert _calls(package / "harmonics.py", "sort") == []
 
 
 def _index_calls(path: Path) -> list[tuple[str, str]]:
@@ -170,14 +182,14 @@ def test_each_plan_constant_has_one_home():
     # measures; an assignment in cli.py would be a second copy of a plan
     package = Path(shepwm.__file__).parent
     homes = {name: [] for name in ("COUNT_BUDGET_BYTES", "ROW_ANGLE_BYTES", "LAYER_BYTES",
-                                   "HISTORY_BYTES", "MAGNITUDE_BYTES")}
+                                   "HISTORY_BYTES", "MAGNITUDE_BYTES", "SEGMENT_BYTES")}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 homes.get(node.id, []).append(path.name)
     assert homes == {"COUNT_BUDGET_BYTES": ["errors.py"], "ROW_ANGLE_BYTES": ["she.py"],
                      "LAYER_BYTES": ["harmonics.py"], "HISTORY_BYTES": ["she.py"],
-                     "MAGNITUDE_BYTES": ["harmonics.py"]}
+                     "MAGNITUDE_BYTES": ["harmonics.py"], "SEGMENT_BYTES": ["harmonics.py"]}
 
 
 def test_readme_lookup_schema_matches_the_header():

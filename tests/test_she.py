@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import pickle
+import statistics
 import tracemalloc
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from shepwm import (
     DEFAULT_SIGNS_K6,
     PsoConfig,
     SheProblem,
+    SwitchingPattern,
     analytic_harmonic,
     cost,
     cost_batch,
@@ -23,7 +25,7 @@ from shepwm import (
     solve,
     sweep,
 )
-from shepwm import errors, harmonics, she
+from shepwm import dclink, errors, harmonics, she
 from shepwm.errors import ShePwmError
 from shepwm.optimizer import derive_seed
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
@@ -149,34 +151,36 @@ class TestKernelConstants:
         assert not copy._kernel.scale.flags.writeable
 
 
-def count_kernel_calls(monkeypatch, problem, pts):
-    """Sizes of the np.cos and np.sort calls of two cost_batch calls on pts,
-    without and with a cutoff, whose values must not change when counted."""
-    expected = cost_batch(pts, problem)
-    cutoff = np.full(len(pts), np.median(expected))
-    expected_cut = cost_batch(pts, problem, cutoff=cutoff)
-    calls = {"cos": [], "sort": []}
+def count_kernel_calls(monkeypatch, run):
+    """Sizes of the np.cos, np.sort, np.log and np.exp calls that run()
+    makes, whose value must not change when counted."""
+    expected = run()
+    calls = {"cos": [], "sort": [], "log": [], "exp": []}
 
     class CountingNumpy:
         def __getattr__(self, attr):
-            if attr in ("sin", "tan", "arccos", "arcsin", "arctan"):
-                raise AssertionError(f"cost_batch called np.{attr}")
-            return getattr(np, attr)
+            if attr in ("sin", "tan", "arccos", "arcsin", "arctan", "power"):
+                raise AssertionError(f"the kernel called np.{attr}")
+            if attr not in calls:
+                return getattr(np, attr)
 
-        def cos(self, x, *args, **kwargs):
-            calls["cos"].append(np.size(x))
-            return np.cos(x, *args, **kwargs)
+            def counted(x, *args, **kwargs):
+                calls[attr].append(np.size(x))
+                return getattr(np, attr)(x, *args, **kwargs)
 
-        def sort(self, x, *args, **kwargs):
-            calls["sort"].append(np.size(x))
-            return np.sort(x, *args, **kwargs)
+            return counted
 
     # the cosines are taken in harmonics, the kernel's one closed form
     monkeypatch.setattr(she, "np", CountingNumpy())
     monkeypatch.setattr(harmonics, "np", CountingNumpy())
-    assert np.array_equal(cost_batch(pts, problem), expected)
-    assert np.array_equal(cost_batch(pts, problem, cutoff=cutoff), expected_cut)
+    assert np.array_equal(run(), expected)
     return calls
+
+
+def raw_costs(problem, pts):
+    """A run for count_kernel_calls: cost_batch on pts without and with a cutoff."""
+    cutoff = np.full(len(pts), np.median(cost_batch(pts, problem)))
+    return lambda: [cost_batch(pts, problem), cost_batch(pts, problem, cutoff=cutoff)]
 
 
 class TestCost:
@@ -280,9 +284,11 @@ class TestCost:
 
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_makes_one_cosine_per_angle(self, rng, monkeypatch, name):
+        # and raw rows take one np.sort each call, and no map
         problem = KERNEL_PROBLEMS[name](0.5)
         pts = rng.random((30, problem.n_angles)) * HALF_PI
-        assert count_kernel_calls(monkeypatch, problem, pts)["cos"] == [pts.size] * 2
+        calls = count_kernel_calls(monkeypatch, raw_costs(problem, pts))
+        assert calls == {"cos": [pts.size] * 2, "sort": [pts.size] * 2, "log": [], "exp": []}
 
     @pytest.mark.parametrize("cols", [4, 9])
     def test_batch_wrong_column_count(self, rng, cols):
@@ -412,54 +418,90 @@ def zero_one_rows(k):
     return np.array(list(itertools.product((0.0, 1.0), repeat=k))).reshape(-1, k)
 
 
-class TestKernelSort:
-    @pytest.mark.parametrize("k", range(1, harmonics.NETWORK_MAX_K + 1))
-    def test_network_sorts_zero_one_rows(self, k):
-        # the 0-1 principle: a comparator network that sorts every row of
-        # zeros and ones sorts every row
-        rows = zero_one_rows(k)
-        for row in rows.tolist():
-            for i, j in harmonics.merge_exchange(k):
-                row[i], row[j] = min(row[i], row[j]), max(row[i], row[j])
-            assert row == sorted(row)
-        # and the kernel, on a batch large enough to take the network
-        batch = np.tile(rows, (-(-harmonics.NETWORK_MIN_ROWS // len(rows)), 1))
-        want = np.cos(np.sort(batch, axis=1).T)
-        got = harmonics.signed_cosines(batch, np.ones(k))
-        assert got.tobytes() == want.tobytes()
+def map_problem(k):
+    """A k-angle problem, for the map's exponents."""
+    return SheProblem(0.5, eliminate_orders=(), cells=k, angles_per_cell=1)
 
-    @pytest.mark.parametrize("k", range(1, harmonics.NETWORK_MAX_K + 1))
-    def test_network_rows_match_one_row_calls(self, rng, k):
-        # signed zeros, ties, negatives and non-finite angles: every row of a
-        # network-sized batch has the bits of its own one-row (np.sort) call
-        pool = np.array([0.0, -0.0, 0.3, 0.3, -0.2, HALF_PI, 1.0])
-        batch = rng.choice(pool, (harmonics.NETWORK_MIN_ROWS, k))
-        batch[: 2 * k] = rng.choice([0.0, -0.0], (2 * k, k))
-        batch[-4:, 0] = (np.nan, np.inf, -np.inf, np.nan)
-        batch[-1, -1] = np.inf
-        signs = rng.choice([-1.0, 1.0], k)
-        with np.errstate(invalid="ignore"):  # cos(+-inf) is NaN
-            got = harmonics.signed_cosines(batch, signs)
-            for i, row in enumerate(batch):
-                alone = harmonics.signed_cosines(row[None], signs)[:, 0]
-                if np.isnan(row).any():
-                    assert np.isnan(got[:, i]).any() and np.isnan(alone).any()
-                else:
-                    assert got[:, i].tobytes() == alone.tobytes(), row
 
-    @pytest.mark.parametrize("rows", [-1, 0], ids=["below", "at"])
+def unit_points(rng, k, rows):
+    """Random points of [0, 1]^k, then points with coordinates at 0 and 1,
+    tied within a row, and within a few ulps of 1."""
+    pts = rng.random((rows, k))
+    near_one = 1.0 - rng.integers(0, 4, (8, k)) * 2.0**-53
+    tied = np.repeat(rng.random((8, 1)), k, axis=1)
+    return np.vstack([pts, zero_one_rows(k)[:rows], near_one, tied])
+
+
+def assert_ordered(theta):
+    """Each column ascends within [0, pi/2], exactly."""
+    assert np.all(theta[:-1] <= theta[1:])
+    assert np.all(theta >= 0.0) and np.all(theta <= HALF_PI)
+
+
+class TestOrderedMap:
+    """she._ordered_angles, the swarm's one map from [0, 1]^K to ascending
+    angles, and the objective it feeds."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_map_orders_zero_one_points(self, k):
+        # u = 0 gives all zeros, u = 1 all pi/2, and every mix ascends
+        theta = she._ordered_angles(zero_one_rows(k), map_problem(k))
+        assert theta.shape == (k, 2**k)
+        assert_ordered(theta)
+        assert np.all(theta[:, 0] == 0.0) and np.all(theta[:, -1] == HALF_PI)
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 8, 12])
+    def test_map_orders_a_large_batch(self, rng, k):
+        pts = unit_points(rng, k, 100_000)
+        assert_ordered(she._ordered_angles(pts, map_problem(k)))
+
+    def test_map_is_the_order_statistic_construction(self, rng):
+        # theta_K = (pi/2)*u_K^(1/K), theta_k = theta_(k+1)*u_k^(1/k): the
+        # sorted uniforms' law, so the top angle's median is (pi/2)*0.5^(1/K)
+        pts = rng.random((20, 3))
+        theta = she._ordered_angles(pts, map_problem(3))
+        for row, col in zip(pts, theta.T):
+            t3 = HALF_PI * row[2] ** (1 / 3)
+            t2 = t3 * row[1] ** 0.5
+            assert col.tolist() == pytest.approx([t2 * row[0], t2, t3], rel=1e-15)
+        top = she._ordered_angles(rng.random((20000, 3)), map_problem(3))[-1]
+        assert np.median(top) == pytest.approx(HALF_PI * 0.5 ** (1 / 3), rel=0.02)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_batch_rows_match_one_row_calls(self, rng, k):
+        # a row's angles and cost have the same bits alone as inside a
+        # 2,500-row batch, as the stacked swarm needs
+        problem = SheProblem(0.7, eliminate_orders=(3, 5, 7, 9, 11)[:k - 1], cells=k,
+                             angles_per_cell=1)
+        pts = unit_points(rng, k, 2500 - 16 - min(2**k, 2500))
+        assert len(pts) == 2500
+        theta = she._ordered_angles(pts, problem)
+        costs = she._ordered_cost(theta.copy(), problem)
+        for i in range(len(pts)):
+            alone = she._ordered_angles(pts[i : i + 1], problem)
+            assert alone[:, 0].tobytes() == theta[:, i].tobytes()
+            assert she._ordered_cost(alone, problem)[0] == costs[i]
+
+    def test_ordered_rows_cost_what_cost_batch_gives(self, rng):
+        # the swarm's kernel is cost_batch's, less the sort
+        problem = k8_problem(0.6)
+        theta = she._ordered_angles(rng.random((300, 8)), problem)
+        want = cost_batch(theta.T, problem)
+        assert she._ordered_cost(theta.copy(), problem).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2500], ids=["one-row", "batch"])
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
-    def test_network_batch_makes_one_cosine_per_angle(self, rng, monkeypatch, name, rows):
-        # the sort path depends on the batch's (rows, K) alone; either way
-        # the batch takes one np.cos over all its angles
+    def test_swarm_batch_makes_one_log_exp_and_cosine_per_angle(
+            self, rng, monkeypatch, name, rows):
+        # the swarm's objective maps and costs its points with one np.log,
+        # one np.exp and one np.cos over all their coordinates, and sorts
+        # nothing
         problem = KERNEL_PROBLEMS[name](0.5)
-        rows += harmonics.NETWORK_MIN_ROWS
-        pts = kernel_points(rng, problem.n_angles, rows - 3)  # + 3 edge rows
-        calls = count_kernel_calls(monkeypatch, problem, pts)
-        assert calls["cos"] == [pts.size] * 2
-        network = rows >= harmonics.NETWORK_MIN_ROWS and (
-            problem.n_angles <= harmonics.NETWORK_MAX_K)
-        assert calls["sort"] == ([] if network else [pts.size] * 2)
+        pts = rng.random((rows, problem.n_angles))
+        cutoff = np.full(rows, 0.5)
+        calls = count_kernel_calls(monkeypatch, lambda: she._ordered_cost(
+            she._ordered_angles(pts, problem), problem, cutoff=cutoff))
+        assert calls == {"cos": [pts.size], "sort": [], "log": [pts.size], "exp": [pts.size]}
 
 
 class TestSolve:
@@ -479,7 +521,7 @@ class TestSolve:
         # residuals are reproducible from the pattern alone, bit for bit, by
         # the kernel's arithmetic: per-unit scale 4/(pi*cells*n) times the sum
         pat = sol.pattern
-        block = harmonics.signed_cosines(np.array([pat.angles]), pat.signs)
+        block = harmonics.signed_cosines(np.array(pat.angles)[:, None], pat.signs)
         sums = harmonics.odd_harmonic_sums(block, 11)[:, 0]
         for n, r in sol.residuals_pu.items():
             assert abs(4.0 / (math.pi * 2) / n * sums[n // 2]) == r
@@ -508,6 +550,23 @@ class TestSolve:
         for n in sol.residuals_pu:
             oracle = abs(segment_integral_harmonic(sol.pattern, n)) / 400.0
             assert oracle <= 1.1 * RESIDUAL_THRESHOLD_PU
+
+    def test_ordered_swarm_finds_an_exact_alternating_solution(self):
+        # K = 6 with alternating signs has an exact solution at m = 0.3, which
+        # a raw-angle swarm did not find at any seed; the ordered one does
+        problem = SheProblem(0.3, sign_pattern=(1, -1, 1, -1, 1, -1))
+        sol = solve(problem, PsoConfig(seed=7, iterations=500))
+        assert sol.feasible
+        assert cost(sol.pattern.angles, problem) == sol.cost
+
+    def test_default_budget_keeps_the_median_cost(self):
+        # the default problem over the paper grid at seeds 1-3: the median
+        # cost at the default budget stays below 0.2968, the raw-angle
+        # swarm's median at 500 iterations on the same solves
+        grid = [round(0.1 * i, 12) for i in range(1, 11)]
+        costs = [sol.cost for seed in (1, 2, 3)
+                 for sol in sweep(SheProblem(1.0), grid, PsoConfig(seed))]
+        assert statistics.median(costs) < 0.2968
 
     def test_low_target_default_pattern_is_poor(self):
         # the six-angle default cannot null 3..11 at low fundamental; the
@@ -675,6 +734,8 @@ OVERSIZE = {
     "cells": lambda: SheProblem(0.5, cells=10**20),
     "eliminate_orders": lambda: SheProblem(0.5, eliminate_orders=(3, 5, 7, 9, 10**20 + 1)),
     "max_order": lambda: pattern_thd(SheProblem(0.5).make_pattern([0.1] * 6), 10**20 + 1),
+    "segment_order": lambda: segment_integral_harmonic(
+        SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0), 10**20),
 }
 
 
@@ -691,7 +752,7 @@ class TestMemoryPlans:
         # three times that swarm at compare's shape does not
         with pytest.raises(ShePwmError, match=(
                 r"^the solve plans \d+ bytes, over the budget of 1073741824: pairs 11, "
-                r"restarts 5, swarm_size 15000, K 6, top_order 11, iterations 500$")):
+                r"restarts 5, swarm_size 15000, K 6, top_order 11, iterations 200$")):
             she.solve_pairs(SheProblem(1.0), pairs, replace(big, swarm_size=15000))
 
         # a billion cells is refused by its row, before any sign is built
@@ -732,6 +793,54 @@ class TestMemoryPlans:
         monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", peak - 1)
         with pytest.raises(ShePwmError, match="^the spectrum plans "):
             harmonics.plan_spectrum(k, max_order)
+
+    @pytest.mark.parametrize("build", ["build_lookup", "compare_methods"])
+    def test_the_thd_spectrum_is_planned_before_any_solve(self, monkeypatch, build):
+        def no_swarm(*args, **kwargs):
+            raise AssertionError("a swarm ran before the spectrum was planned")
+
+        monkeypatch.setattr(she, "minimize_stacked", no_swarm)
+        with pytest.raises(ShePwmError, match=(
+                r"^the spectrum plans \d+ bytes, over the budget of 1073741824: "
+                r"K 6, max_order 1000000000000$")):
+            getattr(dclink, build)([0.5, 1.0], PsoConfig(1), SheProblem(1.0),
+                                   thd_max_order=10**12)
+
+    @pytest.mark.parametrize("k, orders", [(1, ()), (6, (3, 5, 7, 9, 11)),
+                                           (8, (3, 5, 7, 9, 11, 13, 15))])
+    def test_the_row_plan_covers_a_solves_peak(self, k, orders):
+        # a solve's tracemalloc peak per particle row and angle, less its
+        # recurrence layers, stays under ROW_ANGLE_BYTES; at 120,000 row
+        # angles the draws hold one iteration, as near the budget
+        problem = SheProblem(0.5, eliminate_orders=orders, cells=k, angles_per_cell=1)
+        rows = 120_000 // k
+        tracemalloc.start()
+        try:
+            she.solve_pairs(problem, [(0.5, 1)],
+                            PsoConfig(1, swarm_size=rows, iterations=3, restarts=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layers = harmonics.LAYER_BYTES * ((max(orders, default=1) + 1) // 2)
+        assert peak / (rows * k) - layers <= she.ROW_ANGLE_BYTES
+
+    @pytest.mark.parametrize("k, max_order", [(1, 20001), (12, 2001)])
+    def test_the_segment_plan_covers_its_peak(self, monkeypatch, k, max_order):
+        # a budget one byte under the order table's measured peak refuses it
+        pattern = SheProblem(0.5, eliminate_orders=(), cells=k, angles_per_cell=1
+                             ).make_pattern(np.linspace(0.1, 1.5, k))
+        pattern.segments
+        monkeypatch.setattr(harmonics, "_segment_slot", (None, 0, None))
+        tracemalloc.start()
+        try:
+            segment_integral_harmonic(pattern, max_order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(harmonics, "_segment_slot", (None, 0, None))
+        monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", peak - 1)
+        with pytest.raises(ShePwmError, match="^the segment table plans "):
+            segment_integral_harmonic(pattern, max_order)
 
     def test_a_bad_pair_is_refused_before_the_plan(self):
         # the swarm plans past the budget, but the pair rule speaks first
