@@ -438,6 +438,19 @@ def assert_ordered(theta):
     assert np.all(theta >= 0.0) and np.all(theta <= HALF_PI)
 
 
+class TestKernelSort:
+    @pytest.mark.parametrize("rows", [999, 1000], ids=["below", "at"])
+    @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
+    def test_network_batch_makes_one_cosine_per_angle(self, rng, monkeypatch, name, rows):
+        # raw rows are sorted by one np.sort whatever the batch's size: a
+        # large batch, edge rows included, takes one np.cos and one np.sort
+        # over all its angles, as a small one does
+        problem = KERNEL_PROBLEMS[name](0.5)
+        pts = kernel_points(rng, problem.n_angles, rows - 3)  # + 3 edge rows
+        calls = count_kernel_calls(monkeypatch, raw_costs(problem, pts))
+        assert calls == {"cos": [pts.size] * 2, "sort": [pts.size] * 2, "log": [], "exp": []}
+
+
 class TestOrderedMap:
     """she._ordered_angles, the swarm's one map from [0, 1]^K to ascending
     angles, and the objective it feeds."""
