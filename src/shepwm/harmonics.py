@@ -97,9 +97,10 @@ def odd_harmonic_sums(
 
     From the (K, B) block of ``signed_cosines``, by the Chebyshev step
     cos((n+2)t) = (4c^2 - 2)*cos(nt) - cos((n-2)t), cos(-t) = cos(t), into one
-    (n_odd, K, B) stack whose K rows are added one at a time, so a column's
+    (n_odd, K, B) stack whose K rows ``add_rows`` adds in turn, so a column's
     bits do not depend on its batch. The fundamental alone (max_order 1)
-    needs no recurrence and adds the K rows of the block directly. columns,
+    needs no recurrence and adds the K rows of the block directly, so the
+    block must be C-ordered, as every caller's is. columns,
     when given, picks the block's columns to sum (B = len(columns)); they
     are gathered straight into the stack. Against math.cos (K <= 12; angles
     near 0 or pi/2 are the worst), a sum was off by at most 8e-13 up to
@@ -126,6 +127,21 @@ def odd_harmonic_sums(
             np.multiply(two_cos2, cur, out=nxt)
             nxt -= prev
         layers = stack.swapaxes(0, 1)
+    return add_rows(layers)
+
+
+def add_rows(layers: np.ndarray) -> np.ndarray:
+    """layers[0] + layers[1] + ... in row order, each sum's bits its own.
+
+    layers' last axis holds the columns, with the least stride. Two or more
+    columns take one np.add.reduce: the columns are its inner loop, so each
+    adds its rows in turn. It starts from -0.0, add's exact identity
+    (numpy's default +0.0 makes a sum of -0.0 rows +0.0). A single column
+    keeps the row loop: numpy drops its length-1 axis and would reduce along
+    the rows, pairwise from 8 of them.
+    """
+    if layers.shape[-1] > 1:
+        return np.add.reduce(layers, axis=0, initial=-0.0)
     sums = layers[0].copy()
     for layer in layers[1:]:
         sums += layer

@@ -286,11 +286,11 @@ def minimize_stacked(
         pbest_rows[moved] = x_rows[moved]
         fp_rows[moved] = fx[moved]
         # Only swarms whose least personal best beats their best gather a new
-        # one, and it is the first argmin's value: fp.min may give -0.0 where
-        # that is +0.0, though the two compare alike.
-        better = (fp.min(axis=1) < gval).nonzero()[0]
+        # one, and it is the first argmin's value: the minimum may be -0.0
+        # where that is +0.0, though the two compare alike.
+        better = (np.minimum.reduce(fp, axis=1) < gval).nonzero()[0]
         if better.size:
-            g = np.argmin(fp[better], axis=1)
+            g = fp[better].argmin(axis=1)
             gval[better] = fp[better, g]
             gpos[better] = pbest[better, g][:, None, :]
             conv[better] = t + 1

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_plan,
                      check_real, check_sequence)
-from .harmonics import LAYER_BYTES, odd_harmonic_sums, signed_cosines
+from .harmonics import LAYER_BYTES, add_rows, odd_harmonic_sums, signed_cosines
 from .optimizer import (
     OptimizerResult,
     PsoConfig,
@@ -136,7 +136,7 @@ class SheProblem:
             exponents=_column([1.0 / k for k in range(1, self.n_angles + 1)]),
             unit=unit,
             max_order=max(orders, default=1),
-            layers=[n // 2 for n in orders],
+            layers=_frozen([n // 2 for n in orders], np.intp),
             scale=_column([unit / n for n in orders]),
             weight=_column([self.weight_harmonics / n for n in orders]),
         )
@@ -155,7 +155,7 @@ class _KernelColumns(NamedTuple):
     exponents: np.ndarray  # (K, 1) the map's exponents 1/k, k = 1..K
     unit: float  # per-unit scale of the fundamental, 4/(pi*cells)
     max_order: int  # the highest order, 1 when there is none
-    layers: list[int]  # each order's layer n // 2 of the recurrence stack
+    layers: np.ndarray  # (n_orders,) intp, each order's layer n // 2 of the stack
     scale: np.ndarray  # (n_orders, 1) per-unit scale 4/(pi*cells*n)
     weight: np.ndarray  # (n_orders, 1) cost weight weight_harmonics/n
 
@@ -164,10 +164,14 @@ def _row_bytes(k: int, top: int) -> int:
     return k * (ROW_ANGLE_BYTES + LAYER_BYTES * ((top + 1) // 2))
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _column(values) -> np.ndarray:
-    col = np.array(values, dtype=np.float64)[:, None]
-    col.flags.writeable = False
-    return col
+    return _frozen(values, np.float64)[:, None]
 
 
 @dataclass(frozen=True)
@@ -270,9 +274,10 @@ def _ordered_angles(u: np.ndarray, problem: SheProblem) -> np.ndarray:
         np.log(theta, out=theta)
     theta *= problem._kernel.exponents
     np.exp(theta, out=theta)
-    theta[-1] *= HALF_PI
-    for k in range(len(theta) - 2, -1, -1):
-        theta[k] *= theta[k + 1]
+    rows = list(theta)
+    rows[-1] *= HALF_PI
+    for k in range(len(rows) - 2, -1, -1):
+        rows[k] *= rows[k + 1]
     return theta
 
 
@@ -290,15 +295,16 @@ def _ordered_cost(theta: np.ndarray, problem: SheProblem, target_m=None,
     # A NaN cutoff bounds nothing, so its row is kept.
     keep = np.arange(len(total)) if cutoff is None else (~(total >= cutoff)).nonzero()[0]
     sums = odd_harmonic_sums(block, kernel.max_order, keep)
-    terms = sums.take(kernel.layers, axis=0)
-    terms *= kernel.scale
-    np.abs(terms, out=terms)
-    terms *= kernel.weight
-    kept = total[keep]
-    # one order at a time, in eliminate_orders order: that order fixes the bits
-    for term in terms:
-        kept += term
-    total[keep] = kept
+    # row 0 the kept rows' fundamental term, then one row per order, added
+    # in eliminate_orders order: that order fixes the bits
+    terms = np.empty((1 + len(kernel.layers), len(keep)))
+    total.take(keep, out=terms[0], mode="clip")
+    orders = terms[1:]
+    sums.take(kernel.layers, axis=0, out=orders, mode="clip")
+    orders *= kernel.scale
+    np.abs(orders, out=orders)
+    orders *= kernel.weight
+    total[keep] = add_rows(terms)
     return total
 
 

@@ -65,6 +65,21 @@ def closed_form_oracle(pattern: SwitchingPattern, n: int) -> float:
     return (4.0 * pattern.vdc_per_cell) / (n * math.pi) * acc
 
 
+def reference_sums(signed_cos, max_order):
+    """The recurrence in its plainest form: the whole (n_odd, K, B) stack,
+    4c^2 - 2 taken whatever the order, K rows added in turn."""
+    k, rows = signed_cos.shape
+    stack = np.empty(((max_order + 1) // 2, k, rows))
+    stack[0] = signed_cos
+    two_cos2 = 4.0 * signed_cos * signed_cos - 2.0
+    for j in range(1, len(stack)):
+        stack[j] = two_cos2 * stack[j - 1] - stack[max(j - 2, 0)]
+    sums = stack[:, 0].copy()
+    for i in range(1, k):
+        sums += stack[:, i]
+    return sums
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -32,7 +32,7 @@ from shepwm.harmonics import (
 )
 from shepwm.pattern import levels
 
-from conftest import closed_form_oracle, random_valid_pattern
+from conftest import closed_form_oracle, random_valid_pattern, reference_sums
 
 SQUARE = SwitchingPattern((0.0,), (1,), 1, 200.0)
 SQUARE_FUNDAMENTAL = 4 * 200.0 / math.pi  # 254.64790894703253
@@ -311,6 +311,31 @@ class TestClosedFormOracle:
             for n in (1, 3, 499, 999):
                 err = abs(analytic_harmonic(p, n) - closed_form_oracle(p, n))
                 assert err <= 1e-12 * p.vdc_per_cell
+
+
+class TestOddHarmonicSums:
+    """odd_harmonic_sums gives the bits of the plain row loop."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 250])
+    @pytest.mark.parametrize("k", [1, 2, 6, 8, 12, 16])
+    def test_sums_have_the_row_loops_bits(self, rng, k, rows):
+        # each column adds its K rows in turn, whether the block is reduced
+        # in one call (two or more columns) or row by row (one column, which
+        # numpy would reduce pairwise from 8 rows); a column of -0.0 sums
+        # to -0.0, so the reduce must start from -0.0, not numpy's +0.0
+        block = signed_cosines(rng.random((k, rows)) * (math.pi / 2),
+                               rng.choice([-1.0, 1.0], k))
+        block[rng.random((k, rows)) < 0.25] = -0.0
+        block[k // 2, 0] = -0.0
+        if rows > 1:
+            block[:, -1] = -0.0
+        for max_order in (1, 3, 11, 49):
+            for columns in (None, np.array([rows // 2]), np.arange(0, rows, 2)):
+                picked = block if columns is None else block[:, columns]
+                got = odd_harmonic_sums(block, max_order, columns)
+                want = reference_sums(picked, max_order)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (max_order, columns)
 
 
 class TestSegmentIntegral:

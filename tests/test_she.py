@@ -30,6 +30,8 @@ from shepwm.errors import ShePwmError
 from shepwm.optimizer import derive_seed
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
 
+from conftest import reference_sums
+
 HALF_PI = math.pi / 2
 # she.check_target's refusal, shared by SheProblem and solve_pairs
 TARGET_RANGE = r"^target_m must be in \[0, 1\], got "
@@ -148,7 +150,10 @@ class TestKernelConstants:
         copy = pickle.loads(before)
         assert copy == problem and "_kernel" not in vars(copy)
         assert cost_batch(pts, copy).tobytes() == want.tobytes()
-        assert not copy._kernel.scale.flags.writeable
+        kernel = copy._kernel
+        for name in ("signs", "exponents", "layers", "scale", "weight"):
+            assert not getattr(kernel, name).flags.writeable, name
+        assert kernel.layers.dtype == np.intp
 
 
 def count_kernel_calls(monkeypatch, run):
@@ -315,21 +320,6 @@ class TestCost:
         for name in ("target_m", "cutoff"):
             with pytest.raises(ShePwmError, match=f"{name} must hold one value"):
                 cost_batch(pts, problem, **{name: np.full(shape, 0.5)})
-
-
-def reference_sums(signed_cos, max_order):
-    """The recurrence in its plainest form: the whole (n_odd, K, B) stack,
-    4c^2 - 2 taken whatever the order, K rows added in turn."""
-    k, rows = signed_cos.shape
-    stack = np.empty(((max_order + 1) // 2, k, rows))
-    stack[0] = signed_cos
-    two_cos2 = 4.0 * signed_cos * signed_cos - 2.0
-    for j in range(1, len(stack)):
-        stack[j] = two_cos2 * stack[j - 1] - stack[max(j - 2, 0)]
-    sums = stack[:, 0].copy()
-    for i in range(1, k):
-        sums += stack[:, i]
-    return sums
 
 
 def reference_magnitudes(block, orders, cells):
@@ -571,6 +561,21 @@ class TestSolve:
         sol = solve(problem, PsoConfig(seed=7, iterations=500))
         assert sol.feasible
         assert cost(sol.pattern.angles, problem) == sol.cost
+
+    def test_one_particle_solve_keeps_its_bits(self):
+        # every block of a one-particle swarm has one column, which the
+        # kernel sums row by row: numpy's reduce would sum its 8 rows
+        # pairwise and change residual 9's last bit
+        sol = solve(k8_problem(0.8), PsoConfig(seed=5, swarm_size=1, restarts=1))
+        assert sol.pattern.angles == (
+            0.1892582911169243, 0.23510261333757104, 0.26155780819760116,
+            0.3262424434363998, 0.44619467269339125, 0.8001237568777312,
+            0.9387595237364671, 1.0668476794590156)
+        assert sol.cost == 40.98755274602766
+        assert sol.fundamental_pu == 0.4098182315531306
+        assert sol.residuals_pu == {
+            3: 0.49347021064288094, 5: 0.026054946705843213, 7: 0.013842804351193403,
+            9: 0.10580198890844295, 11: 0.1485353160993314}
 
     def test_default_budget_keeps_the_median_cost(self):
         # the default problem over the paper grid at seeds 1-3: the median
