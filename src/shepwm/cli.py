@@ -12,10 +12,9 @@ Exit status: 0 on success, 1 when the full-modulation base point of a
 table/compare run misses the feasibility thresholds (outputs are still
 written), 2 on usage errors, on output paths that cannot be written and on
 two outputs (manifests included) that name the same file, and on a run whose
-arrays cannot be allocated: --max-order and --samples are capped (MAX_ORDER,
-MAX_SAMPLES), and SheProblem, she.solve_pairs and harmonics.plan_spectrum plan
-the rest before anything is built. A run that exits 2 leaves no output file and
-no stdout behind.
+arrays cannot be allocated: each count's arrays are planned against
+errors.COUNT_BUDGET_BYTES before they are built. A run that exits 2 leaves no
+output file and no stdout behind.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .dclink import build_lookup, compare_methods, comparison_csv, lookup_csv, lookup_json
-from .errors import COUNT_BUDGET_BYTES, ShePwmError, ZeroFundamental, check_count
+from .errors import ShePwmError, ZeroFundamental, check_count, check_plan
 from .harmonics import (DEFAULT_MAX_ORDER, HarmonicSpectrum, analytic_spectrum, plan_spectrum,
                         spectrum_csv, thd)
 from .optimizer import PsoConfig
@@ -41,23 +40,9 @@ GRID_STOP_SLACK = 1e-9
 # Cap on (stop - start) / step of a start:stop:step grid, checked before the
 # grid is built.
 MAX_GRID_POINTS = 1_000_000
-# Caps on the counts whose memory grows with their value, checked before
-# anything is allocated: about COUNT_BUDGET_BYTES for either at its cap. An
-# order of `analyze --max-order` holds about 1.1 kB at peak (its spectrum
-# entry, its JSON record and text); a sample of `--samples` about 26 B
-# (synthesize's arrays and the phases the CSV reads).
+# The bytes one order of `analyze --max-order` holds at peak: about 1.1 kB for
+# its spectrum entry, its JSON record and its text.
 ORDER_BYTES = 1200
-SAMPLE_BYTES = 32
-MAX_ORDER = COUNT_BUDGET_BYTES // ORDER_BYTES
-MAX_SAMPLES = COUNT_BUDGET_BYTES // SAMPLE_BYTES
-
-
-def _check_capped(value, flag: str, cap: int) -> int:
-    """value by check_count, refused above cap."""
-    value = check_count(value, flag)
-    if value > cap:
-        raise ShePwmError(f"{flag} must be <= {cap}, got {value}")
-    return value
 
 
 def _float_list(text: str) -> list[float]:
@@ -142,9 +127,9 @@ _NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
 
 def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
     """Problem, swarm and manifest config: both dataclasses in full, plus every
-    parsed argument that is not one of their fields. --max-order is checked
-    against its cap, and its spectrum planned, before any solve."""
-    _check_capped(args.max_order, "--max-order", MAX_ORDER)
+    parsed argument that is not one of their fields. --max-order is checked,
+    and its spectrum planned, before any solve."""
+    check_count(args.max_order, "--max-order")
     given = vars(args)
     problem = SheProblem(
         target_m,
@@ -284,8 +269,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    _check_capped(args.max_order, "--max-order", MAX_ORDER)
-    _check_capped(args.samples, "--samples", MAX_SAMPLES)
+    check_plan(ORDER_BYTES * check_count(args.max_order, "--max-order"), "the analysis",
+               max_order=args.max_order)
+    check_count(args.samples, "--samples")
     angles = args.angles
     if args.degrees:
         angles = [math.radians(a) for a in angles]

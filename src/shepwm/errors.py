@@ -11,7 +11,7 @@ import numbers
 import operator
 from collections.abc import Mapping
 
-# The bytes one planned peak may take: a swarm, a spectrum, a count the CLI caps.
+# The bytes one planned peak may take: a swarm, a spectrum, a waveform, an analysis.
 COUNT_BUDGET_BYTES = 1 << 30
 
 

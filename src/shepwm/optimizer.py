@@ -38,6 +38,14 @@ def check_seed(seed, name: str = "seed") -> int:
     return value
 
 
+def check_swarm_size(n, name: str) -> int:
+    """n by check_count, refused below 2: a lone particle is its own best and never moves."""
+    n = check_count(n, name)
+    if n < 2:
+        raise ShePwmError(f"{name} must be >= 2, got {n}")
+    return n
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for independent work item `index` under a base seed.
 
@@ -61,7 +69,7 @@ class PsoConfig:
     velocity_clamp_fraction: float = 0.2
     restarts: int = 5
 
-    RULES = (("seed", check_seed), ("swarm_size", check_count),
+    RULES = (("seed", check_seed), ("swarm_size", check_swarm_size),
              ("iterations", check_count), ("inertia_start", check_nonnegative),
              ("inertia_end", check_nonnegative), ("cognitive", check_nonnegative),
              ("social", check_nonnegative), ("velocity_clamp_fraction", check_real),

@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShePwmError, apply_rules, check_count, check_real, check_sequence
+from .errors import (ShePwmError, apply_rules, check_count, check_plan, check_real,
+                     check_sequence)
 
 HALF_PI = math.pi / 2
 
@@ -30,6 +31,9 @@ HALF_PI = math.pi / 2
 # waveform rises, notches back to zero, climbs to the full level, then steps
 # back down to zero before pi/2.
 DEFAULT_SIGNS_K6 = (1, -1, 1, 1, -1, -1)
+# The bytes one sample holds at peak: synthesize's arrays and the phases that
+# waveform_csv reads, about 26 B by tracemalloc at K = 1 and K = 12.
+SAMPLE_BYTES = 32
 
 
 class SegmentTable(NamedTuple):
@@ -244,6 +248,7 @@ def synthesize(pattern: SwitchingPattern, n_samples: int) -> WaveformSamples:
         raise ShePwmError(
             f"sample count must be a positive multiple of 4, got {n_samples}"
         )
+    check_plan(SAMPLE_BYTES * int(n_samples), "the waveform", n_samples=n_samples)
     quarter = n_samples // 4
     phases = 2.0 * np.pi * np.arange(quarter + 1) / n_samples
     breakpoints, volts = pattern.segments

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shepwm
-from shepwm import PsoConfig, SheProblem, build_lookup, cli, cost, solve
+from shepwm import PsoConfig, SheProblem, build_lookup, cli, cost, errors, pattern, solve
 from shepwm.dclink import read_lookup_csv
 from shepwm.errors import ShePwmError
 from shepwm.harmonics import DEFAULT_MAX_ORDER
@@ -120,18 +120,18 @@ class TestSolve:
         assert "timestamp" in manifest and "version" in manifest
 
 
-# 30,000 angles under the order cap: a recurrence stack of over 100 GB, which
-# only the spectrum's plan refuses before it is built
+# 30,000 angles at the analysis plan's largest order: a recurrence stack of
+# over 100 GB, which only the spectrum's plan refuses before it is built
 WIDE_SPECTRUM = ["analyze", "--angles", ",".join(["0"] * 30000),
-                 "--signs", ",".join(["1", "-1"] * 15000), "--max-order", str(cli.MAX_ORDER)]
+                 "--signs", ",".join(["1", "-1"] * 15000), "--max-order", "894784"]
 # counts the library refuses, not argparse: one error line and no usage block
 ONE_LINE = [
     ["solve", "--pu", "0.5", "--seed", "1", "--max-order", "0"],
     ["table", "--pu-grid", "0.5,1.0", "--seed", "1", "--out", "t.csv",
      "--max-order", "0"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "0"],
-    # counts above their caps, refused before anything is allocated
-    ["solve", "--pu", "0.5", "--seed", "1", "--max-order", str(cli.MAX_ORDER + 1)],
+    # counts past their plans, refused before anything is allocated
+    ["solve", "--pu", "0.5", "--seed", "1", "--max-order", "1000000000"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--max-order", "1000000000"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "4000000000",
      "--emit-waveform", "w.csv"],
@@ -181,6 +181,7 @@ class TestUsageErrors:
             ["sweep", "--pu-grid", "0.1:1.0:nan", "--seed", "1"],
             ["sweep", "--pu-grid", "0:1:1e-9", "--seed", "1"],
             ["solve", "--pu", "0.5", "--seed", "1", "--swarm", "0"],
+            ["solve", "--pu", "0.5", "--seed", "1", "--swarm", "1"],
             ["solve", "--pu", "0.5", "--seed", "1", "--cells", "0"],
             ["solve", "--pu", "0.5", "--seed", "1", "--angles-per-cell", "0"],
             ["solve", "--pu", "0.5", "--seed", "18446744073709551616"],
@@ -237,19 +238,48 @@ class TestUsageErrors:
         assert sum("error:" in line for line in stderr.splitlines()) == 1, stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_caps_admit_their_own_value(self):
-        # the capped counts stop exactly at their caps, and the sample cap is
-        # a count synthesize takes (a multiple of 4)
-        for flag, cap in (("--max-order", cli.MAX_ORDER), ("--samples", cli.MAX_SAMPLES)):
-            assert cli._check_capped(cap, flag, cap) == cap
-            with pytest.raises(ShePwmError, match=f"{flag} must be <= {cap}, got"):
-                cli._check_capped(cap + 1, flag, cap)
-        assert cli.MAX_SAMPLES % 4 == 0
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-order", "894785"],
+         "the analysis plans 1073742000 bytes, over the budget of 1073741824: "
+         "max_order 894785"),
+        (["--samples", "33554436", "--emit-waveform", "w.csv"],
+         "the waveform plans 1073741952 bytes, over the budget of 1073741824: "
+         "n_samples 33554436"),
+    ], ids=["max-order", "samples"])
+    def test_analyze_refuses_one_past_its_thresholds(self, monkeypatch, capsys, tmp_path,
+                                                     flags, message):
+        # 1200 B per order and 32 B per sample against 2^30: order 894,784
+        # and 33,554,432 samples (a multiple of 4) are the last admitted
+        assert cli.ORDER_BYTES * 894_784 <= errors.COUNT_BUDGET_BYTES
+        assert pattern.SAMPLE_BYTES * 33_554_432 <= errors.COUNT_BUDGET_BYTES
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", "--angles", "0.1", "--signs", "1", *flags]) == 2
+        assert capsys.readouterr().err == f"shepwm: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("budget, flags, admitted, refused, message", [
+        (1200 * 60, ["--max-order"], "60", "61",
+         "the analysis plans 73200 bytes, over the budget of 72000: max_order 61"),
+        # the next count synthesize takes is 4 samples on
+        (32 * 1024, ["--max-order", "9", "--emit-waveform", "w.csv", "--samples"], "1024",
+         "1028", "the waveform plans 32896 bytes, over the budget of 32768: n_samples 1028"),
+    ], ids=["max-order", "samples"])
+    def test_analyze_admits_up_to_its_plans(self, monkeypatch, capsys, tmp_path, budget,
+                                            flags, admitted, refused, message):
+        # the thresholds above, scaled down with the budget so that the
+        # admitted count runs end to end
+        monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", budget)
+        monkeypatch.chdir(tmp_path)
+        command = ["analyze", "--angles", "0.1", "--signs", "1", *flags]
+        assert cli.main([*command, admitted]) == 0
+        capsys.readouterr()
+        assert cli.main([*command, refused]) == 2
+        assert capsys.readouterr().err == f"shepwm: error: {message}\n"
 
     @pytest.mark.parametrize("command", ["solve", "sweep", "table", "compare"])
     def test_spectrum_is_planned_before_any_swarm(self, monkeypatch, capsys, tmp_path,
                                                   command):
-        # K = 230 solves within budget, but its spectrum at the order cap plans
+        # K = 230 solves within budget, but its spectrum at order 894,784 plans
         # past it; the solver commands refuse that before the swarm runs
         def no_swarm(*args, **kwargs):
             raise AssertionError("a swarm ran before the spectrum was planned")
@@ -258,7 +288,7 @@ class TestUsageErrors:
         target = ["--pu", "0.5"] if command == "solve" else ["--pu-grid", "0.5,1.0"]
         out = [] if command in ("solve", "sweep") else ["--out", str(tmp_path / "o.csv")]
         assert cli.main([command, *target, *out, "--seed", "1", "--cells", "230",
-                         "--angles-per-cell", "1", "--max-order", str(cli.MAX_ORDER)]) == 2
+                         "--angles-per-cell", "1", "--max-order", "894784"]) == 2
         assert capsys.readouterr().err == (
             "shepwm: error: the spectrum plans 1107742680 bytes, over the budget of "
             "1073741824: K 230, max_order 894784\n")

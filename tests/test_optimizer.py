@@ -149,6 +149,7 @@ class TestConfig:
             dict(seed=-1),
             dict(seed=2**64),
             dict(seed=1, swarm_size=0),
+            dict(seed=1, swarm_size=1),
             dict(seed=1, iterations=0),
             dict(seed=1, restarts=0),
             dict(seed=1, inertia_start=0.3, inertia_end=0.5),
@@ -314,7 +315,7 @@ class TestStackedOracle:
 
     @given(
         restarts=st.integers(1, 4),
-        swarm=st.integers(1, 7),
+        swarm=st.integers(2, 7),
         iterations=st.integers(1, 30),
         bounds=st.lists(st.sampled_from(ORACLE_BOUNDS), min_size=1, max_size=8),
         seed=st.integers(0, 2**64 - 1),

@@ -179,17 +179,19 @@ def test_only_apply_rules_sets_a_frozen_field():
 
 def test_each_plan_constant_has_one_home():
     # each memory plan's constant is assigned once, beside the array it
-    # measures; an assignment in cli.py would be a second copy of a plan
+    # measures; cli.py holds only analyze's, whose bytes are its own JSON text
     package = Path(shepwm.__file__).parent
     homes = {name: [] for name in ("COUNT_BUDGET_BYTES", "ROW_ANGLE_BYTES", "LAYER_BYTES",
-                                   "HISTORY_BYTES", "MAGNITUDE_BYTES", "SEGMENT_BYTES")}
+                                   "HISTORY_BYTES", "MAGNITUDE_BYTES", "SEGMENT_BYTES",
+                                   "SAMPLE_BYTES", "ORDER_BYTES")}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 homes.get(node.id, []).append(path.name)
     assert homes == {"COUNT_BUDGET_BYTES": ["errors.py"], "ROW_ANGLE_BYTES": ["she.py"],
                      "LAYER_BYTES": ["harmonics.py"], "HISTORY_BYTES": ["she.py"],
-                     "MAGNITUDE_BYTES": ["harmonics.py"], "SEGMENT_BYTES": ["harmonics.py"]}
+                     "MAGNITUDE_BYTES": ["harmonics.py"], "SEGMENT_BYTES": ["harmonics.py"],
+                     "SAMPLE_BYTES": ["pattern.py"], "ORDER_BYTES": ["cli.py"]}
 
 
 def test_readme_lookup_schema_matches_the_header():
@@ -232,6 +234,7 @@ def test_readme_value_rules_match_the_rule_functions():
              "errors.check_sequence", "errors.apply_rules",
              "pattern.check_vdc", "pattern.check_angles", "pattern.check_signs",
              "she.check_target", "she.check_orders", "optimizer.check_seed",
+             "optimizer.check_swarm_size",
              "dclink.check_flag", "dclink.check_lookup_grid",
              "harmonics.check_magnitudes"}
     assert rules - {f"{m}.{f}" for m, f in cited} == set()

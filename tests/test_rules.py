@@ -36,7 +36,7 @@ from shepwm.dclink import check_flag, check_lookup_grid, lookup_csv, read_lookup
 from shepwm.errors import (GridPositionError, ShePwmError, check_count,
                            check_nonnegative, check_real)
 from shepwm.harmonics import check_magnitudes
-from shepwm.optimizer import check_seed
+from shepwm.optimizer import check_seed, check_swarm_size
 from shepwm.pattern import check_angles, check_signs, check_vdc
 from shepwm.she import _signs_or_none, check_orders, check_target, solve_pairs
 
@@ -51,7 +51,7 @@ RULES = {
                  "cells": check_count, "angles_per_cell": check_count,
                  "sign_pattern": _signs_or_none, "weight_fundamental": check_nonnegative,
                  "weight_harmonics": check_nonnegative, "vdc_per_cell": check_vdc},
-    PsoConfig: {"seed": check_seed, "swarm_size": check_count, "iterations": check_count,
+    PsoConfig: {"seed": check_seed, "swarm_size": check_swarm_size, "iterations": check_count,
                 "inertia_start": check_nonnegative, "inertia_end": check_nonnegative,
                 "cognitive": check_nonnegative, "social": check_nonnegative,
                 "velocity_clamp_fraction": check_real, "restarts": check_count},
@@ -81,7 +81,7 @@ VALID = {
 # the rules whose field is a sequence; the element cases set its first value
 SEQUENCE_RULES = {check_angles, check_lookup_grid, check_signs, _signs_or_none,
                   check_orders, check_magnitudes}
-COUNT_RULES = {check_count, check_orders}
+COUNT_RULES = {check_count, check_orders, check_swarm_size}
 REAL_RULES = {check_real, check_nonnegative, check_vdc, check_target, check_angles,
               check_lookup_grid, check_magnitudes}
 SIGN_RULES = {check_signs, _signs_or_none}

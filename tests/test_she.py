@@ -24,10 +24,12 @@ from shepwm import (
     segment_integral_harmonic,
     solve,
     sweep,
+    synthesize,
 )
 from shepwm import dclink, errors, harmonics, she
 from shepwm.errors import ShePwmError
 from shepwm.optimizer import derive_seed
+from shepwm.pattern import waveform_csv
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
 
 from conftest import reference_sums
@@ -562,21 +564,6 @@ class TestSolve:
         assert sol.feasible
         assert cost(sol.pattern.angles, problem) == sol.cost
 
-    def test_one_particle_solve_keeps_its_bits(self):
-        # every block of a one-particle swarm has one column, which the
-        # kernel sums row by row: numpy's reduce would sum its 8 rows
-        # pairwise and change residual 9's last bit
-        sol = solve(k8_problem(0.8), PsoConfig(seed=5, swarm_size=1, restarts=1))
-        assert sol.pattern.angles == (
-            0.1892582911169243, 0.23510261333757104, 0.26155780819760116,
-            0.3262424434363998, 0.44619467269339125, 0.8001237568777312,
-            0.9387595237364671, 1.0668476794590156)
-        assert sol.cost == 40.98755274602766
-        assert sol.fundamental_pu == 0.4098182315531306
-        assert sol.residuals_pu == {
-            3: 0.49347021064288094, 5: 0.026054946705843213, 7: 0.013842804351193403,
-            9: 0.10580198890844295, 11: 0.1485353160993314}
-
     def test_default_budget_keeps_the_median_cost(self):
         # the default problem over the paper grid at seeds 1-3: the median
         # cost at the default budget stays below 0.2968, the raw-angle
@@ -754,6 +741,8 @@ OVERSIZE = {
     "max_order": lambda: pattern_thd(SheProblem(0.5).make_pattern([0.1] * 6), 10**20 + 1),
     "segment_order": lambda: segment_integral_harmonic(
         SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0), 10**20),
+    "n_samples": lambda: synthesize(SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0),
+                                    4 * 10**15),
 }
 
 
@@ -811,6 +800,23 @@ class TestMemoryPlans:
         monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", peak - 1)
         with pytest.raises(ShePwmError, match="^the spectrum plans "):
             harmonics.plan_spectrum(k, max_order)
+
+    @pytest.mark.parametrize("k, n_samples", [(1, 1 << 16), (12, 1 << 16)])
+    def test_the_samples_plan_covers_its_peak(self, monkeypatch, k, n_samples):
+        # synthesize plus the phases waveform_csv reads as it streams the text;
+        # a budget one byte under their measured peak refuses the plan
+        wave = SheProblem(0.5, eliminate_orders=(), cells=k, angles_per_cell=1
+                          ).make_pattern(np.linspace(0.1, 1.5, k))
+        tracemalloc.start()
+        try:
+            for _ in waveform_csv(synthesize(wave, n_samples)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", peak - 1)
+        with pytest.raises(ShePwmError, match="^the waveform plans "):
+            synthesize(wave, n_samples)
 
     @pytest.mark.parametrize("build", ["build_lookup", "compare_methods"])
     def test_the_thd_spectrum_is_planned_before_any_solve(self, monkeypatch, build):
