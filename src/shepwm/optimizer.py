@@ -18,13 +18,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_real,
-                     check_sequence)
+from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_plan,
+                     check_real, check_sequence)
 
 _U64_MAX = 2**64 - 1
 # The most bytes of uniform draws a stacked swarm holds at once; it fixes how
 # many iterations each swarm's stream fills per call (at least one).
 DRAW_BUDGET_BYTES = 1 << 20
+# A swarm's peak with its objective's output: tracemalloc read 154 B per row at
+# one dimension, 26 B per row and 122 B per row and dimension at 2 to 12 (one
+# swarm, so its tiled bounds are per row; every row improving), and 16 B per
+# swarm and iteration of history and its copy; draws add <= DRAW_BUDGET_BYTES.
+SWARM_ROW_BYTES = 40
+SWARM_DIM_BYTES = 124
+HISTORY_BYTES = 16
 
 
 def check_seed(seed, name: str = "seed") -> int:
@@ -44,6 +51,12 @@ def check_swarm_size(n, name: str) -> int:
     if n < 2:
         raise ShePwmError(f"{name} must be >= 2, got {n}")
     return n
+
+
+def swarm_bytes(swarms: int, size: int, dim: int, iterations: int) -> int:
+    """The planned peak of stacked swarms, less the objective's working arrays."""
+    return (swarms * size * (SWARM_ROW_BYTES + dim * SWARM_DIM_BYTES)
+            + swarms * (iterations + 1) * HISTORY_BYTES + DRAW_BUDGET_BYTES)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -180,6 +193,8 @@ def minimize_stacked(
     vmax = config.velocity_clamp_fraction * span
     restarts, size, iters = config.restarts, config.swarm_size, config.iterations
     blocks = len(seeds) * restarts
+    check_plan(swarm_bytes(blocks, size, dim, iters), "the swarm", seeds=len(seeds),
+               restarts=restarts, swarm_size=size, dimensions=dim, iterations=iters)
     rows = blocks * size
     x = np.empty((blocks, size, dim))
     # Every personal best starts at +inf. The objective reads the positions,

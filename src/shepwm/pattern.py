@@ -179,13 +179,17 @@ class WaveformSamples:
     """Uniform samples of one fundamental period of the output voltage.
 
     Holds an array, so instances compare by identity. The samples must be
-    finite, an even count of at least 4, and odd half-wave symmetric.
+    one-dimensional, finite, an even count of at least 4, and odd half-wave
+    symmetric.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
         apply_rules(self, [("samples", lambda v, _: np.asarray(v, dtype=np.float64))])
+        if self.samples.ndim != 1:
+            raise ShePwmError(f"waveform samples must be one-dimensional, got shape "
+                              f"{self.samples.shape}")
         n = self.samples.size
         if n < 4 or n % 2 != 0:
             raise ShePwmError(f"need an even sample count >= 4, got {n}")

@@ -5,13 +5,14 @@ home of the map, turns each point u into ascending angles in [0, pi/2]:
 theta_K = (pi/2)*u_K^(1/K), then theta_k = theta_(k+1)*u_k^(1/k). That is
 the order-statistic construction of K sorted uniforms, so the box covers the
 ordered angles once, with uniform density, and the swarm never sorts.
-``cost_batch``, the public cost of raw angle rows, sorts each row once and
-runs the same kernel; the scalar ``cost`` runs it on one row, and a
-solution's cost is its optimizer's best value, which is that full cost bit
-for bit. ``solve``, ``sweep`` and the variable-DC-link comparison all go
-through ``solve_pairs``, which runs every (target, seed) pair's swarms as
-one stacked batch. ``SheProblem`` plans one particle row's peak and
-``solve_pairs`` the swarm's before anything is built.
+``cost_batch``, the public cost of raw angle rows, refuses angles outside
+[0, pi/2], sorts each row once and runs the same kernel; the scalar
+``cost`` is its value for one row, and a solution's cost is its optimizer's
+best value, which is that full cost bit for bit. ``solve``, ``sweep`` and the
+variable-DC-link comparison all go through ``solve_pairs``, which runs
+every (target, seed) pair's swarms as one stacked batch. ``SheProblem``
+plans the kernel's share of one particle row and ``solve_pairs`` the
+solve's peak before anything is built.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .optimizer import (
     check_seed,
     derive_seed,
     minimize_stacked,
+    swarm_bytes,
 )
 from .pattern import HALF_PI, SwitchingPattern, check_signs, check_vdc, default_sign_pattern
 
@@ -42,12 +44,10 @@ RESIDUAL_THRESHOLD_PU = 1e-3
 FUNDAMENTAL_THRESHOLD_PU = 1e-3
 
 DEFAULT_ELIMINATE = (3, 5, 7, 9, 11)
-# A solve's peak: tracemalloc read 140 B per particle row and angle at K >= 6
-# and 204 B at K = 1 (the swarm state, its draws and the kernel's cosines),
-# plus harmonics.LAYER_BYTES per recurrence layer, and 8 B per history entry
-# of each swarm, 16 B when each swarm is a target of its own.
-ROW_ANGLE_BYTES = 208
-HISTORY_BYTES = 16
+# The kernel's share of a solve's peak, past optimizer.swarm_bytes: with
+# harmonics.LAYER_BYTES per recurrence layer, tracemalloc read 31 B per
+# particle row and angle at K = 1 (its per-row arrays) and at most 2 B at K >= 6.
+ROW_ANGLE_BYTES = 32
 
 
 def check_target(m, name: str = "target_m") -> float:
@@ -199,19 +199,11 @@ def cost(angles: Sequence[float], problem: SheProblem) -> float:
         raise ShePwmError(
             f"expected {problem.n_angles} angles, got shape {arr.shape}"
         )
-    # NaN fails both comparisons, so it is refused with the out-of-box angles
-    if not np.all((arr >= 0.0) & (arr <= HALF_PI)):
-        raise ShePwmError("angles must lie within [0, pi/2]")
     return float(cost_batch(arr, problem)[0])
 
 
-def cost_batch(
-    positions: np.ndarray,
-    problem: SheProblem,
-    target_m: np.ndarray | None = None,
-    cutoff: np.ndarray | None = None,
-) -> np.ndarray:
-    """Elimination cost for a (P, K) batch of raw angle vectors.
+def cost_batch(positions: np.ndarray, problem: SheProblem) -> np.ndarray:
+    """Elimination cost for a (P, K) batch of raw angle vectors within [0, pi/2].
 
     Each row is sorted ascending (one np.sort over the batch) and then costed
     by the kernel the swarm runs on its mapped rows. Harmonics are per-unit
@@ -225,34 +217,17 @@ def cost_batch(
     ``harmonics.signed_cosines`` makes one cosine per angle and
     ``harmonics.odd_harmonic_sums`` takes every order's sum, so a row's bits
     do not depend on the batch it is evaluated in.
-
-    target_m, when given, is a (P,) vector of per-row targets that replaces
-    problem.target_m; row i then costs what it would cost alone under
-    replace(problem, target_m=target_m[i]).
-
-    cutoff, when given, is a (P,) vector of bounds that lets the kernel skip
-    rows that cannot come in under them: a row whose fundamental term is
-    already >= its cutoff returns that term, and only the other rows run
-    the harmonic orders. Every harmonic term is >= +0 and rounded addition
-    of a non-negative number never decreases a sum, so a skipped row's
-    value lies between its cutoff and its full cost, and each row compares
-    with its cutoff as its full cost would. Rows that are not skipped get
-    their full cost, bit for bit.
     """
     arr = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     k = problem.n_angles
     if arr.ndim != 2 or arr.shape[1] != k:
         raise ShePwmError(f"expected {k} angles per row, got shape {arr.shape}")
-    rows = arr.shape[0]
-    for name, per_row in (("target_m", target_m), ("cutoff", cutoff)):
-        if per_row is not None and np.shape(per_row) != (rows,):
-            raise ShePwmError(
-                f"{name} must hold one value per row ({rows}), "
-                f"got shape {np.shape(per_row)}"
-            )
     # copied into the (K, P) layout the map writes
     theta = np.sort(arr, axis=1).T.copy()
-    return _ordered_cost(theta, problem, target_m, cutoff)
+    # np.sort puts NaN last, so the last row's maximum refuses it too
+    if theta.size and not (theta[0].min() >= 0.0 and theta[-1].max() <= HALF_PI):
+        raise ShePwmError("angles must lie within [0, pi/2]")
+    return _ordered_cost(theta, problem)
 
 
 def _ordered_angles(u: np.ndarray, problem: SheProblem) -> np.ndarray:
@@ -284,7 +259,11 @@ def _ordered_angles(u: np.ndarray, problem: SheProblem) -> np.ndarray:
 def _ordered_cost(theta: np.ndarray, problem: SheProblem, target_m=None,
                   cutoff=None) -> np.ndarray:
     """cost_batch's value of each column of a (K, B) block of ascending
-    angles, which it overwrites; target_m and cutoff as there, unchecked."""
+    angles, which it overwrites; unchecked. target_m and cutoff, when given,
+    hold one value per column: its target, and a bound at or above which it
+    returns its fundamental term alone. That lies between the bound and its
+    full cost, as no harmonic term is below +0 and rounded addition of one
+    never decreases a sum; the others get their full cost, bit for bit."""
     if target_m is None:
         target_m = problem.target_m
     kernel = problem._kernel
@@ -381,8 +360,9 @@ def solve_pairs(
     jobs = check_count(jobs, "jobs")
     pairs = check_sequence(pairs, "pairs", _check_pair)
     k, top, n = problem.n_angles, max(problem.eliminate_orders, default=1), len(pairs)
-    check_plan(n * pso.restarts * (pso.swarm_size * _row_bytes(k, top)
-                                   + (pso.iterations + 1) * HISTORY_BYTES), "the solve",
+    swarms = n * pso.restarts
+    check_plan(swarm_bytes(swarms, pso.swarm_size, k, pso.iterations)
+               + swarms * pso.swarm_size * _row_bytes(k, top), "the solve",
                pairs=n, restarts=pso.restarts, swarm_size=pso.swarm_size, K=k,
                top_order=top, iterations=pso.iterations)
     chunks = min(jobs, len(pairs), os.cpu_count() or 1)

@@ -158,6 +158,29 @@ def test_only_the_count_and_seed_rules_take_an_index():
     assert found == {("errors.py", "check_count"), ("optimizer.py", "check_seed")}
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs on the package, so a deletion that leaves an import
+    # behind is caught here; __init__.py imports to re-export
+    package = Path(shepwm.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def test_only_apply_rules_sets_a_frozen_field():
     # every type stores its fields through its rule table; a bare
     # object.__setattr__ anywhere else would be a rule applied by hand
@@ -182,14 +205,17 @@ def test_each_plan_constant_has_one_home():
     # measures; cli.py holds only analyze's, whose bytes are its own JSON text
     package = Path(shepwm.__file__).parent
     homes = {name: [] for name in ("COUNT_BUDGET_BYTES", "ROW_ANGLE_BYTES", "LAYER_BYTES",
-                                   "HISTORY_BYTES", "MAGNITUDE_BYTES", "SEGMENT_BYTES",
+                                   "SWARM_ROW_BYTES", "SWARM_DIM_BYTES", "HISTORY_BYTES",
+                                   "DRAW_BUDGET_BYTES", "MAGNITUDE_BYTES", "SEGMENT_BYTES",
                                    "SAMPLE_BYTES", "ORDER_BYTES")}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 homes.get(node.id, []).append(path.name)
     assert homes == {"COUNT_BUDGET_BYTES": ["errors.py"], "ROW_ANGLE_BYTES": ["she.py"],
-                     "LAYER_BYTES": ["harmonics.py"], "HISTORY_BYTES": ["she.py"],
+                     "LAYER_BYTES": ["harmonics.py"], "SWARM_ROW_BYTES": ["optimizer.py"],
+                     "SWARM_DIM_BYTES": ["optimizer.py"], "HISTORY_BYTES": ["optimizer.py"],
+                     "DRAW_BUDGET_BYTES": ["optimizer.py"],
                      "MAGNITUDE_BYTES": ["harmonics.py"], "SEGMENT_BYTES": ["harmonics.py"],
                      "SAMPLE_BYTES": ["pattern.py"], "ORDER_BYTES": ["cli.py"]}
 

@@ -278,6 +278,14 @@ class TestWaveformSamples:
         with pytest.raises(ShePwmError, match="must be finite"):
             WaveformSamples(samples=np.array([bad, 1.0, bad, -1.0]))
 
+    @pytest.mark.parametrize("shape", [(8, 1), (2, 4), (1, 8), ()])
+    def test_rejects_samples_not_one_dimensional(self, shape):
+        # a column of samples would pass the count and symmetry checks and
+        # then break dft_spectrum and waveform_csv
+        message = f"waveform samples must be one-dimensional, got shape {shape}"
+        with pytest.raises(ShePwmError, match=f"^{re.escape(message)}$"):
+            WaveformSamples(samples=np.zeros(shape))
+
     def test_accepts_numerically_symmetric_sine(self):
         n = 64
         v = np.sin(2 * np.pi * np.arange(n) / n)

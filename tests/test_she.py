@@ -28,7 +28,7 @@ from shepwm import (
 )
 from shepwm import dclink, errors, harmonics, she
 from shepwm.errors import ShePwmError
-from shepwm.optimizer import derive_seed
+from shepwm.optimizer import derive_seed, minimize
 from shepwm.pattern import waveform_csv
 from shepwm.she import FUNDAMENTAL_THRESHOLD_PU, RESIDUAL_THRESHOLD_PU
 
@@ -184,10 +184,17 @@ def count_kernel_calls(monkeypatch, run):
     return calls
 
 
+def sorted_cost(pts, problem, targets=None, cutoff=None):
+    """she._ordered_cost, the swarm's kernel, on pts' rows sorted, with
+    per-row targets and cutoffs."""
+    return she._ordered_cost(np.sort(pts, axis=1).T.copy(), problem, targets, cutoff)
+
+
 def raw_costs(problem, pts):
-    """A run for count_kernel_calls: cost_batch on pts without and with a cutoff."""
+    """A run for count_kernel_calls: cost_batch on pts, then sorted_cost with
+    a cutoff, whose sort is the test's and so is not counted."""
     cutoff = np.full(len(pts), np.median(cost_batch(pts, problem)))
-    return lambda: [cost_batch(pts, problem), cost_batch(pts, problem, cutoff=cutoff)]
+    return lambda: [cost_batch(pts, problem), sorted_cost(pts, problem, None, cutoff)]
 
 
 class TestCost:
@@ -232,16 +239,25 @@ class TestCost:
         with pytest.raises(ShePwmError, match="expected 6 angles"):
             cost([0.1, 0.2], SheProblem(target_m=0.5))
 
-    def test_out_of_box(self):
-        with pytest.raises(ShePwmError, match="angles must lie within"):
-            cost([0.1, 0.2, 0.3, 0.4, 0.5, 1.7], SheProblem(target_m=0.5))
+    def test_out_of_box(self, rng):
+        # cost and cost_batch hold one box rule, wherever the row sits
+        problem = SheProblem(target_m=0.5)
+        for bad in (1.7, 3.0, -1.0):
+            row = [0.1, 0.2, 0.3, 0.4, 0.5, bad]
+            with pytest.raises(ShePwmError, match=r"^angles must lie within \[0, pi/2\]$"):
+                cost(row, problem)
+            for batch in ([row] * 6, np.vstack([rng.random((5, 6)), row])):
+                with pytest.raises(ShePwmError, match=r"^angles must lie within \[0, pi/2\]$"):
+                    cost_batch(batch, problem)
 
     @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
     def test_non_finite_angle_refused(self, bad):
-        with pytest.raises(ShePwmError, match="angles must lie within"):
-            cost([0.1, 0.2, bad, 0.4, 0.5, 0.6], SheProblem(target_m=0.5))
-        with pytest.raises(ShePwmError, match="angles must lie within"):
-            cost([bad] * 6, SheProblem(target_m=0.5))
+        problem = SheProblem(target_m=0.5)
+        for row in ([0.1, 0.2, bad, 0.4, 0.5, 0.6], [bad] * 6):
+            with pytest.raises(ShePwmError, match="angles must lie within"):
+                cost(row, problem)
+            with pytest.raises(ShePwmError, match="angles must lie within"):
+                cost_batch([[0.1] * 6, row], problem)
 
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_matches_scalar(self, rng, name):
@@ -261,25 +277,24 @@ class TestCost:
         problem = KERNEL_PROBLEMS[name](0.7)
         pts = kernel_points(rng, problem.n_angles, 25)
         targets = rng.random(len(pts))
-        batch = cost_batch(pts, problem, target_m=targets)
+        batch = sorted_cost(pts, problem, targets)
         for i in range(len(pts)):
-            alone = cost_batch(pts[i : i + 1], problem, target_m=targets[i : i + 1])
+            alone = sorted_cost(pts[i : i + 1], problem, targets[i : i + 1])
             assert alone[0] == batch[i]
-        reversed_cols = cost_batch(pts[:, ::-1], problem, target_m=targets)
-        assert np.array_equal(reversed_cols, batch)
+        assert np.array_equal(cost_batch(pts[:, ::-1], problem), cost_batch(pts, problem))
 
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_cutoff_skips_only_rows_that_cannot_improve(self, rng, name):
         problem = KERNEL_PROBLEMS[name](0.6)
         pts = kernel_points(rng, problem.n_angles, 60)
         targets = rng.random(len(pts))
-        full = cost_batch(pts, problem, target_m=targets)
+        full = sorted_cost(pts, problem, targets)
         levels = [-np.inf, np.inf, *np.quantile(full, [0.1, 0.5, 0.9])]
         cutoffs = [np.full(len(pts), level) for level in levels]
         cutoffs.append(rng.choice(levels, len(pts)))
         skipped = np.zeros(len(pts), dtype=bool)
         for cutoff in cutoffs:
-            out = cost_batch(pts, problem, target_m=targets, cutoff=cutoff)
+            out = sorted_cost(pts, problem, targets, cutoff)
             kept = full < cutoff
             assert np.array_equal(out < cutoff, kept)
             assert out[kept].tobytes() == full[kept].tobytes()
@@ -291,11 +306,11 @@ class TestCost:
 
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_makes_one_cosine_per_angle(self, rng, monkeypatch, name):
-        # and raw rows take one np.sort each call, and no map
+        # and raw rows take one np.sort each cost_batch call, and no map
         problem = KERNEL_PROBLEMS[name](0.5)
         pts = rng.random((30, problem.n_angles)) * HALF_PI
         calls = count_kernel_calls(monkeypatch, raw_costs(problem, pts))
-        assert calls == {"cos": [pts.size] * 2, "sort": [pts.size] * 2, "log": [], "exp": []}
+        assert calls == {"cos": [pts.size] * 2, "sort": [pts.size], "log": [], "exp": []}
 
     @pytest.mark.parametrize("cols", [4, 9])
     def test_batch_wrong_column_count(self, rng, cols):
@@ -309,19 +324,10 @@ class TestCost:
         pts = rng.random((30, problem.n_angles)) * HALF_PI
         targets = rng.random(30)
         targets[:3] = (0.0, 1.0, 0.7)
-        batch = cost_batch(pts, problem, target_m=targets)
+        batch = sorted_cost(pts, problem, targets)
         for i in range(len(pts)):
             alone = replace(problem, target_m=float(targets[i]))
             assert cost_batch(pts[i : i + 1], alone)[0] == batch[i]
-
-    @pytest.mark.parametrize("shape", [(29,), (31,), (30, 1), ()])
-    def test_per_row_targets_need_one_per_row(self, rng, shape):
-        # the per-row cutoff is held to the same rule
-        pts = rng.random((30, 6)) * HALF_PI
-        problem = SheProblem(target_m=0.5)
-        for name in ("target_m", "cutoff"):
-            with pytest.raises(ShePwmError, match=f"{name} must hold one value"):
-                cost_batch(pts, problem, **{name: np.full(shape, 0.5)})
 
 
 def reference_magnitudes(block, orders, cells):
@@ -332,7 +338,7 @@ def reference_magnitudes(block, orders, cells):
 
 
 def reference_cost_batch(positions, problem, target_m=None, cutoff=None):
-    """cost_batch's arithmetic written out one order at a time."""
+    """The kernel's arithmetic on sorted rows, written out one order at a time."""
     arr = np.sort(np.asarray(positions, dtype=np.float64), axis=1)
     rows, k = arr.shape
     block = np.cos(arr.T, out=np.empty((k, rows)))
@@ -398,11 +404,13 @@ class TestKernelBits:
     def test_matches_reference_arithmetic(self, case):
         # the kernel groups its numpy calls differently from the reference;
         # every output must keep the reference's bits, since they fix every
-        # swarm trajectory and so every solve's output
+        # swarm trajectory and so every solve's output; the public face
+        # takes the problem's target and no cutoff
         problem, pts, targets, cutoff = case
-        got = cost_batch(pts, problem, target_m=targets, cutoff=cutoff)
+        got = sorted_cost(pts, problem, targets, cutoff)
         want = reference_cost_batch(pts, problem, target_m=targets, cutoff=cutoff)
         assert got.tobytes() == want.tobytes()
+        assert cost_batch(pts, problem).tobytes() == reference_cost_batch(pts, problem).tobytes()
 
 
 def zero_one_rows(k):
@@ -440,7 +448,7 @@ class TestKernelSort:
         problem = KERNEL_PROBLEMS[name](0.5)
         pts = kernel_points(rng, problem.n_angles, rows - 3)  # + 3 edge rows
         calls = count_kernel_calls(monkeypatch, raw_costs(problem, pts))
-        assert calls == {"cos": [pts.size] * 2, "sort": [pts.size] * 2, "log": [], "exp": []}
+        assert calls == {"cos": [pts.size] * 2, "sort": [pts.size], "log": [], "exp": []}
 
 
 class TestOrderedMap:
@@ -743,7 +751,17 @@ OVERSIZE = {
         SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0), 10**20),
     "n_samples": lambda: synthesize(SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0),
                                     4 * 10**15),
+    "minimize": lambda: minimize(lambda p, c: p[:, 0], [(0, 1)],
+                                 PsoConfig(1, swarm_size=10**20, iterations=1, restarts=1)),
+    "minimize_iterations": lambda: minimize(lambda p, c: p[:, 0], [(0, 1)],
+                                            PsoConfig(1, swarm_size=2, iterations=10**18)),
 }
+
+
+def improving(points, cutoff):
+    """An objective under which every row improves at every call."""
+    values = np.minimum(cutoff, 0.0)
+    return np.nextafter(values, -np.inf, out=values)
 
 
 class TestMemoryPlans:
@@ -768,7 +786,7 @@ class TestMemoryPlans:
 
         monkeypatch.setattr(she, "default_sign_pattern", no_signs)
         with pytest.raises(ShePwmError, match=(
-                r"^a particle row plans 268000000000 bytes, over the budget of "
+                r"^a particle row plans 92000000000 bytes, over the budget of "
                 r"1073741824: K 1000000000, top_order 11$")):
             SheProblem(0.5, cells=10**9, angles_per_cell=1)
 
@@ -832,21 +850,39 @@ class TestMemoryPlans:
 
     @pytest.mark.parametrize("k, orders", [(1, ()), (6, (3, 5, 7, 9, 11)),
                                            (8, (3, 5, 7, 9, 11, 13, 15))])
-    def test_the_row_plan_covers_a_solves_peak(self, k, orders):
-        # a solve's tracemalloc peak per particle row and angle, less its
-        # recurrence layers, stays under ROW_ANGLE_BYTES; at 120,000 row
-        # angles the draws hold one iteration, as near the budget
+    def test_the_row_plan_covers_a_solves_peak(self, monkeypatch, k, orders):
+        # the swarm's plan plus the kernel's rows; a budget one byte under a
+        # solve's measured peak refuses the solve. At 120,000 row angles the
+        # draws hold one iteration, as near the budget
         problem = SheProblem(0.5, eliminate_orders=orders, cells=k, angles_per_cell=1)
-        rows = 120_000 // k
+        pso = PsoConfig(1, swarm_size=120_000 // k, iterations=3, restarts=1)
         tracemalloc.start()
         try:
-            she.solve_pairs(problem, [(0.5, 1)],
-                            PsoConfig(1, swarm_size=rows, iterations=3, restarts=1))
+            she.solve_pairs(problem, [(0.5, 1)], pso)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        layers = harmonics.LAYER_BYTES * ((max(orders, default=1) + 1) // 2)
-        assert peak / (rows * k) - layers <= she.ROW_ANGLE_BYTES
+        monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", peak - 1)
+        with pytest.raises(ShePwmError, match="^the solve plans "):
+            she.solve_pairs(problem, [(0.5, 1)], pso)
+
+    @pytest.mark.parametrize("dim", [1, 6, 12])
+    def test_the_swarm_plan_covers_its_peak(self, monkeypatch, dim):
+        # one swarm, whose tiled bounds are per row, with every row improving
+        # at every iteration; a budget one byte under its measured peak
+        # refuses the swarm before it runs
+        pso = PsoConfig(1, swarm_size=120_000 // dim, iterations=3, restarts=1)
+        tracemalloc.start()
+        try:
+            minimize(improving, [(0.0, 1.0)] * dim, pso)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", peak - 1)
+        with pytest.raises(ShePwmError, match=(
+                rf"^the swarm plans \d+ bytes, over the budget of {peak - 1}: seeds 1, "
+                rf"restarts 1, swarm_size {120_000 // dim}, dimensions {dim}, iterations 3$")):
+            minimize(improving, [(0.0, 1.0)] * dim, pso)
 
     @pytest.mark.parametrize("k, max_order", [(1, 20001), (12, 2001)])
     def test_the_segment_plan_covers_its_peak(self, monkeypatch, k, max_order):
