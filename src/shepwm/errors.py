@@ -9,14 +9,21 @@ returns the value as stored; each type's (field, rule) table goes to apply_rules
 import math
 import numbers
 import operator
+import re
 from collections.abc import Mapping
+
+import numpy as np
 
 # The bytes one planned peak may take: a swarm, a spectrum, a waveform, an analysis.
 COUNT_BUDGET_BYTES = 1 << 30
 
 
 class ShePwmError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. Its message is one
+    line: each line break, as in a numpy array's repr, becomes one space."""
+
+    def __init__(self, message: str):
+        super().__init__(re.sub(r"\s*\n\s*", " ", message))
 
 
 class ZeroFundamental(ShePwmError):
@@ -47,6 +54,21 @@ def check_real(x, name: str) -> float:
     if type(x) is float or isinstance(x, numbers.Real):
         return float(x)
     raise ShePwmError(f"{name} must be a real number, got {x!r}")
+
+
+def check_reals(values, name: str) -> np.ndarray:
+    """values as a float64 array, refused unless every entry is real: a bool,
+    integer or float array passes, an object array entry by check_real, and a
+    str, complex or ragged input not."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ShePwmError(f"{name} must be real numbers in rows of one length") from None
+    if arr.dtype.kind == "O":
+        return np.array([check_real(v, name) for v in arr.flat]).reshape(arr.shape)
+    if arr.dtype.kind not in "biuf":
+        raise ShePwmError(f"{name} must be real numbers, got {arr.dtype} values")
+    return arr.astype(np.float64, copy=False)
 
 
 def check_nonnegative(x, name: str) -> float:

@@ -1,19 +1,19 @@
-"""Bound-constrained global-best particle swarm optimizer.
+"""Global-best particle swarm optimizer in the unit box, mapped onto bounds.
 
 Deterministic by construction: restart r of a run with seed S draws all of
 its randomness from ``numpy.random.Generator(PCG64(SeedSequence((S, r))))``,
 and derived seeds for batched work (sweeps, comparison grids) come from
 ``derive_seed``. Identical inputs therefore give bit-identical results on a
 fixed platform. ``minimize_stacked`` runs the swarms of many seeds and all
-their restarts as one batch; every update is elementwise or per swarm, so
-each result has the same bits as a one-seed ``minimize``.
+their restarts as one batch in [0, 1]^dim; every update is elementwise or
+per swarm, so each result has the same bits as a one-seed run.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,12 +25,12 @@ _U64_MAX = 2**64 - 1
 # The most bytes of uniform draws a stacked swarm holds at once; it fixes how
 # many iterations each swarm's stream fills per call (at least one).
 DRAW_BUDGET_BYTES = 1 << 20
-# A swarm's peak with its objective's output: tracemalloc read 154 B per row at
-# one dimension, 26 B per row and 122 B per row and dimension at 2 to 12 (one
-# swarm, so its tiled bounds are per row; every row improving), and 16 B per
-# swarm and iteration of history and its copy; draws add <= DRAW_BUDGET_BYTES.
+# A swarm's peak with its objective's output: tracemalloc read 129 B per row at
+# one dimension, 33 B per row and 90 B per row and dimension at 2 to 12 (one
+# swarm under minimize, mapped points included; every row improving), and 16 B
+# per swarm and iteration of history and its copy; draws add <= DRAW_BUDGET_BYTES.
 SWARM_ROW_BYTES = 40
-SWARM_DIM_BYTES = 124
+SWARM_DIM_BYTES = 92
 HISTORY_BYTES = 16
 
 
@@ -65,6 +65,7 @@ def derive_seed(seed: int, index: int) -> int:
     Defined as the first 64-bit word of SeedSequence((seed, index)); the
     derivation is part of the reproducibility contract.
     """
+    seed, index = check_seed(seed), check_seed(index, "index")
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
@@ -117,7 +118,7 @@ class OptimizerResult:
 
 
 def _check_bound(pair, name: str) -> tuple[float, float]:
-    """pair as (low, high): a sequence of two finite reals, low <= high."""
+    """pair as (low, high): two finite reals, low <= high, a finite width apart."""
     pair = check_sequence(pair, name, check_real)
     if len(pair) != 2:
         raise ShePwmError(f"{name} must hold (low, high) pairs, got {pair!r}")
@@ -126,6 +127,8 @@ def _check_bound(pair, name: str) -> tuple[float, float]:
         raise ShePwmError(f"{name} must be finite")
     if low > high:
         raise ShePwmError("each lower bound must be <= its upper bound")
+    if not math.isfinite(high - low):
+        raise ShePwmError(f"{name} width must be finite, got ({low!r}, {high!r})")
     return pair
 
 
@@ -155,42 +158,56 @@ def minimize(
         value; an objective that cannot use this ignores the cutoff.
     bounds: one (low, high) pair per dimension.
 
-    Per iteration each particle's velocity is updated with inertia (linear
-    schedule from inertia_start to inertia_end), a cognitive pull toward its
-    personal best and a social pull toward the swarm best, then clamped to
-    velocity_clamp_fraction of each dimension's range. Positions are clamped
-    back to the box and the velocity component is zeroed in any clamped
-    dimension. The global best is reduced over particles in index order, so
-    ties resolve deterministically. There is no early stopping: every restart
-    runs the full iteration count and the best restart wins (ties go to the
-    lowest restart index). The restarts run together as one stacked swarm;
-    see minimize_stacked.
+    The swarm runs in [0, 1]^D (minimize_stacked); the objective and the
+    result see each of its points u as min(low + (high - low)*u, high), a new
+    array per evaluation, which on the unit box is u itself, bit for bit.
     """
-    return minimize_stacked(objective, bounds, config, [config.seed])[0]
+    lo, hi = _check_bounds(bounds)
+    span = hi - lo
+
+    def to_box(u):
+        x = u * span
+        x += lo
+        np.minimum(x, hi, out=x)
+        x.flags.writeable = False
+        return x
+
+    result = minimize_stacked(lambda u, cutoff: objective(to_box(u), cutoff), lo.size,
+                              config, [config.seed])[0]
+    return replace(result, best_position=to_box(result.best_position).copy())
 
 
 def minimize_stacked(
     objective: Callable,
-    bounds: Sequence[tuple[float, float]],
+    dim: int,
     config: PsoConfig,
     seeds: Sequence[int],
 ) -> list[OptimizerResult]:
-    """``minimize`` under each of `seeds` (unsigned 64-bit), as one stacked swarm.
+    """``minimize`` in [0, 1]^dim under each of `seeds`, as one stacked swarm.
 
-    Result b is bit-identical to ``minimize`` with ``config.seed = seeds[b]``.
-    The len(seeds) * restarts swarms advance together, and each iteration
-    makes one objective call on all their particles, ordered by seed, then
-    restart, then particle. Swarm (b, r) draws from its own
+    Per iteration each particle's velocity is updated with inertia (linear
+    schedule from inertia_start to inertia_end), a cognitive pull toward its
+    personal best and a social pull toward the swarm best, then clamped to
+    +-velocity_clamp_fraction. Positions are clamped back to [0, 1], zeroing
+    the velocity in any clamped dimension. The global best is reduced over
+    particles in index order, so ties resolve deterministically. There is no
+    early stopping: every restart runs the full iteration count and the best
+    restart wins (ties go to the lowest restart index).
+
+    Result b is bit-identical to a run under ``config.seed = seeds[b]``
+    alone. The len(seeds) * restarts swarms advance together, and each
+    iteration makes one objective call on all their particles, ordered by
+    seed, then restart, then particle. Swarm (b, r) draws from its own
     ``PCG64(SeedSequence((seeds[b], r)))`` stream, and every update is
     elementwise or per swarm, so no swarm sees another. The objective must
     likewise give each row the bits it would give alone, and each row's
-    cutoff is that particle's own personal best.
+    cutoff is that particle's own personal best. No seeds give no results.
     """
-    lo, hi = _check_bounds(bounds)
+    dim = check_count(dim, "dim")
     seeds = check_sequence(seeds, "seeds", lambda seed, _: check_seed(seed))
-    dim = lo.size
-    span = hi - lo
-    vmax = config.velocity_clamp_fraction * span
+    if not seeds:
+        return []
+    vmax = config.velocity_clamp_fraction
     restarts, size, iters = config.restarts, config.swarm_size, config.iterations
     blocks = len(seeds) * restarts
     check_plan(swarm_bytes(blocks, size, dim, iters), "the swarm", seeds=len(seeds),
@@ -215,26 +232,6 @@ def minimize_stacked(
             raise ShePwmError("objective returned a non-finite value")
         return fx
 
-    # The bounds tiled over one swarm, so that each clamp runs numpy's inner
-    # loop over size * dim elements rather than dim.
-    lo_t, hi_t, vmax_t, neg_vmax_t = (
-        np.tile(a, (size, 1)) for a in (lo, hi, vmax, -vmax)
-    )
-    if dim == 1:
-        # The clamps give np.clip's bits, zero signs included. With one
-        # dimension np.clip sees each bound as a single broadcast value and
-        # returns the point itself when it ties a bound as a zero of the
-        # other sign; with more it returns the bound. np.maximum and
-        # np.minimum return their second operand on such a tie, so the
-        # operand order reproduces either case.
-        def clamp(a, low, high):
-            np.maximum(low, a, out=a)
-            np.minimum(high, a, out=a)
-    else:
-        def clamp(a, low, high):
-            np.maximum(a, low, out=a)
-            np.minimum(a, high, out=a)
-
     rngs = [
         np.random.default_rng(np.random.SeedSequence((seed, r)))
         for seed in seeds
@@ -242,8 +239,6 @@ def minimize_stacked(
     ]
     for rng, xb in zip(rngs, x):
         rng.random(out=xb)
-    x *= span
-    x += lo
     v = np.zeros_like(x)
     np.copyto(fp_rows, evaluate())
     # bests[0] holds the personal bests and bests[1] each swarm's best
@@ -296,12 +291,15 @@ def minimize_stacked(
         v *= w
         v += cognitive_pull
         v += social_pull
-        clamp(v, neg_vmax_t, vmax_t)
+        np.maximum(v, -vmax, out=v)
+        np.minimum(v, vmax, out=v)
+        # x is never -0.0 (draws are >= +0.0), so no clamp meets a zero-sign tie
         x += v
-        np.less(x, lo_t, out=clamped)
-        np.greater(x, hi_t, out=above)
+        np.less(x, 0.0, out=clamped)
+        np.greater(x, 1.0, out=above)
         clamped |= above
-        clamp(x, lo_t, hi_t)
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, 1.0, out=x)
         np.copyto(v, 0.0, where=clamped)
         fx = evaluate()
         np.less(fx, fp_rows, out=improved)

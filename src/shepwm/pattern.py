@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ShePwmError, apply_rules, check_count, check_plan, check_real,
-                     check_sequence)
+                     check_reals, check_sequence)
 
 HALF_PI = math.pi / 2
 
@@ -34,6 +34,9 @@ DEFAULT_SIGNS_K6 = (1, -1, 1, 1, -1, -1)
 # The bytes one sample holds at peak: synthesize's arrays and the phases that
 # waveform_csv reads, about 26 B by tracemalloc at K = 1 and K = 12.
 SAMPLE_BYTES = 32
+# The bytes one default sign holds at peak: tracemalloc read 8 B per sign of
+# the returned tuple, and 16 B with one cell, whose block is built twice.
+SIGN_BYTES = 16
 
 
 class SegmentTable(NamedTuple):
@@ -186,7 +189,7 @@ class WaveformSamples:
     samples: np.ndarray
 
     def __post_init__(self):
-        apply_rules(self, [("samples", lambda v, _: np.asarray(v, dtype=np.float64))])
+        apply_rules(self, [("samples", check_reals)])
         if self.samples.ndim != 1:
             raise ShePwmError(f"waveform samples must be one-dimensional, got shape "
                               f"{self.samples.shape}")
@@ -231,6 +234,8 @@ def default_sign_pattern(cells: int, per_cell: int) -> tuple[int, ...]:
     if cells == 2 and per_cell == 3:
         return DEFAULT_SIGNS_K6
     if per_cell % 2 == 1:
+        check_plan(SIGN_BYTES * cells * per_cell, "the sign pattern", cells=cells,
+                   per_cell=per_cell)
         block = (1,) + (-1, 1) * ((per_cell - 1) // 2)
         return block * cells
     raise ShePwmError(

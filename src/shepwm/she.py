@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_plan,
-                     check_real, check_sequence)
+                     check_real, check_reals, check_sequence)
 from .harmonics import LAYER_BYTES, add_rows, odd_harmonic_sums, signed_cosines
 from .optimizer import (
     OptimizerResult,
@@ -194,7 +194,7 @@ class Solution:
 
 def cost(angles: Sequence[float], problem: SheProblem) -> float:
     """cost_batch's value for one vector of raw angles within [0, pi/2]."""
-    arr = np.asarray(angles, dtype=np.float64)
+    arr = check_reals(angles, "angles")
     if arr.shape != (problem.n_angles,):
         raise ShePwmError(
             f"expected {problem.n_angles} angles, got shape {arr.shape}"
@@ -218,7 +218,7 @@ def cost_batch(positions: np.ndarray, problem: SheProblem) -> np.ndarray:
     ``harmonics.odd_harmonic_sums`` takes every order's sum, so a row's bits
     do not depend on the batch it is evaluated in.
     """
-    arr = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    arr = np.atleast_2d(check_reals(positions, "positions"))
     k = problem.n_angles
     if arr.ndim != 2 or arr.shape[1] != k:
         raise ShePwmError(f"expected {k} angles per row, got shape {arr.shape}")
@@ -328,9 +328,7 @@ def _solve_stacked(problem: SheProblem, pairs, pso: PsoConfig) -> list[Solution]
         lambda pts, cutoff: _ordered_cost(
             _ordered_angles(pts, problem), problem, row_targets, cutoff
         ),
-        bounds=[(0.0, 1.0)] * problem.n_angles,
-        config=pso,
-        seeds=[seed for _, seed in pairs],
+        problem.n_angles, pso, [seed for _, seed in pairs],
     )
     return [_package(problem, m, result) for (m, _), result in zip(pairs, results)]
 
@@ -355,10 +353,13 @@ def solve_pairs(
     seed=seed_i), bit for bit. All pairs run as one stacked swarm; jobs > 1
     splits them into at most min(jobs, os.cpu_count()) contiguous chunks, each
     stacked in its own process; the chunking changes no result. Every pair
-    is checked, then the swarm's peak planned, before any swarm runs.
+    is checked, then the swarm's peak planned, before any swarm runs; no
+    pairs give no solutions.
     """
     jobs = check_count(jobs, "jobs")
     pairs = check_sequence(pairs, "pairs", _check_pair)
+    if not pairs:
+        return []
     k, top, n = problem.n_angles, max(problem.eliminate_orders, default=1), len(pairs)
     swarms = n * pso.restarts
     check_plan(swarm_bytes(swarms, pso.swarm_size, k, pso.iterations)

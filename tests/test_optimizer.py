@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shepwm import OptimizerResult, PsoConfig, derive_seed, minimize, optimizer
+from shepwm import (OptimizerResult, PsoConfig, SheProblem, derive_seed, minimize, optimizer,
+                    she, solve)
 from shepwm.errors import ShePwmError
 from shepwm.optimizer import _check_bounds, minimize_stacked
 
@@ -31,16 +32,18 @@ def sphere_batch(pts, cutoff):
 
 
 def _reference_minimize(objective, bounds, config):
-    """One swarm per restart, run one after another: the loop the stacked
-    optimizer replaced, kept as its bit-for-bit oracle. It clamps with
-    np.clip on one bound per dimension and gives every row a cutoff of +inf,
-    so an objective always returns its full values here."""
+    """One swarm per restart, run one after another in the unit box: the loop
+    the stacked optimizer replaced, kept as its bit-for-bit oracle. It clamps
+    with np.clip, maps each point u to min(low + span*u, high) before the
+    objective sees it, and gives every row a cutoff of +inf, so an objective
+    always returns its full values here."""
     lo, hi = _check_bounds(bounds)
     dim = lo.size
     span = hi - lo
-    vmax = config.velocity_clamp_fraction * span
+    vmax = config.velocity_clamp_fraction
     batch = lambda pts: np.asarray(
-        objective(pts, np.full(len(pts), np.inf)), dtype=np.float64
+        objective(np.minimum(lo + span * pts, hi), np.full(len(pts), np.inf)),
+        dtype=np.float64,
     )
 
     best_val = np.inf
@@ -53,7 +56,7 @@ def _reference_minimize(objective, bounds, config):
 
     for r in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((int(config.seed), r)))
-        x = lo + rng.random((config.swarm_size, dim)) * span
+        x = rng.random((config.swarm_size, dim))
         v = np.zeros_like(x)
         fx = batch(x)
         evals += config.swarm_size
@@ -79,8 +82,8 @@ def _reference_minimize(objective, bounds, config):
             )
             np.clip(v, -vmax, vmax, out=v)
             x = x + v
-            clamped = (x < lo) | (x > hi)
-            np.clip(x, lo, hi, out=x)
+            clamped = (x < 0.0) | (x > 1.0)
+            np.clip(x, 0.0, 1.0, out=x)
             v[clamped] = 0.0
             fx = batch(x)
             evals += config.swarm_size
@@ -103,7 +106,7 @@ def _reference_minimize(objective, bounds, config):
             best_restart = r
 
     return OptimizerResult(
-        best_position=best_pos,
+        best_position=np.minimum(lo + span * best_pos, hi),
         best_value=best_val,
         evaluations=evals,
         converged_iteration=best_conv,
@@ -192,13 +195,20 @@ class TestMinimize:
         assert np.all(np.abs(res.best_position) <= 1e-3)
 
     def test_positions_respect_bounds(self):
+        # every point the objective sees is the swarm's, mapped onto the box
+        seen = []
+
+        def objective(pts, cutoff):
+            assert not pts.flags.writeable
+            seen.append(pts.copy())
+            return np.sum(np.abs(pts), axis=1)
+
         bounds = [(-2.0, -1.0), (3.0, 4.0), (0.0, 0.0)]
-        res = minimize(
-            pointwise(lambda x: float(np.sum(np.abs(x)))), bounds,
-            PsoConfig(seed=5, iterations=40),
-        )
-        for (lo, hi), v in zip(bounds, res.best_position):
-            assert lo <= v <= hi
+        res = minimize(objective, bounds, PsoConfig(seed=5, iterations=40))
+        for pts in seen + [res.best_position[None]]:
+            for (lo, hi), column in zip(bounds, pts.T):
+                assert np.all((lo <= column) & (column <= hi))
+        assert res.best_value == float(np.sum(np.abs(res.best_position)))
 
     def test_gbest_history_nonincreasing(self):
         res = minimize(pointwise(sphere), [(0.0, 1.0)] * 6,
@@ -231,16 +241,39 @@ class TestMinimize:
 
     @pytest.mark.parametrize(
         "bounds", [[], [(1.0, 0.0)], [(0.0, float("inf"))], [(float("nan"), 1.0)],
-                   [(0.0,)], None]
+                   [(0.0,)], None, [(-1e308, 1e308)]]
     )
     def test_invalid_bounds(self, bounds):
+        # a box whose width overflows would hand the objective inf and nan
+        def objective(pts, cutoff):
+            raise AssertionError("a swarm ran before the bounds were checked")
+
         with pytest.raises(ShePwmError, match="bound"):
-            minimize(pointwise(sphere), bounds, PsoConfig(seed=1))
+            minimize(objective, bounds, PsoConfig(seed=1))
+
+    @pytest.mark.parametrize("dim", [0, -1, 1.5, 2.0, "3", None, [(0.0, 1.0)]], ids=repr)
+    def test_stacked_dim_is_a_count(self, dim):
+        with pytest.raises(ShePwmError, match="^dim must be "):
+            minimize_stacked(sphere_batch, dim, PsoConfig(seed=1), [1])
+
+    def test_no_seeds_give_no_results(self):
+        def objective(pts, cutoff):
+            raise AssertionError("a swarm ran with no seeds")
+
+        assert minimize_stacked(objective, 3, PsoConfig(1, iterations=2), []) == []
+        assert minimize_stacked(objective, 3, PsoConfig(1, iterations=2), ()) == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 6])
+    def test_unit_box_matches_the_stacked_swarm(self, dim):
+        # on [0, 1]^D the map low + span*u, capped at high, is u bit for bit
+        cfg = PsoConfig(seed=17, swarm_size=6, iterations=30, restarts=3)
+        assert_bit_equal(minimize(signed_wavy_batch, [(0.0, 1.0)] * dim, cfg),
+                         minimize_stacked(signed_wavy_batch, dim, cfg, [17])[0])
 
     @pytest.mark.parametrize("seeds", [None, 5], ids=repr)
     def test_stacked_seeds_must_be_a_sequence(self, seeds):
         with pytest.raises(ShePwmError, match=f"^seeds must be a sequence, got {seeds}$"):
-            minimize_stacked(sphere_batch, [(0.0, 1.0)], PsoConfig(seed=1), seeds)
+            minimize_stacked(sphere_batch, 1, PsoConfig(seed=1), seeds)
 
     def test_scalar_objective_raises(self):
         # a scalar objective returns one value for the whole batch
@@ -295,9 +328,9 @@ OBJECTIVES = {
     "signed-zero": signed_wavy_batch,
 }
 
-# Per-dimension bounds the oracle draws from. Zero-width boxes and zeros of
-# either sign are where np.clip and np.maximum/np.minimum could disagree on
-# the sign of a zero.
+# Per-dimension bounds the oracle draws from. The swarm runs in the unit box
+# and minimize maps it onto these; zero-width boxes and zeros of either sign
+# are where the map could change the sign of a zero.
 ORACLE_BOUNDS = [
     (-0.5, 1.25),
     (-1.0, 1.5),
@@ -340,9 +373,8 @@ class TestStackedOracle:
         "bounds", [[b] for b in ORACLE_BOUNDS] + [ORACLE_BOUNDS], ids=str
     )
     def test_zero_signs_match_reference(self, bounds):
-        # np.clip treats one bound per dimension differently from several
-        # when a point ties its bound as a zero of the other sign; cover
-        # every drawn bound alone and all of them together
+        # a zero of either sign in the map, each drawn bound alone and all
+        # of them together
         cfg = PsoConfig(seed=6, swarm_size=4, iterations=25, restarts=2,
                         inertia_end=0.0, velocity_clamp_fraction=1.0)
         assert_bit_equal(
@@ -358,10 +390,11 @@ class TestStackedOracle:
         cfg = PsoConfig(seed=0, swarm_size=4, iterations=23, restarts=2,
                         inertia_end=0.0, velocity_clamp_fraction=1.0)
         seeds = [5, derive_seed(5, 0), 2**64 - 1]
-        refs = [_reference_minimize(signed_wavy_batch, ORACLE_BOUNDS,
+        dim = 8
+        refs = [_reference_minimize(signed_wavy_batch, [(0.0, 1.0)] * dim,
                                     replace(cfg, seed=seed)) for seed in seeds]
         rows = len(seeds) * cfg.restarts * cfg.swarm_size
-        per_iteration = 2 * rows * len(ORACLE_BOUNDS) * 8
+        per_iteration = 2 * rows * dim * 8
         monkeypatch.setattr(optimizer, "DRAW_BUDGET_BYTES", chunk * per_iteration)
         fills = []
         default_rng = np.random.default_rng
@@ -376,7 +409,7 @@ class TestStackedOracle:
                 return self.rng.random(out=out)
 
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        stacked = minimize_stacked(signed_wavy_batch, ORACLE_BOUNDS, cfg, seeds)
+        stacked = minimize_stacked(signed_wavy_batch, dim, cfg, seeds)
         for res, ref in zip(stacked, refs):
             assert_bit_equal(res, ref)
         # each refill takes every swarm's stream in turn
@@ -390,19 +423,32 @@ class TestStackedOracle:
             raise AssertionError("a swarm ran before the seeds were checked")
 
         with pytest.raises(ShePwmError, match="seed must be an unsigned 64-bit"):
-            minimize_stacked(objective, [(0.0, 1.0)], PsoConfig(seed=1), [3, seed])
+            minimize_stacked(objective, 1, PsoConfig(seed=1), [3, seed])
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_stacked_seeds_match_reference(self, vectorized):
         cfg = PsoConfig(seed=0, swarm_size=6, iterations=25, restarts=3)
         seeds = [5, derive_seed(5, 0), derive_seed(5, 1), 2**64 - 1]
         objective = wavy_batch if vectorized else pointwise(wavy)
-        stacked = minimize_stacked(objective, [(0.0, 1.0)] * 4, cfg, seeds)
+        stacked = minimize_stacked(objective, 4, cfg, seeds)
         assert len(stacked) == len(seeds)
         for seed, res in zip(seeds, stacked):
             ref = _reference_minimize(objective, [(0.0, 1.0)] * 4,
                                       replace(cfg, seed=seed))
             assert_bit_equal(res, ref)
+
+    @pytest.mark.parametrize("target", [0.0, 0.5, 1.0])
+    def test_one_angle_solve_matches_reference(self, target):
+        # a K = 1 solve runs the one-dimension swarm, whose clamps once took
+        # their operands in their own order; its best is a full cost
+        problem = SheProblem(target, eliminate_orders=(), cells=1, angles_per_cell=1)
+        pso = PsoConfig(seed=2, swarm_size=5, iterations=30, restarts=3)
+
+        def kernel(pts, cutoff):
+            return she._ordered_cost(she._ordered_angles(pts, problem), problem)
+
+        assert_bit_equal(solve(problem, pso).diagnostics,
+                         _reference_minimize(kernel, [(0.0, 1.0)], pso))
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_constant_objective_ties_every_restart(self, vectorized):
@@ -445,3 +491,18 @@ class TestDeriveSeed:
         for i in range(10):
             s = derive_seed(2**63, i)
             assert 0 <= s < 2**64
+
+    def test_known_values(self):
+        # the derivation is part of the reproducibility contract
+        assert derive_seed(42, 3) == 18141372322412330060
+        assert derive_seed(0, 0) == 15793235383387715774
+        assert derive_seed(2**64 - 1, 2**64 - 1) == 9481509295970325001
+        assert derive_seed(np.uint64(7), np.int64(2)) == 18279110831140952437
+
+    @pytest.mark.parametrize("seed, index, name", [
+        (-1, 0, "seed"), (2**64, 0, "seed"), (2**70, 0, "seed"), (1.5, 0, "seed"),
+        ("1", 0, "seed"), (None, 0, "seed"), (1, -1, "index"), (1, 2**70, "index"),
+        (1, 2.0, "index"), (1, 1j, "index")], ids=repr)
+    def test_refuses_what_is_not_an_unsigned_64_bit_integer(self, seed, index, name):
+        with pytest.raises(ShePwmError, match=f"^{name} must be an unsigned 64-bit integer, "):
+            derive_seed(seed, index)

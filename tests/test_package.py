@@ -207,7 +207,7 @@ def test_each_plan_constant_has_one_home():
     homes = {name: [] for name in ("COUNT_BUDGET_BYTES", "ROW_ANGLE_BYTES", "LAYER_BYTES",
                                    "SWARM_ROW_BYTES", "SWARM_DIM_BYTES", "HISTORY_BYTES",
                                    "DRAW_BUDGET_BYTES", "MAGNITUDE_BYTES", "SEGMENT_BYTES",
-                                   "SAMPLE_BYTES", "ORDER_BYTES")}
+                                   "SAMPLE_BYTES", "SIGN_BYTES", "ORDER_BYTES")}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
@@ -217,7 +217,8 @@ def test_each_plan_constant_has_one_home():
                      "SWARM_DIM_BYTES": ["optimizer.py"], "HISTORY_BYTES": ["optimizer.py"],
                      "DRAW_BUDGET_BYTES": ["optimizer.py"],
                      "MAGNITUDE_BYTES": ["harmonics.py"], "SEGMENT_BYTES": ["harmonics.py"],
-                     "SAMPLE_BYTES": ["pattern.py"], "ORDER_BYTES": ["cli.py"]}
+                     "SAMPLE_BYTES": ["pattern.py"], "SIGN_BYTES": ["pattern.py"],
+                     "ORDER_BYTES": ["cli.py"]}
 
 
 def test_readme_lookup_schema_matches_the_header():
@@ -256,7 +257,8 @@ def test_readme_value_rules_match_the_rule_functions():
     missing = [f"{m}.{f}" for m, f in sorted(cited)
                if not hasattr(importlib.import_module(f"shepwm.{m}"), f)]
     assert missing == []
-    rules = {"errors.check_count", "errors.check_real", "errors.check_nonnegative",
+    rules = {"errors.check_count", "errors.check_real", "errors.check_reals",
+             "errors.check_nonnegative",
              "errors.check_sequence", "errors.apply_rules",
              "pattern.check_vdc", "pattern.check_angles", "pattern.check_signs",
              "she.check_target", "she.check_orders", "optimizer.check_seed",

@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,22 @@ class TestWaveformSamples:
         message = f"waveform samples must be one-dimensional, got shape {shape}"
         with pytest.raises(ShePwmError, match=f"^{re.escape(message)}$"):
             WaveformSamples(samples=np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", ["abcd", ["a", "b", "c", "d"], np.full(4, 1j),
+                                     [0.0, 1.0 + 1j, 0.0, -1.0 - 1j], [None] * 4], ids=repr)
+    def test_rejects_samples_that_are_not_real(self, bad):
+        # refused by name, not cast: a complex sample would lose its
+        # imaginary part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShePwmError, match="^samples must be (a )?real number"):
+                WaveformSamples(samples=bad)
+
+    def test_takes_integer_samples_by_value(self):
+        # numpy keeps a list holding 2**70 as objects; each is a real
+        w = WaveformSamples(samples=[0, 2**70, 0, -(2**70)])
+        assert w.samples.dtype == np.float64
+        assert w.samples.tolist() == [0.0, 2.0**70, 0.0, -(2.0**70)]
 
     def test_accepts_numerically_symmetric_sine(self):
         n = 64

@@ -8,26 +8,35 @@ so each is refused by the same message naming its field, and a numpy value
 builds what the Python value builds."""
 
 import dataclasses
+import inspect
 import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import shepwm
 from shepwm import (
     HarmonicSpectrum,
     LookupTable,
     PsoConfig,
     SheProblem,
     SwitchingPattern,
+    WaveformSamples,
     analytic_harmonic,
     analytic_spectrum,
     build_lookup,
     compare_methods,
+    cost,
+    cost_batch,
     default_sign_pattern,
+    derive_seed,
     dft_spectrum,
+    minimize,
+    pattern_thd,
     segment_integral_harmonic,
     sweep,
     synthesize,
@@ -434,3 +443,67 @@ def test_a_pair_of_another_length_is_refused_by_name(pair):
         solve_pairs(SheProblem(1.0), [(0.7, 4), pair], TINY)
     assert type(info.value) is ShePwmError
     assert str(info.value) == f"pairs must hold (target_m, seed) pairs, got {pair!r}"
+
+
+# The value arguments of every exported function, and the samples of
+# WaveformSamples: each call takes one value, the others valid and small.
+# Object arguments (a problem, config, pattern, samples, spectrum, objective
+# or solution) are out of the table.
+TWO_ANGLES = SheProblem(0.5, eliminate_orders=(3,), cells=1, angles_per_cell=2,
+                        sign_pattern=(1, -1))
+SAMPLES = synthesize(PATTERN, 16)
+VALUE_ARGUMENTS = {
+    "analytic_harmonic.n": lambda v: analytic_harmonic(PATTERN, v),
+    "analytic_spectrum.max_order": lambda v: analytic_spectrum(PATTERN, v),
+    "build_lookup.v_pu_grid": lambda v: build_lookup(v, TINY, TWO_ANGLES),
+    "build_lookup.thd_max_order": lambda v: build_lookup((1.0,), TINY, TWO_ANGLES, v),
+    "compare_methods.v_pu_grid": lambda v: compare_methods(v, TINY, TWO_ANGLES),
+    "compare_methods.thd_max_order": lambda v: compare_methods((1.0,), TINY, TWO_ANGLES, v),
+    # one grid point, so one pair and never a pool
+    "compare_methods.jobs": lambda v: compare_methods((1.0,), TINY, TWO_ANGLES, jobs=v),
+    "cost.angles": lambda v: cost(v, TWO_ANGLES),
+    "cost_batch.positions": lambda v: cost_batch(v, TWO_ANGLES),
+    "default_sign_pattern.cells": lambda v: default_sign_pattern(v, 3),
+    "default_sign_pattern.per_cell": lambda v: default_sign_pattern(1, v),
+    "derive_seed.seed": lambda v: derive_seed(v, 0),
+    "derive_seed.index": lambda v: derive_seed(1, v),
+    "dft_spectrum.max_order": lambda v: dft_spectrum(SAMPLES, v),
+    "dft_spectrum.base_volts": lambda v: dft_spectrum(SAMPLES, 3, v),
+    "minimize.bounds": lambda v: minimize(lambda pts, cutoff: np.sum(pts**2, axis=1), v, TINY),
+    "pattern_thd.max_order": lambda v: pattern_thd(PATTERN, v),
+    "segment_integral_harmonic.n": lambda v: segment_integral_harmonic(PATTERN, v),
+    "sweep.m_values": lambda v: sweep(TWO_ANGLES, v, TINY),
+    "sweep.jobs": lambda v: sweep(TWO_ANGLES, (0.5,), TINY, v),
+    "synthesize.n_samples": lambda v: synthesize(PATTERN, v),
+    "WaveformSamples.samples": lambda v: WaveformSamples(v),
+}
+OBJECT_ARGUMENTS = {"analytic_harmonic.pattern", "analytic_spectrum.pattern",
+                    "build_lookup.pso", "build_lookup.problem", "build_lookup.base_solution",
+                    "compare_methods.pso", "compare_methods.problem", "cost.problem",
+                    "cost_batch.problem", "dft_spectrum.samples", "minimize.objective",
+                    "minimize.config", "pattern_thd.pattern", "segment_integral_harmonic.pattern",
+                    "solve.problem", "solve.pso", "sweep.problem", "sweep.pso",
+                    "synthesize.pattern", "thd.spectrum"}
+# Counts of 2**70 reach only plans and refusals; none allocates.
+ODD_VALUES = ["x", -1, 0, 1e308, math.nan, math.inf, [], 1.5, 2**70, 1j,
+              np.full((2, 2), 0.5)]
+
+
+def test_the_refusal_table_covers_every_exported_function():
+    arguments = {f"{name}.{parameter}" for name in shepwm.__all__
+                 if inspect.isfunction(function := getattr(shepwm, name))
+                 for parameter in inspect.signature(function).parameters}
+    assert arguments == set(VALUE_ARGUMENTS) - {"WaveformSamples.samples"} | OBJECT_ARGUMENTS
+    assert not set(VALUE_ARGUMENTS) & OBJECT_ARGUMENTS
+
+
+@pytest.mark.parametrize("value", ODD_VALUES, ids=lambda v: " ".join(repr(v).split()))
+@pytest.mark.parametrize("argument", VALUE_ARGUMENTS)
+def test_an_odd_value_returns_or_raises_one_line(argument, value):
+    # nothing but a result or one ShePwmError line, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            VALUE_ARGUMENTS[argument](value)
+        except ShePwmError as error:
+            assert "\n" not in str(error)

@@ -5,6 +5,7 @@ import os
 import pickle
 import statistics
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from shepwm import (
     analytic_harmonic,
     cost,
     cost_batch,
+    default_sign_pattern,
     pattern_thd,
     segment_integral_harmonic,
     solve,
@@ -258,6 +260,27 @@ class TestCost:
                 cost(row, problem)
             with pytest.raises(ShePwmError, match="angles must lie within"):
                 cost_batch([[0.1] * 6, row], problem)
+
+    @pytest.mark.parametrize("bad", ["x", [0.1] * 5 + ["x"], [0.1j] * 6,
+                                     np.full(6, 0.1 + 0j), [None] * 6, b"abcdef"],
+                             ids=repr)
+    def test_non_real_angles_refused_by_name(self, bad):
+        problem = SheProblem(target_m=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShePwmError, match="^angles must be (a )?real number"):
+                cost(bad, problem)
+            with pytest.raises(ShePwmError, match="^positions must be (a )?real number"):
+                cost_batch(bad, problem)
+            with pytest.raises(ShePwmError, match="^positions must be (a )?real number"):
+                cost_batch([[0.1] * 6, bad], problem)
+
+    def test_integer_angles_are_reals(self):
+        # an integer row, even one numpy keeps as objects, is taken by value
+        problem = SheProblem(target_m=0.5)
+        assert cost([0, 0, 0, 1, 1, 1], problem) == cost([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], problem)
+        with pytest.raises(ShePwmError, match=r"^angles must lie within \[0, pi/2\]$"):
+            cost_batch([[0, 0, 0, 0, 0, 2**70]], problem)
 
     @pytest.mark.parametrize("name", KERNEL_PROBLEMS)
     def test_batch_matches_scalar(self, rng, name):
@@ -699,6 +722,16 @@ class TestSweep:
         with pytest.raises(ShePwmError, match="no target values"):
             sweep(SheProblem(target_m=1.0), [], PsoConfig(seed=1))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_pairs_give_no_solutions(self, monkeypatch, jobs):
+        # returned before any swarm or pool is built
+        def no_swarm(*args, **kwargs):
+            raise AssertionError("a swarm ran with no pairs")
+
+        monkeypatch.setattr(she, "minimize_stacked", no_swarm)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_swarm)
+        assert she.solve_pairs(SheProblem(0.5), [], PsoConfig(1, iterations=2), jobs) == []
+
     def test_out_of_range_target(self):
         with pytest.raises(ShePwmError, match=TARGET_RANGE + "1.3$"):
             sweep(SheProblem(target_m=1.0), [0.5, 1.3], PsoConfig(seed=1))
@@ -755,6 +788,8 @@ OVERSIZE = {
                                  PsoConfig(1, swarm_size=10**20, iterations=1, restarts=1)),
     "minimize_iterations": lambda: minimize(lambda p, c: p[:, 0], [(0, 1)],
                                             PsoConfig(1, swarm_size=2, iterations=10**18)),
+    "default_signs_cells": lambda: default_sign_pattern(2**70, 3),
+    "default_signs_per_cell": lambda: default_sign_pattern(1, 2**70 + 1),
 }
 
 
@@ -774,11 +809,11 @@ class TestMemoryPlans:
         pairs = [(round(0.1 * i, 12), i) for i in range(1, 11)] + [(1.0, 0)]
         assert she.solve_pairs(SheProblem(1.0), pairs, big) == tuple(pairs)
         assert she.solve_pairs(k8_problem(), [(1.0, 1)], replace(big, iterations=2000))
-        # three times that swarm at compare's shape does not
+        # four times that swarm at compare's shape does not
         with pytest.raises(ShePwmError, match=(
                 r"^the solve plans \d+ bytes, over the budget of 1073741824: pairs 11, "
-                r"restarts 5, swarm_size 15000, K 6, top_order 11, iterations 200$")):
-            she.solve_pairs(SheProblem(1.0), pairs, replace(big, swarm_size=15000))
+                r"restarts 5, swarm_size 20000, K 6, top_order 11, iterations 200$")):
+            she.solve_pairs(SheProblem(1.0), pairs, replace(big, swarm_size=20000))
 
         # a billion cells is refused by its row, before any sign is built
         def no_signs(*args):
@@ -868,9 +903,9 @@ class TestMemoryPlans:
 
     @pytest.mark.parametrize("dim", [1, 6, 12])
     def test_the_swarm_plan_covers_its_peak(self, monkeypatch, dim):
-        # one swarm, whose tiled bounds are per row, with every row improving
-        # at every iteration; a budget one byte under its measured peak
-        # refuses the swarm before it runs
+        # one swarm on its mapped points, with every row improving at every
+        # iteration; a budget one byte under its measured peak refuses the
+        # swarm before it runs
         pso = PsoConfig(1, swarm_size=120_000 // dim, iterations=3, restarts=1)
         tracemalloc.start()
         try:
