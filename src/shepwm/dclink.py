@@ -76,7 +76,8 @@ def check_flag(value, name: str) -> bool:
 class LookupTable:
     """One base operating point, duty-scaled to each voltage of a grid.
 
-    Each field obeys its rule in ``RULES``, and no row fundamental is subnormal.
+    Each field obeys its rule in ``RULES``, the angle count is a positive
+    multiple of the cell count, and no row fundamental is subnormal.
     Angles, thd, feasible and fundamental_v (volts at the full DC link) are
     the base's; the row at v has duty v and fundamental v * fundamental_v.
     """
@@ -98,6 +99,10 @@ class LookupTable:
 
     def __post_init__(self):
         apply_rules(self, self.RULES)
+        k = len(self.angles)
+        if k == 0 or k % self.cells != 0:  # no pattern of `cells` cells holds them
+            raise ShePwmError(f"angle count {k} is not a positive multiple of the "
+                              f"cell count {self.cells}")
         for i, v in enumerate(self.grid):  # too coarse to give the fundamental back
             if 0.0 < v * self.fundamental_v < sys.float_info.min:
                 raise GridPositionError(i, f"row fundamental {v * self.fundamental_v!r} V "
@@ -160,7 +165,9 @@ def build_lookup(
     base THD and fundamental from one spectrum of that solution. The base
     solve is pinned at full modulation, so the duty that reaches v is v
     itself; every row carries the base feasibility flag, since duty scaling
-    preserves the residuals in per-unit terms exactly.
+    preserves the residuals in per-unit terms exactly. A base_solution must
+    be such a solve of problem: a pattern problem makes of its angles,
+    target_m 1.0 and residuals at problem's eliminate_orders.
     """
     grid = check_lookup_grid(sorted(check_sequence(v_pu_grid, "grid", check_real)))
     thd_max_order = check_count(thd_max_order, "thd_max_order")
@@ -168,6 +175,16 @@ def build_lookup(
     base = base_solution
     if base is None:
         base = solve(replace(problem, target_m=1.0), pso)
+    elif (base.pattern.n_angles != problem.n_angles
+          or base.pattern != problem.make_pattern(base.pattern.angles)):
+        raise ShePwmError("base_solution's pattern is not problem's: its angle count, "
+                          "signs, cells or vdc_per_cell differ")
+    elif base.target_m != 1.0:
+        raise ShePwmError(f"base_solution must be solved at target_m 1.0, "
+                          f"got {base.target_m!r}")
+    elif tuple(base.residuals_pu) != problem.eliminate_orders:
+        raise ShePwmError(f"base_solution's residual orders {tuple(base.residuals_pu)} "
+                          f"are not eliminate_orders {problem.eliminate_orders}")
     spectrum = analytic_spectrum(base.pattern, thd_max_order)
     return LookupTable(
         grid=tuple(grid),

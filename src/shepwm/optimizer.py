@@ -1,4 +1,4 @@
-"""Global-best particle swarm optimizer in the unit box, mapped onto bounds.
+"""Global-best particle swarm optimizer in the unit box [0, 1]^dim.
 
 Deterministic by construction: restart r of a run with seed S draws all of
 its randomness from ``numpy.random.Generator(PCG64(SeedSequence((S, r))))``,
@@ -11,9 +11,8 @@ per swarm, so each result has the same bits as a one-seed run.
 
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,12 +24,13 @@ _U64_MAX = 2**64 - 1
 # The most bytes of uniform draws a stacked swarm holds at once; it fixes how
 # many iterations each swarm's stream fills per call (at least one).
 DRAW_BUDGET_BYTES = 1 << 20
-# A swarm's peak with its objective's output: tracemalloc read 129 B per row at
-# one dimension, 33 B per row and 90 B per row and dimension at 2 to 12 (one
-# swarm under minimize, mapped points included; every row improving), and 16 B
-# per swarm and iteration of history and its copy; draws add <= DRAW_BUDGET_BYTES.
+# A swarm's peak with its objective's output, less its draws: tracemalloc read
+# 106 B per row at one dimension, 25 B per row and 74 B per row and dimension
+# at 2 to 12 (one swarm under minimize, every row improving, at 120,000 and
+# 1,200,000 row dimensions), and 16 B per swarm and iteration of history and
+# its copy.
 SWARM_ROW_BYTES = 40
-SWARM_DIM_BYTES = 92
+SWARM_DIM_BYTES = 80
 HISTORY_BYTES = 16
 
 
@@ -55,8 +55,12 @@ def check_swarm_size(n, name: str) -> int:
 
 def swarm_bytes(swarms: int, size: int, dim: int, iterations: int) -> int:
     """The planned peak of stacked swarms, less the objective's working arrays."""
-    return (swarms * size * (SWARM_ROW_BYTES + dim * SWARM_DIM_BYTES)
-            + swarms * (iterations + 1) * HISTORY_BYTES + DRAW_BUDGET_BYTES)
+    rows = swarms * size
+    # the draw buffer: the budget, or one iteration's 2 * 8 B per row and
+    # dimension when that is more
+    return (rows * (SWARM_ROW_BYTES + dim * SWARM_DIM_BYTES)
+            + swarms * (iterations + 1) * HISTORY_BYTES
+            + max(DRAW_BUDGET_BYTES, 16 * rows * dim))
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -117,64 +121,10 @@ class OptimizerResult:
     restart_converged: tuple[int, ...] = ()
 
 
-def _check_bound(pair, name: str) -> tuple[float, float]:
-    """pair as (low, high): two finite reals, low <= high, a finite width apart."""
-    pair = check_sequence(pair, name, check_real)
-    if len(pair) != 2:
-        raise ShePwmError(f"{name} must hold (low, high) pairs, got {pair!r}")
-    low, high = pair
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise ShePwmError(f"{name} must be finite")
-    if low > high:
-        raise ShePwmError("each lower bound must be <= its upper bound")
-    if not math.isfinite(high - low):
-        raise ShePwmError(f"{name} width must be finite, got ({low!r}, {high!r})")
-    return pair
-
-
-def _check_bounds(bounds: Sequence[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    bounds = check_sequence(bounds, "bounds", _check_bound)
-    if not bounds:
-        raise ShePwmError("bounds must be a non-empty list of (low, high) pairs")
-    lo = np.asarray([b[0] for b in bounds], dtype=np.float64)
-    hi = np.asarray([b[1] for b in bounds], dtype=np.float64)
-    return lo, hi
-
-
-def minimize(
-    objective: Callable,
-    bounds: Sequence[tuple[float, float]],
-    config: PsoConfig,
-) -> OptimizerResult:
-    """Minimize a total objective over a box with global-best PSO.
-
-    objective: called as objective(points, cutoff). It maps a read-only
-        (P, D) batch of in-bounds points to a (P,) array of finite values;
-        any other shape, or a non-finite value, raises ShePwmError. cutoff
-        is a read-only (P,) array holding each row's personal best so far
-        (+inf on the first call). The swarm only asks whether a value is
-        below its cutoff, so a row whose true value is >= its cutoff may
-        come back as any finite value between the cutoff and the true
-        value; an objective that cannot use this ignores the cutoff.
-    bounds: one (low, high) pair per dimension.
-
-    The swarm runs in [0, 1]^D (minimize_stacked); the objective and the
-    result see each of its points u as min(low + (high - low)*u, high), a new
-    array per evaluation, which on the unit box is u itself, bit for bit.
-    """
-    lo, hi = _check_bounds(bounds)
-    span = hi - lo
-
-    def to_box(u):
-        x = u * span
-        x += lo
-        np.minimum(x, hi, out=x)
-        x.flags.writeable = False
-        return x
-
-    result = minimize_stacked(lambda u, cutoff: objective(to_box(u), cutoff), lo.size,
-                              config, [config.seed])[0]
-    return replace(result, best_position=to_box(result.best_position).copy())
+def minimize(objective: Callable, dim: int, config: PsoConfig) -> OptimizerResult:
+    """Minimize a total objective over [0, 1]^dim with global-best PSO: the
+    run of ``minimize_stacked`` under ``config.seed`` alone."""
+    return minimize_stacked(objective, dim, config, [config.seed])[0]
 
 
 def minimize_stacked(
@@ -183,7 +133,17 @@ def minimize_stacked(
     config: PsoConfig,
     seeds: Sequence[int],
 ) -> list[OptimizerResult]:
-    """``minimize`` in [0, 1]^dim under each of `seeds`, as one stacked swarm.
+    """Minimize a total objective over [0, 1]^dim with global-best PSO under
+    each of `seeds`, as one stacked swarm.
+
+    objective: called as objective(points, cutoff). It maps a read-only
+        (P, dim) batch of points in [0, 1]^dim to a (P,) array of finite
+        values; any other shape, or a non-finite value, raises ShePwmError.
+        cutoff is a read-only (P,) array holding each row's personal best
+        so far (+inf on the first call). The swarm only asks whether a value
+        is below its cutoff, so a row whose true value is >= its cutoff may
+        come back as any finite value between the cutoff and the true
+        value; an objective that cannot use this ignores the cutoff.
 
     Per iteration each particle's velocity is updated with inertia (linear
     schedule from inertia_start to inertia_end), a cognitive pull toward its
@@ -194,10 +154,10 @@ def minimize_stacked(
     early stopping: every restart runs the full iteration count and the best
     restart wins (ties go to the lowest restart index).
 
-    Result b is bit-identical to a run under ``config.seed = seeds[b]``
-    alone. The len(seeds) * restarts swarms advance together, and each
-    iteration makes one objective call on all their particles, ordered by
-    seed, then restart, then particle. Swarm (b, r) draws from its own
+    Result b is bit-identical to a run under seeds[b] alone. The
+    len(seeds) * restarts swarms advance together, and each iteration makes
+    one objective call on all their particles, ordered by seed, then
+    restart, then particle. Swarm (b, r) draws from its own
     ``PCG64(SeedSequence((seeds[b], r)))`` stream, and every update is
     elementwise or per swarm, so no swarm sees another. The objective must
     likewise give each row the bits it would give alone, and each row's

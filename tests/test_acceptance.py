@@ -267,7 +267,7 @@ def test_criterion_7_cli_determinism(tmp_path):
 def test_criterion_8_pso_sanity():
     res = minimize(
         lambda pts, cutoff: np.sum((pts - 0.5) ** 2, axis=1),
-        [(0.0, 1.0)] * 6,
+        6,
         PsoConfig(seed=2024),
     )
     monotone = bool(np.all(np.diff(res.gbest_history) <= 0.0))

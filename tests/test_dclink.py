@@ -146,6 +146,27 @@ class TestBuildLookup:
             assert r.feasible
             assert abs(r.fundamental_v / 400.0 - r.v_pu) <= 1.1e-3
 
+    @pytest.mark.parametrize("case", ["k8-base", "other-vdc", "half-modulation",
+                                      "other-orders"])
+    def test_base_of_another_problem_is_refused(self, base_solution, case):
+        # a table holds its problem's full-modulation base, never another's
+        pso = PsoConfig(seed=4, **FAST)
+        problem, base, message = {
+            "k8-base": (SheProblem(1.0, cells=3, vdc_per_cell=50.0),
+                        solve(SheProblem(1.0, cells=2, angles_per_cell=4,
+                                         sign_pattern=K8_SIGNS), pso),
+                        "^base_solution's pattern is not problem's: "),
+            "other-vdc": (SheProblem(1.0, vdc_per_cell=50.0), base_solution,
+                          "^base_solution's pattern is not problem's: "),
+            "half-modulation": (SheProblem(1.0), solve(SheProblem(0.5), pso),
+                                "^base_solution must be solved at target_m 1.0, got 0.5$"),
+            "other-orders": (SheProblem(1.0, eliminate_orders=(3, 5)), base_solution,
+                             r"^base_solution's residual orders \(3, 5, 7, 9, 11\) are "
+                             r"not eliminate_orders \(3, 5\)$"),
+        }[case]
+        with pytest.raises(ShePwmError, match=message):
+            build_lookup(GRID10, pso, problem, base_solution=base)
+
 
 class TestCompare:
     def test_full_modulation_row_shared(self, small_compare):
@@ -273,7 +294,7 @@ class TestIo:
         ] * 2
         path = tmp_path / "table.csv"
         path.write_text(text)
-        assert "".join(lookup_csv(read_lookup_csv(path))) == text
+        assert "".join(lookup_csv(read_lookup_csv(path, 200.0, 1))) == text
 
     @pytest.mark.parametrize(
         "grid", [[0.03, 0.3, 0.7], [round(0.001 * i, 12) for i in range(1, 1001)]],
@@ -364,6 +385,8 @@ class TestIo:
             (LOOKUP_HEADER, "5e-324,proposed,5e-324,12.0,true,0.0,0.1,0.2,0.3\n"
                             "1e-300,proposed,1e-300,12.0,true,1e-310,0.1,0.2,0.3\n"
                             "1.0,proposed,1.0,12.0,true,1e-10,0.1,0.2,0.3", 3),
+            # no pattern holds no angles
+            (",".join(dclink.LOOKUP_COLUMNS), "0.5,proposed,0.5,12.0,true,200.0", 2),
         ],
         ids=["short-row", "bad-flag", "bad-number", "foreign-header",
              "negative-thd", "infinite-thd", "nan-fundamental",
@@ -371,14 +394,14 @@ class TestIo:
              "negative-angle", "angle-above-half-pi", "decreasing-angles",
              "other-angles", "other-thd", "other-flag", "duty-not-v_pu",
              "conventional-method", "fundamental-not-scaled", "header-only",
-             "zero-v_pu", "descending-v_pu", "subnormal-fundamental"],
+             "zero-v_pu", "descending-v_pu", "subnormal-fundamental", "no-angles"],
     )
     def test_read_lookup_csv_rejects_malformed_file(self, request, tmp_path, header,
                                                     rows, line):
         path = tmp_path / "table.csv"
         path.write_text("\n".join([header, *rows.splitlines()]) + "\n")
         with pytest.raises(ShePwmError, match=f", line {line}: ") as info:
-            read_lookup_csv(path)
+            read_lookup_csv(path, 200.0, 1)
         if request.node.callspec.id == "other-thd":
             # the THD is named as the file has it: the thd_pct column, in percent
             assert str(info.value).endswith(": thd_pct is 12.5, not the table's 12.0")
@@ -389,8 +412,8 @@ class TestIo:
         path.write_text("\n".join([
             LOOKUP_HEADER, HALF_ROW,
             "1.0,proposed,1.00,12.000,true,400.0,0.10000000000000001,0.2,3e-1"]) + "\n")
-        assert read_lookup_csv(path) == LookupTable((0.5, 1.0), (0.1, 0.2, 0.3), 0.12,
-                                                    True, 400.0, 200.0, 2, 49)
+        assert read_lookup_csv(path, 200.0, 1) == LookupTable(
+            (0.5, 1.0), (0.1, 0.2, 0.3), 0.12, True, 400.0, 200.0, 1, 49)
 
     def test_lookup_csv_header(self):
         table = build_lookup(
@@ -432,8 +455,10 @@ class TestIo:
     def test_lookup_json_is_the_encoders_text(self, grid, angles, thd, feasible,
                                               fundamental, base_vdc, cells, max_order):
         # the table refuses metadata that JSON cannot carry, so the text
-        # parses with no NaN or Infinity constant
-        meta_ok = 0 < base_vdc < math.inf and cells >= 1 and max_order >= 1
+        # parses with no NaN or Infinity constant, and angles no pattern of
+        # its cells holds
+        meta_ok = (0 < base_vdc < math.inf and cells >= 1 and max_order >= 1
+                   and len(angles) % cells == 0)
         try:
             table = LookupTable(tuple(sorted(grid)), tuple(sorted(angles)), thd, feasible,
                                 fundamental, base_vdc, cells, max_order)
@@ -484,19 +509,24 @@ class TestIo:
             LookupTable(grid, (0.1,), 0.2, True, 400.0, 200.0, 1, 49)
 
     @pytest.mark.parametrize(
-        "thd, fundamental, angles, message",
-        [(math.nan, 100.0, (0.1, 0.2), "^thd must be finite and >= 0, got nan$"),
-         (-0.1, 100.0, (0.1, 0.2), "^thd must be finite and >= 0, got -0.1$"),
-         (0.2, -100.0, (0.1, 0.2), "^fundamental_v must be finite and >= 0, got -100.0$"),
-         (0.2, math.inf, (0.1, 0.2), "^fundamental_v must be finite and >= 0, got inf$"),
-         (0.2, 100.0, (0.3, 0.2), "not nondecreasing at 0.2 after 0.3"),
-         (0.2, 100.0, (0.1, 2.0), r"angle 2.0 outside \[0, pi/2\]")],
+        "thd, fundamental, angles, cells, message",
+        [(math.nan, 100.0, (0.1, 0.2), 1, "^thd must be finite and >= 0, got nan$"),
+         (-0.1, 100.0, (0.1, 0.2), 1, "^thd must be finite and >= 0, got -0.1$"),
+         (0.2, -100.0, (0.1, 0.2), 1, "^fundamental_v must be finite and >= 0, got -100.0$"),
+         (0.2, math.inf, (0.1, 0.2), 1, "^fundamental_v must be finite and >= 0, got inf$"),
+         (0.2, 100.0, (0.3, 0.2), 1, "not nondecreasing at 0.2 after 0.3"),
+         (0.2, 100.0, (0.1, 2.0), 1, r"angle 2.0 outside \[0, pi/2\]"),
+         (0.2, 100.0, (), 1,
+          "^angle count 0 is not a positive multiple of the cell count 1$"),
+         (0.2, 100.0, (0.1, 0.2, 0.3), 2,
+          "^angle count 3 is not a positive multiple of the cell count 2$")],
         ids=["nan-thd", "negative-thd", "negative-fundamental", "infinite-fundamental",
-             "decreasing-angles", "angle-above-half-pi"],
+             "decreasing-angles", "angle-above-half-pi", "no-angles", "angles-not-per-cell"],
     )
-    def test_table_type_refuses_bad_base_figures(self, thd, fundamental, angles, message):
+    def test_table_type_refuses_bad_base_figures(self, thd, fundamental, angles, cells,
+                                                 message):
         with pytest.raises(ShePwmError, match=message):
-            LookupTable((0.5, 1.0), angles, thd, True, fundamental, 200.0, 1, 49)
+            LookupTable((0.5, 1.0), angles, thd, True, fundamental, 200.0, cells, 49)
 
     def test_table_type_keeps_python_floats(self, tmp_path):
         # numpy scalars used to reach the CSV as np.float64(...) text

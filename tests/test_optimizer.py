@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from shepwm import (OptimizerResult, PsoConfig, SheProblem, derive_seed, minimize, optimizer,
                     she, solve)
 from shepwm.errors import ShePwmError
-from shepwm.optimizer import _check_bounds, minimize_stacked
+from shepwm.optimizer import minimize_stacked
 
 
 def pointwise(f):
@@ -31,20 +31,14 @@ def sphere_batch(pts, cutoff):
     return np.sum((pts - 0.5) ** 2, axis=1)
 
 
-def _reference_minimize(objective, bounds, config):
+def _reference_minimize(objective, dim, config):
     """One swarm per restart, run one after another in the unit box: the loop
     the stacked optimizer replaced, kept as its bit-for-bit oracle. It clamps
-    with np.clip, maps each point u to min(low + span*u, high) before the
-    objective sees it, and gives every row a cutoff of +inf, so an objective
-    always returns its full values here."""
-    lo, hi = _check_bounds(bounds)
-    dim = lo.size
-    span = hi - lo
+    with np.clip and gives every row a cutoff of +inf, so an objective always
+    returns its full values here."""
     vmax = config.velocity_clamp_fraction
-    batch = lambda pts: np.asarray(
-        objective(np.minimum(lo + span * pts, hi), np.full(len(pts), np.inf)),
-        dtype=np.float64,
-    )
+    batch = lambda pts: np.asarray(objective(pts, np.full(len(pts), np.inf)),
+                                   dtype=np.float64)
 
     best_val = np.inf
     best_pos = None
@@ -106,7 +100,7 @@ def _reference_minimize(objective, bounds, config):
             best_restart = r
 
     return OptimizerResult(
-        best_position=np.minimum(lo + span * best_pos, hi),
+        best_position=best_pos,
         best_value=best_val,
         evaluations=evals,
         converged_iteration=best_conv,
@@ -174,13 +168,13 @@ class TestConfig:
 
 class TestMinimize:
     def test_sphere_reaches_tolerance(self):
-        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 6, PsoConfig(seed=7))
+        res = minimize(pointwise(sphere), 6, PsoConfig(seed=7))
         assert res.best_value <= 1e-6
 
     def test_determinism(self):
         cfg = PsoConfig(seed=123, iterations=80, restarts=2)
-        a = minimize(pointwise(sphere), [(0.0, 1.0)] * 4, cfg)
-        b = minimize(pointwise(sphere), [(0.0, 1.0)] * 4, cfg)
+        a = minimize(pointwise(sphere), 4, cfg)
+        b = minimize(pointwise(sphere), 4, cfg)
         assert a.best_value == b.best_value
         assert np.array_equal(a.best_position, b.best_position)
         assert a.evaluations == b.evaluations
@@ -189,66 +183,67 @@ class TestMinimize:
 
     def test_corner_optimum(self):
         res = minimize(
-            pointwise(lambda x: float(np.sum(x**2))), [(0.0, 1.0)] * 4,
+            pointwise(lambda x: float(np.sum(x**2))), 4,
             PsoConfig(seed=3),
         )
         assert np.all(np.abs(res.best_position) <= 1e-3)
 
     def test_positions_respect_bounds(self):
-        # every point the objective sees is the swarm's, mapped onto the box
+        # every point the objective sees is read-only and within [0, 1]^D,
+        # and the best value is the objective's at the best point
         seen = []
 
         def objective(pts, cutoff):
             assert not pts.flags.writeable
             seen.append(pts.copy())
-            return np.sum(np.abs(pts), axis=1)
+            return np.sum(np.abs(pts - 0.9), axis=1)
 
-        bounds = [(-2.0, -1.0), (3.0, 4.0), (0.0, 0.0)]
-        res = minimize(objective, bounds, PsoConfig(seed=5, iterations=40))
+        res = minimize(objective, 3, PsoConfig(seed=5, iterations=40))
         for pts in seen + [res.best_position[None]]:
-            for (lo, hi), column in zip(bounds, pts.T):
-                assert np.all((lo <= column) & (column <= hi))
-        assert res.best_value == float(np.sum(np.abs(res.best_position)))
+            assert pts.shape[1] == 3
+            assert np.all((0.0 <= pts) & (pts <= 1.0))
+        assert res.best_value == float(np.sum(np.abs(res.best_position - 0.9)))
 
     def test_gbest_history_nonincreasing(self):
-        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 6,
+        res = minimize(pointwise(sphere), 6,
                        PsoConfig(seed=11, iterations=120))
         assert res.gbest_history.size == 121
         assert np.all(np.diff(res.gbest_history) <= 0.0)
 
     def test_best_value_matches_reevaluation(self):
-        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 5,
+        res = minimize(pointwise(sphere), 5,
                        PsoConfig(seed=9, iterations=60))
         assert sphere(res.best_position) == res.best_value
 
     def test_vectorized_path_identical_to_scalar(self):
         cfg = PsoConfig(seed=42, iterations=50, restarts=2)
-        a = minimize(pointwise(sphere), [(0.0, 1.0)] * 3, cfg)
-        b = minimize(sphere_batch, [(0.0, 1.0)] * 3, cfg)
+        a = minimize(pointwise(sphere), 3, cfg)
+        b = minimize(sphere_batch, 3, cfg)
         assert a.best_value == b.best_value
         assert np.array_equal(a.best_position, b.best_position)
 
     def test_evaluation_count(self):
         cfg = PsoConfig(seed=2, swarm_size=10, iterations=20, restarts=3)
-        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 2, cfg)
+        res = minimize(pointwise(sphere), 2, cfg)
         assert res.evaluations == 3 * 10 * (20 + 1)
 
     def test_single_iteration(self):
-        res = minimize(pointwise(sphere), [(0.0, 1.0)] * 2,
+        res = minimize(pointwise(sphere), 2,
                        PsoConfig(seed=1, iterations=1))
         assert isinstance(res, OptimizerResult)
         assert res.gbest_history.size == 2
 
     @pytest.mark.parametrize(
         "bounds", [[], [(1.0, 0.0)], [(0.0, float("inf"))], [(float("nan"), 1.0)],
-                   [(0.0,)], None, [(-1e308, 1e308)]]
+                   [(0.0,)], None, [(-1e308, 1e308)], [(0.0, 1.0)] * 2]
     )
     def test_invalid_bounds(self, bounds):
-        # a box whose width overflows would hand the objective inf and nan
+        # minimize searches [0, 1]^dim: a list of (low, high) bounds in the
+        # dimension count's place is refused before a swarm runs
         def objective(pts, cutoff):
-            raise AssertionError("a swarm ran before the bounds were checked")
+            raise AssertionError("a swarm ran before the dimension count was checked")
 
-        with pytest.raises(ShePwmError, match="bound"):
+        with pytest.raises(ShePwmError, match="^dim must be "):
             minimize(objective, bounds, PsoConfig(seed=1))
 
     @pytest.mark.parametrize("dim", [0, -1, 1.5, 2.0, "3", None, [(0.0, 1.0)]], ids=repr)
@@ -265,9 +260,9 @@ class TestMinimize:
 
     @pytest.mark.parametrize("dim", [1, 2, 6])
     def test_unit_box_matches_the_stacked_swarm(self, dim):
-        # on [0, 1]^D the map low + span*u, capped at high, is u bit for bit
+        # minimize is the stacked swarm's run under the config's seed alone
         cfg = PsoConfig(seed=17, swarm_size=6, iterations=30, restarts=3)
-        assert_bit_equal(minimize(signed_wavy_batch, [(0.0, 1.0)] * dim, cfg),
+        assert_bit_equal(minimize(signed_wavy_batch, dim, cfg),
                          minimize_stacked(signed_wavy_batch, dim, cfg, [17])[0])
 
     @pytest.mark.parametrize("seeds", [None, 5], ids=repr)
@@ -278,7 +273,7 @@ class TestMinimize:
     def test_scalar_objective_raises(self):
         # a scalar objective returns one value for the whole batch
         with pytest.raises(ShePwmError, match="one value per row"):
-            minimize(lambda pts, cutoff: sphere(pts), [(0.0, 1.0)] * 2,
+            minimize(lambda pts, cutoff: sphere(pts), 2,
                      PsoConfig(seed=1, iterations=2))
 
     def test_objective_cannot_write_the_swarm(self):
@@ -289,14 +284,14 @@ class TestMinimize:
             return values
 
         with pytest.raises(ValueError, match="read-only"):
-            minimize(objective, [(0.0, 1.0)] * 2, PsoConfig(seed=1, iterations=2))
+            minimize(objective, 2, PsoConfig(seed=1, iterations=2))
 
         def lower_cutoff(pts, cutoff):
             cutoff[:] = -1.0
             return np.sum(pts**2, axis=1)
 
         with pytest.raises(ValueError, match="read-only"):
-            minimize(lower_cutoff, [(0.0, 1.0)] * 2, PsoConfig(seed=1, iterations=2))
+            minimize(lower_cutoff, 2, PsoConfig(seed=1, iterations=2))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("vectorized", [False, True])
@@ -309,7 +304,7 @@ class TestMinimize:
         with pytest.raises(ShePwmError, match="non-finite"):
             minimize(
                 objective if vectorized else pointwise(objective),
-                [(0.0, 1.0)] * 2, PsoConfig(seed=4, iterations=50),
+                2, PsoConfig(seed=4, iterations=50),
             )
 
 
@@ -328,20 +323,6 @@ OBJECTIVES = {
     "signed-zero": signed_wavy_batch,
 }
 
-# Per-dimension bounds the oracle draws from. The swarm runs in the unit box
-# and minimize maps it onto these; zero-width boxes and zeros of either sign
-# are where the map could change the sign of a zero.
-ORACLE_BOUNDS = [
-    (-0.5, 1.25),
-    (-1.0, 1.5),
-    (0.0, 1.0),
-    (-0.0, 1.0),
-    (0.3, 0.3),
-    (0.0, 0.0),
-    (-0.0, 0.0),
-    (0.0, -0.0),
-]
-
 
 class TestStackedOracle:
     """The stacked swarm against the per-restart loop, bit for bit."""
@@ -350,7 +331,7 @@ class TestStackedOracle:
         restarts=st.integers(1, 4),
         swarm=st.integers(2, 7),
         iterations=st.integers(1, 30),
-        bounds=st.lists(st.sampled_from(ORACLE_BOUNDS), min_size=1, max_size=8),
+        dim=st.integers(1, 8),
         seed=st.integers(0, 2**64 - 1),
         inertia_end=st.sampled_from([0.4, 0.0]),
         clamp=st.sampled_from([0.2, 1.0]),
@@ -358,28 +339,15 @@ class TestStackedOracle:
     )
     @settings(max_examples=80, deadline=None)
     def test_minimize_matches_reference(
-        self, restarts, swarm, iterations, bounds, seed, inertia_end, clamp, kind
+        self, restarts, swarm, iterations, dim, seed, inertia_end, clamp, kind
     ):
         cfg = PsoConfig(seed=seed, swarm_size=swarm, iterations=iterations,
                         restarts=restarts, cognitive=1.7, social=2.3,
                         inertia_end=inertia_end, velocity_clamp_fraction=clamp)
         objective = OBJECTIVES[kind]
         assert_bit_equal(
-            minimize(objective, bounds, cfg),
-            _reference_minimize(objective, bounds, cfg),
-        )
-
-    @pytest.mark.parametrize(
-        "bounds", [[b] for b in ORACLE_BOUNDS] + [ORACLE_BOUNDS], ids=str
-    )
-    def test_zero_signs_match_reference(self, bounds):
-        # a zero of either sign in the map, each drawn bound alone and all
-        # of them together
-        cfg = PsoConfig(seed=6, swarm_size=4, iterations=25, restarts=2,
-                        inertia_end=0.0, velocity_clamp_fraction=1.0)
-        assert_bit_equal(
-            minimize(signed_wavy_batch, bounds, cfg),
-            _reference_minimize(signed_wavy_batch, bounds, cfg),
+            minimize(objective, dim, cfg),
+            _reference_minimize(objective, dim, cfg),
         )
 
     @pytest.mark.parametrize("chunk", [1, 3, 40])
@@ -391,7 +359,7 @@ class TestStackedOracle:
                         inertia_end=0.0, velocity_clamp_fraction=1.0)
         seeds = [5, derive_seed(5, 0), 2**64 - 1]
         dim = 8
-        refs = [_reference_minimize(signed_wavy_batch, [(0.0, 1.0)] * dim,
+        refs = [_reference_minimize(signed_wavy_batch, dim,
                                     replace(cfg, seed=seed)) for seed in seeds]
         rows = len(seeds) * cfg.restarts * cfg.swarm_size
         per_iteration = 2 * rows * dim * 8
@@ -433,7 +401,7 @@ class TestStackedOracle:
         stacked = minimize_stacked(objective, 4, cfg, seeds)
         assert len(stacked) == len(seeds)
         for seed, res in zip(seeds, stacked):
-            ref = _reference_minimize(objective, [(0.0, 1.0)] * 4,
+            ref = _reference_minimize(objective, 4,
                                       replace(cfg, seed=seed))
             assert_bit_equal(res, ref)
 
@@ -448,15 +416,15 @@ class TestStackedOracle:
             return she._ordered_cost(she._ordered_angles(pts, problem), problem)
 
         assert_bit_equal(solve(problem, pso).diagnostics,
-                         _reference_minimize(kernel, [(0.0, 1.0)], pso))
+                         _reference_minimize(kernel, 1, pso))
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_constant_objective_ties_every_restart(self, vectorized):
         cfg = PsoConfig(seed=3, swarm_size=5, iterations=10, restarts=4)
         objective = ((lambda pts, cutoff: np.ones(len(pts))) if vectorized
                      else pointwise(lambda p: 1.0))
-        res = minimize(objective, [(0.0, 1.0)] * 3, cfg)
-        assert_bit_equal(res, _reference_minimize(objective, [(0.0, 1.0)] * 3, cfg))
+        res = minimize(objective, 3, cfg)
+        assert_bit_equal(res, _reference_minimize(objective, 3, cfg))
         assert res.winning_restart == 0
         assert res.restart_values == (1.0,) * 4
         assert res.restart_converged == (0,) * 4
@@ -464,14 +432,14 @@ class TestStackedOracle:
 
 class TestRestartTelemetry:
     def test_one_entry_per_restart(self):
-        res = minimize(pointwise(wavy), [(0.0, 1.0)] * 3,
+        res = minimize(pointwise(wavy), 3,
                        PsoConfig(seed=8, iterations=40, restarts=4))
         assert len(res.restart_values) == len(res.restart_converged) == 4
         assert all(0 <= c <= 40 for c in res.restart_converged)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_winner_is_first_argmin(self, seed):
-        res = minimize(wavy_batch, [(0.0, 1.0)] * 2,
+        res = minimize(wavy_batch, 2,
                        PsoConfig(seed=seed, swarm_size=4, iterations=5, restarts=5))
         values = res.restart_values
         assert res.best_value == values[res.winning_restart]

@@ -230,6 +230,17 @@ def test_readme_lookup_schema_matches_the_header():
         ",".join(dclink.LOOKUP_COLUMNS) + ",theta_1")
 
 
+def test_readme_library_example_runs():
+    # the Library section's python block, run as written, so it cannot drift
+    # from the signatures it calls
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    library = readme.read_text().split("\n## Library\n", 1)[1]
+    code = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md#Library", "exec"), namespace)
+    assert namespace["best"].best_value <= 1e-6
+
+
 def test_readme_lookup_json_keys_match_the_writer():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     bullets = readme.read_text().split("\n* ")

@@ -469,7 +469,7 @@ VALUE_ARGUMENTS = {
     "derive_seed.index": lambda v: derive_seed(1, v),
     "dft_spectrum.max_order": lambda v: dft_spectrum(SAMPLES, v),
     "dft_spectrum.base_volts": lambda v: dft_spectrum(SAMPLES, 3, v),
-    "minimize.bounds": lambda v: minimize(lambda pts, cutoff: np.sum(pts**2, axis=1), v, TINY),
+    "minimize.dim": lambda v: minimize(lambda pts, cutoff: np.sum(pts**2, axis=1), v, TINY),
     "pattern_thd.max_order": lambda v: pattern_thd(PATTERN, v),
     "segment_integral_harmonic.n": lambda v: segment_integral_harmonic(PATTERN, v),
     "sweep.m_values": lambda v: sweep(TWO_ANGLES, v, TINY),

@@ -784,9 +784,9 @@ OVERSIZE = {
         SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0), 10**20),
     "n_samples": lambda: synthesize(SwitchingPattern((0.1, 0.2), (1, -1), 1, 200.0),
                                     4 * 10**15),
-    "minimize": lambda: minimize(lambda p, c: p[:, 0], [(0, 1)],
+    "minimize": lambda: minimize(lambda p, c: p[:, 0], 1,
                                  PsoConfig(1, swarm_size=10**20, iterations=1, restarts=1)),
-    "minimize_iterations": lambda: minimize(lambda p, c: p[:, 0], [(0, 1)],
+    "minimize_iterations": lambda: minimize(lambda p, c: p[:, 0], 1,
                                             PsoConfig(1, swarm_size=2, iterations=10**18)),
     "default_signs_cells": lambda: default_sign_pattern(2**70, 3),
     "default_signs_per_cell": lambda: default_sign_pattern(1, 2**70 + 1),
@@ -903,13 +903,12 @@ class TestMemoryPlans:
 
     @pytest.mark.parametrize("dim", [1, 6, 12])
     def test_the_swarm_plan_covers_its_peak(self, monkeypatch, dim):
-        # one swarm on its mapped points, with every row improving at every
-        # iteration; a budget one byte under its measured peak refuses the
-        # swarm before it runs
+        # one swarm with every row improving at every iteration; a budget
+        # one byte under its measured peak refuses the swarm before it runs
         pso = PsoConfig(1, swarm_size=120_000 // dim, iterations=3, restarts=1)
         tracemalloc.start()
         try:
-            minimize(improving, [(0.0, 1.0)] * dim, pso)
+            minimize(improving, dim, pso)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -917,7 +916,7 @@ class TestMemoryPlans:
         with pytest.raises(ShePwmError, match=(
                 rf"^the swarm plans \d+ bytes, over the budget of {peak - 1}: seeds 1, "
                 rf"restarts 1, swarm_size {120_000 // dim}, dimensions {dim}, iterations 3$")):
-            minimize(improving, [(0.0, 1.0)] * dim, pso)
+            minimize(improving, dim, pso)
 
     @pytest.mark.parametrize("k, max_order", [(1, 20001), (12, 2001)])
     def test_the_segment_plan_covers_its_peak(self, monkeypatch, k, max_order):
