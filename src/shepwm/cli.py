@@ -115,11 +115,6 @@ PSO_FLAGS = (
     ("--swarm", "swarm_size", int, "particles per swarm"),
     ("--iterations", "iterations", int, "iterations per restart"),
     ("--restarts", "restarts", int, "independent restarts"),
-    ("--inertia-start", "inertia_start", float, "inertia at the first iteration"),
-    ("--inertia-end", "inertia_end", float, "inertia at the last iteration"),
-    ("--cognitive", "cognitive", float, "personal-best acceleration"),
-    ("--social", "social", float, "global-best acceleration"),
-    ("--velocity-clamp", "velocity_clamp_fraction", float, "speed cap, box fraction"),
 )
 _NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
     "pu", "seed", "weights", "command", "func"}

@@ -7,6 +7,9 @@ and derived seeds for batched work (sweeps, comparison grids) come from
 fixed platform. ``minimize_stacked`` runs the swarms of many seeds and all
 their restarts as one batch in [0, 1]^dim; every update is elementwise or
 per swarm, so each result has the same bits as a one-seed run.
+The coefficients are the constants ``INERTIA_START``, ``INERTIA_END``,
+``COGNITIVE``, ``SOCIAL`` and ``VELOCITY_CLAMP``; ``PsoConfig`` holds the seed
+and the budget.
 """
 
 from __future__ import annotations
@@ -17,10 +20,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_plan,
-                     check_real, check_sequence)
+from .errors import ShePwmError, apply_rules, check_count, check_plan, check_sequence
 
 _U64_MAX = 2**64 - 1
+# The swarm's coefficients: Shi and Eberhart's inertia, falling linearly over a
+# restart, the pulls toward the personal and swarm bests, and the speed cap
+# per dimension, a fraction of the unit box.
+INERTIA_START, INERTIA_END = 0.9, 0.4
+COGNITIVE = SOCIAL = 2.0
+VELOCITY_CLAMP = 0.2
 # The most bytes of uniform draws a stacked swarm holds at once; it fixes how
 # many iterations each swarm's stream fills per call (at least one).
 DRAW_BUDGET_BYTES = 1 << 20
@@ -75,30 +83,20 @@ def derive_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm hyperparameters. All fields except the seed have defaults."""
+    """A swarm's seed and budget; all fields except the seed have defaults.
+    Its coefficients are the module's constants INERTIA_START, INERTIA_END,
+    COGNITIVE, SOCIAL and VELOCITY_CLAMP."""
 
     seed: int
     swarm_size: int = 50
     iterations: int = 200
-    inertia_start: float = 0.9
-    inertia_end: float = 0.4
-    cognitive: float = 2.0
-    social: float = 2.0
-    velocity_clamp_fraction: float = 0.2
     restarts: int = 5
 
     RULES = (("seed", check_seed), ("swarm_size", check_swarm_size),
-             ("iterations", check_count), ("inertia_start", check_nonnegative),
-             ("inertia_end", check_nonnegative), ("cognitive", check_nonnegative),
-             ("social", check_nonnegative), ("velocity_clamp_fraction", check_real),
-             ("restarts", check_count))
+             ("iterations", check_count), ("restarts", check_count))
 
     def __post_init__(self):
         apply_rules(self, self.RULES)
-        if self.inertia_start < self.inertia_end:
-            raise ShePwmError("need inertia_start >= inertia_end >= 0")
-        if not (0.0 < self.velocity_clamp_fraction <= 1.0):
-            raise ShePwmError("velocity_clamp_fraction must be in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,13 +144,13 @@ def minimize_stacked(
         value; an objective that cannot use this ignores the cutoff.
 
     Per iteration each particle's velocity is updated with inertia (linear
-    schedule from inertia_start to inertia_end), a cognitive pull toward its
-    personal best and a social pull toward the swarm best, then clamped to
-    +-velocity_clamp_fraction. Positions are clamped back to [0, 1], zeroing
-    the velocity in any clamped dimension. The global best is reduced over
-    particles in index order, so ties resolve deterministically. There is no
-    early stopping: every restart runs the full iteration count and the best
-    restart wins (ties go to the lowest restart index).
+    schedule from INERTIA_START to INERTIA_END), a pull toward its personal
+    best scaled by COGNITIVE and one toward the swarm best scaled by SOCIAL,
+    then clamped to +-VELOCITY_CLAMP. Positions are clamped back to [0, 1],
+    zeroing the velocity in any clamped dimension. The global best is reduced
+    over particles in index order, so ties resolve deterministically. There
+    is no early stopping: every restart runs the full iteration count and the
+    best restart wins (ties go to the lowest restart index).
 
     Result b is bit-identical to a run under seeds[b] alone. The
     len(seeds) * restarts swarms advance together, and each iteration makes
@@ -167,7 +165,6 @@ def minimize_stacked(
     seeds = check_sequence(seeds, "seeds", lambda seed, _: check_seed(seed))
     if not seeds:
         return []
-    vmax = config.velocity_clamp_fraction
     restarts, size, iters = config.restarts, config.swarm_size, config.iterations
     blocks = len(seeds) * restarts
     check_plan(swarm_bytes(blocks, size, dim, iters), "the swarm", seeds=len(seeds),
@@ -216,9 +213,9 @@ def minimize_stacked(
     hist[:, 0] = gval
     conv = np.zeros(blocks, dtype=np.int64)
 
-    # pulls holds (cognitive * r1, social * r2) and gaps (pbest - x, gbest - x)
+    # pulls holds (COGNITIVE * r1, SOCIAL * r2) and gaps (pbest - x, gbest - x)
     # per swarm. The in-place steps below evaluate
-    # v = w*v + cognitive*r1*(pbest - x) + social*r2*(gbest - x) in the
+    # v = w*v + COGNITIVE*r1*(pbest - x) + SOCIAL*r2*(gbest - x) in the
     # one-swarm order, so every element gets the same bits.
     pulls = np.empty((2, blocks, size, dim))
     gaps = np.empty_like(pulls)
@@ -234,25 +231,23 @@ def minimize_stacked(
 
     for t in range(iters):
         if iters > 1:
-            w = config.inertia_start + (
-                config.inertia_end - config.inertia_start
-            ) * (t / (iters - 1))
+            w = INERTIA_START + (INERTIA_END - INERTIA_START) * (t / (iters - 1))
         else:
-            w = config.inertia_start
+            w = INERTIA_START
         step = t % chunk
         if step == 0:
             fill = min(chunk, iters - t)
             for rng, own in zip(rngs, draws):
                 rng.random(out=own[:fill])
-        np.multiply(draws[:, step, 0], config.cognitive, out=cognitive_pull)
-        np.multiply(draws[:, step, 1], config.social, out=social_pull)
+        np.multiply(draws[:, step, 0], COGNITIVE, out=cognitive_pull)
+        np.multiply(draws[:, step, 1], SOCIAL, out=social_pull)
         np.subtract(bests, x, out=gaps)
         pulls *= gaps
         v *= w
         v += cognitive_pull
         v += social_pull
-        np.maximum(v, -vmax, out=v)
-        np.minimum(v, vmax, out=v)
+        np.maximum(v, -VELOCITY_CLAMP, out=v)
+        np.minimum(v, VELOCITY_CLAMP, out=v)
         # x is never -0.0 (draws are >= +0.0), so no clamp meets a zero-sign tie
         x += v
         np.less(x, 0.0, out=clamped)

@@ -44,10 +44,14 @@ RESIDUAL_THRESHOLD_PU = 1e-3
 FUNDAMENTAL_THRESHOLD_PU = 1e-3
 
 DEFAULT_ELIMINATE = (3, 5, 7, 9, 11)
-# The kernel's share of a solve's peak, past optimizer.swarm_bytes: with
-# harmonics.LAYER_BYTES per recurrence layer, tracemalloc read 31 B per
-# particle row and angle at K = 1 (its per-row arrays) and at most 2 B at K >= 6.
-ROW_ANGLE_BYTES = 32
+# The kernel's share of a solve's peak past optimizer.swarm_bytes and
+# harmonics.LAYER_BYTES per recurrence layer, by tracemalloc of solve_pairs at
+# 120,000 and 1,200,000 row angles: 21-27 B per particle row at K = 1 and 2
+# (its target, fundamental, cost and cutoff test), and less at K = 4 to 12,
+# where the swarm's update temporaries, which swarm_bytes plans, outweigh the
+# kernel's 16 B per row and angle; ROW_ANGLE_BYTES keeps 2 B of those.
+ROW_BYTES = 28
+ROW_ANGLE_BYTES = 2
 
 
 def check_target(m, name: str = "target_m") -> float:
@@ -161,7 +165,7 @@ class _KernelColumns(NamedTuple):
 
 
 def _row_bytes(k: int, top: int) -> int:
-    return k * (ROW_ANGLE_BYTES + LAYER_BYTES * ((top + 1) // 2))
+    return ROW_BYTES + k * (ROW_ANGLE_BYTES + LAYER_BYTES * ((top + 1) // 2))
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -268,7 +272,8 @@ def _ordered_cost(theta: np.ndarray, problem: SheProblem, target_m=None,
         target_m = problem.target_m
     kernel = problem._kernel
     block = signed_cosines(theta, kernel.signs)
-    fund = odd_harmonic_sums(block, 1)[0]
+    # the fundamental needs no recurrence: the K rows of the block in order
+    fund = add_rows(block[:, None])[0]
     fund_pu = np.abs(kernel.unit * fund)
     total = problem.weight_fundamental * np.abs(target_m - fund_pu)
     # A NaN cutoff bounds nothing, so its row is kept.

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +174,7 @@ class TestUsageErrors:
             ["frobnicate"],
             ["solve", "--pu", "0.5", "--seed", "1", "--weights", "nan,10"],
             ["solve", "--pu", "0.5", "--seed", "1", "--weights=-1,10"],
+            # the swarm's coefficients are constants, so these flags are unknown
             ["solve", "--pu", "0.5", "--seed", "1", "--cognitive", "inf"],
             ["solve", "--pu", "0.5", "--seed", "1", "--social", "nan"],
             ["sweep", "--pu-grid", "nan:1.0:0.1", "--seed", "1"],
@@ -352,6 +353,23 @@ class TestSolverConfig:
         assert config["pso"] == asdict(pso)
         assert config["max_order"] == DEFAULT_MAX_ORDER
 
+    def test_every_field_has_a_flag(self):
+        # a field without a flag would keep its default under every argv; the
+        # seed has its own flag, and --weights sets the two weights
+        names = lambda cls: {f.name for f in fields(cls)}
+        assert {field for _, field, _, _ in cli.PSO_FLAGS} == names(PsoConfig) - {"seed"}
+        assert {field for _, field, _, _ in cli.PROBLEM_FLAGS} == names(SheProblem) - {
+            "target_m", "weight_fundamental", "weight_harmonics"}
+
+    @pytest.mark.parametrize("flag", ["--inertia-start", "--inertia-end", "--cognitive",
+                                      "--social", "--velocity-clamp"])
+    def test_a_coefficient_flag_is_unknown(self, flag, capsys):
+        # the swarm's coefficients are constants of the optimizer
+        with pytest.raises(SystemExit) as info:
+            cli.main(["solve", "--pu", "0.5", "--seed", "1", flag, "2.0"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 2.0" in capsys.readouterr().err
+
     def test_analyze_vdc_default_is_the_problem_default(self):
         args = cli.build_parser().parse_args(["analyze", "--angles", "0", "--signs", "1"])
         assert args.vdc == SheProblem(target_m=1.0).vdc_per_cell
@@ -359,9 +377,8 @@ class TestSolverConfig:
 
 
 # Fragments for the in-process argv property: valid values next to broken
-# ones (non-finite grid parts, NaN or negative weights, non-finite swarm
-# coefficients, empty, inverted or oversized grids, out-of-range targets and
-# seeds).
+# ones (non-finite grid parts, NaN or negative weights, bad swarm budgets,
+# empty, inverted or oversized grids, out-of-range targets and seeds).
 GRIDS = ["0.5", "0.2,1.0", "0.1:1.0:0.3", "1.0", "", ",", "0,0.5",
          "nan:1.0:0.1", "0.1:inf:0.1", "0.1:1.0:nan", "-inf:1:0.5", "0.1:1.0:-0.1",
          "0.5:0.1:0.1", "0.1:0.5:0", "nan,0.5", "inf", "-0.1,0.5", "a:b:c", "1:2",
@@ -370,9 +387,8 @@ TARGETS = ["0.5", "1.0", "0", "nan", "inf", "1.5", "-0.1", "x"]
 SEEDS = ["1", "0", "18446744073709551615", "18446744073709551616", "-3", "x"]
 WEIGHTS = ["100,10", "0,0", "nan,10", "10,nan", "-1,10", "10,-0.5", "inf,1", "1",
            "a,b", ""]
-COEFFICIENTS = ["2.0", "0", "0.5", "1e300", "nan", "inf", "-inf", "-1"]
-SWARM_FLAGS = ["--cognitive", "--social", "--inertia-start", "--inertia-end",
-               "--velocity-clamp"]
+BUDGETS = ["0", "-1", "1.5", "x", "3"]
+SWARM_FLAGS = ["--swarm", "--iterations", "--restarts"]
 TINY_SOLVE = ["--iterations", "2", "--restarts", "1", "--swarm", "3"]
 
 
@@ -387,7 +403,7 @@ def solver_argv(draw):
     if draw(st.booleans()):
         argv.append(f"--weights={draw(st.sampled_from(WEIGHTS))}")
     for flag in draw(st.lists(st.sampled_from(SWARM_FLAGS), unique=True, max_size=3)):
-        argv.append(f"{flag}={draw(st.sampled_from(COEFFICIENTS))}")
+        argv.append(f"{flag}={draw(st.sampled_from(BUDGETS))}")
     return argv
 
 

@@ -316,6 +316,16 @@ class TestClosedFormOracle:
 class TestOddHarmonicSums:
     """odd_harmonic_sums gives the bits of the plain row loop."""
 
+    @staticmethod
+    def _block(rng, k, rows):
+        block = signed_cosines(rng.random((k, rows)) * (math.pi / 2),
+                               rng.choice([-1.0, 1.0], k))
+        block[rng.random((k, rows)) < 0.25] = -0.0
+        block[k // 2, 0] = -0.0
+        if rows > 1:
+            block[:, -1] = -0.0
+        return block
+
     @pytest.mark.parametrize("rows", [1, 2, 3, 250])
     @pytest.mark.parametrize("k", [1, 2, 6, 8, 12, 16])
     def test_sums_have_the_row_loops_bits(self, rng, k, rows):
@@ -323,12 +333,18 @@ class TestOddHarmonicSums:
         # in one call (two or more columns) or row by row (one column, which
         # numpy would reduce pairwise from 8 rows); a column of -0.0 sums
         # to -0.0, so the reduce must start from -0.0, not numpy's +0.0
-        block = signed_cosines(rng.random((k, rows)) * (math.pi / 2),
-                               rng.choice([-1.0, 1.0], k))
-        block[rng.random((k, rows)) < 0.25] = -0.0
-        block[k // 2, 0] = -0.0
-        if rows > 1:
-            block[:, -1] = -0.0
+        self._assert_row_loop_bits(self._block(rng, k, rows))
+
+    @pytest.mark.parametrize("rows", [2, 3, 250])
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    def test_a_fortran_ordered_block_has_the_row_loops_bits(self, rng, k, rows):
+        # the block's memory order changes no bit: a reduce along a
+        # contiguous first axis would add 8 or more rows pairwise
+        self._assert_row_loop_bits(np.asfortranarray(self._block(rng, k, rows)))
+
+    @staticmethod
+    def _assert_row_loop_bits(block):
+        rows = block.shape[1]
         for max_order in (1, 3, 11, 49):
             for columns in (None, np.array([rows // 2]), np.arange(0, rows, 2)):
                 picked = block if columns is None else block[:, columns]

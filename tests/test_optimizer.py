@@ -36,7 +36,7 @@ def _reference_minimize(objective, dim, config):
     the stacked optimizer replaced, kept as its bit-for-bit oracle. It clamps
     with np.clip and gives every row a cutoff of +inf, so an objective always
     returns its full values here."""
-    vmax = config.velocity_clamp_fraction
+    vmax = optimizer.VELOCITY_CLAMP
     batch = lambda pts: np.asarray(objective(pts, np.full(len(pts), np.inf)),
                                    dtype=np.float64)
 
@@ -64,14 +64,14 @@ def _reference_minimize(objective, dim, config):
 
         for t in range(config.iterations):
             if config.iterations > 1:
-                w = config.inertia_start + (
-                    config.inertia_end - config.inertia_start
+                w = optimizer.INERTIA_START + (
+                    optimizer.INERTIA_END - optimizer.INERTIA_START
                 ) * (t / (config.iterations - 1))
             else:
-                w = config.inertia_start
+                w = optimizer.INERTIA_START
             r1 = rng.random((config.swarm_size, dim))
             r2 = rng.random((config.swarm_size, dim))
-            v = w * v + config.cognitive * r1 * (pbest - x) + config.social * r2 * (
+            v = w * v + optimizer.COGNITIVE * r1 * (pbest - x) + optimizer.SOCIAL * r2 * (
                 gpos - x
             )
             np.clip(v, -vmax, vmax, out=v)
@@ -133,12 +133,11 @@ class TestConfig:
         cfg = PsoConfig(seed=1)
         assert cfg.swarm_size == 50
         assert cfg.iterations == 200
-        assert cfg.inertia_start == 0.9
-        assert cfg.inertia_end == 0.4
-        assert cfg.cognitive == 2.0
-        assert cfg.social == 2.0
-        assert cfg.velocity_clamp_fraction == 0.2
         assert cfg.restarts == 5
+        # the coefficients are constants: Shi and Eberhart's inertia schedule
+        assert (optimizer.INERTIA_START, optimizer.INERTIA_END) == (0.9, 0.4)
+        assert (optimizer.COGNITIVE, optimizer.SOCIAL) == (2.0, 2.0)
+        assert optimizer.VELOCITY_CLAMP == 0.2
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -149,16 +148,16 @@ class TestConfig:
             dict(seed=1, swarm_size=1),
             dict(seed=1, iterations=0),
             dict(seed=1, restarts=0),
-            dict(seed=1, inertia_start=0.3, inertia_end=0.5),
-            dict(seed=1, inertia_end=-0.1),
-            dict(seed=1, cognitive=-1.0),
-            dict(seed=1, velocity_clamp_fraction=0.0),
-            dict(seed=1, velocity_clamp_fraction=1.5),
-            dict(seed=1, cognitive=float("inf")),
-            dict(seed=1, social=float("nan")),
-            dict(seed=1, inertia_start=float("inf")),
-            dict(seed=1, inertia_end=float("nan")),
-            dict(seed=1, velocity_clamp_fraction=float("nan")),
+            dict(seed=1.0),
+            dict(seed="1"),
+            dict(seed=1, swarm_size=-1),
+            dict(seed=1, swarm_size=2.5),
+            dict(seed=1, iterations=-1),
+            dict(seed=1, iterations=1.5),
+            dict(seed=1, iterations="3"),
+            dict(seed=1, restarts=-1),
+            dict(seed=1, restarts=2.0),
+            dict(seed=1, restarts=None),
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -333,17 +332,12 @@ class TestStackedOracle:
         iterations=st.integers(1, 30),
         dim=st.integers(1, 8),
         seed=st.integers(0, 2**64 - 1),
-        inertia_end=st.sampled_from([0.4, 0.0]),
-        clamp=st.sampled_from([0.2, 1.0]),
         kind=st.sampled_from(sorted(OBJECTIVES)),
     )
     @settings(max_examples=80, deadline=None)
-    def test_minimize_matches_reference(
-        self, restarts, swarm, iterations, dim, seed, inertia_end, clamp, kind
-    ):
+    def test_minimize_matches_reference(self, restarts, swarm, iterations, dim, seed, kind):
         cfg = PsoConfig(seed=seed, swarm_size=swarm, iterations=iterations,
-                        restarts=restarts, cognitive=1.7, social=2.3,
-                        inertia_end=inertia_end, velocity_clamp_fraction=clamp)
+                        restarts=restarts)
         objective = OBJECTIVES[kind]
         assert_bit_equal(
             minimize(objective, dim, cfg),
@@ -355,8 +349,7 @@ class TestStackedOracle:
         # A draw budget of `chunk` iterations' bytes makes every swarm's
         # stream refill the buffer mid-run (23 is no multiple of 3), or, at
         # 40, fill all 23 iterations at once.
-        cfg = PsoConfig(seed=0, swarm_size=4, iterations=23, restarts=2,
-                        inertia_end=0.0, velocity_clamp_fraction=1.0)
+        cfg = PsoConfig(seed=0, swarm_size=4, iterations=23, restarts=2)
         seeds = [5, derive_seed(5, 0), 2**64 - 1]
         dim = 8
         refs = [_reference_minimize(signed_wavy_batch, dim,

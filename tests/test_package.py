@@ -1,15 +1,17 @@
+import argparse
 import ast
 import importlib
 import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import shepwm
-from shepwm import dclink
+from shepwm import cli, dclink
 
 from conftest import PACKAGE_ROOT
 
@@ -204,15 +206,17 @@ def test_each_plan_constant_has_one_home():
     # each memory plan's constant is assigned once, beside the array it
     # measures; cli.py holds only analyze's, whose bytes are its own JSON text
     package = Path(shepwm.__file__).parent
-    homes = {name: [] for name in ("COUNT_BUDGET_BYTES", "ROW_ANGLE_BYTES", "LAYER_BYTES",
-                                   "SWARM_ROW_BYTES", "SWARM_DIM_BYTES", "HISTORY_BYTES",
-                                   "DRAW_BUDGET_BYTES", "MAGNITUDE_BYTES", "SEGMENT_BYTES",
-                                   "SAMPLE_BYTES", "SIGN_BYTES", "ORDER_BYTES")}
+    homes = {name: [] for name in ("COUNT_BUDGET_BYTES", "ROW_BYTES", "ROW_ANGLE_BYTES",
+                                   "LAYER_BYTES", "SWARM_ROW_BYTES", "SWARM_DIM_BYTES",
+                                   "HISTORY_BYTES", "DRAW_BUDGET_BYTES", "MAGNITUDE_BYTES",
+                                   "SEGMENT_BYTES", "SAMPLE_BYTES", "SIGN_BYTES",
+                                   "ORDER_BYTES")}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 homes.get(node.id, []).append(path.name)
-    assert homes == {"COUNT_BUDGET_BYTES": ["errors.py"], "ROW_ANGLE_BYTES": ["she.py"],
+    assert homes == {"COUNT_BUDGET_BYTES": ["errors.py"], "ROW_BYTES": ["she.py"],
+                     "ROW_ANGLE_BYTES": ["she.py"],
                      "LAYER_BYTES": ["harmonics.py"], "SWARM_ROW_BYTES": ["optimizer.py"],
                      "SWARM_DIM_BYTES": ["optimizer.py"], "HISTORY_BYTES": ["optimizer.py"],
                      "DRAW_BUDGET_BYTES": ["optimizer.py"],
@@ -239,6 +243,36 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(code, "README.md#Library", "exec"), namespace)
     assert namespace["best"].best_value <= 1e-6
+
+
+def _command_line_section() -> str:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## Command line\n", 1)[1]
+    return re.split(r"\n##+ ", section, maxsplit=1)[0]
+
+
+def test_readme_command_line_runs_as_written(tmp_path, monkeypatch):
+    # each command of the Command line block, run in a scratch directory;
+    # the default budget misses the full-modulation base point, so table and
+    # compare exit 1, with their outputs written. Every flag the section
+    # names is an option of some command.
+    section = _command_line_section()
+    block = section.split("```\n", 1)[1].split("\n```", 1)[0]
+    commands = [shlex.split(line)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("shepwm ")]
+    assert [argv[1] for argv in commands] == ["solve", "compare", "table", "sweep",
+                                              "analyze"]
+    monkeypatch.chdir(tmp_path)
+    codes = {argv[1]: cli.main(argv[1:]) for argv in commands}
+    assert codes == {"solve": 0, "compare": 1, "table": 1, "sweep": 0, "analyze": 0}
+    parser = cli.build_parser()
+    subcommands = next(action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {option for sub in subcommands.choices.values()
+               for option in sub._option_string_actions}
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    assert named and named - options == set()
 
 
 def test_readme_lookup_json_keys_match_the_writer():

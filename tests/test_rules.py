@@ -61,9 +61,7 @@ RULES = {
                  "sign_pattern": _signs_or_none, "weight_fundamental": check_nonnegative,
                  "weight_harmonics": check_nonnegative, "vdc_per_cell": check_vdc},
     PsoConfig: {"seed": check_seed, "swarm_size": check_swarm_size, "iterations": check_count,
-                "inertia_start": check_nonnegative, "inertia_end": check_nonnegative,
-                "cognitive": check_nonnegative, "social": check_nonnegative,
-                "velocity_clamp_fraction": check_real, "restarts": check_count},
+                "restarts": check_count},
     LookupTable: {"grid": check_lookup_grid, "angles": check_angles,
                   "thd": check_nonnegative, "feasible": check_flag,
                   "fundamental_v": check_nonnegative, "base_vdc_per_cell": check_vdc,
@@ -78,9 +76,7 @@ VALID = {
     SheProblem: dict(target_m=0.5, eliminate_orders=(3, 5, 7, 9, 11), cells=2,
                      angles_per_cell=3, sign_pattern=(1, -1, 1, 1, -1, -1),
                      weight_fundamental=100.0, weight_harmonics=10.0, vdc_per_cell=200.0),
-    PsoConfig: dict(seed=1, swarm_size=3, iterations=3, inertia_start=0.75,
-                    inertia_end=0.25, cognitive=1.5, social=1.5,
-                    velocity_clamp_fraction=0.25, restarts=3),
+    PsoConfig: dict(seed=1, swarm_size=3, iterations=3, restarts=3),
     LookupTable: dict(grid=(0.5, 1.0), angles=(0.25, 0.5), thd=0.25, feasible=True,
                       fundamental_v=300.0, base_vdc_per_cell=200.0, cells=1,
                       thd_max_order=49),

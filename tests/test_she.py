@@ -821,7 +821,7 @@ class TestMemoryPlans:
 
         monkeypatch.setattr(she, "default_sign_pattern", no_signs)
         with pytest.raises(ShePwmError, match=(
-                r"^a particle row plans 92000000000 bytes, over the budget of "
+                r"^a particle row plans 62000000028 bytes, over the budget of "
                 r"1073741824: K 1000000000, top_order 11$")):
             SheProblem(0.5, cells=10**9, angles_per_cell=1)
 
@@ -884,7 +884,8 @@ class TestMemoryPlans:
                                    thd_max_order=10**12)
 
     @pytest.mark.parametrize("k, orders", [(1, ()), (6, (3, 5, 7, 9, 11)),
-                                           (8, (3, 5, 7, 9, 11, 13, 15))])
+                                           (8, (3, 5, 7, 9, 11, 13, 15)),
+                                           (12, tuple(range(3, 25, 2)))])
     def test_the_row_plan_covers_a_solves_peak(self, monkeypatch, k, orders):
         # the swarm's plan plus the kernel's rows; a budget one byte under a
         # solve's measured peak refuses the solve. At 120,000 row angles the
