@@ -59,13 +59,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated int list")
 
 
-def _weights(text: str) -> tuple[float, float]:
-    values = _float_list(text)
-    if len(values) != 2:
-        raise argparse.ArgumentTypeError("weights must be two numbers: A,B")
-    return values[0], values[1]
-
-
 def parse_grid(text: str) -> list[float]:
     """`start:stop:step` (inclusive of stop within 1e-9) or a comma list.
 
@@ -117,7 +110,7 @@ PSO_FLAGS = (
     ("--restarts", "restarts", int, "independent restarts"),
 )
 _NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
-    "pu", "seed", "weights", "command", "func"}
+    "pu", "seed", "command", "func"}
 
 
 def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
@@ -126,12 +119,7 @@ def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
     and its spectrum planned, before any solve."""
     check_count(args.max_order, "--max-order")
     given = vars(args)
-    problem = SheProblem(
-        target_m,
-        weight_fundamental=args.weights[0],
-        weight_harmonics=args.weights[1],
-        **{field: given[field] for _, field, _, _ in PROBLEM_FLAGS},
-    )
+    problem = SheProblem(target_m, **{field: given[field] for _, field, _, _ in PROBLEM_FLAGS})
     plan_spectrum(problem.n_angles, args.max_order)
     pso = PsoConfig(args.seed, **{field: given[field] for _, field, _, _ in PSO_FLAGS})
     extra = {k: v for k, v in given.items() if k not in _NOT_EXTRA}
@@ -327,10 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, field, type_, help_ in table:
             solver.add_argument(flag, dest=field, type=type_, default=getattr(cls, field),
                                 help=f"{help_} (default %(default)s)")
-    solver.add_argument("--weights", type=_weights, metavar="A,B",
-                        default=(SheProblem.weight_fundamental,
-                                 SheProblem.weight_harmonics),
-                        help="fundamental,harmonic cost weights (default %(default)s)")
     solver.add_argument("--seed", type=int, required=True,
                         help="base seed (unsigned 64-bit, required)")
     solver.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)

@@ -39,14 +39,16 @@ class GridPositionError(ShePwmError):
 
 
 def check_count(n, name: str) -> int:
-    """n as an int >= 1; integer types such as numpy's pass, floats do not."""
+    """n as an int >= 1; integer types such as numpy's pass, a bool or float not."""
     try:
-        n = operator.index(n)
+        index = operator.index(n)
     except TypeError:
-        raise ShePwmError(f"{name} must be an integer, got {n!r}") from None
-    if n < 1:
-        raise ShePwmError(f"{name} must be >= 1, got {n}")
-    return n
+        index = None
+    if index is None or isinstance(n, bool):
+        raise ShePwmError(f"{name} must be an integer, got {n!r}")
+    if index < 1:
+        raise ShePwmError(f"{name} must be >= 1, got {index}")
+    return index
 
 
 def check_real(x, name: str) -> float:

@@ -43,12 +43,12 @@ HISTORY_BYTES = 16
 
 
 def check_seed(seed, name: str = "seed") -> int:
-    """seed as an int, refused unless it is an unsigned 64-bit integer."""
+    """seed as an int, refused unless it is an unsigned 64-bit integer (a bool is not)."""
     try:
         value = operator.index(seed)
     except TypeError:
         value = None
-    if value is None or not 0 <= value <= _U64_MAX:
+    if value is None or isinstance(seed, bool) or not 0 <= value <= _U64_MAX:
         raise ShePwmError(f"{name} must be an unsigned 64-bit integer, got {seed!r}")
     return value
 

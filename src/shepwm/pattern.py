@@ -251,7 +251,8 @@ def synthesize(pattern: SwitchingPattern, n_samples: int) -> WaveformSamples:
     v(phi)), and the second half-period is the exact negation of the first,
     so v[i + N/2] == -v[i] bit-for-bit.
     """
-    if not isinstance(n_samples, (int, np.integer)):  # integers keep the rule below
+    # integers keep the rule below; a bool is no count
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
         check_count(n_samples, "sample count")
     if n_samples < 4 or n_samples % 4 != 0:
         raise ShePwmError(

@@ -25,8 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_plan,
-                     check_real, check_reals, check_sequence)
+from .errors import (ShePwmError, apply_rules, check_count, check_plan, check_real, check_reals,
+                     check_sequence)
 from .harmonics import LAYER_BYTES, add_rows, odd_harmonic_sums, signed_cosines
 from .optimizer import (
     OptimizerResult,
@@ -44,6 +44,10 @@ RESIDUAL_THRESHOLD_PU = 1e-3
 FUNDAMENTAL_THRESHOLD_PU = 1e-3
 
 DEFAULT_ELIMINATE = (3, 5, 7, 9, 11)
+# The cost's weights: WEIGHT_FUNDAMENTAL on the fundamental tracking error and
+# WEIGHT_HARMONICS/n on each eliminated order n's residual.
+WEIGHT_FUNDAMENTAL = 100.0
+WEIGHT_HARMONICS = 10.0
 # The kernel's share of a solve's peak past optimizer.swarm_bytes and
 # harmonics.LAYER_BYTES per recurrence layer, by tracemalloc of solve_pairs at
 # 120,000 and 1,200,000 row angles: 21-27 B per particle row at K = 1 and 2
@@ -79,21 +83,19 @@ def _signs_or_none(signs, name: str) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class SheProblem:
-    """One elimination problem: target fundamental plus structure and weights."""
+    """One elimination problem: target fundamental plus structure; the cost's
+    weights are the constants WEIGHT_FUNDAMENTAL and WEIGHT_HARMONICS."""
 
     target_m: float
     eliminate_orders: tuple[int, ...] = DEFAULT_ELIMINATE
     cells: int = 2
     angles_per_cell: int = 3
     sign_pattern: tuple[int, ...] | None = None
-    weight_fundamental: float = 100.0
-    weight_harmonics: float = 10.0
     vdc_per_cell: float = 200.0
 
     RULES = (("target_m", check_target), ("eliminate_orders", check_orders),
              ("cells", check_count), ("angles_per_cell", check_count),
-             ("sign_pattern", _signs_or_none), ("weight_fundamental", check_nonnegative),
-             ("weight_harmonics", check_nonnegative), ("vdc_per_cell", check_vdc))
+             ("sign_pattern", _signs_or_none), ("vdc_per_cell", check_vdc))
 
     def __post_init__(self):
         apply_rules(self, self.RULES)
@@ -142,7 +144,7 @@ class SheProblem:
             max_order=max(orders, default=1),
             layers=_frozen([n // 2 for n in orders], np.intp),
             scale=_column([unit / n for n in orders]),
-            weight=_column([self.weight_harmonics / n for n in orders]),
+            weight=_column([WEIGHT_HARMONICS / n for n in orders]),
         )
 
     def __getstate__(self):
@@ -161,7 +163,7 @@ class _KernelColumns(NamedTuple):
     max_order: int  # the highest order, 1 when there is none
     layers: np.ndarray  # (n_orders,) intp, each order's layer n // 2 of the stack
     scale: np.ndarray  # (n_orders, 1) per-unit scale 4/(pi*cells*n)
-    weight: np.ndarray  # (n_orders, 1) cost weight weight_harmonics/n
+    weight: np.ndarray  # (n_orders, 1) cost weight WEIGHT_HARMONICS/n
 
 
 def _row_bytes(k: int, top: int) -> int:
@@ -213,8 +215,8 @@ def cost_batch(positions: np.ndarray, problem: SheProblem) -> np.ndarray:
     by the kernel the swarm runs on its mapped rows. Harmonics are per-unit
     of the DC base s*V_dc, so the cost does not depend on V_dc:
 
-        cost = weight_fundamental * |target_m - |V1_pu||
-             + sum_n weight_harmonics/n * |Vn_pu|     over eliminate_orders
+        cost = WEIGHT_FUNDAMENTAL * |target_m - |V1_pu||
+             + sum_n WEIGHT_HARMONICS/n * |Vn_pu|     over eliminate_orders
 
     with Vn_pu = 4/(n*pi*cells) * sum_i signs[i]*cos(n*theta_i).
 
@@ -275,7 +277,7 @@ def _ordered_cost(theta: np.ndarray, problem: SheProblem, target_m=None,
     # the fundamental needs no recurrence: the K rows of the block in order
     fund = add_rows(block[:, None])[0]
     fund_pu = np.abs(kernel.unit * fund)
-    total = problem.weight_fundamental * np.abs(target_m - fund_pu)
+    total = WEIGHT_FUNDAMENTAL * np.abs(target_m - fund_pu)
     # A NaN cutoff bounds nothing, so its row is kept.
     keep = np.arange(len(total)) if cutoff is None else (~(total >= cutoff)).nonzero()[0]
     sums = odd_harmonic_sums(block, kernel.max_order, keep)

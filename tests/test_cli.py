@@ -172,9 +172,10 @@ class TestUsageErrors:
             ["sweep", "--pu-grid", "0.1:0.5:0", "--seed", "1"],
             ["table", "--pu-grid", "1.5:2.0:0.5", "--seed", "1", "--out", "x.csv"],
             ["frobnicate"],
+            # the cost's weights and the swarm's coefficients are constants,
+            # so these flags are unknown
             ["solve", "--pu", "0.5", "--seed", "1", "--weights", "nan,10"],
             ["solve", "--pu", "0.5", "--seed", "1", "--weights=-1,10"],
-            # the swarm's coefficients are constants, so these flags are unknown
             ["solve", "--pu", "0.5", "--seed", "1", "--cognitive", "inf"],
             ["solve", "--pu", "0.5", "--seed", "1", "--social", "nan"],
             ["sweep", "--pu-grid", "nan:1.0:0.1", "--seed", "1"],
@@ -355,16 +356,16 @@ class TestSolverConfig:
 
     def test_every_field_has_a_flag(self):
         # a field without a flag would keep its default under every argv; the
-        # seed has its own flag, and --weights sets the two weights
+        # seed and the target have their own flags
         names = lambda cls: {f.name for f in fields(cls)}
         assert {field for _, field, _, _ in cli.PSO_FLAGS} == names(PsoConfig) - {"seed"}
-        assert {field for _, field, _, _ in cli.PROBLEM_FLAGS} == names(SheProblem) - {
-            "target_m", "weight_fundamental", "weight_harmonics"}
+        assert {field for _, field, _, _ in cli.PROBLEM_FLAGS} == names(SheProblem) - {"target_m"}
 
     @pytest.mark.parametrize("flag", ["--inertia-start", "--inertia-end", "--cognitive",
-                                      "--social", "--velocity-clamp"])
+                                      "--social", "--velocity-clamp", "--weights"])
     def test_a_coefficient_flag_is_unknown(self, flag, capsys):
-        # the swarm's coefficients are constants of the optimizer
+        # the swarm's coefficients are constants of the optimizer, and the
+        # cost's weights constants of she
         with pytest.raises(SystemExit) as info:
             cli.main(["solve", "--pu", "0.5", "--seed", "1", flag, "2.0"])
         assert info.value.code == 2
@@ -377,16 +378,17 @@ class TestSolverConfig:
 
 
 # Fragments for the in-process argv property: valid values next to broken
-# ones (non-finite grid parts, NaN or negative weights, bad swarm budgets,
-# empty, inverted or oversized grids, out-of-range targets and seeds).
+# ones (non-finite grid parts, a non-finite, non-positive, subnormal or
+# overflowing V_dc, bad swarm budgets, empty, inverted or oversized grids,
+# out-of-range targets and seeds).
 GRIDS = ["0.5", "0.2,1.0", "0.1:1.0:0.3", "1.0", "", ",", "0,0.5",
          "nan:1.0:0.1", "0.1:inf:0.1", "0.1:1.0:nan", "-inf:1:0.5", "0.1:1.0:-0.1",
          "0.5:0.1:0.1", "0.1:0.5:0", "nan,0.5", "inf", "-0.1,0.5", "a:b:c", "1:2",
          "0:1:1e-9"]
 TARGETS = ["0.5", "1.0", "0", "nan", "inf", "1.5", "-0.1", "x"]
 SEEDS = ["1", "0", "18446744073709551615", "18446744073709551616", "-3", "x"]
-WEIGHTS = ["100,10", "0,0", "nan,10", "10,nan", "-1,10", "10,-0.5", "inf,1", "1",
-           "a,b", ""]
+# 1e308 overflows 4*V_dc/pi*K
+VDCS = ["200", "nan", "-1", "0", "inf", "1e-310", "1e308", "x"]
 BUDGETS = ["0", "-1", "1.5", "x", "3"]
 SWARM_FLAGS = ["--swarm", "--iterations", "--restarts"]
 TINY_SOLVE = ["--iterations", "2", "--restarts", "1", "--swarm", "3"]
@@ -401,7 +403,7 @@ def solver_argv(draw):
         argv = [command, f"--pu-grid={draw(st.sampled_from(GRIDS))}"]
     argv += [f"--seed={draw(st.sampled_from(SEEDS))}", *TINY_SOLVE]
     if draw(st.booleans()):
-        argv.append(f"--weights={draw(st.sampled_from(WEIGHTS))}")
+        argv.append(f"--vdc={draw(st.sampled_from(VDCS))}")
     for flag in draw(st.lists(st.sampled_from(SWARM_FLAGS), unique=True, max_size=3)):
         argv.append(f"{flag}={draw(st.sampled_from(BUDGETS))}")
     return argv

@@ -294,14 +294,23 @@ def _value_rules_section() -> str:
 
 def test_readme_value_rules_match_the_rule_functions():
     # every `module.function` the section cites resolves in the package,
-    # and every rule function is cited there
+    # every `Type.field` it names is a field of that type's RULES, and every
+    # rule function is cited there
     section = _value_rules_section()
     package = Path(shepwm.__file__).parent
     modules = {p.stem for p in package.glob("*.py")}
-    cited = {(m, f) for m, f in re.findall(r"`(\w+)\.(\w+)", section) if m in modules}
+    citations = re.findall(r"`(\w+)\.(\w+)", section)
+    cited = {(m, f) for m, f in citations if m in modules}
     missing = [f"{m}.{f}" for m, f in sorted(cited)
                if not hasattr(importlib.import_module(f"shepwm.{m}"), f)]
     assert missing == []
+    types = {cls.__name__: cls for cls in (shepwm.SwitchingPattern, shepwm.SheProblem,
+                                           shepwm.PsoConfig, shepwm.LookupTable,
+                                           shepwm.HarmonicSpectrum)}
+    fields = {(t, f) for t, f in citations if t in types}
+    assert {t for t, _ in fields} == set(types)
+    unknown = [f"{t}.{f}" for t, f in sorted(fields) if f not in dict(types[t].RULES)]
+    assert unknown == []
     rules = {"errors.check_count", "errors.check_real", "errors.check_reals",
              "errors.check_nonnegative",
              "errors.check_sequence", "errors.apply_rules",

@@ -58,8 +58,7 @@ RULES = {
                        "cells": check_count, "vdc_per_cell": check_vdc},
     SheProblem: {"target_m": check_target, "eliminate_orders": check_orders,
                  "cells": check_count, "angles_per_cell": check_count,
-                 "sign_pattern": _signs_or_none, "weight_fundamental": check_nonnegative,
-                 "weight_harmonics": check_nonnegative, "vdc_per_cell": check_vdc},
+                 "sign_pattern": _signs_or_none, "vdc_per_cell": check_vdc},
     PsoConfig: {"seed": check_seed, "swarm_size": check_swarm_size, "iterations": check_count,
                 "restarts": check_count},
     LookupTable: {"grid": check_lookup_grid, "angles": check_angles,
@@ -75,7 +74,7 @@ VALID = {
     SwitchingPattern: dict(angles=(0.5, 1.5), signs=(1, -1), cells=1, vdc_per_cell=200.0),
     SheProblem: dict(target_m=0.5, eliminate_orders=(3, 5, 7, 9, 11), cells=2,
                      angles_per_cell=3, sign_pattern=(1, -1, 1, 1, -1, -1),
-                     weight_fundamental=100.0, weight_harmonics=10.0, vdc_per_cell=200.0),
+                     vdc_per_cell=200.0),
     PsoConfig: dict(seed=1, swarm_size=3, iterations=3, restarts=3),
     LookupTable: dict(grid=(0.5, 1.0), angles=(0.25, 0.5), thd=0.25, feasible=True,
                       fundamental_v=300.0, base_vdc_per_cell=200.0, cells=1,
@@ -166,14 +165,14 @@ COUNTS = {
         lambda t: t.thd_max_order, 9),
     **_field_cases(COUNT_RULES),
 }
-BAD_COUNTS = [2.0, 2.5, "3", 0, -1]
+BAD_COUNTS = [2.0, 2.5, "3", True, 0, -1]
 
 
 @pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
 @pytest.mark.parametrize("case", COUNTS)
 def test_a_bad_count_is_refused_by_name(case, value):
     call, name, _, _ = COUNTS[case]
-    rule = "an integer" if not isinstance(value, int) else ".*"
+    rule = "an integer" if type(value) is not int else ".*"
     with pytest.raises(ShePwmError) as info:
         call(value)
     assert type(info.value) is ShePwmError
@@ -302,10 +301,9 @@ def test_a_numpy_real_builds_what_a_float_builds(case):
 
 
 def test_an_int_real_is_stored_as_a_float():
-    problem = SheProblem(1, weight_fundamental=100, vdc_per_cell=200)
+    problem = SheProblem(1, vdc_per_cell=200)
     assert problem == SheProblem(1.0)
-    assert [type(x) for x in (problem.target_m, problem.weight_fundamental,
-                              problem.vdc_per_cell)] == [float] * 3
+    assert [type(x) for x in (problem.target_m, problem.vdc_per_cell)] == [float] * 2
 
 
 # an array of signs in one sign's place has no one truth value
@@ -349,7 +347,7 @@ def test_a_sign_equal_to_one_builds_what_the_int_builds(case):
 SEEDS = _field_cases({check_seed})
 
 
-@pytest.mark.parametrize("value", [-1, 2**64, 2.0, "3", None], ids=repr)
+@pytest.mark.parametrize("value", [-1, 2**64, 2.0, "3", None, True], ids=repr)
 @pytest.mark.parametrize("case", SEEDS)
 def test_a_bad_seed_is_refused_by_name(case, value):
     with pytest.raises(ShePwmError) as info:
