@@ -27,7 +27,6 @@ from .harmonics import (
 )
 from .optimizer import OptimizerResult, PsoConfig, derive_seed, minimize
 from .pattern import (
-    DEFAULT_SIGNS_K6,
     SwitchingPattern,
     WaveformSamples,
     default_sign_pattern,
@@ -39,7 +38,6 @@ __all__ = [
     "__version__",
     "ComparisonRow",
     "ComparisonTable",
-    "DEFAULT_SIGNS_K6",
     "HarmonicSpectrum",
     "LookupRow",
     "LookupTable",

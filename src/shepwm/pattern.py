@@ -27,10 +27,6 @@ from .errors import (ShePwmError, apply_rules, check_count, check_plan, check_re
 
 HALF_PI = math.pi / 2
 
-# Default transition signs for the six-angle, two-cell configuration: the
-# waveform rises, notches back to zero, climbs to the full level, then steps
-# back down to zero before pi/2.
-DEFAULT_SIGNS_K6 = (1, -1, 1, 1, -1, -1)
 # The bytes one sample holds at peak: synthesize's arrays and the phases that
 # waveform_csv reads, about 26 B by tracemalloc at K = 1 and K = 12.
 SAMPLE_BYTES = 32
@@ -226,13 +222,11 @@ def levels(signs) -> list[int]:
 def default_sign_pattern(cells: int, per_cell: int) -> tuple[int, ...]:
     """Default transition signs for a given cell count and switches-per-level.
 
-    The two-cell, three-per-level case uses DEFAULT_SIGNS_K6. For other odd
-    per_cell values each level contributes one net rise plus (per_cell-1)/2
-    notch pairs. Even per_cell has no canonical default; pass signs explicitly.
+    For odd per_cell each cell contributes one rise and (per_cell-1)/2 notch
+    pairs, (1, -1, 1, ..., -1, 1), so the quarter wave ends at level cells.
+    Even per_cell has no canonical default; pass signs explicitly.
     """
     cells, per_cell = check_count(cells, "cells"), check_count(per_cell, "per_cell")
-    if cells == 2 and per_cell == 3:
-        return DEFAULT_SIGNS_K6
     if per_cell % 2 == 1:
         check_plan(SIGN_BYTES * cells * per_cell, "the sign pattern", cells=cells,
                    per_cell=per_cell)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shepwm import (
-    DEFAULT_SIGNS_K6,
     HarmonicSpectrum,
     SwitchingPattern,
     WaveformSamples,
@@ -36,12 +35,15 @@ from conftest import closed_form_oracle, random_valid_pattern, reference_sums
 
 SQUARE = SwitchingPattern((0.0,), (1,), 1, 200.0)
 SQUARE_FUNDAMENTAL = 4 * 200.0 / math.pi  # 254.64790894703253
-DEFAULT_PATTERN = SwitchingPattern(
-    tuple(np.radians([5, 15, 25, 35, 45, 55])), DEFAULT_SIGNS_K6, 2, 200.0
+# A valid two-cell, six-angle sign pattern whose quarter wave rises, notches
+# back to level 0, climbs to level 2 and steps back down to 0 before pi/2.
+NOTCHED_SIGNS_K6 = (1, -1, 1, 1, -1, -1)
+NOTCHED_PATTERN = SwitchingPattern(
+    tuple(np.radians([5, 15, 25, 35, 45, 55])), NOTCHED_SIGNS_K6, 2, 200.0
 )
-# the README's `shepwm analyze` example
+# the README's `shepwm analyze` example: its angles with the default signs
 README_PATTERN = SwitchingPattern(
-    (0.087, 0.26, 0.44, 0.61, 0.79, 0.96), DEFAULT_SIGNS_K6, 2, 200.0
+    (0.087, 0.26, 0.44, 0.61, 0.79, 0.96), (1, -1, 1, 1, -1, 1), 2, 200.0
 )
 
 
@@ -112,8 +114,8 @@ class TestAnalytic:
 
     def test_accepts_numpy_integer_order(self):
         for n in range(1, 10):
-            assert analytic_harmonic(DEFAULT_PATTERN, np.int64(n)) == (
-                analytic_harmonic(DEFAULT_PATTERN, n)
+            assert analytic_harmonic(NOTCHED_PATTERN, np.int64(n)) == (
+                analytic_harmonic(NOTCHED_PATTERN, n)
             )
 
     def test_linearity_in_vdc(self, rng):
@@ -372,8 +374,8 @@ class TestSegmentIntegral:
 
     def test_accepts_numpy_integer_order(self):
         for n in range(1, 10):
-            assert segment_integral_harmonic(DEFAULT_PATTERN, np.int64(n)) == (
-                segment_integral_harmonic(DEFAULT_PATTERN, n)
+            assert segment_integral_harmonic(NOTCHED_PATTERN, np.int64(n)) == (
+                segment_integral_harmonic(NOTCHED_PATTERN, n)
             )
 
     def test_square_wave_fundamental(self):
@@ -393,8 +395,8 @@ class TestSegmentIntegral:
 
     def test_matches_analytic_on_default_pattern(self):
         for n in range(1, 50):
-            a = analytic_harmonic(DEFAULT_PATTERN, n)
-            b = segment_integral_harmonic(DEFAULT_PATTERN, n)
+            a = analytic_harmonic(NOTCHED_PATTERN, n)
+            b = segment_integral_harmonic(NOTCHED_PATTERN, n)
             if n % 2 == 0:
                 assert a == 0.0
                 assert abs(b) <= 1e-9 * 200.0
@@ -426,10 +428,10 @@ class TestDft:
         assert spec.magnitudes[1] == pytest.approx(SQUARE_FUNDAMENTAL, rel=1e-3)
 
     def test_matches_analytic_on_default_pattern(self):
-        w = synthesize(DEFAULT_PATTERN, 2**16)
-        spec = dft_spectrum(w, 49, base_volts=DEFAULT_PATTERN.base_volts)
+        w = synthesize(NOTCHED_PATTERN, 2**16)
+        spec = dft_spectrum(w, 49, base_volts=NOTCHED_PATTERN.base_volts)
         for n in range(1, 50):
-            expected = abs(analytic_harmonic(DEFAULT_PATTERN, n))
+            expected = abs(analytic_harmonic(NOTCHED_PATTERN, n))
             if expected > 1e-3 * 200.0:
                 assert spec.magnitudes[n] == pytest.approx(expected, rel=1e-2)
 
@@ -493,19 +495,19 @@ class TestThd:
     @settings(max_examples=40, deadline=None)
     def test_scale_invariance(self, vdc):
         scaled = SwitchingPattern(
-            DEFAULT_PATTERN.angles, DEFAULT_PATTERN.signs, DEFAULT_PATTERN.cells, vdc
+            NOTCHED_PATTERN.angles, NOTCHED_PATTERN.signs, NOTCHED_PATTERN.cells, vdc
         )
-        assert abs(pattern_thd(scaled, 49) - pattern_thd(DEFAULT_PATTERN, 49)) <= 1e-12
+        assert abs(pattern_thd(scaled, 49) - pattern_thd(NOTCHED_PATTERN, 49)) <= 1e-12
 
     # 200 V times 2**e: every magnitude of the pattern stays a normal double
     @given(e=st.integers(min_value=-1020, max_value=1009))
     @settings(max_examples=40, deadline=None)
     def test_scale_invariance_is_exact_for_powers_of_two(self, e):
         scaled = SwitchingPattern(
-            DEFAULT_PATTERN.angles, DEFAULT_PATTERN.signs, DEFAULT_PATTERN.cells,
-            math.ldexp(DEFAULT_PATTERN.vdc_per_cell, e),
+            NOTCHED_PATTERN.angles, NOTCHED_PATTERN.signs, NOTCHED_PATTERN.cells,
+            math.ldexp(NOTCHED_PATTERN.vdc_per_cell, e),
         )
-        assert pattern_thd(scaled, 49) == pattern_thd(DEFAULT_PATTERN, 49)
+        assert pattern_thd(scaled, 49) == pattern_thd(NOTCHED_PATTERN, 49)
 
 
 class TestSpectrumType:
@@ -518,9 +520,9 @@ class TestSpectrumType:
                 f"magnitudes must hold orders 0..M with M >= 1, got {short!r}")
 
     def test_max_order_is_the_length_less_one(self):
-        w = synthesize(DEFAULT_PATTERN, 256)
+        w = synthesize(NOTCHED_PATTERN, 256)
         for m in (1, 2, 49):
-            for spec in (analytic_spectrum(DEFAULT_PATTERN, m), dft_spectrum(w, m)):
+            for spec in (analytic_spectrum(NOTCHED_PATTERN, m), dft_spectrum(w, m)):
                 assert spec.max_order == m
                 assert len(spec.magnitudes) == m + 1
         assert HarmonicSpectrum((0.0, 1.0), 1.0).max_order == 1
@@ -567,7 +569,7 @@ class TestSpectrumType:
         )
 
     def test_analytic_spectrum_fields(self):
-        spec = analytic_spectrum(DEFAULT_PATTERN, 49)
+        spec = analytic_spectrum(NOTCHED_PATTERN, 49)
         assert spec.max_order == 49
         assert spec.base_volts == 400.0
         assert len(spec.magnitudes) == 50

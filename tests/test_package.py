@@ -332,26 +332,59 @@ def test_only_the_real_rule_tests_for_a_real():
 
 def _benchmark_references() -> set[tuple[str, str, str]]:
     """(file, module, attribute) for each attribute the benchmark's code takes
-    on one of BENCHMARK_MODULES, once per file."""
+    on one of BENCHMARK_MODULES, once per file: `module.attr`, and
+    `getattr(module, "attr", ...)` with a literal name."""
     refs = set()
     for path in sorted(PERFBENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in BENCHMARK_MODULES):
                 refs.add((path.name, node.value.id, node.attr))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) >= 2
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in BENCHMARK_MODULES
+                    and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)):
+                refs.add((path.name, node.args[0].id, node.args[1].value))
     return refs
 
 
 def test_every_name_the_benchmark_takes_resolves():
     # the benchmark changes only on its own; a library change that drops a
-    # name it calls fails here rather than in a benchmark run
+    # name it calls, or one it reads with a getattr default that would fall
+    # back without a word, fails here rather than in a benchmark run
     refs = _benchmark_references()
     assert {("workloads.py", "harmonics", "segment_integral_harmonic"),
-            ("workloads.py", "dclink", "read_lookup_csv")} <= refs
+            ("workloads.py", "dclink", "read_lookup_csv"),
+            ("workloads.py", "she", "RESIDUAL_THRESHOLD_PU"),
+            ("workloads.py", "she", "FUNDAMENTAL_THRESHOLD_PU"),
+            ("inproc.py", "shepwm", "cost_batch")} <= refs
+    # run.py reads shepwm.backend for its env line's kernel_backend and writes
+    # "absent" without it: the package has one numpy kernel and no backend,
+    # and that read goes when the benchmark next changes
+    refs.discard(("run.py", "shepwm", "backend"))
     modules = {m: importlib.import_module("shepwm" if m == "shepwm" else f"shepwm.{m}")
                for m in BENCHMARK_MODULES}
     missing = [f"{f}: {m}.{a}" for f, m, a in sorted(refs) if not hasattr(modules[m], a)]
     assert missing == []
+
+
+def test_traced_benchmark_run_ends_in_strict_json():
+    # a traced compare-k6-paper run copies the compare check's THD figures
+    # into its last line, and json.dumps writes a non-finite one as NaN or
+    # Infinity, which is not JSON: every THD of the default compare must stay
+    # finite for that line to parse
+    def refuse(constant):
+        raise ValueError(f"non-finite figure {constant} in the result line")
+
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "compare-k6-paper",
+         "--trace", "1", "--seconds", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=refuse)
+    assert result["correct"] is True
 
 
 def test_benchmark_route_batch_passes_its_check(monkeypatch):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shepwm import (
-    DEFAULT_SIGNS_K6,
     PsoConfig,
     SheProblem,
     SwitchingPattern,
@@ -30,6 +29,9 @@ from shepwm.pattern import levels, waveform_csv
 from conftest import random_valid_pattern
 
 HALF_PI = math.pi / 2
+# A valid two-cell, six-angle sign pattern whose quarter wave rises, notches
+# back to level 0, climbs to level 2 and steps back down to 0 before pi/2.
+NOTCHED_SIGNS_K6 = (1, -1, 1, 1, -1, -1)
 
 
 class TestValidate:
@@ -42,7 +44,7 @@ class TestValidate:
 
     def test_default_six_angle_pattern_is_valid(self):
         angles = tuple(np.radians([5, 15, 25, 35, 45, 55]))
-        SwitchingPattern(angles, DEFAULT_SIGNS_K6, 2, 200.0)
+        SwitchingPattern(angles, NOTCHED_SIGNS_K6, 2, 200.0)
 
     def test_angle_above_quarter_period(self):
         with pytest.raises(ShePwmError, match=r"outside \[0, pi/2\]"):
@@ -119,7 +121,7 @@ class TestLevelTrajectory:
 
     def test_default_pattern(self):
         angles = tuple(np.radians([5, 15, 25, 35, 45, 55]))
-        p = SwitchingPattern(angles, DEFAULT_SIGNS_K6, 2, 200.0)
+        p = SwitchingPattern(angles, NOTCHED_SIGNS_K6, 2, 200.0)
         assert levels(p.signs) == [1, 0, 1, 2, 1, 0]
 
     def test_full_amplitude_variant(self):
@@ -186,7 +188,7 @@ class TestSegmentTable:
 
 class TestDefaultSigns:
     def test_two_cells_three_per_level(self):
-        assert default_sign_pattern(2, 3) == DEFAULT_SIGNS_K6
+        assert default_sign_pattern(2, 3) == (1, -1, 1, 1, -1, 1)
 
     def test_plain_staircase_for_single_switch(self):
         assert default_sign_pattern(3, 1) == (1, 1, 1)
@@ -195,6 +197,17 @@ class TestDefaultSigns:
         signs = default_sign_pattern(1, 5)
         assert signs == (1, -1, 1, -1, 1)
         SwitchingPattern((0.1, 0.2, 0.3, 0.4, 0.5), signs, 1, 100.0)
+
+    @pytest.mark.parametrize("per_cell", [1, 3, 5, 7])
+    @pytest.mark.parametrize("cells", [1, 2, 3, 4])
+    def test_one_rule_ends_the_quarter_wave_at_cells(self, cells, per_cell):
+        # one rise and (per_cell - 1) / 2 notch pairs per cell, for every
+        # (cells, per_cell) pair alike
+        signs = default_sign_pattern(cells, per_cell)
+        assert signs == ((1,) + (-1, 1) * ((per_cell - 1) // 2)) * cells
+        walk = levels(signs)
+        assert all(0 <= level <= cells for level in walk)
+        assert walk[-1] == cells
 
     def test_even_per_cell_has_no_default(self):
         with pytest.raises(ShePwmError, match="no default sign pattern"):
@@ -255,7 +268,7 @@ class TestSynthesize:
     @settings(max_examples=60, deadline=None)
     def test_symmetry_properties_hold_for_default_signs(self, raw, log_n):
         angles = tuple(sorted(raw))
-        p = SwitchingPattern(angles, DEFAULT_SIGNS_K6, 2, 200.0)
+        p = SwitchingPattern(angles, NOTCHED_SIGNS_K6, 2, 200.0)
         n = 4 * 2**log_n
         v = synthesize(p, n).samples
         assert v.size == n

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shepwm import (
-    DEFAULT_SIGNS_K6,
     PsoConfig,
     SheProblem,
     SwitchingPattern,
@@ -77,7 +76,7 @@ class TestProblemValidation:
     def test_defaults(self):
         p = SheProblem(target_m=0.8)
         assert p.n_angles == 6
-        assert p.sign_pattern == DEFAULT_SIGNS_K6
+        assert p.sign_pattern == default_sign_pattern(2, 3) == (1, -1, 1, 1, -1, 1)
         assert p.eliminate_orders == (3, 5, 7, 9, 11)
         assert p.base_volts == 400.0
 
@@ -212,8 +211,15 @@ class TestCost:
         assert abs(v3) == pytest.approx(0.018661850652501498, rel=1e-10)
 
     def test_zero_target_all_angles_at_quarter(self):
+        # every transition at pi/2 leaves a zero waveform. Signs that sum to 0
+        # cancel exactly; the default's sum to 2 (the quarter wave ends at
+        # level 2), so each term keeps the rounding of cos(pi/2), about 6e-17
+        notched = SheProblem(target_m=0.0, sign_pattern=(1, -1, 1, 1, -1, -1))
+        assert cost([HALF_PI] * 6, notched) == 0.0
         problem = SheProblem(target_m=0.0)
-        assert cost([HALF_PI] * 6, problem) == 0.0
+        value = cost([HALF_PI] * 6, problem)
+        assert value == reference_cost_batch([[HALF_PI] * 6], problem)[0]
+        assert 0.0 < value < 1e-14
 
     def test_nonnegative(self, rng):
         problem = SheProblem(target_m=0.37)
@@ -547,7 +553,7 @@ class TestSolve:
         problem = SheProblem(target_m=1.0)
         sol = solve(problem, PsoConfig(seed=42, iterations=120))
         assert set(sol.residuals_pu) == set(problem.eliminate_orders)
-        assert sol.pattern.signs == DEFAULT_SIGNS_K6
+        assert sol.pattern.signs == default_sign_pattern(2, 3)
         # residuals are reproducible from the pattern alone, bit for bit, by
         # the kernel's arithmetic: per-unit scale 4/(pi*cells*n) times the sum
         pat = sol.pattern
