@@ -30,8 +30,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .dclink import build_lookup, compare_methods, comparison_csv, lookup_csv, lookup_json
 from .errors import ShePwmError, ZeroFundamental, check_count, check_plan
-from .harmonics import (DEFAULT_MAX_ORDER, HarmonicSpectrum, analytic_spectrum, plan_spectrum,
-                        spectrum_csv, thd)
+from .harmonics import DEFAULT_MAX_ORDER, HarmonicSpectrum, analytic_spectrum, spectrum_csv, thd
 from .optimizer import PsoConfig
 from .pattern import SwitchingPattern, levels, synthesize, waveform_csv
 from .she import SheProblem, Solution, solve, sweep
@@ -115,12 +114,9 @@ _NOT_EXTRA = {field for _, field, _, _ in PROBLEM_FLAGS + PSO_FLAGS} | {
 
 def _configs(args, target_m: float) -> tuple[SheProblem, PsoConfig, dict]:
     """Problem, swarm and manifest config: both dataclasses in full, plus every
-    parsed argument that is not one of their fields. --max-order is checked,
-    and its spectrum planned, before any solve."""
-    check_count(args.max_order, "--max-order")
+    parsed argument that is not one of their fields."""
     given = vars(args)
     problem = SheProblem(target_m, **{field: given[field] for _, field, _, _ in PROBLEM_FLAGS})
-    plan_spectrum(problem.n_angles, args.max_order)
     pso = PsoConfig(args.seed, **{field: given[field] for _, field, _, _ in PSO_FLAGS})
     extra = {k: v for k, v in given.items() if k not in _NOT_EXTRA}
     return problem, pso, {"problem": asdict(problem), "pso": asdict(pso), **extra}
@@ -157,17 +153,21 @@ def _write_outputs(command: str, cfg: dict, seed: int | None, files: list,
         raise
 
 
-def _thd_pct_or_none(spectrum: HarmonicSpectrum):
-    """THD in percent; None when the fundamental vanished (zero target)."""
+def _thd_or_none(spectrum: HarmonicSpectrum):
+    """THD as a ratio; None when the fundamental vanished and no THD is defined."""
     try:
-        return 100.0 * thd(spectrum)
+        return thd(spectrum)
     except ZeroFundamental:
         return None
 
 
-def _solution_doc(sol: Solution, degrees: bool, max_order: int) -> dict:
+def _pct(ratio):
+    return None if ratio is None else 100.0 * ratio
+
+
+def _solution_doc(sol: Solution, degrees: bool) -> dict:
     # the fundamental and THD of one spectrum, as build_lookup takes them
-    spectrum = analytic_spectrum(sol.pattern, max_order)
+    spectrum = analytic_spectrum(sol.pattern)
     angles = list(sol.pattern.angles)
     key = "angles_rad"
     if degrees:
@@ -179,7 +179,7 @@ def _solution_doc(sol: Solution, degrees: bool, max_order: int) -> dict:
         "cost": sol.cost,
         "fundamental_pu": sol.fundamental_pu,
         "fundamental_v": spectrum.fundamental,
-        "thd_pct": _thd_pct_or_none(spectrum),
+        "thd_pct": _pct(_thd_or_none(spectrum)),
         "residuals_pu": {str(n): r for n, r in sorted(sol.residuals_pu.items())},
         key: angles,
         "signs": list(sol.pattern.signs),
@@ -199,18 +199,18 @@ def _solution_doc(sol: Solution, degrees: bool, max_order: int) -> dict:
 def _cmd_solve(args) -> int:
     problem, pso, cfg = _configs(args, args.pu)
     sol = solve(problem, pso)
-    text = json.dumps(_solution_doc(sol, args.degrees, args.max_order), indent=2) + "\n"
+    text = json.dumps(_solution_doc(sol, args.degrees), indent=2) + "\n"
     _write_outputs("solve", cfg, pso.seed, [(args.out, [text])] if args.out else [], text)
     return 0
 
 
-def _sweep_csv_text(solutions: list[Solution], max_order: int) -> str:
+def _sweep_csv_text(solutions: list[Solution]) -> str:
     k = solutions[0].pattern.n_angles
     header = ["target_pu", "feasible", "cost", "fundamental_pu", "thd_pct"]
     header += [f"theta_{i + 1}" for i in range(k)]
     lines = [",".join(header)]
     for s in solutions:
-        thd_pct = _thd_pct_or_none(analytic_spectrum(s.pattern, max_order))
+        thd_pct = _pct(_thd_or_none(analytic_spectrum(s.pattern)))
         row = [
             repr(s.target_m),
             "true" if s.feasible else "false",
@@ -226,7 +226,7 @@ def _sweep_csv_text(solutions: list[Solution], max_order: int) -> str:
 def _cmd_sweep(args) -> int:
     problem, pso, cfg = _configs(args, 1.0)
     solutions = sweep(problem, args.pu_grid, pso, jobs=args.jobs)
-    text = _sweep_csv_text(solutions, args.max_order)
+    text = _sweep_csv_text(solutions)
     files = [(args.out, [text])] if args.out else []
     _write_outputs("sweep", cfg, pso.seed, files, None if files else text)
     return 0
@@ -234,7 +234,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_table(args) -> int:
     problem, pso, cfg = _configs(args, 1.0)
-    table = build_lookup(args.pu_grid, pso, problem, thd_max_order=args.max_order)
+    table = build_lookup(args.pu_grid, pso, problem)
     files = [(args.out, lookup_csv(table))]
     if args.json_out:
         files.append((args.json_out, lookup_json(table)))
@@ -244,9 +244,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_compare(args) -> int:
     problem, pso, cfg = _configs(args, 1.0)
-    table = compare_methods(
-        args.pu_grid, pso, problem, thd_max_order=args.max_order, jobs=args.jobs
-    )
+    table = compare_methods(args.pu_grid, pso, problem, jobs=args.jobs)
     _write_outputs("compare", cfg, pso.seed, [(args.out, comparison_csv(table))])
     return 0 if table.proposed.feasible else 1
 
@@ -263,11 +261,11 @@ def _cmd_analyze(args) -> int:
         angles=tuple(angles), signs=args.signs, cells=cells, vdc_per_cell=args.vdc
     )
     spectrum = analytic_spectrum(pattern, args.max_order)
-    ratio = thd(spectrum)
+    ratio = _thd_or_none(spectrum)
     doc = {
         "fundamental_v": spectrum.fundamental,
         "thd": ratio,
-        "thd_pct": 100.0 * ratio,
+        "thd_pct": _pct(ratio),
         "max_order": args.max_order,
         "base_volts": spectrum.base_volts,
         "cells": cells,
@@ -275,7 +273,8 @@ def _cmd_analyze(args) -> int:
             {
                 "order": n,
                 "magnitude_v": spectrum.magnitudes[n],
-                "pct_of_fundamental": 100.0 * spectrum.magnitudes[n] / spectrum.fundamental,
+                "pct_of_fundamental": (None if ratio is None
+                                       else 100.0 * spectrum.magnitudes[n] / spectrum.fundamental),
             }
             for n in range(1, args.max_order + 1)
         ],
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 help=f"{help_} (default %(default)s)")
     solver.add_argument("--seed", type=int, required=True,
                         help="base seed (unsigned 64-bit, required)")
-    solver.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--pu-grid", type=parse_grid, required=True,
                       metavar="START:STOP:STEP")

@@ -22,9 +22,9 @@ import re
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import (GridPositionError, ShePwmError, apply_rules, check_count,
+from .errors import (GridPositionError, ShePwmError, ZeroFundamental, apply_rules, check_count,
                      check_nonnegative, check_real, check_sequence)
-from .harmonics import DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, plan_spectrum, thd
+from .harmonics import analytic_spectrum, pattern_thd, thd
 from .optimizer import PsoConfig, derive_seed
 from .pattern import check_angles, check_vdc
 from .she import SheProblem, Solution, solve, solve_pairs
@@ -89,13 +89,12 @@ class LookupTable:
     fundamental_v: float
     base_vdc_per_cell: float
     cells: int
-    thd_max_order: int
 
     # kept as Python floats, ints and a bool, whose repr the writers print
     RULES = (("grid", check_lookup_grid), ("feasible", check_flag),
              ("thd", check_nonnegative), ("fundamental_v", check_nonnegative),
              ("base_vdc_per_cell", check_vdc), ("cells", check_count),
-             ("thd_max_order", check_count), ("angles", check_angles))
+             ("angles", check_angles))
 
     def __post_init__(self):
         apply_rules(self, self.RULES)
@@ -123,7 +122,8 @@ class ComparisonRow:
 
     improvement is the fractional THD reduction (thd_conv - thd_prop) /
     thd_conv, or None when the two THD values are identical (shared
-    operating point at full modulation).
+    operating point at full modulation); NaN, as thd_conventional is, where
+    the conventional solve's fundamental vanished and no THD is defined.
     """
 
     v_pu: float
@@ -156,22 +156,20 @@ def build_lookup(
     v_pu_grid,
     pso: PsoConfig,
     problem: SheProblem,
-    thd_max_order: int = DEFAULT_MAX_ORDER,
     base_solution: Solution | None = None,
 ) -> LookupTable:
     """Variable-DC-link lookup table for a grid of commanded voltages.
 
     Solves once at full modulation (or reuses base_solution) and takes the
-    base THD and fundamental from one spectrum of that solution. The base
-    solve is pinned at full modulation, so the duty that reaches v is v
-    itself; every row carries the base feasibility flag, since duty scaling
-    preserves the residuals in per-unit terms exactly. A base_solution must
-    be such a solve of problem: a pattern problem makes of its angles,
-    target_m 1.0 and residuals at problem's eliminate_orders.
+    base THD and fundamental from one spectrum of that solution, through
+    DEFAULT_MAX_ORDER. The base solve is pinned at full modulation, so the
+    duty that reaches v is v itself; every row carries the base feasibility
+    flag, since duty scaling preserves the residuals in per-unit terms
+    exactly. A base_solution must be such a solve of problem: a pattern
+    problem makes of its angles, target_m 1.0 and residuals at problem's
+    eliminate_orders.
     """
     grid = check_lookup_grid(sorted(check_sequence(v_pu_grid, "grid", check_real)))
-    thd_max_order = check_count(thd_max_order, "thd_max_order")
-    plan_spectrum(problem.n_angles, thd_max_order)  # before any solve
     base = base_solution
     if base is None:
         base = solve(replace(problem, target_m=1.0), pso)
@@ -185,7 +183,7 @@ def build_lookup(
     elif tuple(base.residuals_pu) != problem.eliminate_orders:
         raise ShePwmError(f"base_solution's residual orders {tuple(base.residuals_pu)} "
                           f"are not eliminate_orders {problem.eliminate_orders}")
-    spectrum = analytic_spectrum(base.pattern, thd_max_order)
+    spectrum = analytic_spectrum(base.pattern)
     return LookupTable(
         grid=tuple(grid),
         angles=base.pattern.angles,
@@ -194,7 +192,6 @@ def build_lookup(
         fundamental_v=spectrum.fundamental,
         base_vdc_per_cell=problem.vdc_per_cell,
         cells=problem.cells,
-        thd_max_order=thd_max_order,
     )
 
 
@@ -202,7 +199,6 @@ def compare_methods(
     v_pu_grid,
     pso: PsoConfig,
     problem: SheProblem,
-    thd_max_order: int = DEFAULT_MAX_ORDER,
     jobs: int = 1,
 ) -> ComparisonTable:
     """Conventional re-solve at every grid point vs the duty-scaled base solve.
@@ -215,16 +211,22 @@ def compare_methods(
     table of the base solve; at v_pu = 1.0 both methods share the base
     operating point and the improvement is undefined."""
     grid = check_lookup_grid(sorted(check_sequence(v_pu_grid, "grid", check_real)))
-    thd_max_order = check_count(thd_max_order, "thd_max_order")
-    plan_spectrum(problem.n_angles, thd_max_order)  # before any solve
     below_full = [v for v in grid if v != 1.0]
     pairs = [(1.0, pso.seed)]
     pairs += [(v, derive_seed(pso.seed, i)) for i, v in enumerate(below_full)]
     base, *solved = solve_pairs(problem, pairs, pso, jobs)
     conventional = solved + [base] * (len(grid) - len(below_full))
-    proposed = build_lookup(grid, pso, problem, thd_max_order, base_solution=base)
-    thd_c = tuple(pattern_thd(c.pattern, thd_max_order) for c in conventional)
+    proposed = build_lookup(grid, pso, problem, base_solution=base)
+    thd_c = tuple(_thd_or_nan(c.pattern) for c in conventional)
     return ComparisonTable(proposed, base, tuple(conventional), thd_c)
+
+
+def _thd_or_nan(pattern) -> float:
+    """pattern_thd, or NaN where the fundamental vanished and no THD is defined."""
+    try:
+        return pattern_thd(pattern)
+    except ZeroFundamental:
+        return math.nan
 
 
 def _angle_headers(k: int) -> list[str]:
@@ -259,7 +261,6 @@ def read_lookup_csv(
     path,
     base_vdc_per_cell: float = SheProblem.vdc_per_cell,
     cells: int = SheProblem.cells,
-    thd_max_order: int = DEFAULT_MAX_ORDER,
 ) -> LookupTable:
     """Parse a lookup CSV back into its table; structural metadata comes from
     the caller (it lives in the run manifest, not in the CSV schema).
@@ -274,7 +275,6 @@ def read_lookup_csv(
     differs (its THD as the thd_pct column)."""
     base_vdc_per_cell = check_vdc(base_vdc_per_cell, "base_vdc_per_cell")
     cells = check_count(cells, "cells")
-    thd_max_order = check_count(thd_max_order, "thd_max_order")
     lines, pcts, rows = [], [], []
     with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
@@ -304,8 +304,7 @@ def read_lookup_csv(
     try:
         check_lookup_grid(grid)  # before a v_pu of 0 divides a fundamental_v
         table = LookupTable(grid, base.angles, base.thd, base.feasible,
-                            _base_fundamental(rows), base_vdc_per_cell, cells,
-                            thd_max_order)
+                            _base_fundamental(rows), base_vdc_per_cell, cells)
     except GridPositionError as exc:
         raise ShePwmError(f"{path}, line {lines[exc.position]}: {exc}") from None
     except ShePwmError as exc:
@@ -330,8 +329,7 @@ def lookup_json(table: LookupTable):
     """
     encode = json.JSONEncoder(indent=2).encode
     head, sep, tail = encode({"base_vdc_per_cell": table.base_vdc_per_cell,
-                              "cells": table.cells, "thd_max_order": table.thd_max_order,
-                              "rows": ["@row", "@row"]}).split('"@row"')
+                              "cells": table.cells, "rows": ["@row", "@row"]}).split('"@row"')
     row = encode({"v_pu": "@v", "method": PROPOSED, "duty": "@v",
                   "thd_pct": 100.0 * table.thd, "feasible": table.feasible,
                   "fundamental_v": "@f", "angles_rad": list(table.angles)})

@@ -11,8 +11,8 @@ Three independent routes to the same spectrum:
   pattern's segment table, built once per pattern; each order takes one
   cosine and one sine per breakpoint. It never uses quarter-wave shortcuts or
   the closed form's sum, which makes it a genuinely independent cross-check.
-* ``dft_spectrum`` takes the DFT of a sampled waveform; used for exporting
-  spectrum data and as a third consistency route.
+* ``dft_spectrum`` takes the DFT of a sampled waveform: a third consistency
+  route (``analyze --emit-spectrum`` writes the closed form's spectrum).
 
 ``analytic_harmonic`` keeps nothing between calls. The segment route
 answers from an order table: orders 1..M of one pattern, built in one
@@ -299,11 +299,10 @@ def thd(spectrum: HarmonicSpectrum) -> float:
     return math.sqrt(acc) / math.ldexp(v1, shift)
 
 
-def pattern_thd(
-    pattern: SwitchingPattern, max_order: int = DEFAULT_MAX_ORDER
-) -> float:
-    """THD of a pattern's analytic spectrum (solver-internal convenience)."""
-    return thd(analytic_spectrum(pattern, max_order))
+def pattern_thd(pattern: SwitchingPattern) -> float:
+    """THD of a pattern's closed-form spectrum through DEFAULT_MAX_ORDER, the
+    order every solve report takes it to."""
+    return thd(analytic_spectrum(pattern))
 
 
 def spectrum_csv(spectrum: HarmonicSpectrum):

@@ -11,8 +11,8 @@ ordered angles once, with uniform density, and the swarm never sorts.
 best value, which is that full cost bit for bit. ``solve``, ``sweep`` and the
 variable-DC-link comparison all go through ``solve_pairs``, which runs
 every (target, seed) pair's swarms as one stacked batch. ``SheProblem``
-plans the kernel's share of one particle row and ``solve_pairs`` the
-solve's peak before anything is built.
+plans the kernel's share of one particle row and the reported THD's
+spectrum, and ``solve_pairs`` the solve's peak, before anything is built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import (ShePwmError, apply_rules, check_count, check_plan, check_real, check_reals,
                      check_sequence)
-from .harmonics import LAYER_BYTES, add_rows, odd_harmonic_sums, signed_cosines
+from .harmonics import (DEFAULT_MAX_ORDER, LAYER_BYTES, add_rows, odd_harmonic_sums,
+                        plan_spectrum, signed_cosines)
 from .optimizer import (
     OptimizerResult,
     PsoConfig,
@@ -104,6 +105,7 @@ class SheProblem:
             raise ShePwmError(f"{k} angles support at most {k - 1} eliminations, got {n}")
         top = max(self.eliminate_orders, default=1)  # before any sign is built
         check_plan(_row_bytes(k, top), "a particle row", K=k, top_order=top)
+        plan_spectrum(k, DEFAULT_MAX_ORDER)  # every solve report's THD
         if self.sign_pattern is None:  # the default follows the checked counts
             apply_rules(self, [("sign_pattern", lambda _, __: default_sign_pattern(
                 self.cells, self.angles_per_cell))])

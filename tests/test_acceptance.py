@@ -17,12 +17,13 @@ from shepwm import (
     SheProblem,
     SwitchingPattern,
     analytic_harmonic,
+    analytic_spectrum,
     dft_spectrum,
     minimize,
-    pattern_thd,
     segment_integral_harmonic,
     solve,
     synthesize,
+    thd,
 )
 
 from shepwm.harmonics import _odd_volts, _segment_coefficients
@@ -137,7 +138,7 @@ def test_criterion_2_dft_cross_check(rng):
 
 def test_criterion_3_square_wave_thd_limit():
     square = SwitchingPattern((0.0,), (1,), 1, 200.0)
-    value = pattern_thd(square, 100001)
+    value = thd(analytic_spectrum(square, 100001))
     target = math.sqrt(math.pi**2 / 8 - 1)
     err = abs(value - target)
     _report(3, err <= 1e-3, f"thd {value:.6f} vs {target:.6f}, err {err:.1e}")

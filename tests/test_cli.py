@@ -127,12 +127,8 @@ WIDE_SPECTRUM = ["analyze", "--angles", ",".join(["0"] * 30000),
                  "--signs", ",".join(["1", "-1"] * 15000), "--max-order", "894784"]
 # counts the library refuses, not argparse: one error line and no usage block
 ONE_LINE = [
-    ["solve", "--pu", "0.5", "--seed", "1", "--max-order", "0"],
-    ["table", "--pu-grid", "0.5,1.0", "--seed", "1", "--out", "t.csv",
-     "--max-order", "0"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "0"],
     # counts past their plans, refused before anything is allocated
-    ["solve", "--pu", "0.5", "--seed", "1", "--max-order", "1000000000"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--max-order", "1000000000"],
     ["analyze", "--angles", "0.1", "--signs", "1", "--samples", "4000000000",
      "--emit-waveform", "w.csv"],
@@ -179,6 +175,12 @@ class TestUsageErrors:
             ["solve", "--pu", "0.5", "--seed", "1", "--weights=-1,10"],
             ["solve", "--pu", "0.5", "--seed", "1", "--cognitive", "inf"],
             ["solve", "--pu", "0.5", "--seed", "1", "--social", "nan"],
+            # every solve report takes its THD to order 49, so the solver
+            # commands have no --max-order
+            ["solve", "--pu", "0.5", "--seed", "1", "--max-order", "0"],
+            ["table", "--pu-grid", "0.5,1.0", "--seed", "1", "--out", "t.csv",
+             "--max-order", "0"],
+            ["solve", "--pu", "0.5", "--seed", "1", "--max-order", "1000000000"],
             ["sweep", "--pu-grid", "nan:1.0:0.1", "--seed", "1"],
             ["sweep", "--pu-grid", "0.1:inf:0.1", "--seed", "1"],
             ["sweep", "--pu-grid", "0.1:1.0:nan", "--seed", "1"],
@@ -282,19 +284,21 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["solve", "sweep", "table", "compare"])
     def test_spectrum_is_planned_before_any_swarm(self, monkeypatch, capsys, tmp_path,
                                                   command):
-        # K = 230 solves within budget, but its spectrum at order 894,784 plans
-        # past it; the solver commands refuse that before the swarm runs
+        # every solver command reports THD through order 49: a budget under
+        # that spectrum's plan at K = 6, though over a particle row's, is
+        # refused before the swarm runs
         def no_swarm(*args, **kwargs):
             raise AssertionError("a swarm ran before the spectrum was planned")
 
         monkeypatch.setattr(shepwm.she, "minimize_stacked", no_swarm)
+        monkeypatch.setattr(errors, "COUNT_BUDGET_BYTES", 5899)
         target = ["--pu", "0.5"] if command == "solve" else ["--pu-grid", "0.5,1.0"]
         out = [] if command in ("solve", "sweep") else ["--out", str(tmp_path / "o.csv")]
-        assert cli.main([command, *target, *out, "--seed", "1", "--cells", "230",
-                         "--angles-per-cell", "1", "--max-order", "894784"]) == 2
+        assert cli.main([command, *target, *out, "--seed", "1"]) == 2
         assert capsys.readouterr().err == (
-            "shepwm: error: the spectrum plans 1107742680 bytes, over the budget of "
-            "1073741824: K 230, max_order 894784\n")
+            "shepwm: error: the spectrum plans 5900 bytes, over the budget of "
+            "5899: K 6, max_order 49\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_runtime_domain_error_is_exit_2(self, tmp_path):
         # grid value 0 parses but has no defined THD row
@@ -337,12 +341,12 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "argv, target_m, extra",
         [
-            (["solve", "--pu", "0.7"], 0.7, {"max_order", "degrees", "out"}),
-            (["sweep", "--pu-grid", "0.5"], 1.0, {"pu_grid", "max_order", "jobs", "out"}),
+            (["solve", "--pu", "0.7"], 0.7, {"degrees", "out"}),
+            (["sweep", "--pu-grid", "0.5"], 1.0, {"pu_grid", "jobs", "out"}),
             (["table", "--pu-grid", "0.5", "--out", "t.csv"], 1.0,
-             {"pu_grid", "max_order", "out", "json_out"}),
+             {"pu_grid", "out", "json_out"}),
             (["compare", "--pu-grid", "0.5", "--out", "c.csv"], 1.0,
-             {"pu_grid", "max_order", "jobs", "out"}),
+             {"pu_grid", "jobs", "out"}),
         ],
     )
     def test_defaults_are_the_dataclass_defaults(self, argv, target_m, extra):
@@ -353,7 +357,6 @@ class TestSolverConfig:
         assert set(config) == {"problem", "pso", *extra}
         assert config["problem"] == asdict(problem)
         assert config["pso"] == asdict(pso)
-        assert config["max_order"] == DEFAULT_MAX_ORDER
 
     def test_every_field_has_a_flag(self):
         # a field without a flag would keep its default under every argv; the
@@ -371,6 +374,18 @@ class TestSolverConfig:
             cli.main(["solve", "--pu", "0.5", "--seed", "1", flag, "2.0"])
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} 2.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["solve", "--pu", "0.5"], ["sweep", "--pu-grid", "0.5"],
+                                      ["table", "--pu-grid", "0.5", "--out", "t.csv"],
+                                      ["compare", "--pu-grid", "0.5", "--out", "c.csv"]],
+                             ids=lambda argv: argv[0])
+    def test_max_order_is_unknown_to_the_solver_commands(self, argv, capsys):
+        # every solve report takes its THD to harmonics.DEFAULT_MAX_ORDER;
+        # only analyze, which prints a spectrum, sets its own
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--seed", "1", "--max-order", "49"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-order 49" in capsys.readouterr().err
 
     def test_analyze_vdc_default_is_the_problem_default(self):
         args = cli.build_parser().parse_args(["analyze", "--angles", "0", "--signs", "1"])
@@ -472,6 +487,15 @@ class TestAnalyze:
         out = run_cli(["analyze", "--angles", "0.5,0.1", "--signs", "1,1"])
         assert out.returncode == 2
 
+    def test_zero_fundamental_reports_a_null_thd(self, capsys):
+        # a zero-width pulse: V1 is exactly 0, so the THD and every order's
+        # share of V1 are undefined, reported as null, not as an error
+        assert cli.main(["analyze", "--angles", "0.3,0.3", "--signs", "1,-1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["fundamental_v"] == 0.0
+        assert doc["thd"] is None and doc["thd_pct"] is None
+        assert [r["pct_of_fundamental"] for r in doc["spectrum"]] == [None] * 49
+
 
 # the THD at any admissible V_dc is the THD at 200 V, to rounding
 EXTREME_VDC = {
@@ -567,6 +591,20 @@ class TestCompare:
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes()
         assert a == (tmp_path / "c.csv").read_bytes()
+
+    def test_zero_fundamental_writes_a_nan_row(self, tmp_path, monkeypatch):
+        # the conventional solve at 1e-9 pairs its angles at 0, so its V1 is
+        # exactly 0 and its THD undefined: nan, as sweep writes it, in both
+        # columns that THD gives, and never the '-' of the shared point at
+        # 1.0. The exit code is the base's infeasibility
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["compare", "--pu-grid", "1e-9,1.0", "--signs", "1,-1,1,-1,1,-1",
+                         "--seed", "1", "--out", "c.csv"]) == 1
+        header, low, full = (tmp_path / "c.csv").read_text().splitlines()
+        low = dict(zip(header.split(","), low.split(",")))
+        assert low["thd_conventional_pct"] == low["improvement_pct"] == "nan"
+        assert math.isfinite(float(low["thd_proposed_pct"]))
+        assert full.split(",")[3] == "-"
 
 
 class TestSweep:

@@ -79,23 +79,24 @@ class TestBuildLookup:
             scaled = SwitchingPattern(
                 r.angles, pat.signs, pat.cells, pat.vdc_per_cell * r.v_pu
             )
-            assert abs(r.thd - pattern_thd(scaled, 49)) <= 1e-12
+            assert abs(r.thd - pattern_thd(scaled)) <= 1e-12
             expected = abs(analytic_harmonic(scaled, 1))
             assert r.fundamental_v == pytest.approx(expected, rel=4e-16)
 
     def test_one_spectrum_gives_thd_and_fundamental(self, base_solution, monkeypatch):
         calls = []
 
-        def counting_spectrum(pattern, max_order):
-            calls.append(max_order)
-            return analytic_spectrum(pattern, max_order)
+        def counting_spectrum(*args):
+            calls.append(args)
+            return analytic_spectrum(*args)
 
         monkeypatch.setattr(dclink, "analytic_spectrum", counting_spectrum)
         table = build_lookup(GRID10, PsoConfig(seed=4, **FAST), SheProblem(target_m=1.0),
-                             thd_max_order=31, base_solution=base_solution)
-        assert calls == [31]
+                             base_solution=base_solution)
+        # one spectrum, at the default order every solve report takes
         pat = base_solution.pattern
-        assert table.thd == pattern_thd(pat, 31)
+        assert calls == [(pat,)]
+        assert table.thd == pattern_thd(pat)
         assert table.fundamental_v == abs(analytic_harmonic(pat, 1))
 
     def test_thd_survives_tiny_duty(self, base_solution):
@@ -116,7 +117,7 @@ class TestBuildLookup:
         base = solve(problem, pso)
         assert len(table.rows) == 1
         assert table.rows[0].duty == 1.0
-        assert table.rows[0].thd == pattern_thd(base.pattern, 49)
+        assert table.rows[0].thd == pattern_thd(base.pattern)
 
     def test_rows_sorted_regardless_of_input_order(self):
         table = build_lookup(
@@ -287,7 +288,7 @@ class TestIo:
 
     def test_lookup_csv_keeps_the_sign_of_a_zero_angle(self, tmp_path):
         table = LookupTable((0.5, 1.0), (-0.0, 0.2, 0.3), 0.2, True, 100.0,
-                            200.0, 1, 49)
+                            200.0, 1)
         text = "".join(lookup_csv(table))
         assert [line.split(",")[6:] for line in text.splitlines()[1:]] == [
             ["-0", "0.20000000000000001", "0.29999999999999999"],
@@ -340,7 +341,7 @@ class TestIo:
                    and all(0.0 <= a <= b <= HALF_PI
                            for a, b in zip(angles, angles[1:] + (HALF_PI,))))
         try:
-            table = LookupTable(grid, angles, thd, False, fundamental, 200.0, 1, 49)
+            table = LookupTable(grid, angles, thd, False, fundamental, 200.0, 1)
         except ShePwmError as exc:
             if base_ok:
                 assert "is subnormal" in str(exc)
@@ -413,7 +414,7 @@ class TestIo:
             LOOKUP_HEADER, HALF_ROW,
             "1.0,proposed,1.00,12.000,true,400.0,0.10000000000000001,0.2,3e-1"]) + "\n")
         assert read_lookup_csv(path, 200.0, 1) == LookupTable(
-            (0.5, 1.0), (0.1, 0.2, 0.3), 0.12, True, 400.0, 200.0, 1, 49)
+            (0.5, 1.0), (0.1, 0.2, 0.3), 0.12, True, 400.0, 200.0, 1)
 
     def test_lookup_csv_header(self):
         table = build_lookup(
@@ -447,21 +448,19 @@ class TestIo:
         base_vdc=st.one_of(st.floats(1e-3, 1e4), st.integers(1, 1000),
                            st.sampled_from([math.nan, math.inf, 0.0, -1.0])),
         cells=st.integers(-1, 6),
-        max_order=st.integers(-1, 999),
     )
     @example(grid=[1.0], angles=[0.1], thd=0.2, feasible=True, fundamental=1.0,
-             base_vdc=math.nan, cells=1, max_order=49)
+             base_vdc=math.nan, cells=1)
     @settings(max_examples=200, deadline=None)
     def test_lookup_json_is_the_encoders_text(self, grid, angles, thd, feasible,
-                                              fundamental, base_vdc, cells, max_order):
+                                              fundamental, base_vdc, cells):
         # the table refuses metadata that JSON cannot carry, so the text
         # parses with no NaN or Infinity constant, and angles no pattern of
         # its cells holds
-        meta_ok = (0 < base_vdc < math.inf and cells >= 1 and max_order >= 1
-                   and len(angles) % cells == 0)
+        meta_ok = 0 < base_vdc < math.inf and cells >= 1 and len(angles) % cells == 0
         try:
             table = LookupTable(tuple(sorted(grid)), tuple(sorted(angles)), thd, feasible,
-                                fundamental, base_vdc, cells, max_order)
+                                fundamental, base_vdc, cells)
         except ShePwmError as exc:
             assert not meta_ok or "is subnormal" in str(exc)
             return
@@ -469,7 +468,6 @@ class TestIo:
         doc = {
             "base_vdc_per_cell": table.base_vdc_per_cell,
             "cells": table.cells,
-            "thd_max_order": table.thd_max_order,
             "rows": [
                 {"v_pu": v, "method": "proposed", "duty": v, "thd_pct": 100.0 * table.thd,
                  "feasible": table.feasible, "fundamental_v": v * table.fundamental_v,
@@ -506,7 +504,7 @@ class TestIo:
     )
     def test_table_type_rejects_bad_grid(self, grid, message):
         with pytest.raises(ShePwmError, match=message):
-            LookupTable(grid, (0.1,), 0.2, True, 400.0, 200.0, 1, 49)
+            LookupTable(grid, (0.1,), 0.2, True, 400.0, 200.0, 1)
 
     @pytest.mark.parametrize(
         "thd, fundamental, angles, cells, message",
@@ -526,12 +524,12 @@ class TestIo:
     def test_table_type_refuses_bad_base_figures(self, thd, fundamental, angles, cells,
                                                  message):
         with pytest.raises(ShePwmError, match=message):
-            LookupTable((0.5, 1.0), angles, thd, True, fundamental, 200.0, cells, 49)
+            LookupTable((0.5, 1.0), angles, thd, True, fundamental, 200.0, cells)
 
     def test_table_type_keeps_python_floats(self, tmp_path):
         # numpy scalars used to reach the CSV as np.float64(...) text
         table = LookupTable(np.array([0.5, 1.0]), (np.float64(0.1),), np.float64(0.2),
-                            np.bool_(True), np.float64(300.0), 200.0, 1, 49)
+                            np.bool_(True), np.float64(300.0), 200.0, 1)
         text = "".join(lookup_csv(table))
         assert "np." not in text + "".join(lookup_json(table))
         path = tmp_path / "table.csv"
@@ -548,4 +546,4 @@ class TestIo:
     def test_table_type_refuses_a_subnormal_row_fundamental(self, grid, fundamental,
                                                             product):
         with pytest.raises(ShePwmError, match=f"row fundamental {product} V .* subnormal"):
-            LookupTable(grid, (0.1,), 0.2, True, fundamental, 200.0, 1, 49)
+            LookupTable(grid, (0.1,), 0.2, True, fundamental, 200.0, 1)

@@ -482,13 +482,13 @@ class TestThd:
 
     def test_square_wave_limit(self):
         # sum over odd n >= 3 of 1/n^2 equals pi^2/8 - 1
-        value = pattern_thd(SQUARE, 100001)
+        value = thd(analytic_spectrum(SQUARE, 100001))
         assert value == pytest.approx(math.sqrt(math.pi**2 / 8 - 1), abs=1e-4)
 
     def test_square_wave_truncated(self):
         # equivalently pi^2/8 - 1 minus the tail beyond 49
         expected = math.sqrt(sum(1.0 / n**2 for n in range(3, 50, 2)))
-        assert pattern_thd(SQUARE, 49) == pytest.approx(expected, rel=1e-12)
+        assert pattern_thd(SQUARE) == pytest.approx(expected, rel=1e-12)
 
     # every V_dc check_vdc admits whose closed form stays finite
     @given(vdc=st.floats(min_value=sys.float_info.min, max_value=1e307))
@@ -497,7 +497,7 @@ class TestThd:
         scaled = SwitchingPattern(
             NOTCHED_PATTERN.angles, NOTCHED_PATTERN.signs, NOTCHED_PATTERN.cells, vdc
         )
-        assert abs(pattern_thd(scaled, 49) - pattern_thd(NOTCHED_PATTERN, 49)) <= 1e-12
+        assert abs(pattern_thd(scaled) - pattern_thd(NOTCHED_PATTERN)) <= 1e-12
 
     # 200 V times 2**e: every magnitude of the pattern stays a normal double
     @given(e=st.integers(min_value=-1020, max_value=1009))
@@ -507,7 +507,7 @@ class TestThd:
             NOTCHED_PATTERN.angles, NOTCHED_PATTERN.signs, NOTCHED_PATTERN.cells,
             math.ldexp(NOTCHED_PATTERN.vdc_per_cell, e),
         )
-        assert pattern_thd(scaled, 49) == pattern_thd(NOTCHED_PATTERN, 49)
+        assert pattern_thd(scaled) == pattern_thd(NOTCHED_PATTERN)
 
 
 class TestSpectrumType:

@@ -2,6 +2,7 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -281,7 +282,7 @@ def test_readme_lookup_json_keys_match_the_writer():
     schema = [b for b in bullets if b.startswith("lookup JSON: ")]
     assert len(schema) == 1
     top, row = (spans.split(", ") for spans in re.findall(r"`([^`]*)`", schema[0])[:2])
-    table = dclink.LookupTable((0.5, 1.0), (0.1, 0.2), 0.2, True, 300.0, 200.0, 1, 49)
+    table = dclink.LookupTable((0.5, 1.0), (0.1, 0.2), 0.2, True, 300.0, 200.0, 1)
     doc = json.loads("".join(dclink.lookup_json(table)))
     assert top == list(doc)
     assert [row] * 2 == [list(r) for r in doc["rows"]]
@@ -364,10 +365,51 @@ def test_every_name_the_benchmark_takes_resolves():
     # "absent" without it: the package has one numpy kernel and no backend,
     # and that read goes when the benchmark next changes
     refs.discard(("run.py", "shepwm", "backend"))
-    modules = {m: importlib.import_module("shepwm" if m == "shepwm" else f"shepwm.{m}")
-               for m in BENCHMARK_MODULES}
+    modules = _benchmark_modules()
     missing = [f"{f}: {m}.{a}" for f, m, a in sorted(refs) if not hasattr(modules[m], a)]
     assert missing == []
+
+
+def _benchmark_modules() -> dict:
+    return {m: importlib.import_module("shepwm" if m == "shepwm" else f"shepwm.{m}")
+            for m in BENCHMARK_MODULES}
+
+
+def _benchmark_calls() -> list[tuple[str, int, str, str, int, list[str]]]:
+    """(file, line, module, attribute, positional count, keyword names) for
+    each call `module.attr(...)` the benchmark's code makes on one of
+    BENCHMARK_MODULES with no starred argument."""
+    calls = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in BENCHMARK_MODULES
+                    and not any(isinstance(a, ast.Starred) for a in node.args)
+                    and all(k.arg is not None for k in node.keywords)):
+                calls.append((path.name, node.lineno, node.func.value.id, node.func.attr,
+                              len(node.args), [k.arg for k in node.keywords]))
+    return calls
+
+
+def test_every_call_the_benchmark_makes_binds():
+    # each call binds to the signature of what it calls, so a parameter the
+    # benchmark passes and the library drops fails here, not in a benchmark run
+    calls = _benchmark_calls()
+    assert {("workloads.py", "dclink", "read_lookup_csv"),
+            ("workloads.py", "dclink", "build_lookup"),
+            ("workloads.py", "harmonics", "pattern_thd"),
+            ("workloads.py", "harmonics", "analytic_spectrum")} <= {
+        (f, m, a) for f, _, m, a, _, _ in calls}
+    modules = _benchmark_modules()
+    unbound = []
+    for f, line, m, a, positional, keywords in calls:
+        try:
+            inspect.signature(getattr(modules[m], a)).bind(
+                *[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{f}:{line}: {m}.{a}: {exc}")
+    assert unbound == []
 
 
 def test_traced_benchmark_run_ends_in_strict_json():

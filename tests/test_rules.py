@@ -36,7 +36,6 @@ from shepwm import (
     derive_seed,
     dft_spectrum,
     minimize,
-    pattern_thd,
     segment_integral_harmonic,
     sweep,
     synthesize,
@@ -64,7 +63,7 @@ RULES = {
     LookupTable: {"grid": check_lookup_grid, "angles": check_angles,
                   "thd": check_nonnegative, "feasible": check_flag,
                   "fundamental_v": check_nonnegative, "base_vdc_per_cell": check_vdc,
-                  "cells": check_count, "thd_max_order": check_count},
+                  "cells": check_count},
     HarmonicSpectrum: {"magnitudes": check_magnitudes, "base_volts": check_nonnegative},
 }
 
@@ -77,8 +76,7 @@ VALID = {
                      vdc_per_cell=200.0),
     PsoConfig: dict(seed=1, swarm_size=3, iterations=3, restarts=3),
     LookupTable: dict(grid=(0.5, 1.0), angles=(0.25, 0.5), thd=0.25, feasible=True,
-                      fundamental_v=300.0, base_vdc_per_cell=200.0, cells=1,
-                      thd_max_order=49),
+                      fundamental_v=300.0, base_vdc_per_cell=200.0, cells=1),
     HarmonicSpectrum: dict(magnitudes=(0.0, 1.0, 0.0, 0.5), base_volts=1.0),
 }
 
@@ -157,12 +155,6 @@ COUNTS = {
     "compare_methods.jobs": (
         lambda n: compare_methods([0.5, 1.0], TINY, SheProblem(1.0), jobs=n), "jobs",
         None, 1),
-    "compare_methods.thd_max_order": (
-        lambda n: compare_methods([0.5, 1.0], TINY, SheProblem(1.0), n),
-        "thd_max_order", lambda t: t.proposed.thd_max_order, 9),
-    "build_lookup.thd_max_order": (
-        lambda n: build_lookup([0.5, 1.0], TINY, SheProblem(1.0), n), "thd_max_order",
-        lambda t: t.thd_max_order, 9),
     **_field_cases(COUNT_RULES),
 }
 BAD_COUNTS = [2.0, 2.5, "3", True, 0, -1]
@@ -225,8 +217,7 @@ def test_the_least_normal_voltage_builds_a_pattern():
 
 @pytest.mark.parametrize(
     "argument, value, message",
-    [(name, value, f"{name} must be ") for name in ("cells", "thd_max_order")
-     for value in BAD_COUNTS]
+    [("cells", value, "cells must be ") for value in BAD_COUNTS]
     + [("base_vdc_per_cell", value, "base_vdc_per_cell must be finite and > 0")
        for value in BAD_VOLTAGES],
 )
@@ -237,13 +228,11 @@ def test_read_lookup_csv_refuses_its_arguments_before_the_file(tmp_path, argumen
         read_lookup_csv(tmp_path / "missing.csv", **{argument: value})
 
 
-@pytest.mark.parametrize("argument", ["cells", "thd_max_order"])
+@pytest.mark.parametrize("argument", ["cells"])
 def test_read_lookup_csv_stores_a_numpy_count_as_an_int(tmp_path, argument):
     path = tmp_path / "table.csv"
     path.write_text("".join(lookup_csv(_table())))
-    counts = {name: VALID[LookupTable][name] for name in ("cells", "thd_max_order")}
-    counts[argument] = np.int64(counts[argument])
-    table = read_lookup_csv(path, 200.0, **counts)
+    table = read_lookup_csv(path, 200.0, **{argument: np.int64(VALID[LookupTable][argument])})
     assert table == _table()
     assert type(getattr(table, argument)) is int
 
@@ -450,9 +439,7 @@ VALUE_ARGUMENTS = {
     "analytic_harmonic.n": lambda v: analytic_harmonic(PATTERN, v),
     "analytic_spectrum.max_order": lambda v: analytic_spectrum(PATTERN, v),
     "build_lookup.v_pu_grid": lambda v: build_lookup(v, TINY, TWO_ANGLES),
-    "build_lookup.thd_max_order": lambda v: build_lookup((1.0,), TINY, TWO_ANGLES, v),
     "compare_methods.v_pu_grid": lambda v: compare_methods(v, TINY, TWO_ANGLES),
-    "compare_methods.thd_max_order": lambda v: compare_methods((1.0,), TINY, TWO_ANGLES, v),
     # one grid point, so one pair and never a pool
     "compare_methods.jobs": lambda v: compare_methods((1.0,), TINY, TWO_ANGLES, jobs=v),
     "cost.angles": lambda v: cost(v, TWO_ANGLES),
@@ -464,7 +451,6 @@ VALUE_ARGUMENTS = {
     "dft_spectrum.max_order": lambda v: dft_spectrum(SAMPLES, v),
     "dft_spectrum.base_volts": lambda v: dft_spectrum(SAMPLES, 3, v),
     "minimize.dim": lambda v: minimize(lambda pts, cutoff: np.sum(pts**2, axis=1), v, TINY),
-    "pattern_thd.max_order": lambda v: pattern_thd(PATTERN, v),
     "segment_integral_harmonic.n": lambda v: segment_integral_harmonic(PATTERN, v),
     "sweep.m_values": lambda v: sweep(TWO_ANGLES, v, TINY),
     "sweep.jobs": lambda v: sweep(TWO_ANGLES, (0.5,), TINY, v),
