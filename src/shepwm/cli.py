@@ -29,8 +29,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .dclink import build_lookup, compare_methods, comparison_csv, lookup_csv, lookup_json
-from .errors import ShePwmError, ZeroFundamental, check_count, check_plan
-from .harmonics import DEFAULT_MAX_ORDER, HarmonicSpectrum, analytic_spectrum, spectrum_csv, thd
+from .errors import ShePwmError, check_count, check_plan
+from .harmonics import (DEFAULT_MAX_ORDER, analytic_spectrum, pattern_thd, pct_of_fundamental,
+                        spectrum_csv, thd)
 from .optimizer import PsoConfig
 from .pattern import SwitchingPattern, levels, synthesize, waveform_csv
 from .she import SheProblem, Solution, solve, sweep
@@ -153,16 +154,9 @@ def _write_outputs(command: str, cfg: dict, seed: int | None, files: list,
         raise
 
 
-def _thd_or_none(spectrum: HarmonicSpectrum):
-    """THD as a ratio; None when the fundamental vanished and no THD is defined."""
-    try:
-        return thd(spectrum)
-    except ZeroFundamental:
-        return None
-
-
-def _pct(ratio):
-    return None if ratio is None else 100.0 * ratio
+def _json_float(x: float):
+    """x, or None (JSON null) for the NaN of an undefined THD or percent."""
+    return None if math.isnan(x) else x
 
 
 def _solution_doc(sol: Solution, degrees: bool) -> dict:
@@ -179,7 +173,7 @@ def _solution_doc(sol: Solution, degrees: bool) -> dict:
         "cost": sol.cost,
         "fundamental_pu": sol.fundamental_pu,
         "fundamental_v": spectrum.fundamental,
-        "thd_pct": _pct(_thd_or_none(spectrum)),
+        "thd_pct": _json_float(100.0 * thd(spectrum)),
         "residuals_pu": {str(n): r for n, r in sorted(sol.residuals_pu.items())},
         key: angles,
         "signs": list(sol.pattern.signs),
@@ -210,13 +204,12 @@ def _sweep_csv_text(solutions: list[Solution]) -> str:
     header += [f"theta_{i + 1}" for i in range(k)]
     lines = [",".join(header)]
     for s in solutions:
-        thd_pct = _pct(_thd_or_none(analytic_spectrum(s.pattern)))
         row = [
             repr(s.target_m),
             "true" if s.feasible else "false",
             repr(s.cost),
             repr(s.fundamental_pu),
-            "nan" if thd_pct is None else repr(thd_pct),
+            repr(100.0 * pattern_thd(s.pattern)),
         ]
         row += [format(a, ".17g") for a in s.pattern.angles]
         lines.append(",".join(row))
@@ -261,22 +254,18 @@ def _cmd_analyze(args) -> int:
         angles=tuple(angles), signs=args.signs, cells=cells, vdc_per_cell=args.vdc
     )
     spectrum = analytic_spectrum(pattern, args.max_order)
-    ratio = _thd_or_none(spectrum)
+    ratio = thd(spectrum)
     doc = {
         "fundamental_v": spectrum.fundamental,
-        "thd": ratio,
-        "thd_pct": _pct(ratio),
+        "thd": _json_float(ratio),
+        "thd_pct": _json_float(100.0 * ratio),
         "max_order": args.max_order,
         "base_volts": spectrum.base_volts,
         "cells": cells,
         "spectrum": [
-            {
-                "order": n,
-                "magnitude_v": spectrum.magnitudes[n],
-                "pct_of_fundamental": (None if ratio is None
-                                       else 100.0 * spectrum.magnitudes[n] / spectrum.fundamental),
-            }
-            for n in range(1, args.max_order + 1)
+            {"order": n, "magnitude_v": m, "pct_of_fundamental": _json_float(pct)}
+            for n, (m, pct) in enumerate(zip(spectrum.magnitudes[1:],
+                                             pct_of_fundamental(spectrum)), 1)
         ],
     }
     cfg = {

@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import (GridPositionError, ShePwmError, ZeroFundamental, apply_rules, check_count,
+from .errors import (GridPositionError, ShePwmError, apply_rules, check_count,
                      check_nonnegative, check_real, check_sequence)
 from .harmonics import analytic_spectrum, pattern_thd, thd
 from .optimizer import PsoConfig, derive_seed
@@ -167,7 +167,8 @@ def build_lookup(
     flag, since duty scaling preserves the residuals in per-unit terms
     exactly. A base_solution must be such a solve of problem: a pattern
     problem makes of its angles, target_m 1.0 and residuals at problem's
-    eliminate_orders.
+    eliminate_orders. A base whose THD is NaN (a zero fundamental) is
+    refused by LookupTable's thd rule.
     """
     grid = check_lookup_grid(sorted(check_sequence(v_pu_grid, "grid", check_real)))
     base = base_solution
@@ -217,16 +218,8 @@ def compare_methods(
     base, *solved = solve_pairs(problem, pairs, pso, jobs)
     conventional = solved + [base] * (len(grid) - len(below_full))
     proposed = build_lookup(grid, pso, problem, base_solution=base)
-    thd_c = tuple(_thd_or_nan(c.pattern) for c in conventional)
+    thd_c = tuple(pattern_thd(c.pattern) for c in conventional)
     return ComparisonTable(proposed, base, tuple(conventional), thd_c)
-
-
-def _thd_or_nan(pattern) -> float:
-    """pattern_thd, or NaN where the fundamental vanished and no THD is defined."""
-    try:
-        return pattern_thd(pattern)
-    except ZeroFundamental:
-        return math.nan
 
 
 def _angle_headers(k: int) -> list[str]:

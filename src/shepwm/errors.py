@@ -1,9 +1,9 @@
 """Exception types raised across the package, and the rules the modules share.
 
-Every refusal raises ShePwmError; its message names the fault. Its two
-subclasses exist because callers catch them: ZeroFundamental marks a THD
-that is undefined, not an input that is wrong. A rule takes (value, name) and
-returns the value as stored; each type's (field, rule) table goes to apply_rules.
+Every refusal raises ShePwmError; its message names the fault. Its one
+subclass, GridPositionError, exists because a caller catches it for the grid
+index it carries. A rule takes (value, name) and returns the value as stored;
+each type's (field, rule) table goes to apply_rules.
 """
 
 import math
@@ -24,10 +24,6 @@ class ShePwmError(Exception):
 
     def __init__(self, message: str):
         super().__init__(re.sub(r"\s*\n\s*", " ", message))
-
-
-class ZeroFundamental(ShePwmError):
-    """THD is undefined because the fundamental magnitude is (numerically) zero."""
 
 
 class GridPositionError(ShePwmError):

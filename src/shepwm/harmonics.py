@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ShePwmError, ZeroFundamental, apply_rules, check_count,
-                     check_nonnegative, check_plan, check_real, check_sequence)
+from .errors import (ShePwmError, apply_rules, check_count, check_nonnegative, check_plan,
+                     check_real, check_sequence)
 from .pattern import SwitchingPattern, WaveformSamples
 
 DEFAULT_MAX_ORDER = 49
@@ -285,12 +285,15 @@ def dft_spectrum(
 
 def thd(spectrum: HarmonicSpectrum) -> float:
     """Total harmonic distortion sqrt(sum_{n=2..max} V_n^2) / |V_1| as a ratio, each
-    V_n first scaled exactly by the power of two that puts V_1 in [0.5, 1)."""
+    V_n first scaled exactly by the power of two that puts V_1 in [0.5, 1).
+
+    NaN where V_1 is at most 1e-12 of the base: no THD is defined on a
+    (numerically) zero fundamental. This is the package's one statement of
+    that rule.
+    """
     v1 = spectrum.fundamental
     if v1 <= 1e-12 * spectrum.base_volts:
-        raise ZeroFundamental(
-            f"fundamental {v1:g} V is below 1e-12 of base {spectrum.base_volts:g} V"
-        )
+        return math.nan
     shift = -math.frexp(v1)[1]
     acc = 0.0
     for m in spectrum.magnitudes[2:]:
@@ -301,14 +304,21 @@ def thd(spectrum: HarmonicSpectrum) -> float:
 
 def pattern_thd(pattern: SwitchingPattern) -> float:
     """THD of a pattern's closed-form spectrum through DEFAULT_MAX_ORDER, the
-    order every solve report takes it to."""
+    order every solve report takes it to; NaN where ``thd`` is."""
     return thd(analytic_spectrum(pattern))
 
 
+def pct_of_fundamental(spectrum: HarmonicSpectrum) -> list[float]:
+    """100 * |V_n| / |V_1| of orders n = 1..max_order; every one NaN where
+    ``thd`` is NaN, since no share of a zero fundamental is defined."""
+    v1 = math.nan if math.isnan(thd(spectrum)) else spectrum.fundamental
+    return [100.0 * m / v1 for m in spectrum.magnitudes[1:]]
+
+
 def spectrum_csv(spectrum: HarmonicSpectrum):
-    """CSV text `order,magnitude_v,magnitude_pct_of_fundamental`, line by line."""
-    v1 = spectrum.fundamental
+    """CSV text `order,magnitude_v,magnitude_pct_of_fundamental`, line by line;
+    the percent is ``pct_of_fundamental``'s, written `nan` where ``thd`` is NaN."""
     yield "order,magnitude_v,magnitude_pct_of_fundamental\n"
-    for n, m in enumerate(spectrum.magnitudes[1:], 1):
-        pct = 100.0 * m / v1 if v1 > 0 else float("inf")
+    pcts = pct_of_fundamental(spectrum)
+    for n, (m, pct) in enumerate(zip(spectrum.magnitudes[1:], pcts), 1):
         yield f"{n},{m!r},{pct!r}\n"

@@ -497,6 +497,47 @@ class TestAnalyze:
         assert [r["pct_of_fundamental"] for r in doc["spectrum"]] == [None] * 49
 
 
+def strict_json(text: str):
+    """json.loads refusing NaN and Infinity, which json.dumps writes but JSON has not."""
+    def refuse(constant):
+        raise ValueError(f"non-finite figure {constant} in the JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_an_undefined_thd_is_null_in_json_and_nan_in_csv(tmp_path, monkeypatch, capsys):
+    # harmonics.thd is NaN where V1 <= 1e-12 of the base; every JSON writes
+    # that THD and each order's share of V1 as null, every CSV as nan
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        assert cli.main(list(argv)) == (1 if argv[0] == "compare" else 0)
+        return capsys.readouterr().out
+
+    def low_row(text):
+        header, low, _ = text.splitlines()
+        return dict(zip(header.split(","), low.split(",")))
+
+    stdout = run("solve", "--pu", "0", "--signs", "1,-1,1,1,-1,-1", "--seed", "1",
+                 "--out", "s.json")
+    for doc in (strict_json(stdout), strict_json((tmp_path / "s.json").read_text())):
+        assert (doc["fundamental_v"], doc["thd_pct"]) == (0.0, None)
+    stdout = run("sweep", "--pu-grid", "1e-9,0.5", "--signs", "1,-1,1,-1,1,-1", "--seed", "1")
+    assert low_row(stdout)["thd_pct"] == "nan"
+    run("compare", "--pu-grid", "1e-9,1.0", "--signs", "1,-1,1,-1,1,-1", "--seed", "1",
+        "--out", "c.csv")
+    assert low_row((tmp_path / "c.csv").read_text())["thd_conventional_pct"] == "nan"
+    # a V1 of exactly 0, then one of 7.5e-12 V, under 1e-12 of the 200 V base
+    for angles, positive in (("0.3,0.3", False), ("0.3,0.3000000000001", True)):
+        doc = strict_json(run("analyze", "--angles", angles, "--signs", "1,-1",
+                              "--emit-spectrum", "sp.csv"))
+        assert (doc["fundamental_v"] > 0.0) == positive
+        assert doc["fundamental_v"] <= 1e-12 * doc["base_volts"]
+        assert doc["thd"] is None and doc["thd_pct"] is None
+        assert [r["pct_of_fundamental"] for r in doc["spectrum"]] == [None] * 49
+        rows = (tmp_path / "sp.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[2] for r in rows] == ["nan"] * 49
+
+
 # the THD at any admissible V_dc is the THD at 200 V, to rounding
 EXTREME_VDC = {
     "analyze": ["analyze", "--angles", "0.1,0.3", "--signs", "1,1", "--max-order", "3"],

@@ -13,11 +13,13 @@ from shepwm import (
     LookupTable,
     PsoConfig,
     SheProblem,
+    Solution,
     SwitchingPattern,
     analytic_harmonic,
     analytic_spectrum,
     build_lookup,
     compare_methods,
+    cost,
     derive_seed,
     pattern_thd,
     solve,
@@ -167,6 +169,20 @@ class TestBuildLookup:
         }[case]
         with pytest.raises(ShePwmError, match=message):
             build_lookup(GRID10, pso, problem, base_solution=base)
+
+    def test_a_zero_fundamental_base_is_refused_in_one_line(self):
+        # angles in cancelling pairs leave every harmonic 0: the base THD is
+        # NaN, and the table's thd rule refuses it
+        problem = SheProblem(1.0, sign_pattern=(1, -1, 1, -1, 1, -1))
+        angles = (0.2, 0.2, 0.5, 0.5, 0.9, 0.9)
+        base = Solution(pattern=problem.make_pattern(angles), cost=cost(angles, problem),
+                        fundamental_pu=0.0,
+                        residuals_pu={n: 0.0 for n in problem.eliminate_orders},
+                        feasible=False, diagnostics=None, target_m=1.0)
+        with pytest.raises(ShePwmError) as info:
+            build_lookup(GRID10, PsoConfig(seed=4, **FAST), problem, base_solution=base)
+        assert str(info.value) == "thd must be finite and >= 0, got nan"
+        assert type(info.value) is ShePwmError
 
 
 class TestCompare:

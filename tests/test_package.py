@@ -88,8 +88,7 @@ def test_library_refuses_only_with_package_errors():
     package = Path(shepwm.__file__).parent
     raised = {p.name: _raised_names(p) for p in sorted(package.glob("*.py"))
               if p.name != "cli.py"}
-    assert set().union(*raised.values()) == {"ShePwmError", "ZeroFundamental",
-                                             "GridPositionError"}
+    assert set().union(*raised.values()) == {"ShePwmError", "GridPositionError"}
 
 
 def _calls(path: Path, name: str) -> list[str]:
